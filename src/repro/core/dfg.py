@@ -99,9 +99,6 @@ class DFG:
     def preds(self, n: DFGNode, max_dist: int = 0) -> list[DFGEdge]:
         return [e for e in self.edges if e.dst is n and e.dist <= max_dist]
 
-    def succs(self, n: DFGNode, max_dist: int = 0) -> list[DFGEdge]:
-        return [e for e in self.edges if e.src is n and e.dist <= max_dist]
-
     def operator_nodes(self) -> list[DFGNode]:
         return [n for n in self.nodes if n.is_operator]
 

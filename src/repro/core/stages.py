@@ -71,11 +71,16 @@ def assign_stages(dfg: DFG, ds: int,
     delay = delay or default_delay
 
     order = dfg.topo_order()
+    # one pass over the edges: dist-0 predecessors per node, in edge order
+    preds: dict[int, list[DFGNode]] = {n.nid: [] for n in dfg.nodes}
+    for e in dfg.edges:
+        if e.dist <= 0:
+            preds[e.dst.nid].append(e.src)
     asap: dict[int, int] = {}
     for n in order:
         start = 0
-        for e in dfg.preds(n, max_dist=0):
-            start = max(start, asap[e.src.nid] + delay(e.src))
+        for p in preds[n.nid]:
+            start = max(start, asap[p.nid] + delay(p))
         asap[n.nid] = start
     length = 0
     for n in dfg.nodes:
@@ -103,9 +108,9 @@ def assign_stages(dfg: DFG, ds: int,
     for n in order:
         s = sa.stage[n.nid]
         start = 0
-        for e in dfg.preds(n, max_dist=0):
-            if sa.stage[e.src.nid] == s:
-                start = max(start, finish.get(e.src.nid, 0))
+        for p in preds[n.nid]:
+            if sa.stage[p.nid] == s:
+                start = max(start, finish.get(p.nid, 0))
         finish[n.nid] = start + delay(n)
         sa.stage_delay[s] = max(sa.stage_delay[s], finish[n.nid])
     return sa

@@ -7,6 +7,8 @@ reproduced tables.
 
 from __future__ import annotations
 
+import re
+
 from repro.explore.engine import ExploreResult
 from repro.explore.pareto import best_designs, pareto_queries
 from repro.harness.tables import render_table
@@ -114,11 +116,24 @@ def format_best(result: ExploreResult, objective: str = "efficiency") -> str:
         title=f"Best designs by {objective} (baseline: original).")
 
 
+#: The provenance prefix compilation errors carry
+#: (``kernel/label [target=..., scheduler=...]: ``), which repeats the
+#: table's kernel and design columns.
+_PROVENANCE = re.compile(r"^.*? \[target=[^\]]*\]: ")
+
+
 def format_skips(result: ExploreResult) -> str:
+    """The compiler's rejections, one row each.
+
+    The ``reason`` column drops the error's provenance prefix, so its
+    60 characters go to *why* the design was rejected (the cached
+    :class:`~repro.explore.space.SkipRecord` keeps the full text).
+    """
     skips = result.skips()
     if not skips:
         return ""
-    rows = [[s.query.kernel, s.label, s.phase, s.reason[:60]]
+    rows = [[s.query.kernel, s.label, s.phase,
+             _PROVENANCE.sub("", s.reason, count=1)[:60]]
             for s in skips]
     return render_table(["kernel", "design", "phase", "reason"], rows,
                         title=f"Skipped designs ({len(skips)}).")

@@ -58,14 +58,58 @@ _REPAIR_ROUNDS = 8
 
 #: Identity-keyed memo of one (dfg, lib, edges) triple's search-invariant
 #: derivations — delay/resource maps, topological order, the dense
-#: :class:`~repro.hw.sched_kernel.SchedProblem`, and (lazily) the
-#: RecMII/ResMII pair, none of which depend on ``min_ii``/``max_ii``/
-#: flavor.  The register-pressure II bump re-enters the search over the
-#: *same objects* with a raised floor; without this memo every bump
-#: re-derives all of them (RecMII's SCC decomposition dominated the
-#: vliw retarget profile).  Keys pin their objects, so ids stay valid.
+#: :class:`~repro.hw.sched_kernel.SchedProblem`, the backtracking
+#: scheduler's slack orders, the register accountant's value edges and
+#: recurrence floor, and (lazily) the RecMII/ResMII pair, none of which
+#: depend on ``min_ii``/``max_ii``/flavor.  The register-pressure II
+#: bump re-enters the search over the *same objects* with a raised
+#: floor; without this memo every bump re-derives all of them (RecMII's
+#: SCC decomposition dominated the vliw retarget profile).  Keys pin
+#: their objects, so ids stay valid.
 _CTX = PinningLRU(maxsize=512)
 register_cache(_CTX.clear)
+
+
+def search_context(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
+    """The :data:`_CTX` entry of one ``(dfg, lib, edges)`` triple.
+
+    Starts with the delay map alone; every other per-triple invariant
+    (the search's structures, slack orders, value edges) is added by
+    its owner under its own key on first use, so a design rejected
+    before scheduling never pays for the search's.
+    """
+    from repro.hw import sched_kernel
+    from repro.hw.ops import cached_delay_map
+
+    ctx_key = (id(dfg), id(lib), id(edges), sched_kernel.kernel_available())
+    ctx = _CTX.get(ctx_key)
+    if ctx is None:
+        ctx = _CTX.put(ctx_key, (dfg, lib, edges),
+                       {"dmap": cached_delay_map(dfg, lib)})
+    return ctx
+
+
+def _search_state(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
+    """:func:`search_context` with the II search's invariants filled in:
+    resource map and slots, topological order, the dense problem (or the
+    reference loops' predecessor map), and the lazily derived MII pair."""
+    from repro.hw import sched_kernel
+
+    ctx = search_context(dfg, lib, edges)
+    if "prob" not in ctx:
+        dmap = ctx["dmap"]
+        rmap = ctx["rmap"] = _resource_map(dfg, lib)
+        slots = ctx["slots"] = lib.resource_slots()
+        ctx["topo"] = dfg.topo_order()
+        # the array core and the reference loops are bit-identical (same
+        # placement order, probing rule, repair growth, and abandonment
+        # cases); REPRO_SCHED_KERNEL=0 pins the reference for parity runs
+        prob = ctx["prob"] = sched_kernel.build_problem(dfg, edges, dmap,
+                                                        rmap, slots)
+        ctx["preds"] = None if prob is not None \
+            else _pred_map(dfg, edges, dmap)
+        ctx["mii"] = None
+    return ctx
 
 
 @dataclass
@@ -238,22 +282,7 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     """
     from repro.hw import iimemo, sched_kernel
 
-    ctx_key = (id(dfg), id(lib), id(edges), sched_kernel.kernel_available())
-    ctx = _CTX.get(ctx_key)
-    if ctx is None:
-        dmap = _delay_map(dfg, lib)
-        rmap = _resource_map(dfg, lib)
-        slots = lib.resource_slots()
-        # the array core and the reference loops are bit-identical (same
-        # placement order, probing rule, repair growth, and abandonment
-        # cases); REPRO_SCHED_KERNEL=0 pins the reference for parity runs
-        prob = sched_kernel.build_problem(dfg, edges, dmap, rmap, slots)
-        ctx = _CTX.put(ctx_key, (dfg, lib, edges), {
-            "dmap": dmap, "rmap": rmap, "slots": slots,
-            "topo": dfg.topo_order(), "prob": prob,
-            "preds": None if prob is not None
-            else _pred_map(dfg, edges, dmap),
-            "mii": None})
+    ctx = _search_state(dfg, lib, edges)
     dmap, rmap, slots = ctx["dmap"], ctx["rmap"], ctx["slots"]
     topo, prob, preds = ctx["topo"], ctx["prob"], ctx["preds"]
 

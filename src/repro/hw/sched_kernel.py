@@ -441,13 +441,14 @@ def list_schedule_arrays(dfg, lib):
 # Backtracking orders: ASAP/ALAP slack levels by whole-front relaxation
 # ---------------------------------------------------------------------------
 
-def slack_levels(dfg, edges, lib):
+def slack_levels(dfg, edges, dmap: dict[int, int]):
     """ASAP/ALAP levels of the view's distance-0 subgraph, or ``None``.
 
     Returns ``(asap, alap, length)`` as plain-int lists indexed by nid,
     equal to the reference's single-pass topological values (the DAG
     longest-path fixpoint is unique, so repeated ``maximum.at`` /
-    ``minimum.at`` sweeps converge to exactly them).
+    ``minimum.at`` sweeps converge to exactly them).  ``dmap`` is the
+    search's node-id -> latency map.
     """
     if not kernel_available():
         return None
@@ -455,7 +456,7 @@ def slack_levels(dfg, edges, lib):
     n = len(nodes)
     if any(node.nid != i for i, node in enumerate(nodes)):
         return None  # pragma: no cover - DFG.add_node is positional
-    delay = np.fromiter((lib.delay(node) for node in nodes),
+    delay = np.fromiter((dmap[node.nid] for node in nodes),
                         dtype=np.int64, count=n)
     d0 = [(s.nid, d.nid) for s, d, dist in edges if dist == 0]
     src = np.fromiter((s for s, _ in d0), dtype=np.int64, count=len(d0))

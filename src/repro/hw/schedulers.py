@@ -45,7 +45,8 @@ from repro.core.dfg import DFG, DFGNode
 from repro.hw.exact import ExactSchedule, exact_modulo_schedule
 from repro.hw.listsched import ListSchedule, list_schedule
 from repro.hw.mii import EdgeView, default_edge_view
-from repro.hw.modulo import ModuloSchedule, _search, modulo_schedule
+from repro.hw.modulo import ModuloSchedule, _search, _search_state, \
+    modulo_schedule
 from repro.hw.ops import OperatorLibrary
 
 __all__ = ["DEFAULT_SCHEDULER", "BacktrackingModuloScheduler",
@@ -102,7 +103,7 @@ class IterativeModuloScheduler:
                                min_ii=min_ii)
 
 
-def _slack_orders(dfg: DFG, edges: EdgeView, lib: OperatorLibrary
+def _slack_orders(dfg: DFG, edges: EdgeView, ctx: dict
                   ) -> list[list[DFGNode]]:
     """Alternative placement orders tried after the topological one.
 
@@ -114,12 +115,16 @@ def _slack_orders(dfg: DFG, edges: EdgeView, lib: OperatorLibrary
     very front — ranked by the pressure (``uses / slots``) of the
     scarcest resource each node occupies, which on the spatial datapath
     (memory bus only) reduces to the historical memory-first order.
+
+    ``ctx`` is the triple's II-search state
+    (:func:`repro.hw.modulo._search_state`): the delay map, resource
+    map, and topological order the search itself uses.
     """
     from repro.hw import sched_kernel
 
-    delay = lib.delay
-    topo = dfg.topo_order()
-    levels = sched_kernel.slack_levels(dfg, edges, lib)
+    dmap, rmap, slots = ctx["dmap"], ctx["rmap"], ctx["slots"]
+    topo = ctx["topo"]
+    levels = sched_kernel.slack_levels(dfg, edges, dmap)
     if levels is not None:
         # whole-front relaxation over the view's dist-0 edge arrays —
         # the DAG fixpoint equals the reference's topological pass
@@ -139,24 +144,26 @@ def _slack_orders(dfg: DFG, edges: EdgeView, lib: OperatorLibrary
         for n in topo:
             start = 0
             for p in preds[n.nid]:
-                start = max(start, asap[p.nid] + delay(p))
+                start = max(start, asap[p.nid] + dmap[p.nid])
             asap[n.nid] = start
-        length = max((asap[n.nid] + delay(n) for n in dfg.nodes), default=0)
+        length = max((asap[n.nid] + dmap[n.nid] for n in dfg.nodes),
+                     default=0)
         alap = {}
         for n in reversed(topo):
-            latest = length - delay(n)
+            latest = length - dmap[n.nid]
             for d in succs[n.nid]:
                 if d.nid in alap:
-                    latest = min(latest, alap[d.nid] - delay(n))
+                    latest = min(latest, alap[d.nid] - dmap[n.nid])
             alap[n.nid] = latest
     slack = {n.nid: alap[n.nid] - asap[n.nid] for n in topo}
 
     by_slack = sorted(topo, key=lambda n: (slack[n.nid], asap[n.nid], n.nid))
-    slots = lib.resource_slots()
-    uses = lib.resource_use_counts(dfg.nodes)
-    pressure = {n.nid: max((uses[r] / slots[r]
-                            for r in lib.node_resources(n)), default=0.0)
-                for n in topo}
+    uses: dict[str, int] = {}
+    for res in rmap.values():
+        for r in res:
+            uses[r] = uses.get(r, 0) + 1
+    pressure = {nid: max((uses[r] / slots[r] for r in res), default=0.0)
+                for nid, res in rmap.items()}
     contended_first = sorted(topo, key=lambda n: (-pressure[n.nid],
                                                   slack[n.nid],
                                                   asap[n.nid], n.nid))
@@ -184,8 +191,15 @@ def backtracking_modulo_schedule(dfg: DFG, lib: OperatorLibrary,
     succeeds is never larger than the iterative scheduler's.
     """
     edges = edges if edges is not None else default_edge_view(dfg)
-    orders: list[Optional[list[DFGNode]]] = [None]  # None = topo order
-    orders += _slack_orders(dfg, edges, lib)
+    # the orders depend on the triple alone, so every register-pressure
+    # re-entry reuses the first call's
+    ctx = _search_state(dfg, lib, edges)
+    orders: Optional[list[Optional[list[DFGNode]]]] = \
+        ctx.get("backtrack_orders")
+    if orders is None:
+        orders = [None]  # None = topo order
+        orders += _slack_orders(dfg, edges, ctx)
+        ctx["backtrack_orders"] = orders
     return _search(dfg, lib, edges, orders=orders, max_ii=max_ii,
                    flavor="backtrack", min_ii=min_ii)
 

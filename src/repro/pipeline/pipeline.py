@@ -337,24 +337,54 @@ class CompilationPipeline:
                   analyzed: AnalyzedDFG) -> ScheduledDesign:
         strategy = self._resolve_scheduler(plan)
         lib = self.target.library
+        capacity = getattr(lib, "register_file", None) \
+            if strategy.pipelined else None
+        if capacity is not None:
+            self._check_pressure_floor(analyzed, capacity)
         schedule = strategy.schedule(analyzed.dfg, lib, edges=analyzed.edges)
         pressure, floored = None, False
-        if strategy.pipelined and \
-                getattr(lib, "register_file", None) is not None:
+        if capacity is not None:
             schedule, pressure, floored = self._fit_register_file(
                 strategy, analyzed, schedule)
         return ScheduledDesign(analyzed=analyzed, scheduler=strategy.name,
                                schedule=schedule, pressure=pressure,
                                ii_floored=floored)
 
+    def _check_pressure_floor(self, analyzed: AnalyzedDFG,
+                              capacity: int) -> None:
+        """Reject, before any scheduling, a design whose recurrence cycles
+        alone overflow the register file at every II it could have.
+
+        :func:`repro.vliw.pressure.pressure_floor` bounds the pressure
+        of every legal schedule at a given II from below and never
+        decreases with the II, so its value at ResMII — no schedule has
+        a smaller II — bounds the whole walk of :meth:`_fit_register_file`.
+        """
+        from repro.hw.mii import res_mii
+        from repro.vliw.pressure import pressure_floor
+
+        lib = self.target.library
+        ii = res_mii(analyzed.dfg, lib)
+        floor = pressure_floor(analyzed.dfg, lib, analyzed.edges, ii)
+        if floor > capacity:
+            raise ScheduleError(
+                f"register pressure >= {floor} exceeds the {capacity}-entry "
+                f"register file at every II >= {ii} (recurrence cycles "
+                f"alone)")
+
     def _fit_register_file(self, strategy: Scheduler, analyzed: AnalyzedDFG,
                            schedule):
         """The register-pressure II bump (register-file targets only).
 
-        Growing the II shrinks the overlap depth, so each bump
-        monotonically relieves pressure; once the II reaches the
-        schedule makespan a single iteration is in flight and no
-        further relief exists — an overflow there is a hard reject.
+        A bump re-enters the scheduler above the overflowing II.  It
+        shrinks the overlap of acyclic lifetimes, but it does not
+        necessarily relieve pressure: a recurrence cycle's lifetimes sum
+        to ``II*D - L`` and grow with the II (designs the recurrence
+        floor already proves hopeless never get here — see
+        :meth:`_check_pressure_floor`).
+        Once the II reaches the schedule makespan a single iteration is
+        in flight and no further relief exists — an overflow there is a
+        hard reject.
         """
         from repro.vliw.pressure import register_pressure
 

@@ -21,7 +21,8 @@ test (:mod:`repro.hw.modulo`, :mod:`repro.hw.sched_kernel`,
 * **MaxLive** recounted cycle by cycle (an O(sum-of-lifetimes) literal
   walk, deliberately not the difference-array fold of
   :mod:`repro.vliw.pressure`) against the claimed
-  :class:`~repro.vliw.pressure.PressureInfo`;
+  :class:`~repro.vliw.pressure.PressureInfo`, and against the
+  recurrence pressure floor, which no legal schedule may undercut;
 * **MII lower bounds** — ResMII by direct slot counting and RecMII by
   a naive whole-graph parametric Bellman-Ford (no SCC decomposition,
   no vectorized probes) — against the accepted II, and against any
@@ -205,7 +206,14 @@ def crosscheck_pressure(dfg: DFG, lib: OperatorLibrary,
     its last use ``t(dst) + II*dist`` — but counts occupancy by walking
     every lifetime cycle literally instead of the O(1) difference-array
     fold, so an error in the fold cannot hide here.
+
+    The recount must also meet :func:`repro.vliw.pressure.
+    pressure_floor` at the schedule's II — the schedule-independent
+    bound the pipeline rejects designs by before scheduling them — so
+    a floor that overstates what a legal schedule needs is a finding.
     """
+    from repro.vliw import pressure
+
     ii = sched.ii
     if ii < 1:
         return []
@@ -227,12 +235,19 @@ def crosscheck_pressure(dfg: DFG, lib: OperatorLibrary,
         for cycle in range(b, dies[nid]):
             counts[cycle % ii] += 1
     recounted = max(counts) if counts else 0
+    out: list[Finding] = []
     if recounted != claimed.max_live:
-        return [Finding(
+        out.append(Finding(
             "pressure.maxlive", f"MaxLive={claimed.max_live}",
             f"a literal cycle-by-cycle recount over the schedule gives "
-            f"{recounted}")]
-    return []
+            f"{recounted}"))
+    floor = pressure.pressure_floor(dfg, lib, edges, ii)
+    if recounted < floor:
+        out.append(Finding(
+            "pressure.floor", f"II={ii}",
+            f"the literal MaxLive recount {recounted} is below the "
+            f"recurrence pressure floor {floor}"))
+    return out
 
 
 def independent_res_mii(dfg: DFG, lib: OperatorLibrary) -> int:

@@ -14,7 +14,9 @@ uses.  Three pieces:
   without modification;
 * :mod:`repro.vliw.pressure` — register-pressure accounting (MaxLive
   under modulo execution; modulo-variable-expansion copies without
-  rotation) driving the compilation pipeline's II bump;
+  rotation) driving the compilation pipeline's II bump, and the
+  schedule-independent recurrence floor that rejects hopeless designs
+  before any scheduling;
 * :mod:`repro.vliw.simulate` — a cycle-accurate replay that executes
   issue bundles *with values* and cross-checks them against the IR
   interpreter.
@@ -29,7 +31,8 @@ from repro.vliw.machine import (  # noqa: F401
     VLIW4_LIBRARY, VLIW_OP_CLASSES, VLIWOperatorLibrary, op_class,
 )
 from repro.vliw.pressure import (  # noqa: F401
-    PressureInfo, max_live, register_pressure, rotating_copies,
+    PressureInfo, max_live, pressure_floor, register_pressure,
+    rotating_copies,
 )
 from repro.vliw.simulate import (  # noqa: F401
     VLIWReplay, interpreter_reference, random_live_ins, vliw_replay,
@@ -37,6 +40,7 @@ from repro.vliw.simulate import (  # noqa: F401
 
 __all__ = [
     "VLIW4_LIBRARY", "VLIW_OP_CLASSES", "VLIWOperatorLibrary", "op_class",
-    "PressureInfo", "max_live", "register_pressure", "rotating_copies",
+    "PressureInfo", "max_live", "pressure_floor", "register_pressure",
+    "rotating_copies",
     "VLIWReplay", "interpreter_reference", "random_live_ins", "vliw_replay",
 ]

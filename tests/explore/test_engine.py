@@ -4,8 +4,9 @@ and equivalence with the legacy serial compilation path."""
 import pytest
 
 from repro.explore import (
-    DesignQuery, DesignSpace, ResultCache, SkipRecord, best_designs,
-    evaluate, format_best, format_pareto, format_skips, format_summary,
+    DesignQuery, DesignSpace, ExploreResult, ResultCache, SkipRecord,
+    best_designs, evaluate, format_best, format_pareto, format_skips,
+    format_summary,
 )
 from repro.hw.report import DesignPoint
 
@@ -38,6 +39,24 @@ class TestEvaluate:
         assert res.results[0].phase == "legality"
         assert isinstance(res.results[1], DesignPoint)
         assert format_skips(res)  # renders a table
+
+    def test_skip_reasons_render_without_provenance(self):
+        """The reason column drops the ``kernel/label [target=...,
+        scheduler=...]: `` prefix (it repeats the kernel and design
+        columns), even for long labels and ``lang:`` kernel names; the
+        records themselves are not touched."""
+        q = DesignQuery("lang:kernels/k.lang#0123456789ab", "jam+squash",
+                        ds=16, jam=2, target_spec="vliw4",
+                        scheduler="backtrack")
+        reason = (f"{q.kernel}/jam(2)+squash(16) [target=vliw4, "
+                  "scheduler=backtrack]: register pressure >= 99 exceeds "
+                  "the 64-entry register file at every II >= 40 "
+                  "(recurrence cycles alone)")
+        skip = SkipRecord(q, "schedule", reason)
+        text = format_skips(ExploreResult(queries=[q], results=[skip]))
+        assert "register pressure >= 99 exceeds the 64-entry" in text
+        assert "[target=" not in text
+        assert skip.reason == reason
 
     def test_skips_survive_the_pool(self):
         qs = [DesignQuery("wavelet", "squash", ds=4),

@@ -417,6 +417,26 @@ class TestStrictMutations:
         run, lib = vliw_run
         verify_scheduled(run.scheduled, lib, strict=True)
 
+    def test_inflated_pressure_floor(self, vliw_run, monkeypatch):
+        """A floor above what the schedule really keeps live is unsound:
+        the recount catches it."""
+        from repro.vliw import pressure
+
+        run, lib = vliw_run
+        s = run.scheduled
+        honest = pressure.pressure_floor(
+            s.analyzed.dfg, lib, s.analyzed.edges, s.schedule.ii)
+        assert honest <= s.pressure.max_live
+        monkeypatch.setattr(pressure, "pressure_floor",
+                            lambda *a: s.pressure.max_live + 1)
+        findings = crosscheck_pressure(
+            s.analyzed.dfg, lib, s.schedule, s.pressure, s.analyzed.edges)
+        assert checkers(findings) == {"pressure.floor"}
+        assert f"recount {s.pressure.max_live} is below" \
+            in findings[0].message
+        with pytest.raises(VerifyError, match="pressure.floor"):
+            verify_scheduled(s, lib, strict=True)
+
     def test_forged_exact_ii_certificate(self, squash_run):
         run, lib = squash_run
         a = run.analyzed

@@ -7,9 +7,11 @@ pressure surfacing as new columns and infeasible designs as structured
 skips, never crashes.
 """
 
+import re
+
 import pytest
 
-from repro.explore import DesignSpace, evaluate, format_pareto
+from repro.explore import DesignSpace, evaluate, format_pareto, format_skips
 from repro.harness.experiments import format_table_6_2, run_table_6_2, \
     run_table_6_3
 from repro.hw.report import DesignPoint
@@ -31,6 +33,20 @@ class TestExplore:
         for s in vliw_result.skips():
             assert s.phase == "schedule"
             assert "register pressure" in s.reason
+
+    def test_skip_table_names_both_kinds_of_pressure_reject(
+            self, vliw_result):
+        """iir squash(4) is proven hopeless by the recurrence floor
+        before scheduling; des-mem jam(4) is rejected by the II walk.
+        Both reasons must be readable in the rendered table."""
+        text = format_skips(vliw_result)
+        assert "register pressure >= " in text
+        assert re.search(r"register pressure \d+ exceeds", text)
+        assert "[target=" not in text
+        by_label = {(s.query.kernel, s.label): s.reason
+                    for s in vliw_result.skips()}
+        assert "register pressure >= " in by_label[("iir", "squash(4)")]
+        assert "makespan" in by_label[("des-mem", "jam(4)")]
 
     def test_pipelined_points_carry_pressure_fields(self, vliw_result):
         for q, r in vliw_result.pairs():
