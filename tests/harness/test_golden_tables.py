@@ -1,10 +1,13 @@
 """Golden-output guard: the staged pipeline must reproduce the seed
 compiler's Table 6.2/6.3 text byte for byte under the default scheduler.
 
-The fixtures under ``tests/data/`` were captured from the pre-pipeline
-compiler (five hand-rolled ``compile_*`` bodies, no shared analysis) at
-``--factors 2``.  Any drift here means the refactor changed a design
-point, not just the code shape.
+The acev fixtures under ``tests/data/`` were captured from the
+pre-pipeline compiler (five hand-rolled ``compile_*`` bodies, no shared
+analysis) at ``--factors 2``.  The vliw4 pair pins the register-file
+backend over the full factor range (2, 4, 8, 16): II, area, registers,
+the MaxLive row, and which designs the register-pressure walk rejects.
+Any drift here means a change moved a design point, not just the code
+shape.
 """
 
 import pathlib
@@ -29,6 +32,18 @@ def test_table_6_3_byte_identical_to_seed():
     norm = run_table_6_3(sweep)
     golden = (DATA / "golden_table_6_3_f2.txt").read_text()
     assert format_table_6_3(norm) == golden
+
+
+def test_vliw4_table_6_2_byte_identical_to_golden():
+    sweep = run_table_6_2((2, 4, 8, 16), "vliw4")
+    golden = (DATA / "golden_table_6_2_vliw4.txt").read_text()
+    assert format_table_6_2(sweep) == golden
+
+
+def test_vliw4_table_6_3_byte_identical_to_golden():
+    sweep = run_table_6_2((2, 4, 8, 16), "vliw4")
+    golden = (DATA / "golden_table_6_3_vliw4.txt").read_text()
+    assert format_table_6_3(run_table_6_3(sweep)) == golden
 
 
 def test_backtrack_sweep_is_separate_memo_entry():
