@@ -1,11 +1,10 @@
 """Packaging for the unroll-and-squash reproduction.
 
 numpy is a hard dependency: the scheduler core
-(:mod:`repro.hw.sched_kernel`) runs its placement/probe loops over
-dense arrays, the workloads seed their input arrays from it, and the
-simulators check values against numpy references.  The pure-Python
-scheduler reference (``REPRO_SCHED_KERNEL=0``) exists for parity
-testing, not for numpy-free installs.
+(:mod:`repro.hw.sched_kernel`, the only implementation of the II search)
+runs its placement/probe loops over dense arrays, the workloads seed
+their input arrays from it, and the simulators check values against
+numpy references.
 """
 from setuptools import find_packages, setup
 

@@ -14,11 +14,10 @@ Commands
                 Pareto frontier (``--pareto``), the best-design ranking
                 (``--best``), and skip records;
 ``bench``       measure the sweep hot path (cold / warm / warm-recompile
-                phases with per-stage timings and cache hit rates, plus
-                a schedule-only numpy-vs-python A/B) and write a
-                standardized ``BENCH_*.json`` record; every acev sweep
-                whose factors include 2 also byte-checks the formatted
-                tables against the golden fixtures;
+                phases with per-stage timings and cache hit rates) and
+                write a standardized ``BENCH_*.json`` record; every acev
+                sweep whose factors include 2 also byte-checks the
+                formatted tables against the golden fixtures;
 ``compile``     compile a ``.lang`` source kernel (see :mod:`repro.lang`)
                 through the pipeline: diagnostics, optional functional
                 verification, and original/squash hardware estimates;

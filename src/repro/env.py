@@ -17,22 +17,16 @@ from typing import Optional
 from repro.errors import ReproError
 
 __all__ = ["ANALYSIS_CACHE_ENV", "BATCH_TIMEOUT_ENV", "DFG_JAM_ENV",
-           "KNOBS", "Knob", "RETRIES_ENV", "SCHED_KERNEL_ENV", "TRACE_ENV",
-           "VERIFY_ENV", "analysis_cache_mode", "batch_timeout",
-           "dfg_jam_enabled", "env_float", "env_int", "registered_knobs",
-           "retries", "sched_kernel_enabled", "trace_mode", "verify_mode"]
+           "KNOBS", "Knob", "RETRIES_ENV", "TRACE_ENV", "VERIFY_ENV",
+           "analysis_cache_mode", "batch_timeout", "dfg_jam_enabled",
+           "env_float", "env_int", "registered_knobs", "retries",
+           "trace_mode", "verify_mode"]
 
 #: Controls the shared-analysis machinery (see :mod:`repro.pipeline.analysis`
 #: and :mod:`repro.hw.iimemo`): ``"0"`` disables sharing entirely (the
 #: benchmark ablation baseline), ``"mem"`` keeps the in-process tier only,
 #: anything else (default) enables the full two-tier (memory + disk) cache.
 ANALYSIS_CACHE_ENV = "REPRO_ANALYSIS_CACHE"
-
-#: Selects the scheduler core (see :mod:`repro.hw.sched_kernel`): ``"0"``
-#: forces the pure-Python reference loops; anything else (default) uses the
-#: numpy array kernels when numpy is importable.  Both produce bit-identical
-#: schedules — the knob exists for parity testing and numpy-free installs.
-SCHED_KERNEL_ENV = "REPRO_SCHED_KERNEL"
 
 #: Selects how ``jam`` variants are analyzed (see :mod:`repro.core.jamdfg`):
 #: ``"0"`` re-lowers the jammed program through clone/3AC/SSA (the historical
@@ -102,9 +96,6 @@ KNOBS: "tuple[Knob, ...]" = (
     Knob("REPRO_ANALYSIS_CACHE", "0 | mem | 1", "1",
          "Analysis sharing: 0 disables, mem keeps the in-process tier "
          "only, 1 enables the two-tier (memory + disk) cache."),
-    Knob("REPRO_SCHED_KERNEL", "0 | 1", "1",
-         "0 pins the pure-Python scheduler core; 1 uses the numpy "
-         "array kernels (bit-identical schedules)."),
     Knob("REPRO_DFG_JAM", "0 | 1", "1",
          "0 re-lowers jam variants through clone/3AC/SSA; 1 derives "
          "the jammed DFG directly (identical artifacts)."),
@@ -218,11 +209,6 @@ def analysis_cache_mode() -> str:
     if raw == "mem":
         return "mem"
     return "disk"
-
-
-def sched_kernel_enabled() -> bool:
-    """True unless ``REPRO_SCHED_KERNEL=0`` pins the pure-Python core."""
-    return os.environ.get(SCHED_KERNEL_ENV, "1").strip() != "0"
 
 
 def dfg_jam_enabled() -> bool:

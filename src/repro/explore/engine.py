@@ -122,12 +122,6 @@ class ExploreResult:
     results: list["DesignPoint | SkipRecord | FailRecord"]
     cache_stats: CacheStats = field(default_factory=CacheStats)
     jobs: int = 1
-    #: cumulative per-stage worker wall time (seconds) for this run's
-    #: freshly-compiled queries — cache hits contribute nothing
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    #: aggregated worker-side shared-cache counters (analysis + II memo,
-    #: memory and disk tiers) for this run's freshly-compiled queries
-    cache_counters: dict[str, int] = field(default_factory=dict)
     #: supervisor counters (dispatches, retries, respawns, timeouts,
     #: bisections, quarantined, ...) — empty for fully-warm runs
     supervision: dict = field(default_factory=dict)
@@ -216,7 +210,6 @@ class ExploreResult:
 def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
              jobs: Optional[int] = None,
              cache: "ResultCache | NullCache | None" = None,
-             chunksize: Optional[int] = None,
              retries: Optional[int] = None,
              batch_timeout: Optional[float] = None,
              on_progress=None) -> ExploreResult:
@@ -231,10 +224,7 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
     Fault policy: ``retries`` (default ``REPRO_RETRIES``, 2) bounds how
     often a failing batch is re-dispatched before bisection/quarantine;
     ``batch_timeout`` (seconds; default ``REPRO_BATCH_TIMEOUT``, off)
-    arms the straggler watchdog.  Both are validated.  ``chunksize`` is
-    accepted for backwards compatibility and ignored: supervised
-    dispatch submits each batch as its own future so failures are
-    attributable and results commit incrementally.
+    arms the straggler watchdog.  Both are validated.
 
     ``on_progress`` (optional) receives a small dict (designs done /
     total, retries, quarantines, respawns) after every batch completion
@@ -245,7 +235,6 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
     :class:`~repro.explore.supervise.SweepInterrupted` after a hard
     pool shutdown) — resumes from the cache on the next run.
     """
-    del chunksize  # historical pool.map tuning; dispatch is per-batch now
     from repro.faults import active_plan
     active_plan()   # validate REPRO_FAULTS in the parent, not a worker
     retries = env_knobs.retries(retries)
@@ -274,8 +263,6 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
         else:
             pending.append(i)
 
-    stage_seconds: dict[str, float] = {}
-    cache_counters: dict[str, int] = {}
     supervision: dict = {}
     if pending:
         todo = [queries[i] for i in pending]
@@ -290,11 +277,6 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
             for p, r in zip(positions, payload["results"]):
                 results[pending[p]] = r
                 cache.put(todo[p], r)
-            for stage, seconds in payload["stages"].items():
-                stage_seconds[stage] = stage_seconds.get(stage, 0.0) \
-                    + seconds
-            for key, val in payload["counters"].items():
-                cache_counters[key] = cache_counters.get(key, 0) + val
             # merge the batch's observability home.  Trace events are
             # safe to re-inject unconditionally (the worker drained its
             # buffer into the payload, so inline mode moves, not
@@ -340,6 +322,4 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
                            stores=cache.stats.stores - before[2])
     return ExploreResult(queries=queries, results=results,
                          cache_stats=run_stats, jobs=jobs,
-                         stage_seconds=stage_seconds,
-                         cache_counters=cache_counters,
                          supervision=supervision)

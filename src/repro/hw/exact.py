@@ -50,8 +50,8 @@ from typing import Optional
 from repro.core.dfg import DFG, DFGNode
 from repro.env import env_int
 from repro.hw.mii import EdgeView, default_edge_view, rec_mii, res_mii
-from repro.hw.modulo import ModuloSchedule, _delay_map
-from repro.hw.ops import OperatorLibrary
+from repro.hw.modulo import ModuloSchedule
+from repro.hw.ops import OperatorLibrary, cached_delay_map
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -372,7 +372,7 @@ def _package(time: dict[int, int], ii: int, rmii: int, smii: int,
         for r in lib.node_resources(n):
             rt[r][row] = rt[r].get(row, 0) + 1
     sched = ExactSchedule(ii=ii, time=time, rec_mii=rmii, res_mii=smii,
-                          mrt=rt.get("mem", {}), rt=rt, **verdict)
+                          rt=rt, **verdict)
     sched.length = max((time[n.nid] + dmap[n.nid] for n in dfg.nodes),
                        default=0)
     return sched
@@ -424,7 +424,7 @@ def _exact_impl(dfg: DFG, lib: OperatorLibrary,
 
     ub = backtracking_modulo_schedule(dfg, lib, edges=edges, max_ii=max_ii,
                                       min_ii=min_ii)
-    dmap = _delay_map(dfg, lib)
+    dmap = cached_delay_map(dfg, lib)
     rmii, smii = ub.rec_mii, ub.res_mii
     start_ii = max(rmii, smii, min_ii or 1)
 

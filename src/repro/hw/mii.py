@@ -155,44 +155,6 @@ def _scc_arcs(edges: EdgeView, delay: Callable[[DFGNode], int]
     return [(list(nids[c]), arcs[c]) for c in arcs]
 
 
-def _probe_exceeding(nids: list[int],
-                     arcs: list[tuple[int, int, int, int]],
-                     lam: int) -> bool:
-    """Is there a cycle with sum(delay) > lam * sum(distance)?
-
-    Bellman-Ford negative-cycle detection on weights
-    ``-(delay(src) - lam*dist)``; the ``(u, v, delay, dist)`` arc list is
-    precomputed once per component and only the weights are rescaled per
-    probe.  Delays, lambda, and distances are all integers, so
-    relaxation compares exactly — a float epsilon here could mask a
-    genuine unit-weight cycle or, worse, let rounding turn the tie case
-    ``delay == lam * distance`` (weight exactly 0, *not* an exceeding
-    cycle) into a spurious one.
-    """
-    dist_map: dict[int, int] = {nid: 0 for nid in nids}
-    for _ in range(len(nids)):
-        changed = False
-        for u, v, dly, dd in arcs:
-            t = dist_map[u] - dly + lam * dd
-            if t < dist_map[v]:
-                dist_map[v] = t
-                changed = True
-        if not changed:
-            return False
-    return True  # still relaxing after n passes: negative cycle exists
-
-
-def _has_cycle_exceeding(edges: EdgeView, delay: Callable[[DFGNode], int],
-                         lam: int) -> bool:
-    """One-shot probe over a raw edge view (kept for tests/callers)."""
-    nids: dict[int, None] = {}
-    for s, d, _ in edges:
-        nids[s.nid] = None
-        nids[d.nid] = None
-    arcs = [(s.nid, d.nid, delay(s), dd) for s, d, dd in edges]
-    return _probe_exceeding(list(nids), arcs, lam)
-
-
 def rec_mii(dfg: DFG, delay: Callable[[DFGNode], int],
             edges: Optional[EdgeView] = None) -> int:
     """Recurrence-constrained minimum II (1 if the graph is acyclic).
@@ -201,19 +163,15 @@ def rec_mii(dfg: DFG, delay: Callable[[DFGNode], int],
     never leaves its SCC — so each component gets its own binary search
     over its own (much smaller) delay budget, with the running maximum
     as the lower bound: components that cannot raise the answer are
-    dismissed with a single probe.
+    dismissed with a single probe (:func:`repro.hw.sched_kernel.
+    make_probe`: integer Bellman-Ford negative-cycle detection).
     """
     from repro.hw import sched_kernel
 
     edges = edges if edges is not None else default_edge_view(dfg)
     best = 1
     for nids, arcs in _scc_arcs(list(edges), delay):
-        # the vectorized Bellman-Ford sweeps give the identical boolean
-        # verdict per probe (see sched_kernel.make_probe); None when the
-        # kernel is disabled
         probe = sched_kernel.make_probe(nids, arcs)
-        if probe is None:
-            probe = lambda lam: _probe_exceeding(nids, arcs, lam)  # noqa: E731
         # any cycle's delay is bounded by the component's total node
         # delay (and cycle distances are >= 1): the search stops there
         hi = sum({u: dly for u, _, dly, _ in arcs}.values()) + 1

@@ -33,12 +33,12 @@ schedule overflowed the register file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.caches import PinningLRU, register_cache
 from repro.core.dfg import DFG, DFGNode
 from repro.errors import ScheduleError
-from repro.hw.mii import EdgeView, default_edge_view, min_ii, rec_mii, res_mii
+from repro.hw.mii import EdgeView, default_edge_view, rec_mii, res_mii
 from repro.hw.ops import OperatorLibrary
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -48,7 +48,6 @@ __all__ = ["ModuloSchedule", "modulo_schedule"]
 #: Search-effort counters (module handles: no registry lookup per loop).
 _II_ATTEMPTS = obs_metrics.counter("sched.ii_attempts")
 _II_MEMO_SKIPS = obs_metrics.counter("sched.ii_memo_skips")
-_REPAIRS = obs_metrics.counter("sched.repair_rounds")
 
 #: nid -> resource-name tuple; hoisted out of the placement hot loop.
 ResourceMap = dict[int, tuple[str, ...]]
@@ -78,10 +77,9 @@ def search_context(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
     its owner under its own key on first use, so a design rejected
     before scheduling never pays for the search's.
     """
-    from repro.hw import sched_kernel
     from repro.hw.ops import cached_delay_map
 
-    ctx_key = (id(dfg), id(lib), id(edges), sched_kernel.kernel_available())
+    ctx_key = (id(dfg), id(lib), id(edges))
     ctx = _CTX.get(ctx_key)
     if ctx is None:
         ctx = _CTX.put(ctx_key, (dfg, lib, edges),
@@ -91,23 +89,17 @@ def search_context(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
 
 def _search_state(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
     """:func:`search_context` with the II search's invariants filled in:
-    resource map and slots, topological order, the dense problem (or the
-    reference loops' predecessor map), and the lazily derived MII pair."""
+    resource map and slots, topological order, the dense problem, and
+    the lazily derived MII pair."""
     from repro.hw import sched_kernel
 
     ctx = search_context(dfg, lib, edges)
     if "prob" not in ctx:
-        dmap = ctx["dmap"]
         rmap = ctx["rmap"] = _resource_map(dfg, lib)
         slots = ctx["slots"] = lib.resource_slots()
         ctx["topo"] = dfg.topo_order()
-        # the array core and the reference loops are bit-identical (same
-        # placement order, probing rule, repair growth, and abandonment
-        # cases); REPRO_SCHED_KERNEL=0 pins the reference for parity runs
-        prob = ctx["prob"] = sched_kernel.build_problem(dfg, edges, dmap,
-                                                        rmap, slots)
-        ctx["preds"] = None if prob is not None \
-            else _pred_map(dfg, edges, dmap)
+        ctx["prob"] = sched_kernel.build_problem(dfg, edges, ctx["dmap"],
+                                                 rmap, slots)
         ctx["mii"] = None
     return ctx
 
@@ -120,10 +112,6 @@ class ModuloSchedule:
     time: dict[int, int]                 # node id -> start cycle
     rec_mii: int
     res_mii: int
-    #: memory-bus MRT occupancy: row -> number of memory references
-    #: (back-compat view of ``rt["mem"]``; empty when the target has no
-    #: ``"mem"`` resource)
-    mrt: dict[int, int] = field(default_factory=dict)
     #: schedule length of one iteration (makespan)
     length: int = 0
     #: full reservation table: resource name -> row -> occupancy
@@ -133,108 +121,9 @@ class ModuloSchedule:
         return self.time[node.nid]
 
 
-def _delay_map(dfg: DFG, lib: OperatorLibrary) -> dict[int, int]:
-    """Node-id -> latency memo; the II search re-reads delays O(E * II
-    candidates * repair rounds) times, so one dict beats spec lookups."""
-    return {n.nid: lib.delay(n) for n in dfg.nodes}
-
-
 def _resource_map(dfg: DFG, lib: OperatorLibrary) -> ResourceMap:
     """Node-id -> occupied-resources memo, shared by the whole search."""
     return {n.nid: lib.node_resources(n) for n in dfg.nodes}
-
-
-def _pred_map(dfg: DFG, edges: EdgeView, dmap: dict[int, int]
-              ) -> dict[int, list[tuple[int, int, int]]]:
-    """dst-id -> [(src-id, delay(src), dist)] — built once per search,
-    shared by every candidate II, order, and repair round."""
-    preds: dict[int, list[tuple[int, int, int]]] = \
-        {n.nid: [] for n in dfg.nodes}
-    for s, d, dist in edges:
-        preds[d.nid].append((s.nid, dmap[s.nid], dist))
-    return preds
-
-
-def _attempt(dfg: DFG, edges: EdgeView, lib: OperatorLibrary, ii: int,
-             extra_lat: dict[int, int],
-             order: Optional[list[DFGNode]] = None,
-             dmap: Optional[dict[int, int]] = None,
-             preds: Optional[dict[int, list[tuple[int, int, int]]]] = None,
-             rmap: Optional[ResourceMap] = None,
-             slots: Optional[dict[str, int]] = None
-             ) -> Optional[ModuloSchedule]:
-    """One placement pass at a fixed II.
-
-    ``order`` overrides the node placement order (default: topological
-    order of the distance-0 subgraph).  Non-topological orders are legal:
-    predecessors not yet placed are simply ignored here, and the repair
-    loop in the caller catches the resulting violations.  ``dmap``,
-    ``preds``, ``rmap``, and ``slots`` let the II search share one delay
-    map, predecessor map, and resource description across all candidate
-    IIs and repair rounds.
-    """
-    dmap = dmap if dmap is not None else _delay_map(dfg, lib)
-    if preds is None:
-        preds = _pred_map(dfg, edges, dmap)
-    rmap = rmap if rmap is not None else _resource_map(dfg, lib)
-    slots = slots if slots is not None else lib.resource_slots()
-
-    from repro.hw import sched_kernel
-    sched_kernel.count_python_attempt()
-
-    time: dict[int, int] = {}
-    rt: dict[str, dict[int, int]] = {r: {} for r in slots}
-    time_get = time.get
-    length = 0
-
-    for node in (order if order is not None else dfg.topo_order()):
-        nid = node.nid
-        t = extra_lat.get(nid, 0)
-        for snid, sdly, dist in preds[nid]:
-            ts = time_get(snid)
-            if ts is not None:
-                ready = ts + sdly - ii * dist
-                if ready > t:
-                    t = ready
-        if t < 0:
-            t = 0
-        res = rmap[nid]
-        if res:
-            # advance until `t mod II` lands on a row with a free slot
-            # in every resource the node occupies; after II steps every
-            # row has been probed, so give up.
-            for _ in range(ii):
-                row = t % ii
-                if all(rt[r].get(row, 0) < slots[r] for r in res):
-                    break
-                t += 1
-            else:
-                return None
-            for r in res:
-                rt[r][row] = rt[r].get(row, 0) + 1
-        time[nid] = t
-        end = t + dmap[nid]
-        if end > length:
-            length = end
-
-    sched = ModuloSchedule(ii=ii, time=time, rec_mii=0, res_mii=0,
-                           mrt=rt.get("mem", {}), rt=rt)
-    sched.length = length
-    return sched
-
-
-def _violations(dfg: DFG, edges: EdgeView, lib: OperatorLibrary,
-                sched: ModuloSchedule,
-                dmap: Optional[dict[int, int]] = None
-                ) -> list[tuple[DFGNode, DFGNode, int]]:
-    dmap = dmap if dmap is not None else _delay_map(dfg, lib)
-    time = sched.time
-    ii = sched.ii
-    out = []
-    for s, d, dist in edges:
-        if time[d.nid] + ii * dist < time[s.nid] + dmap[s.nid]:
-            out.append((s, d, dist))
-    return out
 
 
 def _search(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
@@ -263,14 +152,16 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     """The II search shared by every modulo strategy — incremental.
 
     For each candidate II (starting at ``max(RecMII, ResMII, min_ii)``),
-    each placement ``order`` (``None`` = topological) gets the full
-    placement-and-repair budget before the II is abandoned.
+    each placement ``order`` (``None`` = topological) gets the array
+    core's full placement-and-repair loop
+    (:func:`repro.hw.sched_kernel.search_rounds`) before the II is
+    abandoned.
 
     Incrementality (all result-preserving):
 
-    * the delay map, predecessor map, resource map, and topological
-      order are computed once and shared by every candidate II, order,
-      and repair round;
+    * the delay map, dense problem arrays, resource map, and
+      topological order are computed once and shared by every candidate
+      II, order, and repair round;
     * when ``flavor`` names the strategy, the two-tier
       :mod:`repro.hw.iimemo` is consulted: a hit supplies RecMII/ResMII
       (pure functions of the inputs) and the set of *refuted* candidate
@@ -283,8 +174,7 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     from repro.hw import iimemo, sched_kernel
 
     ctx = _search_state(dfg, lib, edges)
-    dmap, rmap, slots = ctx["dmap"], ctx["rmap"], ctx["slots"]
-    topo, prob, preds = ctx["topo"], ctx["prob"], ctx["preds"]
+    dmap, topo, prob = ctx["dmap"], ctx["topo"], ctx["prob"]
 
     sig = record = None
     if flavor is not None:
@@ -303,11 +193,8 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     start_ii = max(rmii, smii, min_ii or 1)
     limit = max_ii or max(start_ii, sum(dmap.values())) + 1
 
-    if prob is not None:
-        order_ids = [[n.nid for n in o] if o is not None
-                     else [n.nid for n in topo] for o in orders]
-    else:
-        order_ids = []
+    order_ids = [[n.nid for n in (o if o is not None else topo)]
+                 for o in orders]
 
     tried: list[int] = []
     for ii in range(start_ii, limit + 1):
@@ -318,50 +205,19 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
         _II_ATTEMPTS.add()
         if obs_trace.full_enabled():
             obs_trace.instant("ii_try", "sched", ii=ii)
-        for oi, order in enumerate(orders):
-            if prob is not None:
-                hit = sched_kernel.search_rounds(prob, ii, order_ids[oi],
-                                                 _REPAIR_ROUNDS)
-                if hit is None:
-                    continue
-                time_arr, occ, length = hit
-                rt = prob.reservation_tables(occ, ii)
-                sched = ModuloSchedule(
-                    ii=ii, time=prob.time_dict(time_arr, order_ids[oi]),
-                    rec_mii=rmii, res_mii=smii, mrt=rt.get("mem", {}),
-                    rt=rt, length=int(length))
-                if sig is not None and record is None:
-                    iimemo.memo_put(sig, {"rmii": rmii, "smii": smii,
-                                          "refuted": tried, "ii": ii})
-                return sched
-            extra: dict[int, int] = {}
-            for _ in range(_REPAIR_ROUNDS):
-                _REPAIRS.add()
-                sched = _attempt(dfg, edges, lib, ii, extra,
-                                 order=order if order is not None else topo,
-                                 dmap=dmap, preds=preds, rmap=rmap,
-                                 slots=slots)
-                if sched is None:
-                    break
-                bad = _violations(dfg, edges, lib, sched, dmap=dmap)
-                if not bad:
-                    sched.rec_mii = rmii
-                    sched.res_mii = smii
-                    if sig is not None and record is None:
-                        iimemo.memo_put(sig, {"rmii": rmii, "smii": smii,
-                                              "refuted": tried, "ii": ii})
-                    return sched
-                grew = False
-                for s, d, dist in bad:
-                    need = sched.time[s.nid] + dmap[s.nid] - ii * dist
-                    if need > extra.get(d.nid, 0):
-                        extra[d.nid] = need
-                        grew = True
-                if not grew:
-                    # the delay map reached a fixpoint: every further
-                    # round replays this exact placement and fails the
-                    # same way, so the remaining rounds are pure spin
-                    break
+        for ids in order_ids:
+            hit = sched_kernel.search_rounds(prob, ii, ids, _REPAIR_ROUNDS)
+            if hit is None:
+                continue
+            time_arr, occ, length = hit
+            sched = ModuloSchedule(
+                ii=ii, time=prob.time_dict(time_arr, ids), rec_mii=rmii,
+                res_mii=smii, rt=prob.reservation_tables(occ, ii),
+                length=int(length))
+            if sig is not None and record is None:
+                iimemo.memo_put(sig, {"rmii": rmii, "smii": smii,
+                                      "refuted": tried, "ii": ii})
+            return sched
         tried.append(ii)
     if sig is not None and record is None:
         iimemo.memo_put(sig, {"rmii": rmii, "smii": smii,

@@ -1,12 +1,12 @@
-"""Array-programmed scheduler core: the numpy hot loops behind the
-modulo/list schedulers (consumed by :mod:`repro.hw.modulo`,
-:mod:`repro.hw.listsched`, :mod:`repro.hw.schedulers`, and
-:mod:`repro.hw.mii`).
+"""Array-programmed scheduler core: the hot loops behind the modulo/list
+schedulers (consumed by :mod:`repro.hw.modulo`, :mod:`repro.hw.listsched`,
+:mod:`repro.hw.schedulers`, and :mod:`repro.hw.mii`).
 
-``BENCH_5.json`` showed the vliw retarget phase spending 98% of its wall
-inside ``schedule``, almost all of it in the per-cycle ``time mod II``
-dict probing of ``_attempt`` and the per-edge repair loops.  This module
-re-expresses that machinery over dense arrays, in the array-programming
+It is the only implementation of the II search's placement, repair, and
+RecMII probes.  ``BENCH_5.json`` showed the vliw retarget phase spending
+98% of its wall inside ``schedule``, almost all of it in per-cycle
+``time mod II`` dict probing and per-edge repair loops; this module
+expresses that machinery over dense arrays, in the array-programming
 idiom of SNIPPETS.md Snippet 1 (CuPADMAN's batched EMC kernels):
 
 * a :class:`SchedProblem` is built **once per II search** from the DFG,
@@ -28,67 +28,36 @@ idiom of SNIPPETS.md Snippet 1 (CuPADMAN's batched EMC kernels):
 * the list scheduler's absolute-cycle probing and the backtracking
   scheduler's ASAP/ALAP slack levels use the same arrays.
 
-Every routine is **bit-identical** to the pure-Python reference it
-replaces — same placement order, same tie-breaking, same repair growth,
-same error cases — which the parity suite asserts by diffing schedules
-under ``REPRO_SCHED_KERNEL=0`` and ``=1``.  The Bellman-Ford probe is a
-Jacobi-style sweep where the reference relaxes sequentially; the
-*boolean* (negative-cycle) verdict is still identical: the relaxation
-map is monotone, so any no-change sweep proves a fixpoint (no negative
-cycle) and a negative cycle forces changes through all ``n`` sweeps.
+Every routine is **bit-identical** to the pure-Python loops it replaced
+— same placement order, same tie-breaking, same repair growth, same
+error cases.  Those loops live on, frozen, as the test oracle
+``tests/hw/sched_reference.py``, which the parity suite diffs schedules
+against.  The Bellman-Ford probe is a Jacobi-style sweep where the
+reference relaxes sequentially; the *boolean* (negative-cycle) verdict
+is still identical: the relaxation map is monotone, so any no-change
+sweep proves a fixpoint (no negative cycle) and a negative cycle forces
+changes through all ``n`` sweeps.
 
-``REPRO_SCHED_KERNEL=0`` (see :mod:`repro.env`) or an unimportable numpy
-disables every kernel here; callers fall back to the reference loops.
-:func:`kernel_counters` exposes monotonic attempt counters so bench
-JSONs record which core produced a run's schedules.
+Node ids must be ``0..n-1`` positionally, which ``DFG.add_node``
+guarantees.  Every placement pass bumps the ``sched_kernel_numpy_attempts``
+metrics counter: one pass per repair round, so it is the search's
+repair-round count (``repro stats`` renders it as "repair rounds").
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.env import sched_kernel_enabled
+import numpy as np
+
 from repro.obs import metrics as obs_metrics
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None  # type: ignore[assignment]
-
-__all__ = ["SchedProblem", "build_problem", "kernel_available",
-           "kernel_counters", "kernel_mode", "list_schedule_arrays",
+__all__ = ["SchedProblem", "build_problem", "list_schedule_arrays",
            "make_probe", "slack_levels"]
 
-#: Monotonic provenance counters: placement attempts served by each core
-#: (workers ship deltas back with every result batch, so bench JSONs can
-#: attribute a regression to the core that produced it).
-_COUNTS = {"numpy_attempts": 0, "python_attempts": 0}
-
-
-def kernel_available() -> bool:
-    """True when the numpy core is importable and not disabled."""
-    return np is not None and sched_kernel_enabled()
-
-
-def kernel_mode() -> str:
-    """Provenance tag for result records: ``"numpy"`` or ``"python"``."""
-    return "numpy" if kernel_available() else "python"
-
-
-def kernel_counters() -> dict[str, int]:
-    """Snapshot of the monotonic per-core attempt counters."""
-    return {"sched_kernel_numpy_attempts": _COUNTS["numpy_attempts"],
-            "sched_kernel_python_attempts": _COUNTS["python_attempts"]}
-
-
-# expose the attempt counters through the metrics registry too, so
-# `repro stats` sees them without the legacy _cache_counters plumbing
-obs_metrics.registry().collect(kernel_counters)
-
-
-def count_python_attempt() -> None:
-    """Reference-core attempt bump (called by the pure-Python paths)."""
-    _COUNTS["python_attempts"] += 1
+#: Placement passes, one per repair round of the II search (the key
+#: predates the single core and is kept so recorded runs stay comparable).
+_ATTEMPTS = obs_metrics.counter("sched_kernel_numpy_attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +66,6 @@ def count_python_attempt() -> None:
 
 class SchedProblem:
     """One II search's dense arrays, shared by all IIs/orders/rounds.
-
-    Node ids must be ``0..n-1`` positionally (``DFG.add_node`` guarantees
-    this; :func:`build_problem` verifies and returns ``None`` otherwise).
 
     Two views of the same data coexist: numpy edge arrays for the
     whole-edge-vector work (violation scan), and flat Python-list
@@ -138,15 +104,17 @@ class SchedProblem:
     # -- placement --------------------------------------------------------
 
     def attempt(self, ii: int, extra: list[int], order_ids: list[int]):
-        """One placement pass at a fixed II (mirrors ``modulo._attempt``).
+        """One placement pass at a fixed II.
 
         ``extra`` is the per-node repair-slack list (length n);
-        ``order_ids`` the placement order.  Returns ``(time, occ,
-        length)`` — flat Python lists — on success, ``None`` when some
-        node probed all II rows without a free slot — exactly the
-        reference's cases.
+        ``order_ids`` the placement order.  Each node starts at its
+        earliest dependence-feasible cycle over the already-placed
+        predecessors, then advances to the first ``time mod II`` row
+        with a free slot in every resource it occupies.  Returns
+        ``(time, occ, length)`` — flat Python lists — on success,
+        ``None`` when some node probed all II rows without a free slot.
         """
-        _COUNTS["numpy_attempts"] += 1
+        _ATTEMPTS.add()
         n = self.n
         time = [-1] * n
         n_res = len(self.res_names)
@@ -207,7 +175,7 @@ class SchedProblem:
 
     def violations(self, time: list[int], ii: int):
         """Indices (edge order) of edges with ``t(dst)+II*dist <
-        t(src)+delay(src)`` — the reference's violation list."""
+        t(src)+delay(src)``."""
         if self.esrc.size == 0:
             return []
         tarr = np.asarray(time, dtype=np.int64)
@@ -219,7 +187,7 @@ class SchedProblem:
                    bad_idx: list[int], ii: int) -> bool:
         """Repair: raise each violated sink's slack to ``t(src) +
         delay(src) - II*dist`` where that strictly grows it.  Returns
-        whether anything grew (the reference's fixpoint test)."""
+        whether anything grew (``False`` is the repair fixpoint)."""
         esrc, edst = self.esrc_l, self.edst_l
         edelay, edist = self.edelay_l, self.edist_l
         grew = False
@@ -235,13 +203,13 @@ class SchedProblem:
 
     def time_dict(self, time: list[int],
                   order_ids: list[int]) -> dict[int, int]:
-        """Plain-int time map in placement order (== the reference's)."""
+        """Plain-int time map in placement order."""
         return {nid: time[nid] for nid in order_ids}
 
     def reservation_tables(self, occ: list[int],
                            ii: int) -> dict[str, dict[int, int]]:
         """``resource -> row -> occupancy`` dicts from the flat occupancy
-        rows (only touched rows appear, like the reference's)."""
+        rows (only touched rows appear)."""
         rt: dict[str, dict[int, int]] = {}
         for ridx, rname in enumerate(self.res_names):
             base = ridx * ii
@@ -252,15 +220,9 @@ class SchedProblem:
 
 def build_problem(dfg, edges, dmap: dict[int, int],
                   rmap: dict[int, tuple[str, ...]],
-                  slots: dict[str, int]) -> Optional[SchedProblem]:
-    """Densify one search's inputs; ``None`` when the kernel is disabled
-    or node ids are not positional (then callers use the reference)."""
-    if not kernel_available():
-        return None
-    nodes = dfg.nodes
-    n = len(nodes)
-    if any(node.nid != i for i, node in enumerate(nodes)):
-        return None  # pragma: no cover - DFG.add_node is positional
+                  slots: dict[str, int]) -> SchedProblem:
+    """Densify one search's inputs."""
+    n = len(dfg.nodes)
     delay = np.fromiter((dmap[i] for i in range(n)), dtype=np.int64, count=n)
 
     res_names = list(slots)
@@ -308,12 +270,11 @@ def build_problem(dfg, edges, dmap: dict[int, int],
 
 def search_rounds(prob: SchedProblem, ii: int, order_ids: list[int],
                   rounds: int):
-    """The attempt/verify/repair loop at one (II, order) — the kernel
-    twin of the reference's inner loop in ``modulo._search``.
+    """The attempt/verify/repair loop at one (II, order).
 
     Returns ``(time, occ, length)`` on a violation-free placement, else
-    ``None`` (placement overflow or repair fixpoint, exactly the
-    reference's abandonment cases).
+    ``None``: a placement overflow, a repair fixpoint (every further
+    round would replay the same placement), or ``rounds`` exhausted.
     """
     extra = [0] * prob.n
     for _ in range(rounds):
@@ -334,17 +295,18 @@ def search_rounds(prob: SchedProblem, ii: int, order_ids: list[int],
 # ---------------------------------------------------------------------------
 
 def make_probe(nids: list[int], arcs: list[tuple[int, int, int, int]]
-               ) -> Optional[Callable[[int], bool]]:
-    """A per-SCC lambda probe over dense arc arrays, or ``None`` when
-    the kernel is disabled.
+               ) -> Callable[[int], bool]:
+    """A per-SCC lambda probe over dense arc arrays: ``probe(lam)`` asks
+    whether some cycle has ``sum(delay) > lam * sum(distance)``.
 
-    Boolean-identical to ``mii._probe_exceeding``: each sweep applies
-    every relaxation from the pre-sweep front (``minimum.at``); the map
-    is monotone, so a no-change sweep certifies the fixpoint (no
-    negative cycle) and a negative cycle keeps all ``n`` sweeps busy.
+    Bellman-Ford negative-cycle detection on the integer weights
+    ``lam*dist - delay(src)``: each sweep applies every relaxation from
+    the pre-sweep front (``minimum.at``); the map is monotone, so a
+    no-change sweep certifies the fixpoint (no negative cycle) and a
+    negative cycle keeps all ``n`` sweeps busy.  Integer weights compare
+    exactly, so the tie ``delay == lam * distance`` (weight 0) is never
+    an exceeding cycle.
     """
-    if not kernel_available():
-        return None
     idx = {nid: i for i, nid in enumerate(nids)}
     na = len(arcs)
     u = np.fromiter((idx[a[0]] for a in arcs), dtype=np.int64, count=na)
@@ -371,24 +333,17 @@ def make_probe(nids: list[int], arcs: list[tuple[int, int, int, int]]
 # ---------------------------------------------------------------------------
 
 def list_schedule_arrays(dfg, lib):
-    """ASAP placement under resource limits over saturation bitmasks;
-    ``None`` when the kernel is disabled.
+    """ASAP placement under resource limits over saturation bitmasks.
 
     Per resource: occupancy counts by absolute cycle plus a bitmask of
     *saturated* cycles, so the first-free probe is one lowest-zero-bit
-    extraction over the OR of the node's masks (the reference walks
-    cycle by cycle re-probing every resource).
+    extraction over the OR of the node's masks instead of a cycle-by-
+    cycle walk re-probing every resource.
 
-    Returns ``(time dict, resource_usage dicts, length)`` matching
-    ``listsched.list_schedule`` exactly (same first-free-cycle rule,
-    same dict insertion order).
+    Returns ``(time dict, resource_usage dicts, length)``.
     """
-    if not kernel_available():
-        return None
     nodes = dfg.nodes
     n = len(nodes)
-    if any(node.nid != i for i, node in enumerate(nodes)):
-        return None  # pragma: no cover - DFG.add_node is positional
     delay = [lib.delay(node) for node in nodes]
     slots = lib.resource_slots()
     res_names = list(slots)
@@ -442,20 +397,16 @@ def list_schedule_arrays(dfg, lib):
 # ---------------------------------------------------------------------------
 
 def slack_levels(dfg, edges, dmap: dict[int, int]):
-    """ASAP/ALAP levels of the view's distance-0 subgraph, or ``None``.
+    """ASAP/ALAP levels of the view's distance-0 subgraph.
 
-    Returns ``(asap, alap, length)`` as plain-int lists indexed by nid,
-    equal to the reference's single-pass topological values (the DAG
-    longest-path fixpoint is unique, so repeated ``maximum.at`` /
-    ``minimum.at`` sweeps converge to exactly them).  ``dmap`` is the
-    search's node-id -> latency map.
+    Returns ``(asap, alap)`` as plain-int lists indexed by nid, equal
+    to a single topological pass's values (the DAG longest-path
+    fixpoint is unique, so repeated ``maximum.at`` / ``minimum.at``
+    sweeps converge to exactly them).  ``dmap`` is the search's
+    node-id -> latency map.
     """
-    if not kernel_available():
-        return None
     nodes = dfg.nodes
     n = len(nodes)
-    if any(node.nid != i for i, node in enumerate(nodes)):
-        return None  # pragma: no cover - DFG.add_node is positional
     delay = np.fromiter((dmap[node.nid] for node in nodes),
                         dtype=np.int64, count=n)
     d0 = [(s.nid, d.nid) for s, d, dist in edges if dist == 0]
@@ -477,4 +428,4 @@ def slack_levels(dfg, edges, dmap: dict[int, int]):
             np.minimum.at(alap, src, alap[dst] - delay[src])
             if np.array_equal(alap, before):
                 break
-    return asap.tolist(), alap.tolist(), length
+    return asap.tolist(), alap.tolist()

@@ -122,39 +122,8 @@ def _slack_orders(dfg: DFG, edges: EdgeView, ctx: dict
     """
     from repro.hw import sched_kernel
 
-    dmap, rmap, slots = ctx["dmap"], ctx["rmap"], ctx["slots"]
-    topo = ctx["topo"]
-    levels = sched_kernel.slack_levels(dfg, edges, dmap)
-    if levels is not None:
-        # whole-front relaxation over the view's dist-0 edge arrays —
-        # the DAG fixpoint equals the reference's topological pass
-        asap_l, alap_l, length = levels
-        asap = {n.nid: asap_l[n.nid] for n in topo}
-        alap = {n.nid: alap_l[n.nid] for n in topo}
-    else:
-        asap = {}
-        preds: dict[int, list[DFGNode]] = {n.nid: [] for n in dfg.nodes}
-        succs: dict[int, list[DFGNode]] = {n.nid: [] for n in dfg.nodes}
-        for s, d, dist in edges:
-            if dist == 0:
-                preds[d.nid].append(s)
-                succs[s.nid].append(d)
-        # dfg.topo_order() stays topological here: the view's distance-0
-        # subgraph is a subset of the DFG's (relaxation only adds distance)
-        for n in topo:
-            start = 0
-            for p in preds[n.nid]:
-                start = max(start, asap[p.nid] + dmap[p.nid])
-            asap[n.nid] = start
-        length = max((asap[n.nid] + dmap[n.nid] for n in dfg.nodes),
-                     default=0)
-        alap = {}
-        for n in reversed(topo):
-            latest = length - dmap[n.nid]
-            for d in succs[n.nid]:
-                if d.nid in alap:
-                    latest = min(latest, alap[d.nid] - dmap[n.nid])
-            alap[n.nid] = latest
+    rmap, slots, topo = ctx["rmap"], ctx["slots"], ctx["topo"]
+    asap, alap = sched_kernel.slack_levels(dfg, edges, ctx["dmap"])
     slack = {n.nid: alap[n.nid] - asap[n.nid] for n in topo}
 
     by_slack = sorted(topo, key=lambda n: (slack[n.nid], asap[n.nid], n.nid))

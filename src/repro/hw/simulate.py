@@ -98,7 +98,7 @@ def simulate_modulo(dfg: DFG, lib: OperatorLibrary, sched: ModuloSchedule,
     # rather than evaluating the k-invariant inequality once, is
     # deliberate: this validator is an *independent dynamic check* and
     # must not share its algebra with the scheduler's own static
-    # ``_violations`` pass.
+    # violation scan (``SchedProblem.violations``).
     if iterations and sched.ii > 0:
         max_dist = max((dist for _, _, dist in edges), default=0)
         in_flight = -(-sched.length // sched.ii)  # ceil: overlap depth

@@ -153,26 +153,6 @@ def compile_query(query: "DesignQuery") -> "DesignPoint | SkipRecord":
         return SkipRecord(query, "schedule", str(exc))
 
 
-#: The historical ``cache_counters`` key families, all of which now
-#: publish through metrics-registry collectors under the same names.
-_LEGACY_COUNTER_PREFIXES = ("analysis_", "iimemo_", "sched_kernel_")
-
-
-def _cache_counters() -> dict[str, int]:
-    """Snapshot of the shared-cache counters this process has seen.
-
-    A thin view over the metrics registry: the analysis/II-memo LRUs,
-    the disk stores, and the scheduler-core provenance counters all
-    report through registry collectors under their historical key
-    spellings, so filtering the registry by prefix reproduces the
-    ``ExploreResult.cache_counters`` / bench-record schema exactly.
-    """
-    from repro.obs import metrics as obs_metrics
-    return {key: val
-            for key, val in obs_metrics.registry().counter_values().items()
-            if key.startswith(_LEGACY_COUNTER_PREFIXES)}
-
-
 def compile_query_batch(queries: "Sequence[DesignQuery]",
                         attempt: int = 0) -> dict:
     """Compile a batch of queries in one worker — the engine's dispatch
@@ -181,11 +161,11 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     The engine groups queries by ``(kernel, variant)`` so one process
     builds each kernel once and serves every target/factor/scheduler
     crossing from its process-local caches (benchmark build, shared base
-    analysis, II-search memo).  Returns the per-query results plus the
-    batch's per-stage wall-time and cache-counter deltas, which the
-    engine aggregates into
-    :class:`repro.explore.engine.ExploreResult.stage_seconds` /
-    ``cache_counters`` (so ``repro bench`` sees worker-side hit rates).
+    analysis, II-search memo).  Returns ``{"results", "metrics"}``: the
+    per-query results and the batch's metrics-registry delta (stage
+    wall times, cache hits and misses, scheduler effort), which the
+    engine merges into the parent registry; traced runs add ``"trace"``,
+    the batch's drained span events.
 
     ``attempt`` is the supervisor's dispatch count for this batch; it
     feeds the chaos-test fault site so a query that drew an injected
@@ -194,11 +174,7 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     from repro.faults import fault_site
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
-    from repro.pipeline.pipeline import stage_timings
 
-    before_stages = {s: rec["seconds"]
-                     for s, rec in stage_timings().items()}
-    before_counters = _cache_counters()
     before_metrics = obs_metrics.registry().snapshot()
     with obs_trace.span("batch", "worker", size=len(queries),
                         attempt=attempt):
@@ -206,13 +182,7 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
         for q in queries:
             fault_site("worker", f"{q.query_hash}:{attempt}")
             results.append(compile_query(q))
-    stages = {stage: rec["seconds"] - before_stages.get(stage, 0.0)
-              for stage, rec in stage_timings().items()
-              if rec["seconds"] - before_stages.get(stage, 0.0) > 0.0}
-    counters = {key: val - before_counters.get(key, 0)
-                for key, val in _cache_counters().items()
-                if val - before_counters.get(key, 0)}
-    payload = {"results": results, "stages": stages, "counters": counters,
+    payload = {"results": results,
                "metrics": obs_metrics.registry().delta_since(before_metrics)}
     if obs_trace.enabled():
         # ship the batch's spans home; the engine re-injects them into

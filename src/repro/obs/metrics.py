@@ -1,11 +1,9 @@
 """Typed metrics registry: counters, gauges, histograms, collectors.
 
-One process-wide :class:`MetricsRegistry` replaces the three divergent
-ad-hoc counter mechanisms the sweep grew over time — the pipeline's
-``_STAGE_TIMES``/``_STAGE_COUNTS`` dicts, the ``_cache_counters()``
-snapshot assembled by hand in :mod:`repro.nimble.compiler`, and the
-per-instance ``StoreStats``/``CacheStats`` dataclasses.  Every layer
-now reports through the same interface:
+One process-wide :class:`MetricsRegistry` is the single telemetry
+channel of a sweep: pipeline stage timings, cache and store counters,
+scheduler effort, and supervision tallies all report through the same
+interface:
 
 * **counters** — monotonic, integer-valued (``sched.ii_attempts``,
   ``store.analysis.hits``, ``faults.injected.torn``);
@@ -15,8 +13,8 @@ now reports through the same interface:
   (``stage.schedule`` wall seconds per pipeline flow);
 * **collectors** — callables polled at snapshot time for counters whose
   source of truth lives elsewhere (the analysis LRU's hits/misses, the
-  scheduler-core attempt counters), so those layers keep their own
-  state and still show up in every snapshot.
+  disk stores' counters), so those layers keep their own state and
+  still show up in every snapshot.
 
 Workers snapshot the registry around each batch and ship the *delta*
 back with their results (:func:`repro.nimble.compiler

@@ -200,12 +200,8 @@ def iisearch_store() -> ArtifactStore:
 
 @obs_metrics.registry().collect
 def _store_collector() -> dict:
-    """Expose both singleton stores' disk-tier counters to the registry.
-
-    Key names match the historical ``cache_counters`` spelling
-    (``analysis_disk_hits``, ``iimemo_disk_misses``, ...), so sweeps and
-    bench records keep their schema.
-    """
+    """Expose both singleton stores' disk-tier counters to the registry
+    (``analysis_disk_hits``, ``iimemo_disk_misses``, ...)."""
     out: dict[str, int] = {}
     for label, store in (("analysis", _ANALYSIS_STORE),
                          ("iimemo", _IISEARCH_STORE)):

@@ -18,7 +18,7 @@ from repro.hw import (
 )
 from repro.hw.exact import _decide_ii, _Budget
 from repro.hw.mii import default_edge_view
-from repro.hw.modulo import _delay_map
+from repro.hw.ops import cached_delay_map
 from repro.hw.schedulers import backtracking_modulo_schedule
 from repro.ir.types import U32
 from tests.conftest import build_fig21, build_fig41
@@ -143,7 +143,7 @@ class TestCertificateReasons:
     def test_recurrence_certificate_below_recmii(self):
         dfg, _ = _dfg(build_fig21())
         edges = default_edge_view(dfg)
-        dmap = _delay_map(dfg, ACEV_LIBRARY)
+        dmap = cached_delay_map(dfg, ACEV_LIBRARY)
         time, reason = _decide_ii(dfg, edges, ACEV_LIBRARY, 1, dmap,
                                   _Budget(10_000))
         assert time is None and reason == "recurrence"
@@ -156,14 +156,14 @@ class TestCertificateReasons:
         g.add_node(kind="load", ty=U32, array="b")
         lib = ACEV_LIBRARY.with_ports(1)
         edges = default_edge_view(g)
-        dmap = _delay_map(g, lib)
+        dmap = cached_delay_map(g, lib)
         time, reason = _decide_ii(g, edges, lib, 1, dmap, _Budget(10_000))
         assert time is None and reason == "resource"
 
     def test_feasible_ii_recovers_schedule(self):
         dfg, lib = _gap_dfg()
         edges = default_edge_view(dfg)
-        dmap = _delay_map(dfg, lib)
+        dmap = cached_delay_map(dfg, lib)
         time, reason = _decide_ii(dfg, edges, lib, 3, dmap, _Budget(10_000))
         assert reason == "" and time is not None
         for s, d, dist in edges:

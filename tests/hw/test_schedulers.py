@@ -103,9 +103,10 @@ class TestModuloScheduler:
 
 
 class TestMRTRowAdvance:
-    """Regression for the MRT probe loop in ``_attempt``: a fully
-    occupied row must advance the operation to the next free row (the
-    dead duplicate re-probe after the loop was removed)."""
+    """Regression for the reservation-row probe of
+    ``SchedProblem.attempt``: a fully occupied row must advance the
+    operation to the next free row, and a node that finds every row
+    full abandons the placement."""
 
     def _mem_heavy(self, loads: int):
         b = ProgramBuilder("memheavy")
@@ -121,28 +122,33 @@ class TestMRTRowAdvance:
         dfg, _ = _dfg(b.build())
         return dfg
 
-    def test_attempt_advances_past_full_row(self):
-        from repro.hw.mii import default_edge_view
-        from repro.hw.modulo import _attempt
+    def _attempt(self, dfg, ii):
+        from repro.hw.modulo import _search_state
 
+        ctx = _search_state(dfg, ACEV_LIBRARY, default_edge_view(dfg))
+        prob = ctx["prob"]
+        order = [n.nid for n in ctx["topo"]]
+        res = prob.attempt(ii, [0] * prob.n, order)
+        if res is None:
+            return None
+        time, occ, _ = res
+        return time, prob.reservation_tables(occ, ii)
+
+    def test_attempt_advances_past_full_row(self):
         dfg = self._mem_heavy(4)   # 4 loads + 1 store on a 2-port bus
-        edges = default_edge_view(dfg)
-        sched = _attempt(dfg, edges, ACEV_LIBRARY, 3, {})
-        assert sched is not None
+        placed = self._attempt(dfg, 3)
+        assert placed is not None
+        time, rt = placed
         # every row within capacity; at least one op pushed off row 0
-        assert all(v <= ACEV_LIBRARY.mem_ports for v in sched.mrt.values())
-        assert sum(sched.mrt.values()) == 5
-        mem_rows = {sched.time[n.nid] % 3 for n in dfg.nodes
+        assert all(v <= ACEV_LIBRARY.mem_ports for v in rt["mem"].values())
+        assert sum(rt["mem"].values()) == 5
+        mem_rows = {time[n.nid] % 3 for n in dfg.nodes
                     if ACEV_LIBRARY.uses_mem_port(n)}
         assert len(mem_rows) > 1
 
     def test_attempt_gives_up_when_all_rows_full(self):
-        from repro.hw.mii import default_edge_view
-        from repro.hw.modulo import _attempt
-
         dfg = self._mem_heavy(4)   # 5 memory refs > 2 rows * 2 ports
-        edges = default_edge_view(dfg)
-        assert _attempt(dfg, edges, ACEV_LIBRARY, 2, {}) is None
+        assert self._attempt(dfg, 2) is None
 
     def test_full_search_lands_on_feasible_ii(self):
         dfg = self._mem_heavy(4)
@@ -249,7 +255,7 @@ class TestListScheduler:
         dfg, _ = _dfg(build_fig21())
         sched = list_schedule(dfg, ACEV_LIBRARY)
         assert all(v <= ACEV_LIBRARY.mem_ports
-                   for v in sched.port_usage.values())
+                   for v in sched.resource_usage["mem"].values())
 
     def test_original_slower_than_pipelined(self):
         dfg, _ = _dfg(build_fig41())

@@ -28,7 +28,8 @@ from tests.conftest import build_fig21, build_fig41
 def _copy(sched: ModuloSchedule) -> ModuloSchedule:
     return ModuloSchedule(ii=sched.ii, time=dict(sched.time),
                           rec_mii=sched.rec_mii, res_mii=sched.res_mii,
-                          mrt=dict(sched.mrt), length=sched.length)
+                          length=sched.length,
+                          rt={r: dict(v) for r, v in sched.rt.items()})
 
 
 class TestDependenceWindowRegression:

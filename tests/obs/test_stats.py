@@ -58,6 +58,25 @@ class TestFormatStats:
         assert "II candidates tried" in text
 
 
+class TestStatsCommand:
+    def test_modulo_sweep_reports_repair_rounds(self, tmp_path, capsys):
+        """Every placement pass of the array core is one repair round,
+        so a sweep that modulo-schedules anything shows a nonzero row."""
+        from repro.cli import main
+        from repro.obs import reset_metrics
+
+        reset_metrics()
+        trace = tmp_path / "sweep.json"
+        assert main(["explore", "--kernel", "iir", "--factors", "2",
+                     "--variants", "pipelined", "squash", "--jobs", "1",
+                     "--no-cache", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(trace)]) == 0
+        text = capsys.readouterr().out
+        row = re.search(r"^repair rounds\s+(\d+)$", text, re.M)
+        assert row and int(row.group(1)) > 0, text
+
+
 class TestSummarizeEvents:
     def test_counts_by_category_and_name(self):
         events = [

@@ -163,6 +163,9 @@ class TestMainModuleAlias:
         assert record["phases"]["warm_result"]["result_cache"]["hit_rate"] \
             == 1.0
         assert record["phases"]["cold"]["stages_s"]["schedule"] > 0
+        # counters are the registry delta: scheduler effort included
+        assert record["phases"]["cold"]["counters"][
+            "sched_kernel_numpy_attempts"] > 0
 
     def test_bench_speedups_against_baseline(self, tmp_path, monkeypatch,
                                              capsys):

@@ -109,7 +109,7 @@ class TestReplayCatchesBrokenSchedules:
         lib = target.library
         crowded = dataclasses.replace(
             sched, time=dict(sched.time),
-            mrt=dict(sched.mrt), rt={r: dict(v) for r, v in sched.rt.items()})
+            rt={r: dict(v) for r, v in sched.rt.items()})
         mems = [n for n in dfg.nodes if "mem" in lib.node_resources(n)]
         assert len(mems) > lib.mem_ports
         for n in mems:  # pile every memory op onto one row
