@@ -229,15 +229,14 @@ def build_dfg(ssa: SSABlock, carried: set[str], invariant: set[str],
             raise IRError(f"DFG: unexpected statement {type(s).__name__}")
 
     # -- backedges (cycle construction, §4.3) -----------------------------------
-    for name in carried:
-        reg = g.regs.get(name)
+    # in ssa.entry order, not set order: string hashing is salted per
+    # process, and the edge list must not depend on it
+    for name, reg in g.regs.items():
         exit_v = ssa.exit.get(name)
-        if reg is None or exit_v is None:
-            continue
-        g.add_edge(g.defs[exit_v], reg, 1)
-    for name in invariant:
-        reg = g.regs.get(name)
-        if reg is not None and name != inner_iv:
+        if name in carried and exit_v is not None:
+            g.add_edge(g.defs[exit_v], reg, 1)
+    for name, reg in g.regs.items():
+        if name in invariant and name != inner_iv:
             g.add_edge(reg, reg, 1)
 
     # cross-iteration memory ordering (same data set executes sequentially;

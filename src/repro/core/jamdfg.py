@@ -1,148 +1,81 @@
-"""DFG-level unroll-and-jam: derive the jammed base analysis directly.
+"""Unroll-and-jam analyses by replication (thesis Ch. 6).
 
-The pipeline's ``jam`` variant historically went the long way around:
-clone the whole program, splice in the fused loop
-(:func:`repro.transforms.unroll_and_jam.unroll_and_jam`), re-discover
-the fused nest in the clone, then run the generic base analysis —
-another whole-program clone, three-address lowering, SSA renaming, and
-DFG construction — on the result.  Profiling the cold Table 6.2 sweep
-puts that re-lowering (plus the jammed nest's O(copies²) dependence-pair
-enumeration) at more than half the front-end time, even though the only
-artifact any downstream stage consumes is the fused *inner loop's* DFG.
+Unroll-and-jam by F makes the inner loop F copies of one iteration of
+the original: the operator count scales with F, the recurrence does
+not.  The program-level route ignores that structure.  It rewrites the
+whole program (:func:`~repro.transforms.unroll_and_jam.unroll_and_jam`),
+re-locates the fused nest (:func:`find_jammed_nest`), then clones,
+lowers to three-address form, SSA-renames and DFG-builds all F copies.
+This module derives the fused loop's SSA block for F > 2 from two
+analyses a sweep computes anyway:
 
-This module derives that DFG without materializing the jammed program.
-It builds only the fused **nest** — using the very same copy/substitute/
-rename logic the program-level transform applies, on clones of the
-original nest's statements — and then runs the ordinary analysis
-machinery (legality classification, 3AC lowering, SSA renaming,
-``build_dfg``) over it with a lightweight *shim* program supplying the
-symbol tables.  Because every step from the fused statements onward is
-the real code path operating on content-identical input, the resulting
-:class:`~repro.pipeline.analysis.BaseAnalysis` — DFG node ids, SSA
-names, ``t3_*`` temporaries, legality reason strings — is identical to
-what the program-level route produces.  ``REPRO_DFG_JAM=0`` pins the
-program-level route for differential checks (see
-``tests/pipeline/test_jamdfg.py``).
+* **copy 0** is the base analysis of the untransformed nest, verbatim:
+  the same statements, the same ``t3_*`` temporaries, the same versions;
+* **copy 1** comes from the *template*, jam(2) analyzed by the
+  program-level route.  Every copy k >= 1 is copy 1 under three renames:
+  privatized scalars ``v__u1`` become ``v__u<k>`` (SSA versions keep
+  their ``@n``); copy 1's contiguous block of temporaries shifts by
+  ``(k-1)·T1``; and the substitution adds ``x = i@0 + step``, copy 1's
+  only reads of the outer IV, add ``k·step`` instead.
 
-What is skipped, and why it is sound:
+Copy 1 is not copy 0 when the body reads the outer IV (those adds and
+their constants), which is why the template is a real jam(2) analysis.
+The assembled block goes through the one DFG builder,
+:func:`~repro.core.dfg.build_dfg`, which places every node and edge,
+including the memory-order edges that run across copies.  The fused
+loop's liveness is the union of the base's sets under the per-copy
+renames, and its DS=1 legality check follows from the base's: at DS=1
+no array dependence can classify as a hazard, and a base without
+outer-carried scalars has privatized copies without them too.
 
-* the two whole-program clones (only the nest's statements are cloned);
-* the jammed program's dependence-**pair** enumeration
-  (``prepare_squash(..., pairs=False)``): the base analysis classifies
-  at DS=1, where no distance set can intersect the ±0 window excluding
-  zero, so the pair list never contributes a failure;
-* content-keying and disk-pickling of the jammed program (the derived
-  analysis is cached under its own ``jamdfg-`` key instead).
-
-Jam *legality* (structure, §4.2 outer parallelism, constant trip) is
-NOT skipped: the same checks run, in the same order, raising the same
-errors as the program-level transform.
+The renames are sound only when lowering numbers temporaries uniformly
+and the per-copy names are fresh.  :func:`replicable` rules out the
+inputs where they are not (another nest shares the outer IV, or a
+scalar is already named ``t3_<n>`` or ``<v>__u<k>``), and
+:func:`replicate` returns ``None`` when the body assigns an induction
+variable, which every copy then writes.  The caller takes the
+program-level route instead, as it does when the base DS=1 check fails
+(the reasons must come from the fused nest).
+``tests/pipeline/test_jamdfg.py`` compares both routes field by field.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Optional
 
-from repro.analysis.loops import LoopNest, trip_count
-from repro.analysis.parallel import check_outer_parallel
-from repro.analysis.ssa import ssa_rename
-from repro.analysis.usedef import loop_liveness
-from repro.core.dfg import build_dfg
-from repro.core.legality import classify_squash, prepare_squash
+from repro.analysis.loops import LoopNest, find_loop_nests, trip_count
+from repro.analysis.parallel import ParallelismReport, check_outer_parallel
+from repro.analysis.ssa import SSABlock, base_name
+from repro.analysis.usedef import LoopLiveness
+from repro.core.legality import SquashCheck
+from repro.core.squash import front_dfg
 from repro.errors import LegalityError
 from repro.ir.nodes import (
-    BinOp, Block, Const, For, Program, Stmt, Var,
+    Assign, BinOp, Block, Const, Expr, For, Program, Stmt, Var,
 )
-from repro.ir.visitors import (
-    clone_expr, clone_stmt, rename_vars, substitute, variables_read,
-)
-from repro.transforms.three_address import is_three_address, lower_block_to_3ac
+from repro.ir.visitors import rename_vars
 from repro.transforms.unroll_and_jam import _check_structure, \
     jam_privatized_names
 
-__all__ = ["derive_jam_base", "fused_nest"]
-
-
-def fused_nest(program: Program, nest: LoopNest, factor: int
-               ) -> tuple[LoopNest, Program]:
-    """The fused (outer, inner) pair unroll-and-jam would produce.
-
-    Returns the synthetic nest plus the shim program that carries its
-    symbol tables (original params/arrays, copied locals extended with
-    the per-copy privatized scalars).  The nest is built from clones of
-    the original nest's statements with the transform's own
-    substitution/renaming rules, so it is statement-for-statement
-    identical to the fused loop inside a really-jammed program.
-    ``factor`` must already be clamped to the outer trip count.
-    """
-    outer, inner = nest.outer, nest.inner
-    trip = trip_count(outer)
-    if trip is None or not 1 <= factor <= trip:
-        raise LegalityError(
-            f"jam factor {factor} is not within the outer trip count "
-            f"({trip}); the caller must clamp before deriving")
-    main_trips = (trip // factor) * factor
-    lo = int(outer.lo.value)        # type: ignore[union-attr]
-    step = outer.step
-
-    privatized = jam_privatized_names(nest)
-    # the shim shares the (never-mutated) arrays and copies the scalar
-    # tables: 3AC lowering declares its temps into `locals`, and the
-    # per-copy renames must be declared before lowering so the temp
-    # collision-avoidance scan sees the same names the real path does
-    shim = Program(name=program.name, params=dict(program.params),
-                   arrays=program.arrays, body=Block(),
-                   locals=dict(program.locals))
-    for k in range(1, factor):
-        for v in privatized:
-            shim.declare_local(f"{v}__u{k}", shim.scalar_type(v))
-
-    def copy_stmts(stmts: list[Stmt], k: int) -> list[Stmt]:
-        out = []
-        for s in stmts:
-            c = clone_stmt(s)
-            if k:
-                c = substitute(c, {outer.var: BinOp(
-                    "add", Var(outer.var, outer.lo.ty),
-                    Const(k * step, outer.lo.ty))})
-                c = rename_vars(c, {v: f"{v}__u{k}" for v in privatized})
-            out.append(c)
-        return out
-
-    pre: list[Stmt] = []
-    post: list[Stmt] = []
-    inner_body: list[Stmt] = []
-    for k in range(factor):
-        pre.extend(copy_stmts(nest.pre_stmts(), k))
-        inner_body.extend(copy_stmts(list(inner.body.stmts), k))
-        post.extend(copy_stmts(nest.post_stmts(), k))
-
-    fused_inner = For(inner.var, clone_expr(inner.lo), clone_expr(inner.hi),
-                      Block(inner_body), inner.step, dict(inner.annotations))
-    jammed = For(outer.var, Const(lo, outer.lo.ty),
-                 Const(lo + main_trips * step, outer.hi.ty),
-                 Block(pre + [fused_inner] + post),
-                 step * factor, dict(outer.annotations))
-    return LoopNest(jammed, fused_inner), shim
-
-
-def derive_jam_base(program: Program, nest: LoopNest, factor: int):
-    """Jam legality + the fused nest's base analysis, program-free.
-
-    Returns a :class:`~repro.pipeline.analysis.BaseAnalysis` of the
-    fused inner loop (artifacts ``None`` with the failure recorded in
-    ``check1`` when the *base* legality of the fused nest fails, exactly
-    like the generic base builder), or ``None`` for ``factor == 1`` —
-    the degenerate jam analyzes a clone of the untransformed nest, so
-    the caller should fall through to the ordinary base analysis of the
-    original nest.
-
-    Raises :class:`LegalityError` for jam-level rejections with the
-    identical messages, in the identical order, as the program-level
-    ``unroll_and_jam`` + nest-relocation route.
-    """
+if TYPE_CHECKING:  # core <-> pipeline: BaseAnalysis only for types
     from repro.pipeline.analysis import BaseAnalysis
 
+__all__ = ["check_jam", "find_jammed_nest", "replicable", "replicate"]
+
+#: Scalar names that three-address lowering (``t3_<n>``) and
+#: unroll-and-jam (``<v>__u<k>``) make up.
+_GENERATED = re.compile(r"t3_\d+|.+__u\d+")
+_TEMP = re.compile(r"t3_(\d+)")
+
+
+def check_jam(program: Program, nest: LoopNest, factor: int) -> int:
+    """Run the jam legality checks and return the outer trip count.
+
+    The checks, their order and their messages are those of
+    :func:`~repro.transforms.unroll_and_jam.unroll_and_jam`.
+    """
     if factor < 1:
         raise LegalityError("jam factor must be >= 1")
     _check_structure(nest)
@@ -153,38 +86,182 @@ def derive_jam_base(program: Program, nest: LoopNest, factor: int):
     if trip is None:
         raise LegalityError("unroll-and-jam requires a constant outer "
                             "trip count")
-    if factor == 1:
+    return trip
+
+
+def find_jammed_nest(jammed: Program, nest: LoopNest,
+                     factor: int) -> LoopNest:
+    """The fused nest of ``unroll_and_jam(program, nest, factor)``.
+
+    It is the first nest whose outer loop kept ``nest``'s IV and grew its
+    step by the factor clamped to the outer trip.  A trip-0 nest is left
+    untransformed, so nothing matches and this raises.
+    """
+    step = nest.outer.step * min(factor, trip_count(nest.outer) or factor)
+    for n in find_loop_nests(jammed):
+        if n.outer.var == nest.outer.var and n.outer.step == step:
+            return n
+    raise LegalityError("jammed nest not found")
+
+
+def replicable(program: Program, nest: LoopNest) -> bool:
+    """Whether the renames can stand in for the program-level route.
+
+    Not when another nest shares the outer IV (re-location could pick
+    that nest), and not when a parameter or local already has a name
+    lowering or jam would make up (lowering skips taken names, so the
+    temporaries would stop being numbered uniformly).
+    """
+    if any(_GENERATED.fullmatch(name)
+           for name in (*program.params, *program.locals)):
+        return False
+    return not any(n.outer is not nest.outer
+                   and n.outer.var == nest.outer.var
+                   for n in find_loop_nests(program))
+
+
+def _jammed_trip(outer: For, factor: int) -> Optional[int]:
+    """The trip count of the fused outer loop (remainder peeled off)."""
+    lo, trip = outer.lo, trip_count(outer)
+    if not isinstance(lo, Const) or trip is None:
         return None
-    if trip == 0:
-        # the program-level route leaves a trip-0 nest untransformed and
-        # then fails to re-locate a fused loop with the grown step
-        raise LegalityError("jammed nest not found")
+    hi = int(lo.value) + trip // factor * factor * outer.step
+    return trip_count(For(outer.var, Const(lo.value, lo.ty),
+                          Const(hi, outer.hi.ty), Block(),
+                          outer.step * factor))
 
-    fused, shim = fused_nest(program, nest, min(factor, trip))
 
-    # base (DS=1) legality of the fused nest: the real preparation and
-    # classification, minus the pair enumeration (vacuous at DS=1)
-    check1 = classify_squash(prepare_squash(shim, fused, pairs=False), 1)
-    if not check1.ok:
-        return BaseAnalysis(check1=check1)
+def _jammed_liveness(live: LoopLiveness, privatized: set[str],
+                     factor: int) -> LoopLiveness:
+    """The fused inner loop's liveness: each of the base's sets united
+    with its renames in copies 1 .. factor-1."""
+    def jammed(names: set[str]) -> set[str]:
+        return names.union(*({f"{n}__u{k}" if n in privatized else n
+                              for n in names} for k in range(1, factor)))
+    return LoopLiveness(**{f.name: jammed(getattr(live, f.name))
+                           for f in fields(LoopLiveness)})
 
-    # analyze_front on the fused nest, sans the whole-program clone (the
-    # fused statements are already private clones)
-    w_inner = fused.inner
-    if not is_three_address(w_inner.body):
-        w_inner.body = lower_block_to_3ac(shim, w_inner.body)
-    extra = set()
-    if w_inner.var in variables_read(w_inner.body):
-        extra.add(w_inner.var)
-    ssa = ssa_rename(w_inner.body, shim.scalar_type, extra_live_in=extra)
 
-    live = check1.require_liveness()
-    rom_arrays = frozenset(n for n, d in shim.arrays.items() if d.rom)
-    carried = {x for x in live.carried if x in ssa.entry}
-    invariant = {x for x in ssa.entry
-                 if x not in carried and x != w_inner.var}
-    dfg = build_dfg(ssa, carried, invariant, rom_arrays,
-                    inner_iv=w_inner.var if w_inner.var in ssa.entry else None,
-                    iv_step=w_inner.step)
-    return BaseAnalysis(check1=check1, work=shim, w_nest=fused, ssa=ssa,
-                        dfg=dfg, carried=carried, invariant=invariant)
+def _iv_add(e: Expr, iv0: str, step: int) -> Optional[BinOp]:
+    """``e`` if it is a substitution add ``i@0 + step`` of copy 1."""
+    if (isinstance(e, BinOp) and e.op == "add"
+            and isinstance(e.lhs, Var) and e.lhs.name == iv0
+            and isinstance(e.rhs, Const)
+            and e.rhs.value == Const(step, e.rhs.ty).value):
+        return e
+    return None
+
+
+@dataclass
+class _Copy1:
+    """Copy 1 of a jam(2) template: what every copy k >= 1 renames."""
+
+    stmts: list[Stmt]
+    #: ``v__u1`` -> ``v`` for every privatized scalar
+    privatized: dict[str, str]
+    #: copy 1's temporaries, ``t3_<n>`` -> n (one contiguous block)
+    temps: dict[str, int]
+    #: statement index -> (target, substitution add ``i@0 + step``)
+    iv_adds: dict[int, tuple[str, BinOp]]
+    #: copy 1's new entry, exit and types items, in template order
+    tails: tuple[list, list, list]
+    #: every version copy k renames: copy 1's targets and entry versions
+    versions: list[str]
+
+    @classmethod
+    def of(cls, nest: LoopNest, privatized: set[str], base: SSABlock,
+           template: SSABlock) -> Optional["_Copy1"]:
+        """Copy 1 of ``template``, or ``None`` when copy 1 writes a
+        scalar the copies share: the renames would give every copy the
+        same versions of it.  Only an induction variable can be one, and
+        the builder's validator rejects assigning those, but a program
+        built by hand may."""
+        stmts = template.stmts[len(base.stmts):]
+        u1 = {f"{v}__u1": v for v in privatized}
+        iv0 = f"{nest.outer.var}@0"
+        temps: dict[str, int] = {}
+        iv_adds: dict[int, tuple[str, BinOp]] = {}
+        for i, s in enumerate(stmts):
+            if not isinstance(s, Assign):
+                continue
+            b = base_name(s.var)
+            if b not in u1:
+                m = _TEMP.fullmatch(b)
+                if m is None:
+                    return None
+                temps[b] = int(m.group(1))
+            add = _iv_add(s.expr, iv0, nest.outer.step)
+            if add is not None:
+                iv_adds[i] = (s.var, add)
+        # copy 0 is the base, so the template's tables extend the base's
+        entry, exit_, types = (list(theirs.items())[len(mine):]
+                               for mine, theirs in (
+                                   (base.entry, template.entry),
+                                   (base.exit, template.exit),
+                                   (base.types, template.types)))
+        versions = [s.var for s in stmts if isinstance(s, Assign)] \
+            + [v for _, v in entry]
+        return cls(stmts, u1, temps, iv_adds, (entry, exit_, types),
+                   versions)
+
+    def copy(self, k: int, ssa: SSABlock, step: int) -> None:
+        """Append copy k to ``ssa``: its statements and name tables."""
+        shift = (k - 1) * len(self.temps)
+
+        def rename(name: str) -> str:
+            """Copy 1's name or ``name@n`` version -> copy k's."""
+            b, at, n = name.partition("@")
+            if b in self.privatized:
+                b = f"{self.privatized[b]}__u{k}"
+            elif b in self.temps:
+                b = f"t3_{self.temps[b] + shift}"
+            return b + at + n
+
+        versions = {v: rename(v) for v in self.versions}
+        for i, s in enumerate(self.stmts):
+            add = self.iv_adds.get(i)
+            if add is None:
+                ssa.stmts.append(rename_vars(s, versions))
+            else:
+                target, expr = add
+                ssa.stmts.append(Assign(versions[target], BinOp(
+                    "add", expr.lhs, Const(k * step, expr.rhs.ty))))
+        entry, exit_, types = self.tails
+        ssa.entry.update((rename(n), versions[v]) for n, v in entry)
+        ssa.exit.update((rename(n), rename(v)) for n, v in exit_)
+        ssa.types.update((rename(v), ty) for v, ty in types)
+
+
+def replicate(program: Program, nest: LoopNest, base: "BaseAnalysis",
+              template: "BaseAnalysis",
+              factor: int) -> "Optional[BaseAnalysis]":
+    """jam(``factor``) of ``nest``, from its base analysis and jam(2).
+
+    ``factor`` must already be clamped to the outer trip, ``base`` must
+    have passed its DS=1 check, and the input must be
+    :func:`replicable`.  Returns ``None`` when the body assigns an
+    induction variable (see :meth:`_Copy1.of`).  Never mutates ``base``
+    or ``template``: copy 0 shares their statements, later copies their
+    constants and unrenamed variables.
+    """
+    from repro.pipeline.analysis import BaseAnalysis
+
+    if base.ssa is None or template.ssa is None:
+        return None
+    privatized = jam_privatized_names(nest)
+    copy1 = _Copy1.of(nest, privatized, base.ssa, template.ssa)
+    if copy1 is None:
+        return None
+
+    ssa = SSABlock(stmts=list(base.ssa.stmts), entry=dict(base.ssa.entry),
+                   exit=dict(base.ssa.exit), types=dict(base.ssa.types))
+    for k in range(1, factor):
+        copy1.copy(k, ssa, nest.outer.step)
+    live = _jammed_liveness(base.check1.require_liveness(), privatized,
+                            factor)
+    check = SquashCheck(parallelism=ParallelismReport(), liveness=live,
+                        outer_trip=_jammed_trip(nest.outer, factor),
+                        inner_trip=base.check1.inner_trip)
+    dfg, carried, invariant = front_dfg(ssa, live, nest.inner, program)
+    return BaseAnalysis(check1=check, ssa=ssa, dfg=dfg, carried=carried,
+                        invariant=invariant)

@@ -92,18 +92,14 @@ class PreparedSquash:
     pairs: list[tuple] | None = None
 
 
-def prepare_squash(program: Program, nest: LoopNest,
-                   pairs: bool = True) -> PreparedSquash:
+def prepare_squash(program: Program, nest: LoopNest) -> PreparedSquash:
     """Run every DS-independent part of the §4.1 requirement list.
 
-    ``pairs=False`` skips the array-dependence pair enumeration (the
-    O(accesses²) half) and records an empty pair list instead.  That is
-    sound only for DS=1 classification: ``squash_case(dist, 1)`` tests
-    intersection with the ±0 window *excluding zero* — an empty range —
-    so no pair can ever classify as a Case-3 hazard at DS=1.  The
-    DFG-level jam derivation (:mod:`repro.core.jamdfg`) uses this to
-    check a jammed nest's base legality without enumerating the
-    factor-squared access pairs of the fused body.
+    The array-dependence pairs are the O(accesses²) half.  No pair can
+    classify as a Case-3 hazard at DS=1 (``squash_case(dist, 1)`` tests
+    the ±0 window *excluding zero*, an empty range), which is one reason
+    the jam replication (:mod:`repro.core.jamdfg`) can derive a jammed
+    nest's DS=1 check from the base's without preparing the fused nest.
     """
     from repro.analysis.dependence import collect_accesses, outer_distance
     from repro.analysis.parallel import _fmt
@@ -154,10 +150,6 @@ def prepare_squash(program: Program, nest: LoopNest,
     # in its exact enumeration order) ---------------------------------
     live = loop_liveness(nest.outer, set())
     prep.scalar_conflicts = set(live.carried)
-
-    if not pairs:
-        prep.pairs = []
-        return prep
 
     rom_names = frozenset(n for n, d in program.arrays.items() if d.rom)
     accesses = collect_accesses(nest, rom_names=rom_names)

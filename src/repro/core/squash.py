@@ -42,7 +42,7 @@ from repro.transforms._util import find_in_clone
 from repro.transforms.three_address import is_three_address, lower_block_to_3ac
 
 __all__ = ["SquashResult", "unroll_and_squash", "jam_then_squash",
-           "analyze_front", "analyze_nest", "locate_jammed_nest"]
+           "analyze_front", "analyze_nest", "front_dfg", "locate_jammed_nest"]
 
 
 def locate_jammed_nest(jammed: Program, nest: LoopNest,
@@ -107,15 +107,28 @@ def analyze_front(program: Program, nest: LoopNest, liveness
     if w_inner.var in variables_read(w_inner.body):
         extra.add(w_inner.var)
     ssa = ssa_rename(w_inner.body, work.scalar_type, extra_live_in=extra)
+    dfg, carried, invariant = front_dfg(ssa, liveness, w_inner, work)
+    return work, w_nest, ssa, dfg, carried, invariant
 
-    rom_arrays = frozenset(n for n, d in work.arrays.items() if d.rom)
+
+def front_dfg(ssa: SSABlock, liveness, inner: For, program: Program
+              ) -> tuple[DFG, set[str], set[str]]:
+    """The DFG of an SSA inner-loop body plus its live-in classification:
+    ``carried`` (the liveness summary's recurrences that are live into
+    the block) and ``invariant`` (every other live-in but the inner IV).
+
+    The last step of :func:`analyze_front`, shared with the jam
+    replication (:mod:`repro.core.jamdfg`), which assembles the SSA
+    block without lowering it.
+    """
+    rom_arrays = frozenset(n for n, d in program.arrays.items() if d.rom)
     carried = {x for x in liveness.carried if x in ssa.entry}
     invariant = {x for x in ssa.entry
-                 if x not in carried and x != w_inner.var}
+                 if x not in carried and x != inner.var}
     dfg = build_dfg(ssa, carried, invariant, rom_arrays,
-                    inner_iv=w_inner.var if w_inner.var in ssa.entry else None,
-                    iv_step=w_inner.step)
-    return work, w_nest, ssa, dfg, carried, invariant
+                    inner_iv=inner.var if inner.var in ssa.entry else None,
+                    iv_step=inner.step)
+    return dfg, carried, invariant
 
 
 def analyze_nest(program: Program, nest: LoopNest, ds: int,

@@ -16,24 +16,16 @@ from typing import Optional
 
 from repro.errors import ReproError
 
-__all__ = ["ANALYSIS_CACHE_ENV", "BATCH_TIMEOUT_ENV", "DFG_JAM_ENV",
-           "KNOBS", "Knob", "RETRIES_ENV", "TRACE_ENV", "VERIFY_ENV",
-           "analysis_cache_mode", "batch_timeout", "dfg_jam_enabled",
-           "env_float", "env_int", "registered_knobs", "retries",
-           "trace_mode", "verify_mode"]
+__all__ = ["ANALYSIS_CACHE_ENV", "BATCH_TIMEOUT_ENV", "KNOBS", "Knob",
+           "RETRIES_ENV", "TRACE_ENV", "VERIFY_ENV", "analysis_cache_mode",
+           "batch_timeout", "env_float", "env_int", "registered_knobs",
+           "retries", "trace_mode", "verify_mode"]
 
 #: Controls the shared-analysis machinery (see :mod:`repro.pipeline.analysis`
 #: and :mod:`repro.hw.iimemo`): ``"0"`` disables sharing entirely (the
 #: benchmark ablation baseline), ``"mem"`` keeps the in-process tier only,
 #: anything else (default) enables the full two-tier (memory + disk) cache.
 ANALYSIS_CACHE_ENV = "REPRO_ANALYSIS_CACHE"
-
-#: Selects how ``jam`` variants are analyzed (see :mod:`repro.core.jamdfg`):
-#: ``"0"`` re-lowers the jammed program through clone/3AC/SSA (the historical
-#: path); anything else (default) derives the fused inner loop's analysis
-#: directly, skipping the whole-program clone.  Both produce identical
-#: artifacts — the knob exists for differential testing.
-DFG_JAM_ENV = "REPRO_DFG_JAM"
 
 #: Controls the static artifact verifiers (see :mod:`repro.verify`): unset/
 #: ``"0"``/``"off"`` (default) keeps the hot path unchecked, ``"1"``/``"on"``
@@ -96,9 +88,6 @@ KNOBS: "tuple[Knob, ...]" = (
     Knob("REPRO_ANALYSIS_CACHE", "0 | mem | 1", "1",
          "Analysis sharing: 0 disables, mem keeps the in-process tier "
          "only, 1 enables the two-tier (memory + disk) cache."),
-    Knob("REPRO_DFG_JAM", "0 | 1", "1",
-         "0 re-lowers jam variants through clone/3AC/SSA; 1 derives "
-         "the jammed DFG directly (identical artifacts)."),
     Knob("REPRO_VERIFY", "0/off | 1/on | strict", "off",
          "Static artifact verifiers between pipeline stages; strict "
          "adds re-derivation cross-checks.  Output is byte-identical."),
@@ -209,11 +198,6 @@ def analysis_cache_mode() -> str:
     if raw == "mem":
         return "mem"
     return "disk"
-
-
-def dfg_jam_enabled() -> bool:
-    """True unless ``REPRO_DFG_JAM=0`` pins the re-lowering jam path."""
-    return os.environ.get(DFG_JAM_ENV, "1").strip() != "0"
 
 
 def verify_mode() -> str:

@@ -56,7 +56,10 @@ __all__ = ["format_bench", "run_sweep_bench"]
 #: 7 = one scheduler core: dropped the ``sched_hotpath`` phase and the
 #: ``sched_kernel`` field; each phase's ``stages_s`` and ``counters``
 #: (was ``cache_counters``) come from the metrics-registry delta.
-SCHEMA = 7
+#: 8 = dropped the ``dfg_jam`` field: the jam analysis route it recorded
+#: is no longer a knob (jam(F) is derived by replication,
+#: :mod:`repro.core.jamdfg`).
+SCHEMA = 8
 
 
 def _golden_dir() -> pathlib.Path:
@@ -282,7 +285,6 @@ def run_sweep_bench(factors: Sequence[int] = (2, 4, 8, 16),
     phases["resilience"] = _resilience_phase(kernels, target_spec,
                                              scheduler, jobs)
 
-    from repro.env import dfg_jam_enabled
     record = {
         "bench": "table_6_2_6_3_sweep",
         "schema": SCHEMA,
@@ -290,7 +292,6 @@ def run_sweep_bench(factors: Sequence[int] = (2, 4, 8, 16),
         "target": target_spec,
         "vliw_target": vliw_spec,
         "scheduler": scheduler,
-        "dfg_jam": dfg_jam_enabled(),
         "queries": len(queries),
         "jobs": jobs,
         "cores": os.cpu_count(),

@@ -28,6 +28,11 @@ The per-DS legality checks (:func:`repro.core.legality.check_squash`)
 ride the same two tiers — they are recomputed per (variant, target,
 scheduler) crossing otherwise.
 
+Jam analyses are derived, not stored: jam(F) for F > 2 renames copy 1
+of the jam(2) analysis once per extra copy and appends the copies to
+the base analysis (:mod:`repro.core.jamdfg`).  Deriving them is cheaper
+than unpickling them, so they live in the memory tier only.
+
 Set ``REPRO_ANALYSIS_CACHE=0`` to bypass sharing entirely (the benchmark
 ablation baseline), ``REPRO_ANALYSIS_CACHE=mem`` to keep the in-process
 tier only, and :func:`repro.clear_caches` drops both tiers between runs.
@@ -54,6 +59,7 @@ from repro.ir.nodes import Program
 from repro.obs import metrics as obs_metrics
 from repro.pipeline.artifacts import AnalyzedDFG
 from repro.store import analysis_store
+from repro.transforms.unroll_and_jam import unroll_and_jam
 
 __all__ = ["AnalysisCache", "BaseAnalysis", "analysis_cache",
            "base_analyzed_dfg", "content_key", "jam_analyzed_dfg",
@@ -206,38 +212,63 @@ class AnalysisCache:
         return classify_squash(self.prep_for(program, nest), ds)
 
     def jam_base_for(self, program: Program, nest: LoopNest,
-                     factor: int) -> Optional[BaseAnalysis]:
-        """The DFG-level jam derivation, through both tiers.
+                     factor: int) -> BaseAnalysis:
+        """The analysis of ``nest``'s fused inner loop after unroll-and-jam
+        by ``factor``, memoized in the memory tier only.
 
-        A hit — like the jammed-program memo it supersedes — skips the
-        jam legality checks (the entry exists only because they passed
-        for identical content).  Fused-nest base-legality *failures* are
-        cached like ordinary ``base-`` entries; jam-level rejections
-        raise and are never stored.  ``None`` (factor 1 degenerates to
-        the untransformed base) is not stored either — the fallthrough
-        hits the ordinary base tier.
+        The jam legality checks run first, the same checks in the same
+        order with the same messages as the program-level route; a hit
+        skips them (the entry exists only because they passed).  Then,
+        with F the factor clamped to the outer trip count:
+
+        * F = 1: the base analysis;
+        * F = 2: the program-level analysis (:func:`_program_jam`), which
+          is also the template whose copy 1 replication renames;
+        * F > 2: :func:`repro.core.jamdfg.replicate` over the base and
+          the template.
+
+        Inputs the renames cannot cover take the program-level route at
+        every F: the ones :func:`repro.core.jamdfg.replicable` rejects,
+        and nests whose base DS=1 check fails (the reasons must come from
+        the fused nest).  Fused-nest base-legality failures are memoized
+        like results; jam-level rejections raise and are never stored.
         """
-        from repro.core.jamdfg import derive_jam_base
+        from repro.core.jamdfg import check_jam, replicable, replicate
 
         key = (id(program), id(nest.outer), id(nest.inner), factor)
-        base = self._jams.get(key)
-        if base is not None:
-            return base
-        disk = analysis_store() if analysis_cache_mode() == "disk" else None
-        ckey = self._content_key(program, nest) if disk is not None else None
-        if ckey is not None:
-            base = disk.get(f"jamdfg-{ckey}-f{factor}")
-            if isinstance(base, BaseAnalysis):
-                return self._jams.put(key, (program, nest), base)
-        base = derive_jam_base(program, nest, factor)
-        if base is None:
-            return None
-        self._jams.put(key, (program, nest), base)
-        if ckey is not None:
-            import dataclasses
-            disk.put(f"jamdfg-{ckey}-f{factor}",
-                     dataclasses.replace(base, work=None, w_nest=None))
-        return base
+        jam = self._jams.get(key)
+        if jam is not None:
+            return jam
+        trip = check_jam(program, nest, factor)
+        clamped = 1 if factor == 1 else min(factor, trip)
+        if not replicable(program, nest) or clamped in (0, 2):
+            # a trip-0 nest stays untransformed: re-location raises
+            jam = _program_jam(program, nest, factor)
+        elif clamped == 1:
+            jam = self.get_or_build(program, nest)
+        else:
+            base = self.get_or_build(program, nest)
+            jam = replicate(program, nest, base,
+                            self._jam_template(program, nest), clamped) \
+                if base.check1.ok else None
+            if jam is None:
+                jam = _program_jam(program, nest, factor)
+        return self._jams.put(key, (program, nest), jam)
+
+    def _jam_template(self, program: Program,
+                      nest: LoopNest) -> BaseAnalysis:
+        """jam(2), the replication template, as the factor-2 entry.
+
+        Stored without running the jam(2) legality checks: every caller
+        passed them for a larger factor, and the data-set window of
+        factor 2 lies inside that factor's.
+        """
+        key = (id(program), id(nest.outer), id(nest.inner), 2)
+        template = self._jams.get(key)
+        if template is None:
+            template = self._jams.put(key, (program, nest),
+                                      _program_jam(program, nest, 2))
+        return template
 
     def clear(self) -> None:
         self._lru.clear()
@@ -253,6 +284,19 @@ register_cache(_CACHE.clear)
 
 def analysis_cache() -> AnalysisCache:
     return _CACHE
+
+
+def _program_jam(program: Program, nest: LoopNest,
+                 factor: int) -> BaseAnalysis:
+    """jam(``factor``) by the program-level route: unroll-and-jam the whole
+    program, re-locate the fused nest, run the base builder over it.
+
+    The jam legality checks must already have passed.
+    """
+    from repro.core.jamdfg import find_jammed_nest
+
+    jammed = unroll_and_jam(program, nest, factor, check=False)
+    return _build_base(jammed, find_jammed_nest(jammed, nest, factor))
 
 
 @obs_metrics.registry().collect
@@ -280,6 +324,15 @@ def _check(program: Program, nest: LoopNest, ds: int,
     return check_squash(program, nest, ds)
 
 
+def _analyzed(base: BaseAnalysis, what: str) -> AnalyzedDFG:
+    base.check1.raise_if_failed()
+    if base.dfg is None or base.ssa is None:
+        raise ReproError(
+            f"{what} passed legality but carries no DFG/SSA — "
+            "stale or corrupted analysis-cache entry")
+    return AnalyzedDFG(dfg=base.dfg, ssa=base.ssa, check=base.check1)
+
+
 def base_analyzed_dfg(program: Program, nest: LoopNest,
                       cache: Optional[AnalysisCache] = None) -> AnalyzedDFG:
     """The untransformed inner loop's DFG (original/pipelined/jam).
@@ -287,40 +340,28 @@ def base_analyzed_dfg(program: Program, nest: LoopNest,
     Raises :class:`~repro.errors.LegalityError` exactly where the old
     per-variant ``analyze_nest(..., ds=1)`` did.
     """
-    base = _base(program, nest, cache)
-    base.check1.raise_if_failed()
-    if base.dfg is None or base.ssa is None:
-        raise ReproError(
-            "base analysis passed legality but carries no DFG/SSA — "
-            "stale or corrupted analysis-cache entry")
-    return AnalyzedDFG(dfg=base.dfg, ssa=base.ssa, check=base.check1)
+    return _analyzed(_base(program, nest, cache), "base analysis")
 
 
 def jam_analyzed_dfg(program: Program, nest: LoopNest, factor: int,
                      cache: Optional[AnalysisCache] = None) -> AnalyzedDFG:
-    """The fused inner loop's DFG, derived without building the jammed
-    program (:mod:`repro.core.jamdfg`).
+    """The fused inner loop's DFG after unroll-and-jam by ``factor``.
 
-    ``program``/``nest`` are the *untransformed* kernel.  Raises the
-    same :class:`~repro.errors.LegalityError`s, with the same messages,
-    as the transform-then-analyze route; ``factor == 1`` falls through
-    to the untransformed base analysis (what the degenerate jam of a
-    cloned program analyzes).
+    ``program``/``nest`` are the *untransformed* kernel; the jammed
+    program is never built unless the program-level route applies
+    (:meth:`AnalysisCache.jam_base_for`).  Without sharing, every factor
+    takes the program-level route.  Raises the same
+    :class:`~repro.errors.LegalityError`s, with the same messages, as
+    the transform-then-analyze route.
     """
-    from repro.core.jamdfg import derive_jam_base
+    from repro.core.jamdfg import check_jam
 
     if cache is not None and _sharing_enabled():
-        base = cache.jam_base_for(program, nest, factor)
+        jam = cache.jam_base_for(program, nest, factor)
     else:
-        base = derive_jam_base(program, nest, factor)
-    if base is None:
-        return base_analyzed_dfg(program, nest, cache=cache)
-    base.check1.raise_if_failed()
-    if base.dfg is None or base.ssa is None:
-        raise ReproError(
-            "jam base analysis passed legality but carries no DFG/SSA — "
-            "stale or corrupted analysis-cache entry")
-    return AnalyzedDFG(dfg=base.dfg, ssa=base.ssa, check=base.check1)
+        check_jam(program, nest, factor)
+        jam = _program_jam(program, nest, factor)
+    return _analyzed(jam, "jam analysis")
 
 
 def squash_analyzed_dfg(program: Program, nest: LoopNest, ds: int,

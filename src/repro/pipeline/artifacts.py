@@ -63,8 +63,8 @@ class TransformedNest:
     outer_trip: int = 0
     inner_trip: int = 0
     #: True when the jam variant deferred the transform to the analysis
-    #: stage (:mod:`repro.core.jamdfg`): ``program``/``nest`` are then
-    #: the *untransformed* kernel and the fused DFG is derived directly
+    #: stage: ``program``/``nest`` are then the *untransformed* kernel and
+    #: the fused analysis is derived by replication (:mod:`repro.core.jamdfg`)
     derived_jam: bool = False
 
     @property

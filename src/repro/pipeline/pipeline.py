@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.analysis.loops import LoopNest, find_loop_nests, trip_count
+from repro.analysis.loops import LoopNest, trip_count
 from repro.caches import PinningLRU, register_cache
 from repro.core.squash import locate_jammed_nest
 from repro.errors import LegalityError, ScheduleError, VerifyError
@@ -151,45 +151,32 @@ def _identity_transform(built: BuiltKernel, ds: int, jam: int,
                            outer_trip=outer, inner_trip=inner)
 
 
-def _find_jammed_nest(jammed: Program, nest: LoopNest, factor: int,
-                      outer_trip: int) -> Optional[LoopNest]:
-    for n in find_loop_nests(jammed):
-        if (n.outer.var == nest.outer.var
-                and n.outer.step == nest.outer.step
-                * min(factor, outer_trip or factor)):
-            return n
-    return None
-
-
 def _jam_transform(built: BuiltKernel, ds: int, jam: int,
                    variant: str) -> TransformedNest:
-    """Unroll-and-jam by DS; re-locate the fused inner loop.
+    """Unroll-and-jam by DS, deferred to the analysis stage.
 
-    By default (``REPRO_DFG_JAM=1``) the transform is deferred: the
-    analysis stage derives the fused inner loop's DFG directly from the
-    untransformed nest (:mod:`repro.core.jamdfg`), skipping the two
-    whole-program clones and re-lowering.  The deferral is skipped when
-    another nest shares the outer induction variable — there the
-    program-level route's nest re-location could pick a different loop,
-    so the historical path is replayed verbatim.
+    The analysis stage derives the fused inner loop's analysis from the
+    untransformed nest by replication
+    (:meth:`~repro.pipeline.analysis.AnalysisCache.jam_base_for`), so
+    the jammed program is never built.  Inputs the renames cannot cover
+    (:func:`repro.core.jamdfg.replicable`: another nest shares the outer
+    induction variable, or a scalar already has a made-up name) take the
+    program-level route here instead: unroll-and-jam the program and
+    re-locate the fused nest.
     """
+    from repro.core.jamdfg import find_jammed_nest, replicable
+
     outer_trip, inner_trip = _trips(built.nest)
-    from repro.env import dfg_jam_enabled
-    if dfg_jam_enabled() and not any(
-            n.outer is not built.nest.outer
-            and n.outer.var == built.nest.outer.var
-            for n in find_loop_nests(built.program)):
+    if replicable(built.program, built.nest):
         return TransformedNest(variant=variant, program=built.program,
                                nest=built.nest, ds=ds, jam=jam,
                                outer_trip=outer_trip, inner_trip=inner_trip,
                                derived_jam=True)
     jammed = _memoized_jam(built.program, built.nest, ds)
-    target_nest = _find_jammed_nest(jammed, built.nest, ds, outer_trip)
-    if target_nest is None:
-        raise LegalityError("jammed nest not found")
     return TransformedNest(variant=variant, program=jammed,
-                           nest=target_nest, ds=ds, jam=jam,
-                           outer_trip=outer_trip, inner_trip=inner_trip)
+                           nest=find_jammed_nest(jammed, built.nest, ds),
+                           ds=ds, jam=jam, outer_trip=outer_trip,
+                           inner_trip=inner_trip)
 
 
 def _jam_squash_transform(built: BuiltKernel, ds: int, jam: int,

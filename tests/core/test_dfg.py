@@ -1,5 +1,9 @@
 """Unit tests for DFG construction (thesis Fig. 4.1)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import find_loop_nests, loop_liveness, ssa_rename
@@ -121,3 +125,34 @@ class TestMemoryEdges:
         prog = b.build()
         dfg, _, _ = _dfg_for(prog, live_after={"x"})
         assert all(e.kind != "mem" for e in dfg.edges)
+
+
+class TestEdgeOrder:
+    def test_edge_order_independent_of_hash_seed(self, tmp_path):
+        # backedges follow ssa.entry, not set iteration: iir's base and
+        # jam(16) graphs list their edges in one order in every process,
+        # whatever the per-process string-hash salt
+        code = ("import json\n"
+                "from repro.nimble.compiler import _kernel_program\n"
+                "from repro.pipeline.analysis import AnalysisCache, "
+                "base_analyzed_dfg, jam_analyzed_dfg\n"
+                "prog, nest = _kernel_program('iir')\n"
+                "cache = AnalysisCache()\n"
+                "graphs = [base_analyzed_dfg(prog, nest, cache).dfg,\n"
+                "          jam_analyzed_dfg(prog, nest, 16, cache).dfg]\n"
+                "print(json.dumps([[(e.src.nid, e.dst.nid, e.dist, e.kind)\n"
+                "                   for e in g.edges] for g in graphs]))\n")
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       REPRO_ANALYSIS_CACHE="mem",
+                       REPRO_CACHE_DIR=str(tmp_path / seed))
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (os.path.join(os.path.dirname(__file__), "..",
+                                         "..", "src"),
+                            env.get("PYTHONPATH")) if p)
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            outs.append(out.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count("[") > 100   # both graphs, every edge

@@ -82,8 +82,8 @@ class TestStageArtifacts:
         assert a.chains is not None and a.edges is not None
 
     def test_jam_transform_defers_to_analysis(self, fig41_nest):
-        # default: the transform stage defers and the fused DFG is
-        # derived directly from the untransformed nest (repro.core.jamdfg)
+        # the transform stage defers and the fused analysis is derived
+        # from the untransformed nest by replication (repro.core.jamdfg)
         prog, nest = fig41_nest
         run = CompilationPipeline().run(prog, nest, "jam", ds=2)
         assert run.transformed.derived_jam
@@ -91,9 +91,21 @@ class TestStageArtifacts:
         assert run.transformed.outer_trip == 32   # pre-transform trips
         assert run.transformed.inner_trip == 16
 
-    def test_jam_transform_rewrites_program(self, fig41_nest, monkeypatch):
-        monkeypatch.setenv("REPRO_DFG_JAM", "0")
-        prog, nest = fig41_nest
+    def test_jam_transform_rewrites_program(self):
+        # a second nest shares the outer IV: the renames cannot tell the
+        # nests apart, so the transform stage jams the whole program
+        b = ProgramBuilder("twonests")
+        inp = b.array("in", (32,), U32)
+        out = b.array("out", (32,), U32, output=True)
+        x = b.local("x", U32)
+        for scale in (1, 3):
+            with b.loop("i", 0, 32) as i:
+                b.assign(x, inp[i])
+                with b.loop("j", 0, 16) as j:
+                    b.assign(x, b.var("x") * scale + j)
+                out[i] = b.var("x")
+        prog = b.build()
+        nest = find_loop_nests(prog)[0]
         run = CompilationPipeline().run(prog, nest, "jam", ds=2)
         assert not run.transformed.derived_jam
         assert run.transformed.program is not prog
