@@ -1,67 +1,118 @@
-"""Central registry of process-local caches (the ``repro.clear_caches`` hook).
+"""One memo type for every process-local cache, and the clear hook.
 
-Several layers memoize expensive work within one process — the benchmark
-build memo in :mod:`repro.nimble.compiler`, the shared base-analysis
-cache in :mod:`repro.pipeline.analysis`, the Table 6.2 sweep memo in
-:mod:`repro.harness.experiments`.  Tests and benchmarks need one switch
-that drops *all* of them (plus the persistent on-disk result cache) so
-repeated runs stay hermetic.  Every cache registers a clear function here
-at module import; :func:`clear_caches` runs them all.
+Several layers reuse expensive work within one process: the shared
+front-end analysis (:mod:`repro.pipeline.analysis`), the II-search memo
+(:mod:`repro.hw.iimemo`), the scheduler's per-design search context
+(:mod:`repro.hw.modulo`).  Each keeps it in a :class:`Memo` — a bounded
+LRU whose single :meth:`Memo.get` goes memory → disk → compute →
+publish.  A memo's key is one of two kinds:
+
+* an **identity** key built from object ids (``(id(dfg), id(lib))``):
+  the entry holds strong references to the objects passed as ``pins``,
+  so an id can never be recycled by a different live object while its
+  entry exists.  Identity memos live in memory only;
+* a **content** key — a string hashing everything the value depends on
+  — which may also live on disk, in an :class:`repro.store.ArtifactStore`
+  that worker processes and later runs share.
+
+Tests and benchmarks need one switch that drops *all* caches so
+repeated runs stay hermetic: every memo is registered here when it is
+built, the few other caches (two ``functools.lru_cache`` functions, the
+Table 6.2 sweep memo, the source-tree hash, the artifact stores)
+register a clear function, and :func:`clear_caches` runs them all and
+then empties the persistent result cache.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional
 
-__all__ = ["PinningLRU", "clear_caches", "register_cache"]
+from repro.env import analysis_cache_enabled
+from repro.obs import metrics as obs_metrics
+
+if TYPE_CHECKING:  # store -> caches import cycle: the type only
+    from repro.store import ArtifactStore
+
+__all__ = ["Memo", "clear_caches", "register_cache"]
 
 _CLEARERS: list[Callable[[], None]] = []
 _DISK_CLEARERS: list[Callable[[], None]] = []
+#: Every live memo; weak, so a dropped ``AnalysisCache`` takes its
+#: memos (and the objects they pin) with it.
+_MEMOS: "weakref.WeakSet[Memo]" = weakref.WeakSet()
 
 
-class PinningLRU:
-    """Bounded LRU for keys built from object ids.
+class Memo:
+    """A bounded, pinning LRU with an optional content-keyed disk tier.
 
-    ``put`` takes the objects whose ids appear in the key as ``pins``;
-    each entry holds strong references to them, so an id can never be
-    recycled by a *different* live object while its entry exists.  Used
-    by the shared base-analysis cache and the jam-transform memo.
+    ``get(key, compute, pins)`` returns the memory entry, else the
+    ``store``'s artifact (refilling memory), else ``compute()`` published
+    to both tiers; without ``compute`` a miss returns ``None``.
+    ``put`` publishes a value computed elsewhere.  A memo with a
+    ``store`` takes string content keys; it is the shared-analysis
+    machinery ``REPRO_ANALYSIS_CACHE=0`` turns off, so under that
+    setting ``get`` computes (or misses) and ``put`` publishes nothing.
+
+    Memory traffic counts as ``<name>_mem_hits``/``<name>_mem_misses``
+    in the metrics registry; the store counts its own disk traffic.
     """
 
-    def __init__(self, maxsize: int):
+    def __init__(self, name: str, maxsize: int,
+                 store: "Optional[ArtifactStore]" = None):
+        self.name = name
         self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
+        self.store = store
         self._data: "OrderedDict[Hashable, tuple[tuple, Any]]" = OrderedDict()
+        self._hits = obs_metrics.counter(f"{name}_mem_hits")
+        self._misses = obs_metrics.counter(f"{name}_mem_misses")
+        _MEMOS.add(self)
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, key: Hashable) -> Any:
+    def get(self, key: Any,
+            compute: Optional[Callable[[], Any]] = None,
+            pins: tuple = ()) -> Any:
+        if self.store is not None and not analysis_cache_enabled():
+            return None if compute is None else compute()
         entry = self._data.get(key)
-        if entry is None:
-            self.misses += 1
+        if entry is not None:
+            self._hits.add()
+            self._data.move_to_end(key)
+            return entry[1]
+        self._misses.add()
+        if self.store is not None:
+            value = self.store.get(key)
+            if value is not None:
+                self._keep(key, pins, value)
+                return value
+        if compute is None:
             return None
-        self.hits += 1
-        self._data.move_to_end(key)
-        return entry[1]
+        return self.put(key, compute(), pins)
 
-    def put(self, key: Hashable, pins: tuple, value: Any) -> Any:
-        self._data[key] = (pins, value)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
+    def put(self, key: Any, value: Any, pins: tuple = ()) -> Any:
+        if self.store is not None:
+            if not analysis_cache_enabled():
+                return value
+            self.store.put(key, value)
+        self._keep(key, pins, value)
         return value
 
+    def _keep(self, key: Hashable, pins: tuple, value: Any) -> None:
+        self._data[key] = (pins, value)
+        if len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+
     def clear(self) -> None:
+        """Drop the memory tier (the store keeps its artifacts)."""
         self._data.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 def register_cache(clear_fn: Callable[[], None], *,
                    disk: bool = False) -> Callable[[], None]:
-    """Register a cache's clear function with the global hook.
+    """Register a non-:class:`Memo` cache's clear function.
 
     Returns the function unchanged so it can be used as a decorator.
     Registration is idempotent per function object.  ``disk=True`` marks
@@ -75,14 +126,16 @@ def register_cache(clear_fn: Callable[[], None], *,
 
 
 def clear_caches(memory_only: bool = False) -> None:
-    """Drop every registered cache plus the persistent exploration
-    result cache.
+    """Drop every memo and registered cache plus the persistent
+    exploration result cache.
 
     The one hook tests/benchmarks call to guarantee the next sweep
     recomputes from scratch.  ``memory_only=True`` drops just the
     process-local tiers — the warm-cache benchmark phases use it to
     simulate a fresh worker process against populated on-disk stores.
     """
+    for memo in list(_MEMOS):
+        memo.clear()
     for fn in list(_CLEARERS):
         fn()
     if memory_only:

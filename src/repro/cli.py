@@ -65,6 +65,30 @@ import sys
 
 
 @contextlib.contextmanager
+def _scoped_env(name, value):
+    """Set environment variable ``name`` to ``value`` for one command
+    and restore it afterwards; ``None`` leaves it alone.
+
+    Worker processes inherit the setting; in-process callers of
+    :func:`main` find the environment as they left it.
+    """
+    if value is None:
+        yield
+        return
+    import os
+
+    saved = os.environ.get(name)
+    os.environ[name] = str(value)
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = saved
+
+
+@contextlib.contextmanager
 def _tracing(out_path):
     """Force tracing on for one command and export the merged trace.
 
@@ -78,23 +102,15 @@ def _tracing(out_path):
     if not out_path:
         yield
         return
-    import os
-
     from repro.env import TRACE_ENV
     from repro.obs import trace as obs_trace
-    saved = os.environ.get(TRACE_ENV)
-    if not obs_trace.enabled():
-        os.environ[TRACE_ENV] = "1"
-    obs_trace.drain()  # an earlier command's events are not this run's
-    try:
-        yield
-    finally:
-        n = obs_trace.export_trace(out_path)
-        if saved is None:
-            os.environ.pop(TRACE_ENV, None)
-        else:
-            os.environ[TRACE_ENV] = saved
-        print(f"wrote {out_path} ({n} trace events)", file=sys.stderr)
+    with _scoped_env(TRACE_ENV, None if obs_trace.enabled() else "1"):
+        obs_trace.drain()  # an earlier command's events are not this run's
+        try:
+            yield
+        finally:
+            n = obs_trace.export_trace(out_path)
+            print(f"wrote {out_path} ({n} trace events)", file=sys.stderr)
 
 
 def _cmd_list(args) -> int:
@@ -166,7 +182,10 @@ def _run_tables(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    with _tracing(args.trace):
+    # --cache-dir roots every persistent cache (results and artifact
+    # stores alike), in this process and in the workers it forks
+    with _scoped_env("REPRO_CACHE_DIR", args.cache_dir), \
+            _tracing(args.trace):
         return _run_explore(args)
 
 
@@ -275,8 +294,6 @@ def _run_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import os
-
     from repro.analysis import find_kernel_nests
     from repro.env import VERIFY_ENV
     from repro.errors import LegalityError, ScheduleError, VerifyError
@@ -304,9 +321,7 @@ def _cmd_verify(args) -> int:
             designs += [(variant, ds, 1) for ds in args.factors]
 
     checked = skipped = failed = 0
-    saved = os.environ.get(VERIFY_ENV)
-    os.environ[VERIFY_ENV] = args.mode
-    try:
+    with _scoped_env(VERIFY_ENV, args.mode):
         target = decode_target(args.target)
         pipe = CompilationPipeline(target, scheduler=args.scheduler or None)
         for name in kernels:
@@ -335,11 +350,6 @@ def _cmd_verify(args) -> int:
                 checked += 1
                 print(f"{where}: ok (II={run.point.ii}, "
                       f"length={run.point.schedule_length})")
-    finally:
-        if saved is None:
-            os.environ.pop(VERIFY_ENV, None)
-        else:
-            os.environ[VERIFY_ENV] = saved
     print(f"verified {checked} design(s) in {args.mode} mode, "
           f"{skipped} skipped, {failed} failed")
     return 1 if failed else 0
@@ -611,8 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--no-cache", action="store_true",
                    help="bypass the persistent result cache")
     e.add_argument("--cache-dir", default=None,
-                   help="result cache directory (default: .repro_cache "
-                        "or $REPRO_CACHE_DIR)")
+                   help="root of every persistent cache — results and "
+                        "artifact stores — for this run (default: "
+                        "$REPRO_CACHE_DIR or .repro_cache)")
     e.add_argument("--clear-cache", action="store_true",
                    help="drop cached results before running")
     e.add_argument("--trace", metavar="OUT.json", default=None,

@@ -17,14 +17,14 @@ from typing import Optional
 from repro.errors import ReproError
 
 __all__ = ["ANALYSIS_CACHE_ENV", "BATCH_TIMEOUT_ENV", "KNOBS", "Knob",
-           "RETRIES_ENV", "TRACE_ENV", "VERIFY_ENV", "analysis_cache_mode",
+           "RETRIES_ENV", "TRACE_ENV", "VERIFY_ENV", "analysis_cache_enabled",
            "batch_timeout", "env_float", "env_int", "registered_knobs",
            "retries", "trace_mode", "verify_mode"]
 
 #: Controls the shared-analysis machinery (see :mod:`repro.pipeline.analysis`
 #: and :mod:`repro.hw.iimemo`): ``"0"`` disables sharing entirely (the
-#: benchmark ablation baseline), ``"mem"`` keeps the in-process tier only,
-#: anything else (default) enables the full two-tier (memory + disk) cache.
+#: reference route the parity tests compare against), ``"1"`` (default)
+#: enables the two-tier (memory + disk) memos.
 ANALYSIS_CACHE_ENV = "REPRO_ANALYSIS_CACHE"
 
 #: Controls the static artifact verifiers (see :mod:`repro.verify`): unset/
@@ -85,9 +85,9 @@ KNOBS: "tuple[Knob, ...]" = (
          "Worker-process count for sweeps (same as --jobs)."),
     Knob("REPRO_CACHE_DIR", "path", ".repro_cache",
          "Root directory of the result cache and artifact store."),
-    Knob("REPRO_ANALYSIS_CACHE", "0 | mem | 1", "1",
-         "Analysis sharing: 0 disables, mem keeps the in-process tier "
-         "only, 1 enables the two-tier (memory + disk) cache."),
+    Knob("REPRO_ANALYSIS_CACHE", "0 | 1", "1",
+         "Analysis sharing: 0 disables (the reference route), 1 enables "
+         "the two-tier (memory + disk) memos."),
     Knob("REPRO_VERIFY", "0/off | 1/on | strict", "off",
          "Static artifact verifiers between pipeline stages; strict "
          "adds re-derivation cross-checks.  Output is byte-identical."),
@@ -190,14 +190,21 @@ def batch_timeout(override: Optional[float] = None) -> Optional[float]:
     return env_float(BATCH_TIMEOUT_ENV, None, minimum=0.0, exclusive=True)
 
 
-def analysis_cache_mode() -> str:
-    """The sharing mode: ``"off"``, ``"mem"``, or ``"disk"`` (two-tier)."""
-    raw = os.environ.get(ANALYSIS_CACHE_ENV, "1").strip().lower()
-    if raw == "0":
-        return "off"
-    if raw == "mem":
-        return "mem"
-    return "disk"
+def analysis_cache_enabled() -> bool:
+    """Whether the shared-analysis memos are on (unset/empty = ``1``).
+
+    Values other than ``0`` and ``1`` raise :class:`ReproError` naming
+    the variable, like every other knob.
+    """
+    raw = os.environ.get(ANALYSIS_CACHE_ENV, "")
+    val = raw.strip()
+    if val in ("", "1"):
+        return True
+    if val == "0":
+        return False
+    raise ReproError(
+        f"{ANALYSIS_CACHE_ENV}={raw!r} is not a recognized setting; "
+        "use 0 or 1")
 
 
 def verify_mode() -> str:

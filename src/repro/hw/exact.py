@@ -438,9 +438,9 @@ def _exact_impl(dfg: DFG, lib: OperatorLibrary,
     # degradation semantics instead of borrowing a richer run's proofs.
     from repro.hw import iimemo
     sig = iimemo.search_signature(
-        dfg, lib, edges, f"exact:{budget}:{node_limit}", max_ii, dmap=dmap,
+        dfg, lib, edges, f"exact:{budget}:{node_limit}", max_ii,
         min_ii=min_ii)
-    record = iimemo.memo_get(sig)
+    record = iimemo.MEMO.get(sig)
     known: dict[int, IICertificate] = {}
     if record is not None:
         known = {ii: IICertificate(ii, reason, explored)
@@ -451,7 +451,7 @@ def _exact_impl(dfg: DFG, lib: OperatorLibrary,
         if fresh:
             merged = sorted(set(known.values()) | set(failed),
                             key=lambda c: c.ii)
-            iimemo.memo_put(sig, {"failed": [(c.ii, c.reason, c.explored)
+            iimemo.MEMO.put(sig, {"failed": [(c.ii, c.reason, c.explored)
                                              for c in merged]})
 
     def heuristic(certified: bool, failed: list[IICertificate],

@@ -16,23 +16,23 @@ Bellman-Ford lambda probes on a warm search.
 Records are keyed by a content signature over everything the search
 reads: node delays, per-node resource occupancy, the edge-distance
 view, the target's full resource-slot description, the flavor, and the
-``max_ii``/``min_ii`` caps.  Two tiers, mirroring
-:class:`repro.pipeline.analysis.AnalysisCache`:
+``max_ii``/``min_ii`` caps.  :data:`MEMO` holds them in two tiers,
+like the shared front-end analysis:
 
-* an in-process bounded LRU (object identity plays no role — the key is
-  content, so it also hits across schedulers/targets that share a
-  design within one process, e.g. the exact scheduler's internal
-  backtracking upper-bound probe);
-* the persistent :func:`repro.store.iisearch_store`, shared across
-  worker processes and across runs.
+* in memory (object identity plays no role — the key is content, so it
+  also hits across schedulers/targets that share a design within one
+  process, e.g. the exact scheduler's internal backtracking upper-bound
+  probe);
+* in the persistent :func:`repro.store.iisearch_store`, shared across
+  worker processes and across runs — a retargeting sweep hits it
+  wherever two kernels or targets pose the same scheduling problem.
 
 Because a memo hit only *skips refuted candidates* — the winning II is
 still re-placed/re-decided by the ordinary machinery — the resulting
 schedule is bit-identical to the from-scratch search's (guarded by the
 differential suite in ``tests/hw/test_exact_oracle.py``).
 
-``REPRO_ANALYSIS_CACHE=0`` disables the memo entirely, ``=mem`` keeps
-the in-process tier only.
+``REPRO_ANALYSIS_CACHE=0`` disables the memo entirely.
 """
 
 from __future__ import annotations
@@ -40,40 +40,22 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-from repro.caches import PinningLRU, register_cache
+from repro.caches import Memo
 from repro.core.dfg import DFG
-from repro.env import analysis_cache_mode
 from repro.hw.mii import EdgeView
+from repro.hw.modulo import search_context
 from repro.hw.ops import OperatorLibrary
-from repro.obs import metrics as obs_metrics
 from repro.store import iisearch_store
 
-__all__ = ["memo_get", "memo_put", "memo_stats", "search_signature"]
+__all__ = ["MEMO", "search_signature"]
 
-#: In-process tier: signature -> record (records are tiny dicts).
-_MEMO = PinningLRU(maxsize=4096)
-register_cache(_MEMO.clear)
-
-
-@obs_metrics.registry().collect
-def _memo_collector() -> dict:
-    """Expose the in-process tier's hit/miss counts to the registry."""
-    return {"iimemo_mem_hits": _MEMO.hits, "iimemo_mem_misses": _MEMO.misses}
-
-#: Identity-keyed memo of the signature's (slots, nodes, view, raw)
-#: body string — everything below the per-search header.  The
-#: register-pressure II bump re-signs the *same* (dfg, lib, edges)
-#: triple once per floor; the body is invariant across those calls
-#: (``dmap`` is itself a pure function of dfg and lib), so only the
-#: cheap header + sha256 remain per search.  Keys pin their objects.
-_SIG_BODY = PinningLRU(maxsize=2048)
-register_cache(_SIG_BODY.clear)
+#: signature -> record (records are tiny dicts), memory and disk.
+MEMO = Memo("iimemo", 4096, iisearch_store())
 
 
 def search_signature(dfg: DFG, lib: OperatorLibrary,
                      edges: EdgeView, flavor: str,
                      max_ii: Optional[int] = None,
-                     dmap: Optional[dict[int, int]] = None,
                      min_ii: Optional[int] = None) -> str:
     """Content hash of one II-search problem instance.
 
@@ -87,51 +69,27 @@ def search_signature(dfg: DFG, lib: OperatorLibrary,
     and the ``max_ii`` / ``min_ii`` caps.  Node ids are
     construction-deterministic, so the signature is stable across
     processes.
+
+    Everything below the per-search header is a function of the
+    (dfg, lib, edges) triple alone, so it is built once per triple into
+    the II search's context (:func:`repro.hw.modulo.search_context`):
+    the register-pressure II bump re-signs the same triple once per
+    floor and pays only for the header and the hash.
     """
-    key = (id(dfg), id(lib), id(edges))
-    body = _SIG_BODY.get(key)
+    ctx = search_context(dfg, lib, edges)
+    body = ctx.get("sig_body")
     if body is None:
-        delay = dmap.__getitem__ if dmap is not None else None
+        dmap = ctx["dmap"]
         slots = ",".join(f"{r}={c}" for r, c in sorted(lib.resource_slots()
                                                        .items()))
         parts = [slots]
-        parts += [f"{n.nid}:{delay(n.nid) if delay else lib.delay(n)}:"
+        parts += [f"{n.nid}:{dmap[n.nid]}:"
                   f"{'+'.join(lib.node_resources(n))}" for n in dfg.nodes]
         parts.append("view")
         parts += [f"{s.nid}>{d.nid}:{dist}" for s, d, dist in edges]
         parts.append("raw")
         parts += [f"{e.src.nid}>{e.dst.nid}:{e.dist}" for e in dfg.edges]
-        body = _SIG_BODY.put(key, (dfg, lib, edges), "|".join(parts))
+        body = ctx["sig_body"] = "|".join(parts)
     return hashlib.sha256(f"{flavor}|{max_ii}|{min_ii}|{body}"
                           .encode()).hexdigest()[:32]
 
-
-def memo_get(signature: str) -> Optional[dict]:
-    """Look one search problem up, through both tiers."""
-    mode = analysis_cache_mode()
-    if mode == "off":
-        return None
-    record = _MEMO.get(signature)
-    if record is not None:
-        return record
-    if mode == "disk":
-        record = iisearch_store().get(signature)
-        if isinstance(record, dict):
-            return _MEMO.put(signature, (), record)
-    return None
-
-
-def memo_put(signature: str, record: dict) -> None:
-    """Publish one search outcome to both enabled tiers."""
-    mode = analysis_cache_mode()
-    if mode == "off":
-        return
-    _MEMO.put(signature, (), record)
-    if mode == "disk":
-        iisearch_store().put(signature, record)
-
-
-def memo_stats() -> dict:
-    """Counters for benchmarking: in-process + disk tier."""
-    return {"mem_hits": _MEMO.hits, "mem_misses": _MEMO.misses,
-            "disk": iisearch_store().stats.as_dict()}

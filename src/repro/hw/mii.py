@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from repro.caches import PinningLRU, register_cache
+from repro.caches import Memo
 from repro.core.dfg import DFG, DFGNode
 from repro.core.stages import StageAssignment
 from repro.hw.ops import OperatorLibrary
@@ -39,16 +39,12 @@ EdgeView = list[tuple[DFGNode, DFGNode, int]]
 #: this same list; returning one shared object also lets the II search's
 #: identity-keyed context memo hit across repeated calls.  Callers
 #: treat views as read-only (squash builds its own list).
-_DEFAULT_VIEWS = PinningLRU(maxsize=1024)
-register_cache(_DEFAULT_VIEWS.clear)
+_DEFAULT_VIEWS = Memo("edge_view", 1024)
 
 
 def default_edge_view(dfg: DFG) -> EdgeView:
-    view = _DEFAULT_VIEWS.get(id(dfg))
-    if view is None:
-        view = _DEFAULT_VIEWS.put(id(dfg), (dfg,),
-                                  [(e.src, e.dst, e.dist) for e in dfg.edges])
-    return view
+    return _DEFAULT_VIEWS.get(
+        id(dfg), lambda: [(e.src, e.dst, e.dist) for e in dfg.edges], (dfg,))
 
 
 def squash_distances(dfg: DFG, sa: StageAssignment) -> EdgeView:

@@ -35,11 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.caches import PinningLRU, register_cache
+from repro.caches import Memo
 from repro.core.dfg import DFG, DFGNode
 from repro.errors import ScheduleError
 from repro.hw.mii import EdgeView, default_edge_view, rec_mii, res_mii
-from repro.hw.ops import OperatorLibrary
+from repro.hw.ops import OperatorLibrary, cached_delay_map
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -59,14 +59,13 @@ _REPAIR_ROUNDS = 8
 #: derivations — delay/resource maps, topological order, the dense
 #: :class:`~repro.hw.sched_kernel.SchedProblem`, the backtracking
 #: scheduler's slack orders, the register accountant's value edges and
-#: recurrence floor, and (lazily) the RecMII/ResMII pair, none of which
-#: depend on ``min_ii``/``max_ii``/flavor.  The register-pressure II
-#: bump re-enters the search over the *same objects* with a raised
-#: floor; without this memo every bump re-derives all of them (RecMII's
-#: SCC decomposition dominated the vliw retarget profile).  Keys pin
-#: their objects, so ids stay valid.
-_CTX = PinningLRU(maxsize=512)
-register_cache(_CTX.clear)
+#: recurrence floor, the II memo's signature body, and (lazily) the
+#: RecMII/ResMII pair, none of which depend on ``min_ii``/``max_ii``/
+#: flavor.  The register-pressure II bump re-enters the search over the
+#: *same objects* with a raised floor; without this memo every bump
+#: re-derives all of them (RecMII's SCC decomposition dominated the vliw
+#: retarget profile).  Keys pin their objects, so ids stay valid.
+_CTX = Memo("search_ctx", 512)
 
 
 def search_context(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
@@ -77,14 +76,9 @@ def search_context(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
     its owner under its own key on first use, so a design rejected
     before scheduling never pays for the search's.
     """
-    from repro.hw.ops import cached_delay_map
-
-    ctx_key = (id(dfg), id(lib), id(edges))
-    ctx = _CTX.get(ctx_key)
-    if ctx is None:
-        ctx = _CTX.put(ctx_key, (dfg, lib, edges),
-                       {"dmap": cached_delay_map(dfg, lib)})
-    return ctx
+    return _CTX.get((id(dfg), id(lib), id(edges)),
+                    lambda: {"dmap": cached_delay_map(dfg, lib)},
+                    (dfg, lib, edges))
 
 
 def _search_state(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
@@ -162,14 +156,14 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     * the delay map, dense problem arrays, resource map, and
       topological order are computed once and shared by every candidate
       II, order, and repair round;
-    * when ``flavor`` names the strategy, the two-tier
-      :mod:`repro.hw.iimemo` is consulted: a hit supplies RecMII/ResMII
-      (pure functions of the inputs) and the set of *refuted* candidate
-      IIs from an earlier identical search, which are skipped — the
-      placement/repair machinery is deterministic, so replaying a
-      refuted candidate can only fail the same way.  The winning II is
-      still placed by the ordinary machinery, so the returned schedule
-      is bit-identical to a from-scratch search's.
+    * when ``flavor`` names the strategy, the two-tier II memo
+      (:data:`repro.hw.iimemo.MEMO`) is consulted: a hit supplies
+      RecMII/ResMII (pure functions of the inputs) and the set of
+      *refuted* candidate IIs from an earlier identical search, which
+      are skipped — the placement/repair machinery is deterministic, so
+      replaying a refuted candidate can only fail the same way.  The
+      winning II is still placed by the ordinary machinery, so the
+      returned schedule is bit-identical to a from-scratch search's.
     """
     from repro.hw import iimemo, sched_kernel
 
@@ -179,8 +173,8 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     sig = record = None
     if flavor is not None:
         sig = iimemo.search_signature(dfg, lib, edges, flavor, max_ii,
-                                      dmap=dmap, min_ii=min_ii)
-        record = iimemo.memo_get(sig)
+                                      min_ii=min_ii)
+        record = iimemo.MEMO.get(sig)
     if record is not None:
         rmii, smii = record["rmii"], record["smii"]
         refuted = set(record["refuted"])
@@ -215,12 +209,12 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
                 res_mii=smii, rt=prob.reservation_tables(occ, ii),
                 length=int(length))
             if sig is not None and record is None:
-                iimemo.memo_put(sig, {"rmii": rmii, "smii": smii,
+                iimemo.MEMO.put(sig, {"rmii": rmii, "smii": smii,
                                       "refuted": tried, "ii": ii})
             return sched
         tried.append(ii)
     if sig is not None and record is None:
-        iimemo.memo_put(sig, {"rmii": rmii, "smii": smii,
+        iimemo.MEMO.put(sig, {"rmii": rmii, "smii": smii,
                               "refuted": tried, "ii": None})
     raise ScheduleError(
         f"no modulo schedule found up to II={limit} "

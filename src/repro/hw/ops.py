@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.caches import Memo
 from repro.core.dfg import DFGNode
 from repro.ir.types import ScalarType
 
@@ -179,22 +180,14 @@ class OperatorLibrary:
 #: edge per schedule, and the register-pressure II bump re-enters them
 #: once per floor — all over the same frozen (dfg, lib) pair.  Keys pin
 #: their objects, so ids stay valid while an entry lives.
-_DELAY_MAPS = None
+_DELAY_MAPS = Memo("delay_map", 1024)
 
 
 def cached_delay_map(dfg, lib: OperatorLibrary) -> dict[int, int]:
     """``node id -> lib.delay(node)`` memo for one frozen (dfg, lib)."""
-    global _DELAY_MAPS
-    if _DELAY_MAPS is None:  # deferred: ops is imported by caches' users
-        from repro.caches import PinningLRU, register_cache
-        _DELAY_MAPS = PinningLRU(maxsize=1024)
-        register_cache(_DELAY_MAPS.clear)
-    key = (id(dfg), id(lib))
-    dmap = _DELAY_MAPS.get(key)
-    if dmap is None:
-        dmap = _DELAY_MAPS.put(key, (dfg, lib),
-                               {n.nid: lib.delay(n) for n in dfg.nodes})
-    return dmap
+    return _DELAY_MAPS.get((id(dfg), id(lib)),
+                           lambda: {n.nid: lib.delay(n) for n in dfg.nodes},
+                           (dfg, lib))
 
 
 #: Default target: the ACEV board of §6.1 (2 memory references/cycle).

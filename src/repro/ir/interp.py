@@ -172,7 +172,7 @@ def eval_binop(op: str, a: "Scalar", b: "Scalar",
     else:  # pragma: no cover - defensive
         raise InterpError(f"unknown binop {op!r}")
     if ty.is_float:
-        return _f32r(r) if ty is F32 else float(r)
+        return _f32r(r) if ty == F32 else float(r)
     return wrap_int(int(r), ty)
 
 
@@ -180,7 +180,7 @@ def cast_value(v: "Scalar", ty: ScalarType) -> "Scalar":
     """Scalar conversion used by Cast, Assign, and Store."""
     if ty.is_float:
         v = float(v)
-        return _f32r(v) if ty is F32 else v
+        return _f32r(v) if ty == F32 else v
     return wrap_int(int(v), ty)
 
 
@@ -384,7 +384,7 @@ class _PyGen:
 
     def _wrap(self, text: str, ty: ScalarType) -> str:
         if ty.is_float:
-            return f"_f32({text})" if ty is F32 else text
+            return f"_f32({text})" if ty == F32 else text
         if ty.signed:
             return f"_sw({text}, {ty.mask}, {1 << (ty.bits - 1)})"
         return f"(({text}) & {ty.mask})"

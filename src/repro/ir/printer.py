@@ -63,9 +63,9 @@ def const_to_str(value: "int | float | bool", ty: ScalarType) -> str:
     """
     if ty.is_float:
         text = repr(float(value))
-        return text if ty is F64 else f"{text}{ty.name}"
+        return text if ty == F64 else f"{text}{ty.name}"
     text = str(int(value))
-    return text if ty is I32 else f"{text}{ty.name}"
+    return text if ty == I32 else f"{text}{ty.name}"
 
 
 def expr_to_str(e: Expr) -> str:

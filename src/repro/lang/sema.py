@@ -242,7 +242,7 @@ class _Sema:
             if declared is None:
                 # auto-declare, matching ProgramBuilder.loop()
                 self.syms.locals[s.var] = I32
-            elif declared is not I32:
+            elif declared != I32:
                 self._error(f"loop variable {s.var!r} must be i32, but it "
                             f"is declared {declared}", span)
             for bound, what in ((s.lo, "lower"), (s.hi, "upper")):

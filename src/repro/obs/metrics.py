@@ -1,4 +1,4 @@
-"""Typed metrics registry: counters, gauges, histograms, collectors.
+"""Typed metrics registry: counters, gauges, histograms.
 
 One process-wide :class:`MetricsRegistry` is the single telemetry
 channel of a sweep: pipeline stage timings, cache and store counters,
@@ -6,15 +6,11 @@ scheduler effort, and supervision tallies all report through the same
 interface:
 
 * **counters** — monotonic, integer-valued (``sched.ii_attempts``,
-  ``store.analysis.hits``, ``faults.injected.torn``);
+  ``analysis_mem_hits``, ``faults.injected.torn``);
 * **gauges** — last-write-wins scalars (``explore.jobs``);
 * **histograms** — duration/size distributions with a bounded sample
   reservoir, so percentiles survive the worker → supervisor merge
-  (``stage.schedule`` wall seconds per pipeline flow);
-* **collectors** — callables polled at snapshot time for counters whose
-  source of truth lives elsewhere (the analysis LRU's hits/misses, the
-  disk stores' counters), so those layers keep their own state and
-  still show up in every snapshot.
+  (``stage.schedule`` wall seconds per pipeline flow).
 
 Workers snapshot the registry around each batch and ship the *delta*
 back with their results (:func:`repro.nimble.compiler
@@ -31,7 +27,7 @@ or not anyone ever reads them.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional
+from typing import Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "counter", "gauge", "histogram", "percentile", "registry",
@@ -150,7 +146,6 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._collectors: list[Callable[[], dict]] = []
 
     # -- series access ----------------------------------------------------
 
@@ -175,26 +170,11 @@ class MetricsRegistry:
                 h = self._histograms.setdefault(name, Histogram(name))
         return h
 
-    def collect(self, fn: Callable[[], dict]) -> Callable[[], dict]:
-        """Register a counter collector (idempotent per function).
-
-        ``fn`` returns ``{name: int}``; its values appear in every
-        snapshot's ``counters`` section.  Returns ``fn`` so it can be
-        used as a decorator.
-        """
-        if fn not in self._collectors:
-            self._collectors.append(fn)
-        return fn
-
     # -- snapshots --------------------------------------------------------
 
     def counter_values(self) -> dict:
-        """Direct counters plus every collector's contribution."""
-        out = {name: c.value for name, c in self._counters.items()}
-        for fn in self._collectors:
-            for name, val in fn().items():
-                out[name] = out.get(name, 0) + val
-        return out
+        """Every counter's current value, by name."""
+        return {name: c.value for name, c in self._counters.items()}
 
     def snapshot(self) -> dict:
         """A point-in-time copy of every series, JSON-serializable."""
@@ -240,9 +220,7 @@ class MetricsRegistry:
 
         Counters and histogram count/sum add; gauges last-write-win;
         histogram samples extend (the reservoir bound re-applies on the
-        next local observation).  Collector-backed counter names are
-        merged into *direct* counters — the collector's own source only
-        tracks this process, so remote work lands beside it.
+        next local observation).
         """
         for name, val in delta.get("counters", {}).items():
             self.counter(name).add(val)
@@ -273,31 +251,6 @@ class MetricsRegistry:
             g._reset()
         for h in self._histograms.values():
             h._reset()
-
-    def reset_prefix(self, prefix: str) -> None:
-        """Zero (in place) every series whose name starts with ``prefix``."""
-        for c in self._counters.values():
-            if c.name.startswith(prefix):
-                c._reset()
-        for g in self._gauges.values():
-            if g.name.startswith(prefix):
-                g._reset()
-        for h in self._histograms.values():
-            if h.name.startswith(prefix):
-                h._reset()
-
-    def histogram_totals(self, prefix: str) -> "dict[str, dict]":
-        """``{name-minus-prefix: {"seconds": sum, "calls": count}}``.
-
-        The shape legacy callers (``stage_timings``) expect; zero-count
-        series are skipped so a reset registry reads as empty.
-        """
-        out = {}
-        for name, h in self._histograms.items():
-            if h.count and name.startswith(prefix):
-                out[name[len(prefix):]] = {"seconds": h.total,
-                                           "calls": h.count}
-        return out
 
 
 #: The process-wide registry.  Workers inherit a fresh copy on fork/

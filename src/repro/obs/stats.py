@@ -3,7 +3,8 @@
 Renders three things from the same inputs:
 
 * :func:`format_stats` — per-stage/per-kernel duration percentiles,
-  cache hit rates, scheduler attempt counts, and supervision tallies
+  per-memo, per-tier cache hit rates, scheduler attempt counts, and
+  supervision tallies
   from a metrics snapshot (live registry or the ``reproMetrics`` block
   embedded in an exported trace);
 * :func:`summarize_events` — per-category/per-name event counts and
@@ -17,6 +18,7 @@ Everything is plain text tables; no dependencies beyond stdlib.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from repro.env import KNOBS
@@ -73,6 +75,28 @@ def _rate(hits: int, misses: int) -> str:
     return f"{100.0 * hits / total:.1f}%"
 
 
+#: A memo tier's traffic counter: ``<memo>_{mem,disk}_{hits,misses}``.
+_TIER_COUNTER = re.compile(r"(.+)_(mem|disk)_(hits|misses)")
+
+
+def _cache_rows(counters: dict) -> "list[list[str]]":
+    """One row per memo tier with traffic (memory before disk), then
+    the result cache."""
+    tiers: dict[tuple[str, bool], list[int]] = {}
+    for name, val in counters.items():
+        match = _TIER_COUNTER.fullmatch(name)
+        if match:
+            memo, tier, kind = match.groups()
+            tiers.setdefault((memo, tier == "disk"),
+                             [0, 0])[kind == "misses"] += val
+    rows = [(f"{memo} ({'disk' if disk else 'mem'})", hits, misses)
+            for (memo, disk), (hits, misses) in sorted(tiers.items())]
+    rows.append(("results", counters.get("explore.cache.hits", 0),
+                 counters.get("explore.cache.misses", 0)))
+    return [[label, str(hits), str(misses), _rate(hits, misses)]
+            for label, hits, misses in rows if hits or misses]
+
+
 def format_stats(snapshot: dict) -> str:
     """Render a metrics snapshot as the ``repro stats`` summary."""
     counters = snapshot.get("counters", {})
@@ -95,20 +119,7 @@ def format_stats(snapshot: dict) -> str:
             kernel_rows))
         lines.append("")
 
-    cache_pairs = [
-        ("analysis (mem)", "analysis_mem_hits", "analysis_mem_misses"),
-        ("analysis (disk)", "analysis_disk_hits", "analysis_disk_misses"),
-        ("iimemo (mem)", "iimemo_mem_hits", "iimemo_mem_misses"),
-        ("iimemo (disk)", "iimemo_disk_hits", "iimemo_disk_misses"),
-        ("results", "explore.cache.hits", "explore.cache.misses"),
-    ]
-    cache_rows = []
-    for label, hit_key, miss_key in cache_pairs:
-        hits = counters.get(hit_key, 0)
-        misses = counters.get(miss_key, 0)
-        if hits or misses:
-            cache_rows.append([label, str(hits), str(misses),
-                               _rate(hits, misses)])
+    cache_rows = _cache_rows(counters)
     if cache_rows:
         lines.append("Caches")
         lines.extend(_table(["cache", "hits", "misses", "hit rate"],

@@ -18,5 +18,5 @@ from repro.pipeline.analysis import (  # noqa: F401
 )
 from repro.pipeline.pipeline import (  # noqa: F401
     VARIANT_PLANS, CompilationPipeline, PipelineRun, VariantPlan,
-    reset_stage_timings, stage_timings, variant_label,
+    variant_label,
 )

@@ -1,4 +1,4 @@
-"""Shared per-kernel base analysis with a two-tier (memory + disk) cache.
+"""Shared per-kernel base analysis, memoized in memory and on disk.
 
 The expensive front half of :func:`repro.core.squash.analyze_nest` —
 legality liveness, program clone, three-address lowering, SSA renaming,
@@ -10,32 +10,25 @@ per (program, nest) and shares the result across all variants; only the
 genuinely per-variant steps (the DS legality check, stage assignment,
 register chains, the relaxed edge view) are recomputed.
 
-Two tiers:
-
-* **memory** — a bounded identity-keyed LRU holding strong references to
-  its (program, nest) keys, so an ``id`` can never be recycled by a
-  different live program;
-* **disk** — a content-hash-keyed pickle store under
-  ``<cache dir>/analysis/<code_version>/`` (:mod:`repro.store`), so
-  ``ProcessPoolExecutor`` workers and repeated ``repro explore`` runs
-  share one front-end analysis per kernel nest instead of redoing it in
-  every process.  The key hashes the printed program (plus local types
-  and kernel annotations) and the nest's position, and the directory is
-  partitioned by :func:`~repro.explore.cache.code_version`, so edits to
-  any source invalidate stale artifacts automatically.
-
-The per-DS legality checks (:func:`repro.core.legality.check_squash`)
-ride the same two tiers — they are recomputed per (variant, target,
-scheduler) crossing otherwise.
+:class:`AnalysisCache` keeps the base analyses and the DS-independent
+legality preparations (:func:`repro.core.legality.prepare_squash`) in
+two-tier :class:`repro.caches.Memo` instances keyed by
+:func:`content_key` — a hash of the printed program (plus local types
+and kernel annotations) and the nest's position.  Their disk tier is
+:func:`repro.store.analysis_store`, so ``ProcessPoolExecutor`` workers
+and repeated ``repro explore`` runs share one front-end analysis per
+kernel nest instead of redoing it in every process.  The directory is
+partitioned by :func:`~repro.explore.cache.code_version`, so edits to
+any source invalidate stale artifacts automatically.
 
 Jam analyses are derived, not stored: jam(F) for F > 2 renames copy 1
 of the jam(2) analysis once per extra copy and appends the copies to
 the base analysis (:mod:`repro.core.jamdfg`).  Deriving them is cheaper
-than unpickling them, so they live in the memory tier only.
+than unpickling them, so they live in memory only.
 
-Set ``REPRO_ANALYSIS_CACHE=0`` to bypass sharing entirely (the benchmark
-ablation baseline), ``REPRO_ANALYSIS_CACHE=mem`` to keep the in-process
-tier only, and :func:`repro.clear_caches` drops both tiers between runs.
+Set ``REPRO_ANALYSIS_CACHE=0`` to bypass sharing entirely (the reference
+route the parity tests compare against); :func:`repro.clear_caches`
+drops the memory tier (and, unless ``memory_only``, the disk tier).
 """
 
 from __future__ import annotations
@@ -46,17 +39,16 @@ from typing import Callable, Optional
 
 from repro.analysis.loops import LoopNest, all_loops
 from repro.analysis.ssa import SSABlock
-from repro.caches import PinningLRU, register_cache
+from repro.caches import Memo
 from repro.core.dfg import DFG
 from repro.core.legality import PreparedSquash, SquashCheck, check_squash, \
     classify_squash, prepare_squash
 from repro.core.stages import assign_stages, default_delay, register_chains
 from repro.core.squash import analyze_front, analyze_nest
-from repro.env import analysis_cache_mode
+from repro.env import analysis_cache_enabled
 from repro.errors import ReproError
 from repro.hw.mii import squash_distances
 from repro.ir.nodes import Program
-from repro.obs import metrics as obs_metrics
 from repro.pipeline.artifacts import AnalyzedDFG
 from repro.store import analysis_store
 from repro.transforms.unroll_and_jam import unroll_and_jam
@@ -76,8 +68,6 @@ class BaseAnalysis:
     """
 
     check1: SquashCheck
-    work: Optional[Program] = None
-    w_nest: Optional[LoopNest] = None
     ssa: Optional[SSABlock] = None
     dfg: Optional[DFG] = None
     carried: Optional[set[str]] = None
@@ -92,10 +82,9 @@ def _build_base(program: Program, nest: LoopNest,
     if not check.ok:
         return BaseAnalysis(check1=check)
     live = check.require_liveness()
-    work, w_nest, ssa, dfg, carried, invariant = \
-        analyze_front(program, nest, live)
-    return BaseAnalysis(check1=check, work=work, w_nest=w_nest, ssa=ssa,
-                        dfg=dfg, carried=carried, invariant=invariant)
+    _, _, ssa, dfg, carried, invariant = analyze_front(program, nest, live)
+    return BaseAnalysis(check1=check, ssa=ssa, dfg=dfg, carried=carried,
+                        invariant=invariant)
 
 
 def content_key(program: Program, nest: LoopNest) -> Optional[str]:
@@ -129,81 +118,46 @@ def content_key(program: Program, nest: LoopNest) -> Optional[str]:
 
 
 class AnalysisCache:
-    """Two-tier cache of :class:`BaseAnalysis` and per-DS legality checks.
+    """The front-end memos every variant of a kernel nest shares.
 
-    The memory tier is a :class:`repro.caches.PinningLRU` keyed by object
-    identity (entries pin their (program, nest) keys alive, making the
-    ``id``-based key collision-free for the entry's lifetime); the disk
-    tier is the content-addressed :func:`repro.store.analysis_store`.
+    Base analyses and legality preparations live in two-tier memos keyed
+    by :func:`content_key`, with :func:`repro.store.analysis_store` as
+    their disk tier.  The map from a (program, nest) pair to its content
+    key and the jam analyses are memory-only identity memos pinning
+    their (program, nest) keys.
     """
 
     def __init__(self, maxsize: int = 64):
-        self._lru = PinningLRU(maxsize)
-        self._preps = PinningLRU(maxsize)
-        self._jams = PinningLRU(maxsize)
-        self._keys = PinningLRU(maxsize * 4)
+        store = analysis_store()
+        self._bases = Memo("analysis", maxsize, store)
+        self._preps = Memo("prep", maxsize, store)
+        self._jams = Memo("jam_analysis", maxsize)
+        self._keys = Memo("content_key", maxsize * 4)
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self._bases)
 
-    @property
-    def hits(self) -> int:
-        return self._lru.hits
-
-    @property
-    def misses(self) -> int:
-        return self._lru.misses
-
-    def _content_key(self, program: Program, nest: LoopNest
-                     ) -> Optional[str]:
-        key = (id(program), id(nest.outer), id(nest.inner))
-        memo = self._keys.get(key)
-        if memo is None:
-            memo = self._keys.put(key, (program, nest),
-                                  (content_key(program, nest),))
-        return memo[0]
+    def _shared(self, memo: Memo, family: str, program: Program,
+                nest: LoopNest, compute: Callable):
+        """``memo``'s entry for (program, nest) under ``family-<key>``;
+        a nest outside its program has no content key and no entry."""
+        ckey = self._keys.get((id(program), id(nest.outer), id(nest.inner)),
+                              lambda: content_key(program, nest),
+                              (program, nest))
+        if ckey is None:
+            return compute()
+        return memo.get(f"{family}-{ckey}", compute)
 
     def prep_for(self, program: Program, nest: LoopNest) -> PreparedSquash:
         """The DS-independent legality analysis, through both tiers."""
-        key = (id(program), id(nest.outer), id(nest.inner))
-        prep = self._preps.get(key)
-        if prep is not None:
-            return prep
-        disk = analysis_store() if analysis_cache_mode() == "disk" else None
-        ckey = self._content_key(program, nest) if disk is not None else None
-        if ckey is not None:
-            prep = disk.get(f"prep-{ckey}")
-            if isinstance(prep, PreparedSquash):
-                return self._preps.put(key, (program, nest), prep)
-        prep = self._preps.put(key, (program, nest),
-                               prepare_squash(program, nest))
-        if ckey is not None:
-            disk.put(f"prep-{ckey}", prep)
-        return prep
+        return self._shared(self._preps, "prep", program, nest,
+                            lambda: prepare_squash(program, nest))
 
     def get_or_build(self, program: Program, nest: LoopNest) -> BaseAnalysis:
-        key = (id(program), id(nest.outer), id(nest.inner))
-        base = self._lru.get(key)
-        if base is not None:
-            return base
-        disk = analysis_store() if analysis_cache_mode() == "disk" else None
-        ckey = self._content_key(program, nest) if disk is not None else None
-        if ckey is not None:
-            base = disk.get(f"base-{ckey}")
-            if isinstance(base, BaseAnalysis):
-                return self._lru.put(key, (program, nest), base)
-        check1 = classify_squash(self.prep_for(program, nest), 1)
-        base = self._lru.put(key, (program, nest),
-                             _build_base(program, nest, check=check1))
-        if ckey is not None:
-            # the disk artifact drops the cloned work program: no cached
-            # consumer reads it (only ssa/dfg/carried/invariant/check1),
-            # and the DFG/SSA pickle already carries the 3AC statements
-            # they reference — the slim form loads 3-4x faster
-            import dataclasses
-            disk.put(f"base-{ckey}",
-                     dataclasses.replace(base, work=None, w_nest=None))
-        return base
+        return self._shared(
+            self._bases, "base", program, nest,
+            lambda: _build_base(program, nest, check=classify_squash(
+                self.prep_for(program, nest), 1)))
 
     def check_for(self, program: Program, nest: LoopNest,
                   ds: int) -> SquashCheck:
@@ -233,27 +187,26 @@ class AnalysisCache:
         the fused nest).  Fused-nest base-legality failures are memoized
         like results; jam-level rejections raise and are never stored.
         """
+        return self._jams.get(
+            (id(program), id(nest.outer), id(nest.inner), factor),
+            lambda: self._derive_jam(program, nest, factor), (program, nest))
+
+    def _derive_jam(self, program: Program, nest: LoopNest,
+                    factor: int) -> BaseAnalysis:
         from repro.core.jamdfg import check_jam, replicable, replicate
 
-        key = (id(program), id(nest.outer), id(nest.inner), factor)
-        jam = self._jams.get(key)
-        if jam is not None:
-            return jam
         trip = check_jam(program, nest, factor)
         clamped = 1 if factor == 1 else min(factor, trip)
         if not replicable(program, nest) or clamped in (0, 2):
             # a trip-0 nest stays untransformed: re-location raises
-            jam = _program_jam(program, nest, factor)
-        elif clamped == 1:
-            jam = self.get_or_build(program, nest)
-        else:
-            base = self.get_or_build(program, nest)
-            jam = replicate(program, nest, base,
-                            self._jam_template(program, nest), clamped) \
-                if base.check1.ok else None
-            if jam is None:
-                jam = _program_jam(program, nest, factor)
-        return self._jams.put(key, (program, nest), jam)
+            return _program_jam(program, nest, factor)
+        base = self.get_or_build(program, nest)
+        if clamped == 1:
+            return base
+        jam = replicate(program, nest, base,
+                        self._jam_template(program, nest), clamped) \
+            if base.check1.ok else None
+        return jam if jam is not None else _program_jam(program, nest, factor)
 
     def _jam_template(self, program: Program,
                       nest: LoopNest) -> BaseAnalysis:
@@ -263,23 +216,13 @@ class AnalysisCache:
         passed them for a larger factor, and the data-set window of
         factor 2 lies inside that factor's.
         """
-        key = (id(program), id(nest.outer), id(nest.inner), 2)
-        template = self._jams.get(key)
-        if template is None:
-            template = self._jams.put(key, (program, nest),
-                                      _program_jam(program, nest, 2))
-        return template
-
-    def clear(self) -> None:
-        self._lru.clear()
-        self._preps.clear()
-        self._jams.clear()
-        self._keys.clear()
+        return self._jams.get(
+            (id(program), id(nest.outer), id(nest.inner), 2),
+            lambda: _program_jam(program, nest, 2), (program, nest))
 
 
 #: The process-wide instance every CompilationPipeline shares by default.
 _CACHE = AnalysisCache()
-register_cache(_CACHE.clear)
 
 
 def analysis_cache() -> AnalysisCache:
@@ -299,27 +242,16 @@ def _program_jam(program: Program, nest: LoopNest,
     return _build_base(jammed, find_jammed_nest(jammed, nest, factor))
 
 
-@obs_metrics.registry().collect
-def _analysis_collector() -> dict:
-    """Expose the shared cache's memory-tier counters to the registry."""
-    return {"analysis_mem_hits": _CACHE.hits,
-            "analysis_mem_misses": _CACHE.misses}
-
-
-def _sharing_enabled() -> bool:
-    return analysis_cache_mode() != "off"
-
-
 def _base(program: Program, nest: LoopNest,
           cache: Optional[AnalysisCache]) -> BaseAnalysis:
-    if cache is not None and _sharing_enabled():
+    if cache is not None and analysis_cache_enabled():
         return cache.get_or_build(program, nest)
     return _build_base(program, nest)
 
 
 def _check(program: Program, nest: LoopNest, ds: int,
            cache: Optional[AnalysisCache]) -> SquashCheck:
-    if cache is not None and _sharing_enabled():
+    if cache is not None and analysis_cache_enabled():
         return cache.check_for(program, nest, ds)
     return check_squash(program, nest, ds)
 
@@ -356,7 +288,7 @@ def jam_analyzed_dfg(program: Program, nest: LoopNest, factor: int,
     """
     from repro.core.jamdfg import check_jam
 
-    if cache is not None and _sharing_enabled():
+    if cache is not None and analysis_cache_enabled():
         jam = cache.jam_base_for(program, nest, factor)
     else:
         check_jam(program, nest, factor)

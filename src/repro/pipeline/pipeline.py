@@ -36,8 +36,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.analysis.loops import LoopNest, trip_count
-from repro.caches import PinningLRU, register_cache
+from repro.caches import Memo
 from repro.core.squash import locate_jammed_nest
+from repro.env import analysis_cache_enabled
 from repro.errors import LegalityError, ScheduleError, VerifyError
 from repro.hw.area import operator_rows, registers_original, \
     registers_pipelined
@@ -50,8 +51,8 @@ from repro.hw.simulate import simulate_modulo, simulate_sequential
 from repro.ir.nodes import Program
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.pipeline.analysis import AnalysisCache, _sharing_enabled, \
-    analysis_cache, base_analyzed_dfg, jam_analyzed_dfg, squash_analyzed_dfg
+from repro.pipeline.analysis import AnalysisCache, analysis_cache, \
+    base_analyzed_dfg, jam_analyzed_dfg, squash_analyzed_dfg
 from repro.pipeline.artifacts import (
     AnalyzedDFG, BuiltKernel, ScheduledDesign, TransformedNest,
     ValidatedDesign,
@@ -61,8 +62,7 @@ if TYPE_CHECKING:  # pipeline <-> nimble import cycle: Target only for types
     from repro.nimble.target import Target
 
 __all__ = ["CompilationPipeline", "PipelineRun", "VARIANT_PLANS",
-           "VariantPlan", "reset_stage_timings", "stage_timings",
-           "variant_label"]
+           "VariantPlan", "variant_label"]
 
 #: Iterations replayed by the validation stage.
 VALIDATE_ITERS = 6
@@ -75,8 +75,7 @@ VALIDATE_ITERS = 6
 #: Per-stage wall time lives in the metrics registry as ``stage.*``
 #: histograms (two cheap ``perf_counter`` calls per stage, one
 #: ``observe``); workers ship their registry deltas back to the
-#: exploration engine with each result batch.  ``stage_timings`` /
-#: ``reset_stage_timings`` stay as the historical views over it.
+#: exploration engine with each result batch.
 _STAGE_PREFIX = "stage."
 
 
@@ -86,15 +85,6 @@ def _record_stage(stage: str, seconds: float,
     obs_metrics.histogram(_STAGE_PREFIX + stage).observe(seconds)
     if t0 is not None and t1 is not None:
         obs_trace.emit_span(stage, "pipeline.stage", t0, t1)
-
-
-def stage_timings() -> dict[str, dict[str, float]]:
-    """Snapshot of cumulative per-stage wall time/call counts."""
-    return obs_metrics.registry().histogram_totals(_STAGE_PREFIX)
-
-
-def reset_stage_timings() -> None:
-    obs_metrics.registry().reset_prefix(_STAGE_PREFIX)
 
 
 # ---------------------------------------------------------------------------
@@ -108,37 +98,21 @@ def _trips(nest: LoopNest) -> tuple[int, int]:
 #: unroll_and_jam is pure in (program, nest, factor) and independent of
 #: variant, target, and scheduler, so the ``jam`` and ``jam+squash``
 #: variants of a sweep — and every scheduler/target axis crossing them —
-#: reuse one jammed program.  Stable object identity in turn lets the
-#: shared analysis cache hit for the jammed nest's base analysis too.
-#: A second, content-keyed tier in the persistent artifact store shares
-#: the transform across worker processes and runs.
-_JAM_MEMO = PinningLRU(maxsize=128)
-register_cache(_JAM_MEMO.clear)
+#: reuse one jammed program.  Stable object identity in turn saves the
+#: shared analysis cache re-deriving the jammed nest's content key.
+#: Memory only: re-jamming costs milliseconds, and a worker gets the
+#: jammed nest's analyses from the disk tier by content key anyway.
+_JAM_MEMO = Memo("jam_program", 128)
 
 
 def _memoized_jam(program: Program, nest: LoopNest, factor: int) -> Program:
-    from repro.env import analysis_cache_mode
-    from repro.pipeline.analysis import content_key
-    from repro.store import analysis_store
     from repro.transforms.unroll_and_jam import unroll_and_jam
 
-    if not _sharing_enabled():
+    if not analysis_cache_enabled():
         return unroll_and_jam(program, nest, factor)
-    key = (id(program), id(nest.outer), id(nest.inner), factor)
-    jammed = _JAM_MEMO.get(key)
-    if jammed is not None:
-        return jammed
-    disk = analysis_store() if analysis_cache_mode() == "disk" else None
-    ckey = content_key(program, nest) if disk is not None else None
-    if ckey is not None:
-        jammed = disk.get(f"jam-{ckey}-f{factor}")
-        if isinstance(jammed, Program):
-            return _JAM_MEMO.put(key, (program, nest), jammed)
-    jammed = _JAM_MEMO.put(key, (program, nest),
-                           unroll_and_jam(program, nest, factor))
-    if ckey is not None:
-        disk.put(f"jam-{ckey}-f{factor}", jammed)
-    return jammed
+    return _JAM_MEMO.get((id(program), id(nest.outer), id(nest.inner), factor),
+                         lambda: unroll_and_jam(program, nest, factor),
+                         (program, nest))
 
 
 def _identity_transform(built: BuiltKernel, ds: int, jam: int,

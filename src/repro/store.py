@@ -1,17 +1,21 @@
 """Persistent, content-addressed artifact store shared across processes.
 
-The sweep hot path memoizes three expensive product families — the
-per-kernel front-end analysis (:mod:`repro.pipeline.analysis`), the
-per-DS legality checks, and the II-search certificates
-(:mod:`repro.hw.iimemo`).  Within one process those live in bounded
-LRUs; this module adds the second tier: a pickle-per-key store under
-``<cache dir>/analysis/<code_version>/`` so ``ProcessPoolExecutor``
-workers and repeated ``repro explore`` / ``repro bench`` runs share one
-computation instead of redoing it per process.
+The disk tier of the :class:`repro.caches.Memo` instances worth sharing
+across processes: the per-kernel front-end analysis and the
+per-nest legality preparation (:mod:`repro.pipeline.analysis`, the
+``analysis`` family) and the II-search certificates
+(:mod:`repro.hw.iimemo`, the ``iisearch`` family).  Each lives as one
+pickle per key under ``<cache dir>/<family>/<code_version>/``, so
+``ProcessPoolExecutor`` workers and repeated ``repro explore`` /
+``repro bench`` runs share one computation instead of redoing it per
+process.
 
 Keys are content hashes (never object ids), and the directory is
 partitioned by :func:`repro.explore.cache.code_version`, so editing any
 ``repro`` source invalidates every stored artifact automatically.
+Each store counts its traffic per instance (:class:`StoreStats`) and in
+the metrics registry as ``<metric>_disk_{hits,misses,stores}``
+(``analysis_disk_hits``, ``iimemo_disk_misses``, ...).
 
 Concurrency: writes go to a unique temp file in the same directory and
 are published with :func:`os.replace` (atomic on POSIX), under an
@@ -51,13 +55,6 @@ class StoreStats:
     #: publishes deliberately torn by fault injection (chaos tests only)
     torn: int = 0
 
-    def as_dict(self) -> dict:
-        out = {"hits": self.hits, "misses": self.misses,
-               "stores": self.stores}
-        if self.torn:
-            out["torn"] = self.torn
-        return out
-
 
 class ArtifactStore:
     """Content-hash-keyed pickle store with atomic, locked writes.
@@ -65,14 +62,21 @@ class ArtifactStore:
     The directory is resolved lazily on every operation (honouring
     ``REPRO_CACHE_DIR`` changes mid-process, as the test harness makes),
     and partitioned by code version so stale artifacts are never served.
-    ``name`` namespaces one artifact family (``analysis``, ``iisearch``).
+    ``name`` namespaces one artifact family (``analysis``, ``iisearch``);
+    ``metric`` prefixes its registry counters (default: ``name``).
     """
 
     def __init__(self, name: str = "analysis",
-                 directory: "str | os.PathLike | None" = None):
+                 directory: "str | os.PathLike | None" = None,
+                 metric: Optional[str] = None):
         self.name = name
+        self.metric = metric or name
         self._directory = pathlib.Path(directory) if directory else None
         self.stats = StoreStats()
+
+    def _count(self, what: str) -> None:
+        setattr(self.stats, what, getattr(self.stats, what) + 1)
+        obs_metrics.counter(f"{self.metric}_disk_{what}").add()
 
     def root(self) -> pathlib.Path:
         if self._directory is not None:
@@ -93,9 +97,9 @@ class ArtifactStore:
             value = pickle.loads(blob)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, ValueError):
-            self.stats.misses += 1
+            self._count("misses")
             return None
-        self.stats.hits += 1
+        self._count("hits")
         return value
 
     def put(self, key: str, value: Any) -> None:
@@ -147,7 +151,7 @@ class ArtifactStore:
                         fcntl.flock(lock, fcntl.LOCK_UN)
         except OSError:
             return
-        self.stats.stores += 1
+        self._count("stores")
 
     def __len__(self) -> int:
         try:
@@ -183,7 +187,7 @@ class ArtifactStore:
 
 #: Process-wide store instances, one per artifact family.
 _ANALYSIS_STORE = ArtifactStore("analysis")
-_IISEARCH_STORE = ArtifactStore("iisearch")
+_IISEARCH_STORE = ArtifactStore("iisearch", metric="iimemo")
 register_cache(_ANALYSIS_STORE.clear, disk=True)
 register_cache(_IISEARCH_STORE.clear, disk=True)
 
@@ -196,15 +200,3 @@ def analysis_store() -> ArtifactStore:
 def iisearch_store() -> ArtifactStore:
     """The shared store for II-search certificates."""
     return _IISEARCH_STORE
-
-
-@obs_metrics.registry().collect
-def _store_collector() -> dict:
-    """Expose both singleton stores' disk-tier counters to the registry
-    (``analysis_disk_hits``, ``iimemo_disk_misses``, ...)."""
-    out: dict[str, int] = {}
-    for label, store in (("analysis", _ANALYSIS_STORE),
-                         ("iimemo", _IISEARCH_STORE)):
-        for key, val in store.stats.as_dict().items():
-            out[f"{label}_disk_{key}"] = val
-    return out

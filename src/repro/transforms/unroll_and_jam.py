@@ -104,7 +104,7 @@ def unroll_and_jam(program: Program, nest: LoopNest, factor: int,
         return out
 
     for k in range(1, factor):
-        for v in privatized:
+        for v in sorted(privatized):
             q.declare_local(f"{v}__u{k}", q.scalar_type(v))
 
     pre: list[Stmt] = []

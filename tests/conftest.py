@@ -62,6 +62,16 @@ def _isolated_result_cache(tmp_path_factory):
         os.environ["REPRO_CACHE_DIR"] = old
 
 
+def memo_traffic(name: str):
+    """A callable reading the (hits, misses) of memo ``name``'s memory
+    tier since this call, from the metrics registry."""
+    from repro.obs import metrics as obs_metrics
+    hits = obs_metrics.counter(f"{name}_mem_hits")
+    misses = obs_metrics.counter(f"{name}_mem_misses")
+    start = (hits.value, misses.value)
+    return lambda: (hits.value - start[0], misses.value - start[1])
+
+
 def build_fig21(m: int = 8, n: int = 4):
     """The thesis Fig. 2.1 motivating nest.
 

@@ -4,8 +4,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from repro.analysis import find_loop_nests, loop_liveness, ssa_rename
 from repro.core import build_dfg
 from repro.ir import U8, I32, ProgramBuilder
@@ -127,32 +125,76 @@ class TestMemoryEdges:
         assert all(e.kind != "mem" for e in dfg.edges)
 
 
+#: The Table 6.1 kernels whose jammed programs the content-key tests key.
+SUITE = ("skipjack-mem", "skipjack-hw", "des-mem", "des-hw", "iir")
+
+
+def _jammed_programs():
+    """Every suite kernel's jammed program at J = 2 and 4, as the
+    jam+squash transform builds it."""
+    from repro.core.squash import locate_jammed_nest
+    from repro.nimble.compiler import _kernel_program
+    from repro.transforms.unroll_and_jam import unroll_and_jam
+
+    out = []
+    for kernel in SUITE:
+        prog, nest = _kernel_program(kernel)
+        for jam in (2, 4):
+            jammed = unroll_and_jam(prog, nest, jam)
+            out.append((f"{kernel}/jam{jam}", jammed,
+                        locate_jammed_nest(jammed, nest, jam)))
+    return out
+
+
 class TestEdgeOrder:
     def test_edge_order_independent_of_hash_seed(self, tmp_path):
         # backedges follow ssa.entry, not set iteration: iir's base and
         # jam(16) graphs list their edges in one order in every process,
-        # whatever the per-process string-hash salt
+        # whatever the per-process string-hash salt; and the jammed
+        # programs jam+squash analyzes key the same disk artifacts
         code = ("import json\n"
                 "from repro.nimble.compiler import _kernel_program\n"
                 "from repro.pipeline.analysis import AnalysisCache, "
-                "base_analyzed_dfg, jam_analyzed_dfg\n"
+                "base_analyzed_dfg, content_key, jam_analyzed_dfg\n"
+                "from tests.core.test_dfg import _jammed_programs\n"
                 "prog, nest = _kernel_program('iir')\n"
                 "cache = AnalysisCache()\n"
                 "graphs = [base_analyzed_dfg(prog, nest, cache).dfg,\n"
                 "          jam_analyzed_dfg(prog, nest, 16, cache).dfg]\n"
                 "print(json.dumps([[(e.src.nid, e.dst.nid, e.dist, e.kind)\n"
-                "                   for e in g.edges] for g in graphs]))\n")
+                "                   for e in g.edges] for g in graphs]))\n"
+                "print(json.dumps({name: content_key(p, n)\n"
+                "                  for name, p, n in _jammed_programs()}))\n")
+        root = os.path.join(os.path.dirname(__file__), "..", "..")
         outs = []
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed,
-                       REPRO_ANALYSIS_CACHE="mem",
                        REPRO_CACHE_DIR=str(tmp_path / seed))
             env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (os.path.join(os.path.dirname(__file__), "..",
-                                         "..", "src"),
+                p for p in (os.path.join(root, "src"), root,
                             env.get("PYTHONPATH")) if p)
             out = subprocess.run([sys.executable, "-c", code], env=env,
                                  capture_output=True, text=True, check=True)
             outs.append(out.stdout)
         assert outs[0] == outs[1]
-        assert outs[0].count("[") > 100   # both graphs, every edge
+        edges, keys = outs[0].splitlines()
+        assert edges.count("[") > 100   # both graphs, every edge
+        assert keys.count("jam") == 2 * len(SUITE)
+        assert "null" not in keys
+
+    def test_content_key_survives_pickle(self):
+        # ScalarType is a value-equal dataclass pickle does not intern:
+        # an unpickled program must print, and key, exactly the same
+        import pickle
+
+        from repro.ir.printer import program_to_str
+        from repro.pipeline.analysis import content_key
+
+        for name, prog, nest in _jammed_programs():
+            clone = pickle.loads(pickle.dumps(prog))
+            loops = find_loop_nests(clone)
+            at = [i for i, n in enumerate(find_loop_nests(prog))
+                  if n.outer is nest.outer and n.inner is nest.inner]
+            assert program_to_str(clone) == program_to_str(prog), name
+            assert content_key(clone, loops[at[0]]) == \
+                content_key(prog, nest), name

@@ -207,8 +207,8 @@ def search(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     sig = record = None
     if flavor is not None:
         sig = iimemo.search_signature(dfg, lib, edges, flavor, max_ii,
-                                      dmap=dmap, min_ii=min_ii)
-        record = iimemo.memo_get(sig)
+                                      min_ii=min_ii)
+        record = iimemo.MEMO.get(sig)
     if record is not None:
         rmii, smii = record["rmii"], record["smii"]
         refuted = set(record["refuted"])
@@ -238,7 +238,7 @@ def search(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
                     sched.rec_mii = rmii
                     sched.res_mii = smii
                     if sig is not None and record is None:
-                        iimemo.memo_put(sig, {"rmii": rmii, "smii": smii,
+                        iimemo.MEMO.put(sig, {"rmii": rmii, "smii": smii,
                                               "refuted": tried, "ii": ii})
                     return sched
                 grew = False
@@ -254,7 +254,7 @@ def search(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
                     break
         tried.append(ii)
     if sig is not None and record is None:
-        iimemo.memo_put(sig, {"rmii": rmii, "smii": smii,
+        iimemo.MEMO.put(sig, {"rmii": rmii, "smii": smii,
                               "refuted": tried, "ii": None})
     raise ScheduleError(
         f"no modulo schedule found up to II={limit} "

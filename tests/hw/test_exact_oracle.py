@@ -26,6 +26,7 @@ from repro.hw.mii import default_edge_view
 from repro.hw.schedulers import backtracking_modulo_schedule, \
     modulo_schedule
 from repro.ir.randgen import random_squashable_nest
+from repro.obs import metrics as obs_metrics
 from repro.workloads import table_6_1_benchmarks
 
 SCHEDULERS = ("modulo", "backtrack", "exact")
@@ -180,7 +181,7 @@ class TestIncrementalSearchParity:
     @pytest.mark.parametrize("kernel", ["iir", "des-mem"])
     @pytest.mark.parametrize("ds", [1, 2])
     def test_memo_replay_bit_identical_schedules(self, monkeypatch,
-                                                 kernel, ds):
+                                                 tmp_path, kernel, ds):
         from repro.hw import iimemo
 
         bm = next(b for b in table_6_1_benchmarks() if b.name == kernel)
@@ -198,8 +199,11 @@ class TestIncrementalSearchParity:
             "exact": exact_modulo_schedule(dfg, ACEV_LIBRARY, edges=edges),
         }
 
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "mem")
-        iimemo._MEMO.clear()
+        monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        iimemo.MEMO.clear()
+        memo_hits = obs_metrics.counter("iimemo_mem_hits")
+        before = memo_hits.value
         for attempt in ("populate", "replay"):
             replay = {
                 "modulo": modulo_schedule(dfg, ACEV_LIBRARY, edges=edges),
@@ -218,9 +222,10 @@ class TestIncrementalSearchParity:
             assert replay["exact"].certified == scratch["exact"].certified
             assert replay["exact"].failed == scratch["exact"].failed
         # the replay round must actually have used the memo
-        assert iimemo._MEMO.hits > 0
+        assert memo_hits.value > before
 
-    def test_memo_replays_schedule_failure_identically(self, monkeypatch):
+    def test_memo_replays_schedule_failure_identically(self, monkeypatch,
+                                                       tmp_path):
         from repro.errors import ScheduleError
         from repro.hw import iimemo
 
@@ -233,14 +238,16 @@ class TestIncrementalSearchParity:
         _, _, _, dfg, _, _ = analyze_nest(prog, nest, 1,
                                           delay_fn=ACEV_LIBRARY.delay)
 
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "mem")
-        iimemo._MEMO.clear()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        iimemo.MEMO.clear()
+        memo_hits = obs_metrics.counter("iimemo_mem_hits")
+        before = memo_hits.value
         with pytest.raises(ScheduleError) as cold:
             modulo_schedule(dfg, ACEV_LIBRARY, max_ii=3)
         with pytest.raises(ScheduleError) as warm:
             modulo_schedule(dfg, ACEV_LIBRARY, max_ii=3)
         assert str(cold.value) == str(warm.value)
-        assert iimemo._MEMO.hits > 0
+        assert memo_hits.value > before
 
 
 @pytest.mark.slow

@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro.analysis import find_loop_nests
-from repro.hw import iimemo, sched_kernel
+from repro.hw import sched_kernel
 from repro.hw.mii import _scc_arcs
 from repro.hw.schedulers import register_scheduler, scheduler_by_name
 from repro.ir.randgen import SquashNestSpec, ValueDomain, \
@@ -29,9 +29,9 @@ from tests.hw import sched_reference
 
 
 @pytest.fixture(autouse=True)
-def _fresh(monkeypatch):
+def _fresh(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     repro.clear_caches()
-    monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "mem")
     yield
     repro.clear_caches()
 
@@ -175,7 +175,8 @@ class TestKernelParity:
         cores = (scheduler_by_name("backtrack"),
                  sched_reference.SCHEDULERS["backtrack"])
         records = []
-        for cache_mode in ("0", "mem"):
+        memo_hits = obs_metrics.counter("iimemo_mem_hits")
+        for cache_mode in ("0", "1"):
             for first_core, second_core in (cores, cores[::-1]):
                 monkeypatch.setenv("REPRO_ANALYSIS_CACHE", cache_mode)
                 repro.clear_caches()
@@ -183,11 +184,11 @@ class TestKernelParity:
                                             edges=analyzed.edges)
                 # second search: memo-warm from the *other* core when
                 # cache_mode enables it
-                hits = iimemo.memo_stats()["mem_hits"]
+                hits = memo_hits.value
                 second = second_core.schedule(analyzed.dfg, lib,
                                               edges=analyzed.edges)
-                warm = iimemo.memo_stats()["mem_hits"] > hits
-                assert warm == (cache_mode == "mem")
+                warm = memo_hits.value > hits
+                assert warm == (cache_mode == "1")
                 records.append(_sched_record(first))
                 records.append(_sched_record(second))
         assert all(r == records[0] for r in records[1:])

@@ -57,6 +57,13 @@ class TestEvalBinop:
         assert r == 1.0  # rounded through IEEE single
         assert eval_binop("add", 1.0, 1e-9, F64) != 1.0
 
+    def test_unpickled_f32_still_rounds(self):
+        # types are compared by value: a DFG or program loaded from the
+        # artifact store carries copies of F32, not F32 itself
+        import pickle
+        f32 = pickle.loads(pickle.dumps(F32))
+        assert eval_binop("add", 1.0, 1e-9, f32) == 1.0
+
 
 class TestProgramExecution:
     def test_fig21_runs(self, fig21):

@@ -46,25 +46,6 @@ class TestSeries:
         # decimated samples still span the distribution
         assert percentile(h.samples, 50) > percentile(h.samples, 10)
 
-    def test_collector_contributes_to_snapshots(self):
-        reg = MetricsRegistry()
-        state = {"hits": 3}
-
-        @reg.collect
-        def _c():
-            return {"lru_hits": state["hits"]}
-
-        reg.collect(_c)  # idempotent: no double counting
-        assert reg.counter_values() == {"lru_hits": 3}
-        state["hits"] = 5
-        assert reg.counter_values() == {"lru_hits": 5}
-
-    def test_collector_merges_with_direct_counter_of_same_name(self):
-        reg = MetricsRegistry()
-        reg.collect(lambda: {"x": 2})
-        reg.counter("x").add(3)
-        assert reg.counter_values() == {"x": 5}
-
 
 class TestDeltaAndMerge:
     def test_delta_since_subtracts_counters(self):
@@ -142,23 +123,6 @@ class TestResetSemantics:
         assert h.count == 0
         c.add(2)  # the module-cached handle still feeds the registry
         assert reg.counter_values()["a"] == 2
-
-    def test_reset_prefix_only_touches_matching_series(self):
-        reg = MetricsRegistry()
-        reg.counter("stage.a").add(1)
-        reg.counter("sched.b").add(1)
-        reg.reset_prefix("stage.")
-        values = reg.counter_values()
-        assert values["stage.a"] == 0
-        assert values["sched.b"] == 1
-
-    def test_histogram_totals_shape(self):
-        reg = MetricsRegistry()
-        reg.histogram("stage.analyze").observe(0.5)
-        reg.histogram("stage.analyze").observe(0.25)
-        reg.histogram("kernel.iir").observe(1.0)
-        totals = reg.histogram_totals("stage.")
-        assert totals == {"analyze": {"seconds": 0.75, "calls": 2}}
 
 
 class TestModuleSingleton:

@@ -4,12 +4,12 @@ content keys that make cross-process sharing sound."""
 import pytest
 
 from repro.analysis.loops import find_loop_nests
-from repro.caches import PinningLRU
+from repro.caches import Memo
 from repro.core.legality import PreparedSquash
 from repro.pipeline.analysis import (
     AnalysisCache, BaseAnalysis, content_key,
 )
-from tests.conftest import build_fig21, build_fig41
+from tests.conftest import build_fig21, build_fig41, memo_traffic
 
 
 def _nest(prog):
@@ -32,14 +32,14 @@ class TestLRUEviction:
         cache.get_or_build(p2, _nest(p2))
         cache.get_or_build(p1, _nest(p1))   # refresh p1
         cache.get_or_build(p3, _nest(p3))   # evicts p2, not p1
-        hits = cache.hits
+        traffic = memo_traffic("analysis")
         cache.get_or_build(p1, _nest(p1))
-        assert cache.hits == hits + 1  # p1 survived
+        assert traffic() == (1, 0)  # p1 survived
 
     def test_pinning_lru_bound_under_churn(self):
-        lru = PinningLRU(maxsize=4)
+        lru = Memo("test_churn", maxsize=4)
         for i in range(100):
-            lru.put(i, (), i * 2)
+            lru.put(i, i * 2)
             assert len(lru) <= 4
         assert lru.get(99) == 198
         assert lru.get(0) is None
@@ -59,14 +59,6 @@ class TestDiskTier:
         assert analysis_store().stats.hits > before
         assert isinstance(base, BaseAnalysis)
         assert base.dfg is not None
-
-    def test_mem_mode_skips_disk(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "mem")
-        from repro.store import analysis_store
-        prog = build_fig21()
-        AnalysisCache().get_or_build(prog, _nest(prog))
-        assert len(analysis_store()) == 0
 
     def test_prepared_check_round_trips(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -37,8 +37,8 @@ SUITE_FACTORS = (1, 2, 3, 4, 5, 7, 8, 16, 32, 33)
 
 
 @pytest.fixture(autouse=True)
-def _fresh_caches(monkeypatch):
-    monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "mem")
+def _fresh_caches(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     repro.clear_caches()
     yield
     repro.clear_caches()
@@ -327,12 +327,10 @@ class TestDerivedJamMechanics:
         assert not run.transformed.derived_jam
         assert run.transformed.program is not prog
 
-    def test_disk_tier_round_trips(self, monkeypatch, tmp_path):
+    def test_disk_tier_round_trips(self, tmp_path):
         # jam analyses are derived, never stored: a cold sweep with the
         # disk tier on writes no jamdfg- key, and a run from the disk
         # tier alone derives identical artifacts
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "1")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         prog, nest = build_nest()
 
         def sweep():

@@ -16,7 +16,7 @@ from repro.pipeline import (
     PipelineRun, ScheduledDesign, TransformedNest, ValidatedDesign,
     analysis_cache, variant_label,
 )
-from tests.conftest import build_fig21, build_fig41
+from tests.conftest import build_fig21, build_fig41, memo_traffic
 
 
 @pytest.fixture
@@ -131,6 +131,7 @@ class TestStageArtifacts:
 class TestSharedAnalysis:
     def test_variants_share_one_base_analysis(self, fig41_nest):
         prog, nest = fig41_nest
+        traffic = memo_traffic("analysis")
         pipe = CompilationPipeline()
         runs = [pipe.run(prog, nest, "original"),
                 pipe.run(prog, nest, "pipelined"),
@@ -138,8 +139,7 @@ class TestSharedAnalysis:
                 pipe.run(prog, nest, "squash", ds=4)]
         dfgs = {id(r.analyzed.dfg) for r in runs}
         assert len(dfgs) == 1      # one shared DFG across all variants
-        cache = analysis_cache()
-        assert cache.misses == 1 and cache.hits == 3
+        assert traffic() == (3, 1)
 
     def test_clear_caches_drops_shared_analysis(self, fig41_nest):
         prog, nest = fig41_nest
@@ -178,12 +178,12 @@ class TestSharedAnalysis:
 
     def test_illegal_nest_failure_is_cached(self):
         prog, nest = build_illegal_nest()
+        traffic = memo_traffic("analysis")
         pipe = CompilationPipeline()
         for _ in range(2):
             with pytest.raises(LegalityError):
                 pipe.compile(prog, nest, "original")
-        cache = analysis_cache()
-        assert cache.misses == 1 and cache.hits == 1
+        assert traffic() == (1, 1)
 
 
 class TestErrorProvenance:

@@ -134,6 +134,30 @@ class TestExploreCommand:
         assert "4 evaluated, 0 skipped" in out
         assert "failed" not in out
 
+    def test_cache_dir_roots_every_persistent_cache(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # from a scratch working directory with REPRO_CACHE_DIR unset,
+        # --cache-dir holds the results and both artifact stores, the
+        # forked workers' writes included, and the environment of an
+        # in-process caller is left as it was
+        import os
+
+        import repro
+        work, cache = tmp_path / "work", tmp_path / "cache"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        repro.clear_caches(memory_only=True)  # cold memos: workers write
+        assert main(["explore", "--kernel", "iir", "--factors", "2",
+                     "--variants", "pipelined", "squash", "--jobs", "2",
+                     "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        assert list(work.iterdir()) == []
+        assert list(cache.glob("results-*.jsonl"))
+        assert list(cache.glob("analysis/*/base-*.pkl"))
+        assert list(cache.glob("iisearch/*/*.pkl"))
+        assert "REPRO_CACHE_DIR" not in os.environ
+
     def test_resume_rejects_no_cache(self, capsys):
         assert main(["explore", "--kernel", "iir", "--resume",
                      "--no-cache"]) == 2

@@ -4,7 +4,7 @@ and the worker-count scaling rules."""
 import pytest
 
 from repro.env import (
-    BATCH_TIMEOUT_ENV, RETRIES_ENV, analysis_cache_mode, batch_timeout,
+    BATCH_TIMEOUT_ENV, RETRIES_ENV, analysis_cache_enabled, batch_timeout,
     env_float, env_int, retries, verify_mode,
 )
 from repro.errors import ReproError
@@ -158,13 +158,23 @@ class TestJobScaling:
 
 
 class TestAnalysisCacheMode:
+    # "disk": the two-tier (memory + disk) memos are on
     @pytest.mark.parametrize("raw,mode", [
-        ("0", "off"), ("mem", "mem"), ("1", "disk"), ("", "disk"),
-        ("MEM", "mem"), ("yes", "disk"),
+        ("0", "off"), ("1", "disk"), ("", "disk"), (" 0 ", "off"),
     ])
     def test_modes(self, monkeypatch, raw, mode):
         monkeypatch.setenv("REPRO_ANALYSIS_CACHE", raw)
-        assert analysis_cache_mode() == mode
+        assert analysis_cache_enabled() == (mode == "disk")
+
+    def test_unset_defaults_on(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ANALYSIS_CACHE", raising=False)
+        assert analysis_cache_enabled()
+
+    @pytest.mark.parametrize("raw", ["mem", "MEM", "yes", "off", "no", "2"])
+    def test_garbage_raises_repro_error(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_ANALYSIS_CACHE", raw)
+        with pytest.raises(ReproError, match="REPRO_ANALYSIS_CACHE"):
+            analysis_cache_enabled()
 
 
 class TestVerifyMode:

@@ -12,6 +12,7 @@ from repro.harness import (
     clear_caches, format_table_6_2, format_table_6_3, run_table_6_2,
     run_table_6_3,
 )
+from repro.obs import registry
 from repro.pipeline import CompilationPipeline
 from tests.conftest import build_fig41
 
@@ -44,6 +45,11 @@ def run_all_variants(monkeypatch, mode):
     return points
 
 
+def verify_calls(delta):
+    """Timed ``verify`` stage entries in a registry delta."""
+    return delta["histograms"].get("stage.verify", {}).get("count", 0)
+
+
 class TestPipelineHook:
     def test_strict_mode_passes_every_variant(self, monkeypatch):
         run_all_variants(monkeypatch, "strict")
@@ -56,24 +62,14 @@ class TestPipelineHook:
             assert strict[variant] == point
 
     def test_verify_stage_is_timed(self, monkeypatch):
-        from repro.pipeline import stage_timings
-
-        def verify_calls():
-            return stage_timings().get("verify", {}).get("calls", 0)
-
-        before = verify_calls()
+        before = registry().snapshot()
         run_all_variants(monkeypatch, "strict")
-        assert verify_calls() > before
+        assert verify_calls(registry().delta_since(before)) > 0
 
     def test_off_mode_skips_the_verify_stage(self, monkeypatch):
-        from repro.pipeline import stage_timings
-
-        def verify_calls():
-            return stage_timings().get("verify", {}).get("calls", 0)
-
-        before = verify_calls()
+        before = registry().snapshot()
         run_all_variants(monkeypatch, None)
-        assert verify_calls() == before
+        assert verify_calls(registry().delta_since(before)) == 0
 
 
 class TestGoldenByteIdentity:
