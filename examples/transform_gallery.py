@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Chapter 3 gallery: the classical transforms squash builds on.
 
-Shows tiling (Fig. 3.2), unroll-and-jam as unroll+fuse (Fig. 3.3), and
-software pipelining (Fig. 3.4, as a modulo schedule), each verified to
-preserve semantics.
+Shows unroll-and-jam (Fig. 3.3, verified to preserve semantics) and
+software pipelining (Fig. 3.4, as a modulo schedule).
 
 Run:  python examples/transform_gallery.py
 """
@@ -15,7 +14,7 @@ from repro.core import analyze_nest
 from repro.hw import modulo_schedule
 from repro.ir import I32, ProgramBuilder, program_to_str, run_program
 from repro.nimble import ACEV
-from repro.transforms import tile_loop, unroll_and_jam, unroll_loop
+from repro.transforms import unroll_and_jam
 
 
 def _simple_2d(m=8, n=4):
@@ -29,16 +28,9 @@ def _simple_2d(m=8, n=4):
 
 def main() -> None:
     prog = _simple_2d()
-    outer = prog.body.stmts[0]
 
     print("=== Fig 3.1: the iteration space source ===")
     print(program_to_str(prog))
-
-    print("=== Fig 3.2: tiling the outer loop (size 4) ===")
-    tiled = tile_loop(prog, outer, 4)
-    print(program_to_str(tiled))
-    assert np.array_equal(run_program(prog).arrays["a"],
-                          run_program(tiled).arrays["a"])
 
     print("=== Fig 3.3: unroll-and-jam by 4 ===")
     nest = find_loop_nests(prog)[0]

@@ -442,14 +442,47 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_compile(args) -> int:
+def _verify_squash(prog, nest, ds: int, params: dict, label: str):
+    """Squash ``nest`` by ``ds`` and check the outputs against the
+    original under the interpreter; the squash result, or ``None`` after
+    reporting a mismatch on stderr."""
     import numpy as np
-    from repro.analysis import find_kernel_nests
     from repro.core import unroll_and_squash
-    from repro.errors import LangError
-    from repro.ir import program_to_str, run_program
+    from repro.ir import run_program
+
+    res = unroll_and_squash(prog, nest, ds)
+    ref = run_program(prog, params=params)
+    got = run_program(res.program, params=params)
+    for name in prog.output_arrays():
+        if not np.array_equal(ref.arrays[name], got.arrays[name]):
+            print(f"FUNCTIONAL MISMATCH in {name}", file=sys.stderr)
+            return None
+    print(f"{label}squash({ds}) verified (outputs bit-identical to the "
+          "original)")
+    return res
+
+
+def _price_squash(prog, nest, ds: int, spec: str) -> tuple:
+    """Print and return the original and squash(ds) design points on the
+    target ``spec`` (same grammar as ``explore --target``)."""
+    from repro.nimble import compile_original, compile_squash
+    from repro.nimble.target import decode_target
+
+    target = decode_target(spec)
+    base = compile_original(prog, nest, target)
+    point = compile_squash(prog, nest, ds, target, base_ii=base.ii)
+    print(f"  original  : II={base.ii}, area={base.area_rows:.0f} rows, "
+          f"registers={base.registers}")
+    print(f"  squash({ds}) : II={point.ii}, area={point.area_rows:.0f} "
+          f"rows, registers={point.registers}")
+    return base, point
+
+
+def _cmd_compile(args) -> int:
+    from repro.analysis import find_kernel_nests
+    from repro.errors import LangError, LegalityError, ScheduleError
+    from repro.ir import program_to_str
     from repro.lang import compile_file
-    from repro.nimble import compile_original, compile_squash, target_by_name
 
     try:
         prog, _ = compile_file(args.file)
@@ -486,57 +519,36 @@ def _cmd_compile(args) -> int:
     if missing:
         print("  functional check skipped (unbound params: "
               + ", ".join(missing) + ")")
-    else:
-        res = unroll_and_squash(prog, nest, args.ds)
-        ref = run_program(prog, params=params)
-        got = run_program(res.program, params=params)
-        for name in prog.output_arrays():
-            if not np.array_equal(ref.arrays[name], got.arrays[name]):
-                print(f"FUNCTIONAL MISMATCH in {name}", file=sys.stderr)
-                return 1
-        print(f"  squash({args.ds}) verified (outputs bit-identical to "
-              "the original)")
-
-    target = target_by_name(args.target)
-    base = compile_original(prog, nest, target)
-    point = compile_squash(prog, nest, args.ds, target, base_ii=base.ii)
-    print(f"  original  : II={base.ii}, area={base.area_rows:.0f} rows, "
-          f"registers={base.registers}")
-    print(f"  squash({args.ds}) : II={point.ii}, area={point.area_rows:.0f} "
-          f"rows, registers={point.registers}")
+    try:
+        if not missing and _verify_squash(prog, nest, args.ds, params,
+                                          "  ") is None:
+            return 1
+        _price_squash(prog, nest, args.ds, args.target)
+    except (LegalityError, ScheduleError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_squash(args) -> int:
-    import numpy as np
     from repro.analysis import find_kernel_nests
-    from repro.core import unroll_and_squash
+    from repro.errors import LegalityError, ScheduleError
     from repro.hw import normalize
-    from repro.ir import program_to_str, run_program
-    from repro.nimble import compile_original, compile_squash, target_by_name
+    from repro.ir import program_to_str
     from repro.workloads import benchmark_by_name
 
     bm = benchmark_by_name(args.benchmark)
     prog = bm.build(**(bm.small_kwargs or bm.eval_kwargs))
     nest = find_kernel_nests(prog)[0]
-    res = unroll_and_squash(prog, nest, args.ds)
-    ref = run_program(prog, params=bm.params)
-    got = run_program(res.program, params=bm.params)
-    for name in prog.output_arrays():
-        if not np.array_equal(ref.arrays[name], got.arrays[name]):
-            print(f"FUNCTIONAL MISMATCH in {name}", file=sys.stderr)
+    try:
+        res = _verify_squash(prog, nest, args.ds, bm.params, f"{bm.name}: ")
+        if res is None:
             return 1
-    print(f"{bm.name}: squash({args.ds}) verified "
-          f"(outputs bit-identical to the original)")
-
-    target = target_by_name(args.target)
-    base = compile_original(prog, nest, target)
-    point = compile_squash(prog, nest, args.ds, target, base_ii=base.ii)
+        base, point = _price_squash(prog, nest, args.ds, args.target)
+    except (LegalityError, ScheduleError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
     n = normalize(base, point)
-    print(f"  original  : II={base.ii}, area={base.area_rows:.0f} rows, "
-          f"registers={base.registers}")
-    print(f"  squash({args.ds}) : II={point.ii}, area={point.area_rows:.0f} "
-          f"rows, registers={point.registers}")
     print(f"  speedup {n.speedup:.2f}x, area {n.area_factor:.2f}x, "
           f"efficiency {n.efficiency:.2f}")
     if args.show_code:

@@ -7,9 +7,11 @@ Requirements checked, in the thesis's order:
 2. tiled outer iterations are parallel (scalar + array dependence test,
    §4.2 Cases 1/2/3) — delegated to
    :func:`repro.analysis.parallel.check_outer_parallel`;
-3. the inner loop comprises a **single basic block** (apply
-   :func:`repro.transforms.if_convert` first when conditionals are
-   convertible);
+3. the inner loop comprises a **single basic block**.  The ``.lang``
+   front end if-converts the ``#pragma kernel`` loops
+   (:func:`repro.lang.lower.compile_unit`), so a branch left there holds
+   a store, a loop or a division; programs built in Python call
+   :func:`repro.transforms.if_convert` themselves;
 4. the inner loop has a **constant iteration count across outer
    iterations** (constant bounds independent of the outer IV and of
    anything the outer body writes), and executes at least once
@@ -49,7 +51,8 @@ class SquashCheck:
 
     def raise_if_failed(self) -> None:
         if not self.ok:
-            raise LegalityError("unroll-and-squash rejected", self.reasons)
+            raise LegalityError("unroll-and-squash rejected: "
+                                + "; ".join(self.reasons), self.reasons)
 
     def require_liveness(self) -> LoopLiveness:
         """The recorded liveness summary; a passing check always has one.
@@ -119,8 +122,12 @@ def prepare_squash(program: Program, nest: LoopNest) -> PreparedSquash:
                         "(control flow always passes through it)")
 
     if not is_straightline(nest.inner.body):
-        failures.append("inner loop body must be a single basic block "
-                        "(apply if-conversion / code hoisting first, §4.2)")
+        failures.append("inner loop body must be a single basic block, "
+                        "but it holds a loop or a branch (the .lang front "
+                        "end if-converts branches that only assign scalars "
+                        "and do not divide, §4.2; call "
+                        "repro.transforms.if_convert for programs built in "
+                        "Python)")
 
     bound_reads = uses_of_expr(nest.inner.lo) | uses_of_expr(nest.inner.hi)
     if nest.outer.var in bound_reads:

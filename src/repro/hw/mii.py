@@ -114,21 +114,6 @@ def _scc_map(edges: EdgeView) -> dict[int, int]:
     return comp
 
 
-def _cycle_edges(edges: EdgeView) -> EdgeView:
-    """Edges that can lie on a cycle: both ends in one strongly connected
-    component.
-
-    RecMII is a maximum over *cycles*, so acyclic regions of the graph —
-    the overwhelming majority of a jammed DFG — cannot affect it.
-    Restricting the Bellman-Ford search to SCC-internal edges preserves
-    the result exactly while shrinking the hot search from O(V*E) over
-    the whole graph to the (tiny) recurrence subgraphs.
-    """
-    comp = _scc_map(edges)
-    return [(s, d, dd) for s, d, dd in edges
-            if comp[s.nid] == comp[d.nid]]
-
-
 def _scc_arcs(edges: EdgeView, delay: Callable[[DFGNode], int]
               ) -> list[tuple[list[int], list[tuple[int, int, int, int]]]]:
     """Cycle-capable edges, grouped by SCC, as precomputed probe arcs.

@@ -5,8 +5,7 @@ Two generators:
 * :func:`random_program` — arbitrary structured programs (straight-line
   code, nested counted loops, conditionals, array traffic), valid by
   construction.  Used to pin the compiled executor to the tree-walking
-  interpreter and to check semantics preservation of the classical
-  transforms.
+  interpreter and to check that if-conversion preserves semantics.
 * :func:`random_squashable_nest` — inner/outer loop pairs that satisfy the
   unroll-and-squash requirements by construction (parallel outer
   iterations, single-basic-block inner loop with scalar recurrences, ROM

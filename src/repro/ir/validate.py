@@ -22,7 +22,7 @@ from repro.ir.nodes import (
 )
 from repro.ir.visitors import stmt_exprs, variables_written, walk_exprs
 
-__all__ = ["validate_program"]
+__all__ = ["definitely_assigned", "validate_program"]
 
 
 def _expr_reads(e: Expr) -> set[str]:
@@ -116,6 +116,14 @@ def _check_stmt(p: Program, s: Stmt, defined: set[str],
 def _assigns(s: Stmt) -> list[Assign]:
     from repro.ir.visitors import walk_stmts
     return [st for st in walk_stmts(s) if isinstance(st, Assign)]
+
+
+def definitely_assigned(p: Program, s: Stmt, defined: set[str]) -> set[str]:
+    """The scalars definitely assigned once ``s`` has run from a state in
+    which ``defined`` are — the rule the read check applies (an ``if``
+    assigns what both arms do, a loop body counts only when the loop
+    provably runs)."""
+    return _check_stmt(p, s, defined, [])
 
 
 def validate_program(p: Program) -> None:

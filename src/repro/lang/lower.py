@@ -8,7 +8,8 @@ consumed by :mod:`repro.nimble.kernel`).  The emitted program is run
 through :func:`repro.ir.validate.validate_program`; any residual
 violation (definite assignment, bounds written in the body) is re-raised
 as a :class:`~repro.errors.LangError` so front-end callers only ever see
-one error type.
+one error type.  :func:`compile_unit`, the entry every command reaches,
+then if-converts the conditionals inside ``#pragma kernel`` loops (§4.2).
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from repro.ir.nodes import (
 )
 from repro.ir.types import wrap_int
 from repro.ir.validate import validate_program
+from repro.ir.visitors import walk_stmts
 from repro.lang import ast as A
 from repro.lang.diagnostics import SourceText, lang_error
 from repro.lang.sema import Symbols, analyze
+from repro.transforms.ifconvert import if_convert
 
 __all__ = ["lower", "compile_unit", "programs_equivalent"]
 
@@ -107,9 +110,17 @@ def lower(source: SourceText, unit: A.LKernel, syms: Symbols) -> Program:
 
 
 def compile_unit(source: SourceText, unit: A.LKernel) -> Program:
-    """Run sema + lowering over a parsed unit."""
+    """Run sema + lowering over a parsed unit, then if-convert (§4.2)
+    the ``#pragma kernel`` loops.
+
+    Squash needs the kernel loop to be a single basic block; every
+    conditional inside it whose arms only assign scalars becomes
+    ``select`` code (:func:`repro.transforms.if_convert`).  Conditionals
+    elsewhere stay in place, so a program whose kernel loops hold no
+    ``if`` comes back as lowered.
+    """
     syms = analyze(source, unit)
-    return lower(source, unit, syms)
+    return if_convert(lower(source, unit, syms), kernel_loops_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +128,6 @@ def compile_unit(source: SourceText, unit: A.LKernel) -> Program:
 # ---------------------------------------------------------------------------
 
 def _kernel_annotations(s: Stmt) -> list[bool]:
-    from repro.ir.visitors import walk_stmts
     return [bool(st.annotations.get("kernel"))
             for st in walk_stmts(s) if isinstance(st, For)]
 

@@ -1,31 +1,20 @@
-"""Classical loop transforms and scalar optimizations (thesis Ch. 3, §4.2).
+"""The program-level transforms unroll-and-squash builds on (thesis §3.4,
+§4.2).
 
-All passes are pure ``Program -> Program`` functions; loop-targeted
-transforms take the loop node of the *input* program and relocate it
-internally after cloning.
+* :func:`if_convert` — the §4.2 if-conversion that turns a conditional
+  inner loop into a single basic block; the ``.lang`` front end applies
+  it inside every ``#pragma kernel`` loop
+  (:func:`repro.lang.lower.compile_unit`);
+* :func:`unroll_and_jam` — the baseline squash competes with, and the
+  first half of the combined jam+squash variant.
+
+Both are pure ``Program -> Program`` functions.  Three-address lowering
+of straight-line blocks lives in :mod:`repro.transforms.three_address`.
 """
 
-from repro.transforms.pass_manager import Pass, PassManager, fixpoint  # noqa: F401
-from repro.transforms.simplify import fold_constants, simplify_expr  # noqa: F401
-from repro.transforms.propagate import propagate  # noqa: F401
-from repro.transforms.dce import eliminate_dead_code  # noqa: F401
-from repro.transforms.strength import strength_reduce  # noqa: F401
-from repro.transforms.licm import hoist_invariants  # noqa: F401
-from repro.transforms.ifconvert import if_convert  # noqa: F401
-from repro.transforms.unroll import fully_unroll, unroll_loop  # noqa: F401
-from repro.transforms.peel import peel_back, peel_front, peeled_copies  # noqa: F401
-from repro.transforms.tile import tile_loop  # noqa: F401
-from repro.transforms.fuse import can_fuse, fuse_loops  # noqa: F401
-from repro.transforms.unroll_and_jam import (  # noqa: F401
+from repro.transforms.ifconvert import if_convert
+from repro.transforms.unroll_and_jam import (
     jam_privatized_names, unroll_and_jam,
 )
 
-
-def standard_cleanup(program, keep_live=frozenset()):
-    """The §4.2 pre-squash pipeline: fold, propagate, strength-reduce, DCE."""
-    pm = PassManager()
-    pm.add("fold", fold_constants)
-    pm.add("propagate", propagate)
-    pm.add("strength", strength_reduce)
-    pm.add("dce", lambda p: eliminate_dead_code(p, keep_live))
-    return pm.run_to_fixpoint(program)
+__all__ = ["if_convert", "unroll_and_jam", "jam_privatized_names"]

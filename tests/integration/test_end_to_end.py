@@ -13,7 +13,6 @@ from repro.hw import normalize, simulate_modulo, squash_distances, modulo_schedu
 from repro.ir import run_program, validate_program
 from repro.ir.randgen import random_squashable_nest
 from repro.nimble import ACEV, compile_variants
-from repro.transforms import standard_cleanup
 from repro.workloads import des, iir, skipjack, table_6_1_benchmarks
 
 
@@ -40,20 +39,6 @@ class TestFullPipelinePerKernel:
         sched = modulo_schedule(res.dfg, ACEV.library, edges=edges)
         sim = simulate_modulo(res.dfg, ACEV.library, sched, 8, edges=edges)
         assert sim.ok, (bm.name, sim.violations[:2])
-
-    @pytest.mark.parametrize("bm", table_6_1_benchmarks(),
-                             ids=lambda b: b.name)
-    def test_cleanup_then_squash(self, bm):
-        """§4.2: the standard optimization pipeline runs before squash."""
-        prog = bm.build(**bm.small_kwargs)
-        cleaned = standard_cleanup(prog)
-        ref = run_program(prog, params=bm.params)
-        nest = find_kernel_nests(cleaned)[0]
-        res = unroll_and_squash(cleaned, nest, 2)
-        got = run_program(res.program, params=bm.params)
-        for name in prog.output_arrays():
-            np.testing.assert_array_equal(ref.arrays[name],
-                                          got.arrays[name], err_msg=bm.name)
 
 
 class TestVariantConsistency:

@@ -7,8 +7,9 @@ import pytest
 
 from repro.cli import main
 
-KERNEL_DIR = pathlib.Path(__file__).resolve().parents[2] \
-    / "src" / "repro" / "lang" / "kernels"
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+KERNEL_DIR = ROOT / "src" / "repro" / "lang" / "kernels"
+EXAMPLES = ROOT / "examples"
 
 GOOD = """kernel cli_demo {
   param i32 k;
@@ -19,6 +20,24 @@ GOOD = """kernel cli_demo {
     #pragma kernel
     for (j = 0; j < 3; j++) { a = (u8) (a + k); }
     out[i] = a;
+  }
+}
+"""
+
+
+#: a store inside the kernel loop's ``if``: if-conversion cannot remove it
+STORE_IN_IF = """kernel store_if {
+  u8 x[8] = { 1, 2, 3, 4, 5, 6, 7, 8 };
+  output u32 out[4];
+  u32 acc;
+  for (i = 0; i < 4; i++) {
+    acc = 0;
+    #pragma kernel
+    for (j = 0; j < 4; j++) {
+      acc = acc + x[i + j];
+      if (acc > 10) { out[i] = acc; }
+    }
+    out[i] = acc;
   }
 }
 """
@@ -69,6 +88,25 @@ class TestCompileCommand:
         err = capsys.readouterr().err
         assert "bad.lang:" in err and "^" in err
 
+    def test_if_in_kernel_loop_is_converted_and_verified(self, capsys):
+        assert main(["compile", str(EXAMPLES / "clamp.lang"),
+                     "--ds", "2"]) == 0
+        assert "squash(2) verified" in capsys.readouterr().out
+
+    def test_unconvertible_branch_exits_1_with_reason(self, tmp_path,
+                                                      capsys):
+        p = tmp_path / "store_if.lang"
+        p.write_text(STORE_IN_IF)
+        assert main(["compile", str(p), "--ds", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "single basic block" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_target_spec_with_modifiers(self, capsys):
+        assert main(["compile", str(EXAMPLES / "dotprod.lang"),
+                     "--target", "vliw4::regs=128"]) == 0
+        assert "squash(4) :" in capsys.readouterr().out
+
     def test_no_kernel_pragma_exits_1(self, tmp_path, capsys):
         p = tmp_path / "flat.lang"
         p.write_text("kernel k { output u8 o[2];\n"
@@ -85,6 +123,14 @@ class TestSourceAxis:
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
         assert "explored 2 designs" in out
+
+    def test_explore_if_converted_source_skips_nothing(self, tmp_path,
+                                                       capsys):
+        assert main(["explore", "--source", str(EXAMPLES / "clamp.lang"),
+                     "--factors", "2", "4", "--jobs", "1",
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        out = capsys.readouterr().out
+        assert "6 evaluated, 0 skipped" in out
 
     def test_explore_without_kernel_or_source_exits_2(self, capsys):
         assert main(["explore", "--factors", "2"]) == 2

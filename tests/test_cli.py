@@ -26,6 +26,11 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "for (" in out
 
+    def test_squash_rejected_design_exits_1(self, capsys):
+        assert main(["squash", "iir", "--ds", "16",
+                     "--target", "vliw4"]) == 1
+        assert "register pressure" in capsys.readouterr().err
+
     def test_tables_subset(self, capsys):
         assert main(["tables", "6.2", "--factors", "2"]) == 0
         out = capsys.readouterr().out
