@@ -22,10 +22,11 @@ Commands
                 through the pipeline: diagnostics, optional functional
                 verification, and original/squash hardware estimates;
 ``verify``      recompile a set of designs with the independent artifact
-                verifiers (:mod:`repro.verify`) forced on and report a
-                per-design verdict; exit 1 if any design fails
-                verification (legality/schedule rejects count as skips,
-                not failures);
+                verifiers (:mod:`repro.verify`) forced on, once per
+                ``--scheduler`` (repeatable), and report a per-design
+                verdict; exit 1 if any design fails verification
+                (legality/schedule rejects count as skips, not
+                failures);
 ``lint``        statically lint ``.lang`` source files — unused
                 declarations, out-of-bounds subscripts, literal
                 overflow/narrowing, squashability pre-diagnosis — with
@@ -297,6 +298,7 @@ def _cmd_verify(args) -> int:
     from repro.analysis import find_kernel_nests
     from repro.env import VERIFY_ENV
     from repro.errors import LegalityError, ScheduleError, VerifyError
+    from repro.hw.report import variant_label
     from repro.nimble.target import decode_target
     from repro.pipeline import CompilationPipeline
     from repro.workloads import benchmark_by_name
@@ -320,10 +322,15 @@ def _cmd_verify(args) -> int:
         else:
             designs += [(variant, ds, 1) for ds in args.factors]
 
+    # every scheduler of a design in a row, so the later ones are served
+    # from the design's shared search state; the original design is
+    # list-scheduled whatever the strategy
+    schedulers = args.scheduler or [""]
+    runs = [(variant, ds, jam, sched) for variant, ds, jam in designs
+            for sched in (schedulers if variant != "original" else [""])]
     checked = skipped = failed = 0
     with _scoped_env(VERIFY_ENV, args.mode):
         target = decode_target(args.target)
-        pipe = CompilationPipeline(target, scheduler=args.scheduler or None)
         for name in kernels:
             bm = benchmark_by_name(name)
             prog = bm.build(**(bm.small_kwargs or bm.eval_kwargs or {}))
@@ -332,9 +339,11 @@ def _cmd_verify(args) -> int:
                 print(f"{bm.name}: no '#pragma kernel' nest — skipped")
                 continue
             nest = nests[0]
-            for variant, ds, jam in designs:
-                label = variant if ds == 1 else f"{variant}({ds})"
+            for variant, ds, jam, sched in runs:
+                label = variant_label(variant, ds, jam) \
+                    + (f"@{sched}" if sched else "")
                 where = f"{bm.name}/{label} [{args.target}]"
+                pipe = CompilationPipeline(target, scheduler=sched or None)
                 try:
                     run = pipe.run(prog, nest, variant, ds=ds, jam=jam)
                 except (LegalityError, ScheduleError) as exc:
@@ -445,14 +454,21 @@ def _cmd_profile(args) -> int:
 def _verify_squash(prog, nest, ds: int, params: dict, label: str):
     """Squash ``nest`` by ``ds`` and check the outputs against the
     original under the interpreter; the squash result, or ``None`` after
-    reporting a mismatch on stderr."""
+    reporting a mismatch or an interpreter error on stderr."""
     import numpy as np
     from repro.core import unroll_and_squash
+    from repro.errors import InterpError
     from repro.ir import run_program
 
     res = unroll_and_squash(prog, nest, ds)
-    ref = run_program(prog, params=params)
-    got = run_program(res.program, params=params)
+    try:
+        ref = run_program(prog, params=params)
+        got = run_program(res.program, params=params)
+    except InterpError as exc:
+        print(f"{prog.name}/squash({ds}): functional check failed: {exc} "
+              "(if-conversion evaluates both arms of a kernel-loop branch; "
+              "see `repro lint`, W003)", file=sys.stderr)
+        return None
     for name in prog.output_arrays():
         if not np.array_equal(ref.arrays[name], got.arrays[name]):
             print(f"FUNCTIONAL MISMATCH in {name}", file=sys.stderr)
@@ -688,8 +704,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="J factors for jam+squash")
     v.add_argument("--target", default="acev",
                    help="target spec (same grammar as explore --target)")
-    v.add_argument("--scheduler", default="",
-                   help="strategy for pipelined variants (default: target's)")
+    v.add_argument("--scheduler", action="append", default=None,
+                   help="strategy for pipelined variants (repeatable: "
+                        "every design is verified once per strategy; "
+                        "default: the target's)")
     v.add_argument("--mode", default="strict", choices=["on", "strict"],
                    help="verifier depth (default: strict, including the "
                         "MaxLive/MII/exact-II re-derivations)")

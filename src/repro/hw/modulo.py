@@ -59,12 +59,16 @@ _REPAIR_ROUNDS = 8
 #: derivations — delay/resource maps, topological order, the dense
 #: :class:`~repro.hw.sched_kernel.SchedProblem`, the backtracking
 #: scheduler's slack orders, the register accountant's value edges and
-#: recurrence floor, the II memo's signature body, and (lazily) the
-#: RecMII/ResMII pair, none of which depend on ``min_ii``/``max_ii``/
-#: flavor.  The register-pressure II bump re-enters the search over the
-#: *same objects* with a raised floor; without this memo every bump
-#: re-derives all of them (RecMII's SCC decomposition dominated the vliw
-#: retarget profile).  Keys pin their objects, so ids stay valid.
+#: recurrence floor, the II memo's signature body, (lazily) RecMII and
+#: ResMII, and the topological order's placement outcome per II
+#: (``placed``), none of which depend on ``min_ii``/``max_ii``/flavor.
+#: The register-pressure II bump re-enters the search over the *same
+#: objects* with a raised floor, and every scheduler of a design gets
+#: the same objects from the shared analysis
+#: (:meth:`repro.pipeline.analysis.AnalysisCache.squash_for`); without
+#: this memo each re-entry re-derives all of them (RecMII's SCC
+#: decomposition dominated the vliw retarget profile).  Keys pin their
+#: objects, so ids stay valid.
 _CTX = Memo("search_ctx", 512)
 
 
@@ -81,10 +85,21 @@ def search_context(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
                     (dfg, lib, edges))
 
 
+def search_res_mii(dfg: DFG, lib: OperatorLibrary,
+                   edges: Optional[EdgeView] = None) -> int:
+    """The triple's ResMII, counted once into its :func:`search_context`
+    (the register-pressure floor reads it before any scheduling)."""
+    edges = edges if edges is not None else default_edge_view(dfg)
+    ctx = search_context(dfg, lib, edges)
+    if "res_mii" not in ctx:
+        ctx["res_mii"] = res_mii(dfg, lib)
+    return ctx["res_mii"]
+
+
 def _search_state(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
     """:func:`search_context` with the II search's invariants filled in:
     resource map and slots, topological order, the dense problem, and
-    the lazily derived MII pair."""
+    the (initially empty) per-II topological placement table."""
     from repro.hw import sched_kernel
 
     ctx = search_context(dfg, lib, edges)
@@ -94,7 +109,7 @@ def _search_state(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
         ctx["topo"] = dfg.topo_order()
         ctx["prob"] = sched_kernel.build_problem(dfg, edges, ctx["dmap"],
                                                  rmap, slots)
-        ctx["mii"] = None
+        ctx["placed"] = {}
     return ctx
 
 
@@ -156,6 +171,13 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     * the delay map, dense problem arrays, resource map, and
       topological order are computed once and shared by every candidate
       II, order, and repair round;
+    * the topological order's outcome at each II is kept in the
+      context's ``placed`` table and read before placing: placement is
+      deterministic in (problem, II, order, repair rounds), so
+      ``backtrack`` (whose first order is the topological one), the
+      backtracking upper-bound probe inside ``exact``, and every
+      register-pressure re-entry never re-place what an earlier search
+      of the same triple placed;
     * when ``flavor`` names the strategy, the two-tier II memo
       (:data:`repro.hw.iimemo.MEMO`) is consulted: a hit supplies
       RecMII/ResMII (pure functions of the inputs) and the set of
@@ -179,16 +201,16 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
         rmii, smii = record["rmii"], record["smii"]
         refuted = set(record["refuted"])
     else:
-        if ctx["mii"] is None:
-            ctx["mii"] = (rec_mii(dfg, lambda n: dmap[n.nid], edges),
-                          res_mii(dfg, lib))
-        rmii, smii = ctx["mii"]
+        if "rec_mii" not in ctx:
+            ctx["rec_mii"] = rec_mii(dfg, lambda n: dmap[n.nid], edges)
+        rmii, smii = ctx["rec_mii"], search_res_mii(dfg, lib, edges)
         refuted = set()
     start_ii = max(rmii, smii, min_ii or 1)
     limit = max_ii or max(start_ii, sum(dmap.values())) + 1
 
     order_ids = [[n.nid for n in (o if o is not None else topo)]
                  for o in orders]
+    placed = ctx["placed"]  # II -> the topological order's outcome
 
     tried: list[int] = []
     for ii in range(start_ii, limit + 1):
@@ -199,8 +221,15 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
         _II_ATTEMPTS.add()
         if obs_trace.full_enabled():
             obs_trace.instant("ii_try", "sched", ii=ii)
-        for ids in order_ids:
-            hit = sched_kernel.search_rounds(prob, ii, ids, _REPAIR_ROUNDS)
+        for order, ids in zip(orders, order_ids):
+            if order is not None:
+                hit = sched_kernel.search_rounds(prob, ii, ids,
+                                                 _REPAIR_ROUNDS)
+            elif ii in placed:
+                hit = placed[ii]
+            else:
+                hit = placed[ii] = sched_kernel.search_rounds(
+                    prob, ii, ids, _REPAIR_ROUNDS)
             if hit is None:
                 continue
             time_arr, occ, length = hit

@@ -16,7 +16,11 @@ extension point future backends plug into:
   retries alternative node orderings (least-slack-first, memory-first)
   before giving up and moving to the next II.  It therefore never
   returns a worse II than the iterative scheduler, at the price of more
-  placement attempts per II;
+  placement attempts per II.  The replay is served from the design's
+  search context (:func:`repro.hw.modulo._search_impl`), which keeps
+  the topological order's outcome per II: after ``modulo`` has
+  scheduled the same design, only the alternative orderings place
+  anything;
 * ``"exact"``     — the branch-and-bound optimal scheduler of
   :mod:`repro.hw.exact`: decides every candidate II below the
   backtracking heuristic's completely, so its II is certified minimal
@@ -157,7 +161,9 @@ def backtracking_modulo_schedule(dfg: DFG, lib: OperatorLibrary,
     plain topological order; only if that fails does the search backtrack
     and replay the II with the slack-driven orderings.  Because every II
     is attempted with at least the iterative order, the first II that
-    succeeds is never larger than the iterative scheduler's.
+    succeeds is never larger than the iterative scheduler's.  The
+    topological attempts are read from the search context's per-II
+    table wherever an earlier search of the same triple ran them.
     """
     edges = edges if edges is not None else default_edge_view(dfg)
     # the orders depend on the triple alone, so every register-pressure

@@ -26,6 +26,15 @@ of the jam(2) analysis once per extra copy and appends the copies to
 the base analysis (:mod:`repro.core.jamdfg`).  Deriving them is cheaper
 than unpickling them, so they live in memory only.
 
+Squash analyses — the per-DS stage assignment, register chains and
+relaxed edge view layered over the base graph — live in memory only
+too, keyed by (program, nest, DS, delay function).  Every scheduler of
+a squash or jam+squash design therefore gets the *same*
+:class:`~repro.pipeline.artifacts.AnalyzedDFG`, and through its object
+identity the same II-search context (:data:`repro.hw.modulo._CTX`):
+``modulo`` and ``backtrack`` share one dense problem, one MII pair and
+every topological placement.
+
 Set ``REPRO_ANALYSIS_CACHE=0`` to bypass sharing entirely (the reference
 route the parity tests compare against); :func:`repro.clear_caches`
 drops the memory tier (and, unless ``memory_only``, the disk tier).
@@ -123,8 +132,8 @@ class AnalysisCache:
     Base analyses and legality preparations live in two-tier memos keyed
     by :func:`content_key`, with :func:`repro.store.analysis_store` as
     their disk tier.  The map from a (program, nest) pair to its content
-    key and the jam analyses are memory-only identity memos pinning
-    their (program, nest) keys.
+    key and the jam and squash analyses are memory-only identity memos
+    pinning their (program, nest) keys.
     """
 
     def __init__(self, maxsize: int = 64):
@@ -132,6 +141,7 @@ class AnalysisCache:
         self._bases = Memo("analysis", maxsize, store)
         self._preps = Memo("prep", maxsize, store)
         self._jams = Memo("jam_analysis", maxsize)
+        self._squashes = Memo("squash_analysis", maxsize)
         self._keys = Memo("content_key", maxsize * 4)
 
     def __len__(self) -> int:
@@ -207,6 +217,21 @@ class AnalysisCache:
                         self._jam_template(program, nest), clamped) \
             if base.check1.ok else None
         return jam if jam is not None else _program_jam(program, nest, factor)
+
+    def squash_for(self, program: Program, nest: LoopNest, ds: int,
+                   delay_fn: Optional[Callable]) -> AnalyzedDFG:
+        """The DS-staged analysis of ``nest`` under ``delay_fn``,
+        memoized in the memory tier only.
+
+        A library's bound ``delay`` compares by the library's identity,
+        so the key is (program, nest, DS, operator library) and the
+        entry pins all of them.  Legality rejections raise and are never
+        stored.
+        """
+        return self._squashes.get(
+            (id(program), id(nest.outer), id(nest.inner), ds, delay_fn),
+            lambda: _squash_analysis(program, nest, ds, delay_fn, self),
+            (program, nest, delay_fn))
 
     def _jam_template(self, program: Program,
                       nest: LoopNest) -> BaseAnalysis:
@@ -304,7 +329,17 @@ def squash_analyzed_dfg(program: Program, nest: LoopNest, ds: int,
     Runs the per-DS legality check first (so DS-specific rejections
     surface exactly as before), then layers stage assignment, register
     chains, and the stage-relaxed edge view over the shared base graph.
+    With sharing on, a repeated (program, nest, DS, delay function)
+    returns the first call's object (:meth:`AnalysisCache.squash_for`).
     """
+    if cache is not None and analysis_cache_enabled():
+        return cache.squash_for(program, nest, ds, delay_fn)
+    return _squash_analysis(program, nest, ds, delay_fn, cache)
+
+
+def _squash_analysis(program: Program, nest: LoopNest, ds: int,
+                     delay_fn: Optional[Callable],
+                     cache: Optional[AnalysisCache]) -> AnalyzedDFG:
     check = _check(program, nest, ds, cache)
     check.raise_if_failed()
     base = _base(program, nest, cache)

@@ -85,8 +85,10 @@ class AnalyzedDFG:
     default distances) are shared across every variant of one kernel
     through :class:`repro.pipeline.analysis.AnalysisCache`; squash
     variants add per-DS staging, register chains, and the stage-relaxed
-    ``edges`` view on top of the shared graph.  ``edges=None`` means the
-    DFG's own distances.
+    ``edges`` view on top of the shared graph, one object per (program,
+    nest, DS, library) that every scheduler of the design shares, so
+    nothing downstream may mutate it.  ``edges=None`` means the DFG's
+    own distances.
     """
 
     dfg: DFG

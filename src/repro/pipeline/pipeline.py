@@ -320,12 +320,14 @@ class CompilationPipeline:
         of every legal schedule at a given II from below and never
         decreases with the II, so its value at ResMII — no schedule has
         a smaller II — bounds the whole walk of :meth:`_fit_register_file`.
+        ResMII comes from the design's search context, which every
+        scheduler of the design shares.
         """
-        from repro.hw.mii import res_mii
+        from repro.hw.modulo import search_res_mii
         from repro.vliw.pressure import pressure_floor
 
         lib = self.target.library
-        ii = res_mii(analyzed.dfg, lib)
+        ii = search_res_mii(analyzed.dfg, lib, analyzed.edges)
         floor = pressure_floor(analyzed.dfg, lib, analyzed.edges, ii)
         if floor > capacity:
             raise ScheduleError(

@@ -43,6 +43,27 @@ STORE_IN_IF = """kernel store_if {
 """
 
 
+#: a guarded load in the kernel loop: if-conversion evaluates it at
+#: i = j = 0 too, where it reads ``x[-1]``
+GUARDED_LOAD = """kernel guarded {
+  u8 x[8] = { 1, 2, 3, 4, 5, 6, 7, 8 };
+  output u32 out[4];
+  u32 acc;
+  u32 t;
+  for (i = 0; i < 4; i++) {
+    acc = 0;
+    #pragma kernel
+    for (j = 0; j < 4; j++) {
+      t = 0;
+      if (i + j > 0) { t = x[i + j - 1]; }
+      acc = acc + t;
+    }
+    out[i] = acc;
+  }
+}
+"""
+
+
 @pytest.fixture
 def demo(tmp_path):
     p = tmp_path / "demo.lang"
@@ -101,6 +122,19 @@ class TestCompileCommand:
         err = capsys.readouterr().err
         assert "single basic block" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_guarded_load_exits_1_with_one_line(self, tmp_path, capsys):
+        from repro.verify import lint_file
+
+        p = tmp_path / "guarded.lang"
+        p.write_text(GUARDED_LOAD)
+        assert main(["compile", str(p), "--ds", "2"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("guarded/squash(2): ")
+        assert "negative subscript -1 in dim 0 of 'x'" in err
+        assert "W003" in err
+        assert "W003" in {f.code for f in lint_file(p)}
 
     def test_target_spec_with_modifiers(self, capsys):
         assert main(["compile", str(EXAMPLES / "dotprod.lang"),

@@ -97,6 +97,27 @@ class TestCLI:
     def test_verify_needs_a_kernel(self, capsys):
         assert main(["verify"]) == 2
 
+    def test_verify_covers_every_scheduler(self, capsys):
+        rc = main(["verify", "--kernel", "iir",
+                   "--variants", "original", "squash", "--factors", "2",
+                   "--scheduler", "modulo", "--scheduler", "backtrack"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "iir/squash(2)@modulo [acev]: ok" in out
+        assert "iir/squash(2)@backtrack [acev]: ok" in out
+        # list-scheduled whatever the strategy: verified once, unlabelled
+        assert "iir/original [acev]: ok" in out
+        assert "original@" not in out
+        assert "verified 3 design(s)" in out
+
+    def test_verify_labels_jam_squash_with_both_factors(self, capsys):
+        rc = main(["verify", "--kernel", "iir", "--variants", "jam+squash",
+                   "--factors", "2", "--jam-factors", "2", "4"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "iir/jam(2)+squash(2) [acev]: ok" in out
+        assert "iir/jam(4)+squash(2) [acev]: ok" in out
+
     def test_lint_clean_kernel_exits_zero(self, capsys):
         path = str(KERNELS / "simple-fg.lang")
         rc = main(["lint", path, "--strict"])
