@@ -414,7 +414,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.verify import lint_file
+    from repro.verify.lint import lint_file
 
     worst = 0
     for path in args.files:
@@ -478,6 +478,17 @@ def _verify_squash(prog, nest, ds: int, params: dict, label: str):
     return res
 
 
+def _rejection(exc) -> str:
+    """One stderr line for a design the compiler rejected; a
+    :class:`~repro.errors.VerifyError` keeps its provenance and its
+    first finding."""
+    findings = getattr(exc, "findings", None)
+    if not findings:
+        return str(exc)
+    more = f" (+{len(findings) - 1} more)" if len(findings) > 1 else ""
+    return f"{getattr(exc, 'provenance', 'design')}: {findings[0]}{more}"
+
+
 def _price_squash(prog, nest, ds: int, spec: str) -> tuple:
     """Print and return the original and squash(ds) design points on the
     target ``spec`` (same grammar as ``explore --target``)."""
@@ -496,7 +507,8 @@ def _price_squash(prog, nest, ds: int, spec: str) -> tuple:
 
 def _cmd_compile(args) -> int:
     from repro.analysis import find_kernel_nests
-    from repro.errors import LangError, LegalityError, ScheduleError
+    from repro.errors import LangError, LegalityError, ScheduleError, \
+        VerifyError
     from repro.ir import program_to_str
     from repro.lang import compile_file
 
@@ -540,15 +552,15 @@ def _cmd_compile(args) -> int:
                                           "  ") is None:
             return 1
         _price_squash(prog, nest, args.ds, args.target)
-    except (LegalityError, ScheduleError) as exc:
-        print(exc, file=sys.stderr)
+    except (LegalityError, ScheduleError, VerifyError) as exc:
+        print(_rejection(exc), file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_squash(args) -> int:
     from repro.analysis import find_kernel_nests
-    from repro.errors import LegalityError, ScheduleError
+    from repro.errors import LegalityError, ScheduleError, VerifyError
     from repro.hw import normalize
     from repro.ir import program_to_str
     from repro.workloads import benchmark_by_name
@@ -561,8 +573,8 @@ def _cmd_squash(args) -> int:
         if res is None:
             return 1
         base, point = _price_squash(prog, nest, args.ds, args.target)
-    except (LegalityError, ScheduleError) as exc:
-        print(exc, file=sys.stderr)
+    except (LegalityError, ScheduleError, VerifyError) as exc:
+        print(_rejection(exc), file=sys.stderr)
         return 1
     n = normalize(base, point)
     print(f"  speedup {n.speedup:.2f}x, area {n.area_factor:.2f}x, "

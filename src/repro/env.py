@@ -27,13 +27,15 @@ __all__ = ["ANALYSIS_CACHE_ENV", "BATCH_TIMEOUT_ENV", "KNOBS", "Knob",
 #: enables the two-tier (memory + disk) memos.
 ANALYSIS_CACHE_ENV = "REPRO_ANALYSIS_CACHE"
 
-#: Controls the static artifact verifiers (see :mod:`repro.verify`): unset/
-#: ``"0"``/``"off"`` (default) keeps the hot path unchecked, ``"1"``/``"on"``
-#: re-verifies every DFG, SSA block, edge view, and schedule between pipeline
-#: stages, and ``"strict"`` adds the re-derivation cross-checks (independent
-#: MaxLive recount, MII lower bounds, ``exact_ii`` certificates).  Tests and
-#: CI run with it on; verified artifacts are byte-identical to unverified
-#: ones — the checkers only observe.
+#: Controls the static artifact verifiers (see :mod:`repro.verify`) beyond
+#: the schedule re-verifier, which the pipeline's validate stage runs on
+#: every design in every mode: unset/``"0"``/``"off"`` (default) adds
+#: nothing, ``"1"``/``"on"`` adds the structural DFG, SSA block and edge-view
+#: checks after the analyze stage, and ``"strict"`` adds the re-derivation
+#: cross-checks on top (independent MaxLive recount, MII lower bounds,
+#: ``exact_ii`` certificates).  One CI leg runs the suite under ``strict``;
+#: verified artifacts are byte-identical to unverified ones — the checkers
+#: only observe.
 VERIFY_ENV = "REPRO_VERIFY"
 
 #: How many times the supervised engine re-dispatches a failing batch
@@ -89,8 +91,9 @@ KNOBS: "tuple[Knob, ...]" = (
          "Analysis sharing: 0 disables (the reference route), 1 enables "
          "the two-tier (memory + disk) memos."),
     Knob("REPRO_VERIFY", "0/off | 1/on | strict", "off",
-         "Static artifact verifiers between pipeline stages; strict "
-         "adds re-derivation cross-checks.  Output is byte-identical."),
+         "Checks beyond the always-on schedule re-verifier: on adds "
+         "the structural DFG/SSA/edge-view checks, strict adds "
+         "re-derivation cross-checks.  Output is byte-identical."),
     Knob("REPRO_TRACE", "0/off | 1/on | full", "off",
          "Span/event tracer: on records pipeline/scheduler/cache/"
          "supervisor spans, full adds per-candidate-II detail.  "

@@ -6,8 +6,9 @@ persistent :class:`ResultCache` first so repeated sweeps are
 incremental.  Designs the compiler rejects — ``LegalityError`` /
 ``ScheduleError`` — come back as structured :class:`SkipRecord` entries;
 queries whose *evaluation* fails (worker crash, straggler timeout,
-unclassified exception) are retried, bisected to the culprit, and
-quarantined as :class:`FailRecord` entries instead of aborting the sweep.
+unclassified exception, a ``VerifyError`` from the pipeline's schedule
+check) are retried, bisected to the culprit, and quarantined as
+:class:`FailRecord` entries instead of aborting the sweep.
 
 The unit of dispatch is a *batch*: cache-missing queries are grouped by
 ``(kernel, variant)`` so one worker ships each kernel once and compiles

@@ -211,9 +211,10 @@ def run_sweep_bench(factors: Sequence[int] = (2, 4, 8, 16),
         raise RuntimeError("warm recompile produced different results "
                            "than the cold sweep — cache corruption")
 
-    # the same fresh-worker sweep again with the artifact verifiers on:
-    # the wall-time delta against warm_recompile is the verifier tax,
-    # and the results must be byte-identical (the checkers only observe)
+    # the same fresh-worker sweep again with REPRO_VERIFY=on: both legs
+    # run the schedule re-verifier (the validate stage), so the wall-time
+    # delta against warm_recompile is the tax of the structural checks
+    # alone, and the results must be byte-identical (checkers only observe)
     from repro.env import VERIFY_ENV
     clear_caches(memory_only=True)
     ResultCache().clear()

@@ -3,7 +3,7 @@
 The Nimble back-end equivalent (thesis §5.1/§6.1): a parametric datapath
 cost model (rows + memory ports), RecMII/ResMII bounds, a modulo
 scheduler, a non-pipelined list scheduler, register/area estimation, and
-cycle-level schedule simulation.
+cycle accounting of scheduled datapaths.
 """
 
 from repro.hw.ops import ACEV_LIBRARY, GARP_LIBRARY, OperatorLibrary, OpSpec  # noqa: F401

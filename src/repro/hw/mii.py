@@ -35,7 +35,7 @@ EdgeView = list[tuple[DFGNode, DFGNode, int]]
 
 #: Per-DFG memo of the default view (identity-keyed, pinning).  DFGs are
 #: frozen once analysis hands them to the schedulers, and every
-#: schedule/pressure/simulate call on an unrelaxed design re-derives
+#: schedule/pressure call on an unrelaxed design re-derives
 #: this same list; returning one shared object also lets the II search's
 #: identity-keyed context memo hit across repeated calls.  Callers
 #: treat views as read-only (squash builds its own list).

@@ -68,9 +68,9 @@ class Scheduler(Protocol):
     """One scheduling strategy the pipeline can be pointed at.
 
     ``pipelined`` distinguishes modulo-style schedulers (results carry an
-    initiation interval smaller than the makespan and are validated by
-    modulo replay) from sequential ones (validated by back-to-back
-    replay).
+    initiation interval smaller than the makespan and are re-verified
+    against the reservation table modulo II) from sequential ones
+    (re-verified cycle by cycle within one iteration).
     """
 
     name: str

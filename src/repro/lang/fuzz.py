@@ -14,8 +14,9 @@ IR-level and source-level generators.
 the IR-level fuzzer enforces (`tests/vliw/test_randgen_property.py`):
 
 * the printed program re-parses to a structurally equivalent one;
-* the scheduler's result passes the backend's own dynamic checker
-  (:func:`repro.hw.simulate.simulate_modulo`) within resource limits;
+* the scheduler's result passes the independent schedule re-verifier
+  (:func:`repro.verify.schedule.reverify_modulo`: dependences, resource
+  rows within their slot limits, the claimed table, the makespan);
 * cycle-accurate replay (:func:`repro.vliw.simulate.vliw_replay`)
   computes exactly the IR interpreter's values.
 
@@ -150,10 +151,10 @@ def differential_check(seed: int, target_spec: str = "acev",
     from repro.analysis.loops import find_kernel_nests, trip_count
     from repro.core.squash import analyze_nest
     from repro.hw.schedulers import scheduler_by_name
-    from repro.hw.simulate import simulate_modulo
     from repro.ir.printer import program_to_str
     from repro.lang import compile_source, programs_equivalent
     from repro.nimble.target import decode_target
+    from repro.verify.schedule import reverify_modulo
     from repro.vliw.simulate import (
         interpreter_reference, random_live_ins, vliw_replay,
     )
@@ -178,12 +179,10 @@ def differential_check(seed: int, target_spec: str = "acev",
         prog, nest, 1, delay_fn=target.library.delay)
     sched = scheduler_by_name(scheduler).schedule(dfg, target.library)
 
-    sim = simulate_modulo(dfg, target.library, sched, iterations=6)
-    if not sim.ok:
-        problems.append(f"{where}: simulate violations {sim.violations[:3]}")
-    for unit, slots in target.library.resource_slots().items():
-        if sim.resource_peaks.get(unit, 0) > slots:
-            problems.append(f"{where}: {unit} peak exceeds {slots} slots")
+    findings = reverify_modulo(dfg, target.library, sched)
+    if findings:
+        problems.append(f"{where}: schedule findings "
+                        f"{[str(f) for f in findings[:3]]}")
 
     init = random_live_ins(work, w_nest, ssa, random.Random(seed + 1))
     iters = trip_count(w_nest.inner)

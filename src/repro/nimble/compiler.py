@@ -12,10 +12,10 @@ For one kernel nest, produce the thesis's ten design points:
 All variants flow through the staged
 :class:`repro.pipeline.CompilationPipeline` — the ``compile_*``
 functions kept here are thin per-variant wrappers over it, preserved as
-the driver's public API.  Every schedule is validated by cycle-level
-replay (:mod:`repro.hw.simulate`) before being reported, and the base
-analysis of a kernel nest is shared across all its variants via the
-process-local :class:`repro.pipeline.AnalysisCache`.
+the driver's public API.  Every schedule passes the independent
+re-verifier (:mod:`repro.verify.schedule`) before being reported, and
+the base analysis of a kernel nest is shared across all its variants
+via the process-local :class:`repro.pipeline.AnalysisCache`.
 """
 
 from __future__ import annotations
@@ -130,7 +130,10 @@ def compile_query(query: "DesignQuery") -> "DesignPoint | SkipRecord":
     drives the requested variant through the pipeline.  Designs the
     compiler rejects come back as structured :class:`SkipRecord` entries
     (``phase`` = ``"legality"`` or ``"schedule"``); any other exception
-    propagates.  The result is a function of the query alone — no
+    propagates.  That includes a :class:`~repro.errors.VerifyError`: a
+    schedule the validate stage rejects is a compiler fault, so the
+    engine quarantines the design instead of caching a skip.  The
+    result is a function of the query alone — no
     ambient state — so it is safe to evaluate in any process, in any
     order, and to cache by query hash.
     """

@@ -1,14 +1,16 @@
 """Typed stage artifacts flowing through the compilation pipeline.
 
-One variant compilation is a linear flow of five typed hand-offs::
+One variant compilation is a linear flow of four typed hand-offs::
 
     BuiltKernel -> TransformedNest -> AnalyzedDFG -> ScheduledDesign
-                -> ValidatedDesign -> DesignPoint
+                -> DesignPoint
 
 Each artifact carries everything downstream stages need and nothing
 more, so a stage can be swapped (a different scheduler, a different
-transform) without touching its neighbours.  The final
-:class:`~repro.hw.report.DesignPoint` is the Table 6.2 cell group.
+transform) without touching its neighbours.  The validate stage only
+checks a :class:`ScheduledDesign` (:mod:`repro.verify.schedule`) and
+hands it on unchanged.  The final :class:`~repro.hw.report.DesignPoint`
+is the Table 6.2 cell group.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from repro.core.stages import ChainInfo, StageAssignment
 from repro.hw.listsched import ListSchedule
 from repro.hw.mii import EdgeView
 from repro.hw.modulo import ModuloSchedule
-from repro.hw.simulate import SimulationResult
 from repro.ir.nodes import Program
 
 __all__ = ["AnalyzedDFG", "BuiltKernel", "ScheduledDesign",
-           "TransformedNest", "ValidatedDesign"]
+           "TransformedNest"]
 
 
 @dataclass(frozen=True)
@@ -128,14 +129,3 @@ class ScheduledDesign:
     def ii(self) -> int:
         return self.schedule.ii if self.pipelined else self.schedule.length
 
-
-@dataclass
-class ValidatedDesign:
-    """Stage 5 output: the schedule plus its cycle-level replay."""
-
-    scheduled: ScheduledDesign
-    sim: SimulationResult
-
-    @property
-    def ok(self) -> bool:
-        return self.sim.ok

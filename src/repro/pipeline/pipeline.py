@@ -14,20 +14,26 @@ scheduler for pipelined variants is resolved by name from
 :mod:`repro.hw.schedulers`, so new strategies plug in without touching
 this module.
 
+The validate stage is the independent schedule re-verifier
+(:func:`repro.verify.schedule.verify_scheduled`): every precedence
+constraint, the reservation table rebuilt against the slot capacities
+and the schedule's own claimed table, and the makespan, in every
+``REPRO_VERIFY`` mode.  The validated knob (:func:`repro.env.verify_mode`)
+adds more checks on top: ``on`` re-examines the analyzed DFG, SSA block
+and edge view after the analyze stage, and ``strict`` also re-derives
+the MII lower bounds and the MaxLive count behind each schedule and the
+``exact_ii`` certificate behind each reported design point.  The
+checkers only observe — results are byte-identical in every mode.  The
+DFG and design-point checks time as a ``verify`` stage of their own;
+the schedule checks, strict ones included, time as ``validate``.
+
 Errors raised mid-pipeline (:class:`~repro.errors.LegalityError`,
 :class:`~repro.errors.ScheduleError`,
 :class:`~repro.errors.VerifyError`) are re-raised with full
 provenance — kernel, variant label, target, scheduler — so a failed
-design in a thousand-point sweep names itself.
-
-When the validated ``REPRO_VERIFY`` knob (:func:`repro.env.verify_mode`)
-is ``on`` or ``strict``, the independent checkers in :mod:`repro.verify`
-re-examine the analyzed DFG after the analyze stage and the schedule
-after the schedule stage; ``strict`` additionally re-derives the MII
-lower bounds, the MaxLive count, and the ``exact_ii`` certificate behind
-each reported design point.  The checkers only observe — results are
-byte-identical with the knob on or off — and their cost lands in a
-dedicated ``verify`` stage-timing bucket.
+design in a thousand-point sweep names itself.  A ``VerifyError`` is a
+compiler fault, not a verdict on the design: the exploration engine
+quarantines it instead of caching it as a skipped design.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from repro.hw.modulo import ModuloSchedule
 from repro.hw.report import DesignPoint, variant_label
 from repro.hw.schedulers import DEFAULT_SCHEDULER, Scheduler, \
     scheduler_by_name
-from repro.hw.simulate import simulate_modulo, simulate_sequential
 from repro.ir.nodes import Program
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -55,7 +60,6 @@ from repro.pipeline.analysis import AnalysisCache, analysis_cache, \
     base_analyzed_dfg, jam_analyzed_dfg, squash_analyzed_dfg
 from repro.pipeline.artifacts import (
     AnalyzedDFG, BuiltKernel, ScheduledDesign, TransformedNest,
-    ValidatedDesign,
 )
 
 if TYPE_CHECKING:  # pipeline <-> nimble import cycle: Target only for types
@@ -63,9 +67,6 @@ if TYPE_CHECKING:  # pipeline <-> nimble import cycle: Target only for types
 
 __all__ = ["CompilationPipeline", "PipelineRun", "VARIANT_PLANS",
            "VariantPlan", "variant_label"]
-
-#: Iterations replayed by the validation stage.
-VALIDATE_ITERS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,6 @@ class PipelineRun:
     transformed: TransformedNest
     analyzed: AnalyzedDFG
     scheduled: ScheduledDesign
-    validated: ValidatedDesign
     point: DesignPoint
 
 
@@ -267,8 +267,7 @@ class CompilationPipeline:
 
     def __init__(self, target: "Optional[Target]" = None,
                  scheduler: Optional[str] = None,
-                 cache: Optional[AnalysisCache] = None,
-                 validate_iters: int = VALIDATE_ITERS):
+                 cache: Optional[AnalysisCache] = None):
         if target is None:
             from repro.nimble.target import ACEV
             target = ACEV
@@ -276,7 +275,6 @@ class CompilationPipeline:
         self.scheduler = scheduler if scheduler is not None \
             else getattr(target, "scheduler", "")
         self.cache = cache if cache is not None else analysis_cache()
-        self.validate_iters = validate_iters
 
     # -- stages -----------------------------------------------------------
 
@@ -370,21 +368,6 @@ class CompilationPipeline:
                                          analyzed.edges)
         return schedule, pressure, floored
 
-    def _validate(self, plan: VariantPlan,
-                  scheduled: ScheduledDesign) -> ValidatedDesign:
-        lib = self.target.library
-        a = scheduled.analyzed
-        if scheduled.pipelined:
-            sim = simulate_modulo(a.dfg, lib, scheduled.schedule,
-                                  self.validate_iters, edges=a.edges)
-        else:
-            sim = simulate_sequential(a.dfg, lib, scheduled.schedule,
-                                      self.validate_iters)
-        if not sim.ok:  # pragma: no cover - defensive
-            raise ScheduleError(
-                f"schedule invalid: {sim.violations[:2]}")
-        return ValidatedDesign(scheduled=scheduled, sim=sim)
-
     def _report(self, built: BuiltKernel, t: TransformedNest,
                 scheduled: ScheduledDesign,
                 base_ii: Optional[int]) -> DesignPoint:
@@ -431,6 +414,8 @@ class CompilationPipeline:
         from time import perf_counter
 
         from repro.env import verify_mode
+        from repro.verify import verify_analyzed, verify_design_point, \
+            verify_scheduled
 
         mode = verify_mode()
         strict = mode == "strict"
@@ -446,7 +431,6 @@ class CompilationPipeline:
             t1 = perf_counter()
             _record_stage("analyze", t1 - t0, t0, t1)
             if mode != "off":
-                from repro.verify import verify_analyzed
                 stage, t0 = "verify", t1
                 verify_analyzed(analyzed, self.target.library,
                                 strict=strict)
@@ -456,20 +440,12 @@ class CompilationPipeline:
             scheduled = self._schedule(plan, analyzed)
             t1 = perf_counter()
             _record_stage("schedule", t1 - t0, t0, t1)
-            if mode != "off":
-                from repro.verify import verify_scheduled
-                stage, t0 = "verify", t1
-                verify_scheduled(scheduled, self.target.library,
-                                 strict=strict)
-                t1 = perf_counter()
-                _record_stage("verify", t1 - t0, t0, t1)
             stage, t0 = "validate", t1
-            validated = self._validate(plan, scheduled)
+            verify_scheduled(scheduled, self.target.library, strict=strict)
             t1 = perf_counter()
             _record_stage("validate", t1 - t0, t0, t1)
             point = self._report(built, transformed, scheduled, base_ii)
             if strict:
-                from repro.verify import verify_design_point
                 stage, t0 = "verify", perf_counter()
                 verify_design_point(point, analyzed, self.target.library)
                 t1 = perf_counter()
@@ -489,7 +465,7 @@ class CompilationPipeline:
                             ds=ds, jam=jam)
         return PipelineRun(built=built, transformed=transformed,
                            analyzed=analyzed, scheduled=scheduled,
-                           validated=validated, point=point)
+                           point=point)
 
     def compile(self, program: Program, nest: LoopNest, variant: str,
                 ds: int = 1, jam: int = 1,

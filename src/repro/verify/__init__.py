@@ -11,19 +11,19 @@ the data structures that claim them.  Three layers:
   :mod:`repro.hw.modulo` or :mod:`repro.hw.sched_kernel`, plus
   strict-mode re-derivations (MaxLive recount, MII lower bounds);
 * :mod:`repro.verify.lint` — a scheduling-free static linter for
-  ``.lang`` sources.
+  ``.lang`` sources.  It is not re-exported here: it pulls in the whole
+  :mod:`repro.lang` front end, which a compile worker never needs, so
+  import it as ``repro.verify.lint``.
 
-The pipeline calls the first two between stages when the validated
-``REPRO_VERIFY`` knob (:func:`repro.env.verify_mode`) is ``on`` or
-``strict``; ``repro verify`` and ``repro lint`` expose them from the
-command line.  All checkers are observers: enabling them never changes
-any artifact or result.
+The pipeline's validate stage runs the schedule re-verifier on every
+design.  The validated ``REPRO_VERIFY`` knob (:func:`repro.env.verify_mode`)
+adds the structural checks after the analyze stage (``on``) and the
+strict re-derivations on top (``strict``); ``repro verify`` and
+``repro lint`` expose the checkers from the command line.  All checkers
+are observers: enabling them never changes any artifact or result.
 """
 
 from repro.verify.findings import Finding, raise_findings
-from repro.verify.lint import (
-    LintFinding, format_lint, lint_file, lint_source,
-)
 from repro.verify.schedule import (
     crosscheck_pressure, independent_rec_mii, independent_res_mii,
     reverify_list, reverify_modulo, verify_design_point, verify_scheduled,
@@ -33,9 +33,8 @@ from repro.verify.structural import (
 )
 
 __all__ = [
-    "Finding", "LintFinding", "check_dfg", "check_edge_view", "check_ssa",
-    "crosscheck_pressure", "format_lint", "independent_rec_mii",
-    "independent_res_mii", "lint_file", "lint_source", "raise_findings",
-    "reverify_list", "reverify_modulo", "verify_analyzed",
+    "Finding", "check_dfg", "check_edge_view", "check_ssa",
+    "crosscheck_pressure", "independent_rec_mii", "independent_res_mii",
+    "raise_findings", "reverify_list", "reverify_modulo", "verify_analyzed",
     "verify_design_point", "verify_scheduled",
 ]

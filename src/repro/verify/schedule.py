@@ -1,7 +1,10 @@
 """An independent, dumb-on-purpose schedule re-verifier.
 
-Given any claimed schedule — a :class:`~repro.hw.modulo.ModuloSchedule`
-(including :class:`~repro.hw.exact.ExactSchedule`) or a
+The pipeline's validate stage: every design's schedule passes
+:func:`verify_scheduled` before it is reported, whatever the
+``REPRO_VERIFY`` mode.  Given any claimed schedule — a
+:class:`~repro.hw.modulo.ModuloSchedule` (including
+:class:`~repro.hw.exact.ExactSchedule`) or a
 :class:`~repro.hw.listsched.ListSchedule` — re-check every invariant
 from first principles, sharing **no code** with the schedulers under
 test (:mod:`repro.hw.modulo`, :mod:`repro.hw.sched_kernel`,
@@ -15,6 +18,10 @@ test (:mod:`repro.hw.modulo`, :mod:`repro.hw.sched_kernel`,
   ``t mod II`` — and compared against both the library's slot
   capacities and the schedule's own claimed table;
 * the makespan covers every node's completion.
+
+These are the two constraint families that define a valid modulo
+schedule at one II — dependences and modulo resource rows — plus the
+makespan, which is the ``original`` design's II.
 
 ``strict`` mode adds the re-derivation cross-checks:
 
@@ -83,33 +90,35 @@ def reverify_modulo(dfg: DFG, lib: OperatorLibrary, sched: ModuloSchedule,
             "initiation interval must be at least 1"))
         return out
     out += _placement_findings(dfg, sched.time)
-    placed = {n.nid for n in dfg.nodes
-              if sched.time.get(n.nid) is not None}
+    time = sched.time
+    # every placed node's latency, read once from the library (not the
+    # schedulers' memo); its keys are the placed set
+    delay = {n.nid: lib.delay(n) for n in dfg.nodes
+             if time.get(n.nid) is not None}
 
     # -- precedence: t(dst) - t(src) >= delay(src) - II*dist ------------
     for s, d, dist in _raw_view(dfg, edges):
-        if s.nid not in placed or d.nid not in placed:
+        if s.nid not in delay or d.nid not in delay:
             continue  # already reported as a placement finding
-        slack = sched.time[d.nid] + ii * dist \
-            - sched.time[s.nid] - lib.delay(s)
+        slack = time[d.nid] + ii * dist - time[s.nid] - delay[s.nid]
         if slack < 0:
             out.append(Finding(
                 "schedule.precedence",
                 f"{s!r} -> {d!r} (dist {dist})",
-                f"t(dst)={sched.time[d.nid]} + II*dist={ii * dist} falls "
-                f"{-slack} cycle(s) short of t(src)={sched.time[s.nid]} "
-                f"+ delay={lib.delay(s)}"))
+                f"t(dst)={time[d.nid]} + II*dist={ii * dist} falls "
+                f"{-slack} cycle(s) short of t(src)={time[s.nid]} "
+                f"+ delay={delay[s.nid]}"))
 
     # -- reservation table rebuilt from scratch -------------------------
     slots = lib.resource_slots()
     rebuilt: dict[str, dict[int, int]] = {r: {} for r in slots}
     for n in dfg.nodes:
-        if n.nid not in placed:
+        if n.nid not in delay:
             continue
         for r in lib.node_resources(n):
             if r not in rebuilt:
                 continue  # unknown class: a dfg.resource-class finding
-            row = sched.time[n.nid] % ii
+            row = time[n.nid] % ii
             rebuilt[r][row] = rebuilt[r].get(row, 0) + 1
     for r, rows in rebuilt.items():
         cap = slots[r]
@@ -133,9 +142,8 @@ def reverify_modulo(dfg: DFG, lib: OperatorLibrary, sched: ModuloSchedule,
                     f"placement implies {nonzero.get(r, {})}"))
 
     # -- makespan covers every completion -------------------------------
-    if placed:
-        end = max(sched.time[n.nid] + lib.delay(n)
-                  for n in dfg.nodes if n.nid in placed)
+    if delay:
+        end = max(time[nid] + dly for nid, dly in delay.items())
         if sched.length < end:
             out.append(Finding(
                 "schedule.length", f"length={sched.length}",
@@ -147,31 +155,32 @@ def reverify_list(dfg: DFG, lib: OperatorLibrary,
                   sched: ListSchedule) -> list[Finding]:
     """Re-check a sequential (non-pipelined) list schedule."""
     out = _placement_findings(dfg, sched.time)
-    placed = {n.nid for n in dfg.nodes
-              if sched.time.get(n.nid) is not None}
+    time = sched.time
+    delay = {n.nid: lib.delay(n) for n in dfg.nodes
+             if time.get(n.nid) is not None}
 
     for e in dfg.edges:
         if e.dist != 0:
             continue  # iterations run back to back: trivially satisfied
-        if e.src.nid not in placed or e.dst.nid not in placed:
+        if e.src.nid not in delay or e.dst.nid not in delay:
             continue
-        need = sched.time[e.src.nid] + lib.delay(e.src)
-        if sched.time[e.dst.nid] < need:
+        need = time[e.src.nid] + delay[e.src.nid]
+        if time[e.dst.nid] < need:
             out.append(Finding(
                 "schedule.precedence",
                 f"{e.src!r} -> {e.dst!r} (dist 0)",
-                f"t(dst)={sched.time[e.dst.nid]} precedes the source's "
+                f"t(dst)={time[e.dst.nid]} precedes the source's "
                 f"completion at {need}"))
 
     slots = lib.resource_slots()
     usage: dict[str, dict[int, int]] = {r: {} for r in slots}
     for n in dfg.nodes:
-        if n.nid not in placed:
+        if n.nid not in delay:
             continue
         for r in lib.node_resources(n):
             if r not in usage:
                 continue
-            t = sched.time[n.nid]
+            t = time[n.nid]
             usage[r][t] = usage[r].get(t, 0) + 1
     for r, cycles in usage.items():
         cap = slots[r]
@@ -181,9 +190,8 @@ def reverify_list(dfg: DFG, lib: OperatorLibrary,
                     "schedule.resources", f"{r}[cycle {t}]",
                     f"{count} operations share {cap} slot(s)"))
 
-    if placed:
-        end = max(sched.time[n.nid] + lib.delay(n)
-                  for n in dfg.nodes if n.nid in placed)
+    if delay:
+        end = max(time[nid] + dly for nid, dly in delay.items())
         if sched.length < max(end, 1):
             out.append(Finding(
                 "schedule.length", f"length={sched.length}",
@@ -325,10 +333,11 @@ def verify_scheduled(scheduled: "ScheduledDesign", lib: OperatorLibrary,
                      strict: bool = False) -> None:
     """Verify one :class:`~repro.pipeline.artifacts.ScheduledDesign`.
 
-    Raises :class:`~repro.errors.VerifyError` on any finding.  Base
-    mode re-checks precedence, resources, the claimed reservation
-    table, and the makespan; ``strict`` adds the MaxLive recount and
-    the independent MII lower bounds.
+    Raises :class:`~repro.errors.VerifyError` on any finding.  The
+    base check — the pipeline's validate stage, run on every design —
+    re-checks precedence, resources, the claimed reservation table,
+    and the makespan; ``strict`` adds the MaxLive recount and the
+    independent MII lower bounds.
     """
     analyzed = scheduled.analyzed
     dfg, edges = analyzed.dfg, analyzed.edges

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import threading
@@ -70,6 +71,55 @@ def memo_traffic(name: str):
     misses = obs_metrics.counter(f"{name}_mem_misses")
     start = (hits.value, misses.value)
     return lambda: (hits.value - start[0], misses.value - start[1])
+
+
+class ShiftedSink:
+    """A planted scheduler bug: ``base``'s schedule with the sink of one
+    tight dependence moved a cycle early, so that edge misses its
+    latency by exactly one cycle."""
+
+    def __init__(self, name: str, base):
+        self.name, self.base, self.pipelined = name, base, base.pipelined
+
+    def schedule(self, dfg, lib, edges=None, max_ii=None, min_ii=None):
+        sched = self.base.schedule(dfg, lib, edges=edges, max_ii=max_ii,
+                                   min_ii=min_ii)
+        view = edges if edges is not None else \
+            [(e.src, e.dst, e.dist) for e in dfg.edges]
+        time = dict(sched.time)
+        for s, d, dist in view:
+            if s is not d and time[d.nid] > 0 and \
+                    time[d.nid] + sched.ii * dist == \
+                    time[s.nid] + lib.delay(s):
+                time[d.nid] -= 1
+                return dataclasses.replace(sched, time=time)
+        raise AssertionError("no tight dependence to break")
+
+
+class ShortMakespan:
+    """A planted scheduler bug: ``base``'s schedule claiming a makespan
+    one cycle short of its last completion."""
+
+    def __init__(self, name: str, base):
+        self.name, self.base, self.pipelined = name, base, base.pipelined
+
+    def schedule(self, dfg, lib, edges=None, max_ii=None, min_ii=None):
+        sched = self.base.schedule(dfg, lib, edges=edges, max_ii=max_ii,
+                                   min_ii=min_ii)
+        end = max(sched.time[n.nid] + lib.delay(n) for n in dfg.nodes)
+        return dataclasses.replace(sched, length=end - 1)
+
+
+@pytest.fixture
+def plant_scheduler(monkeypatch):
+    """Register a strategy for one test, ``replace=True`` (it may shadow
+    a shipped one); the registry is restored on teardown."""
+    from repro.hw import schedulers
+
+    monkeypatch.setattr(schedulers, "_REGISTRY",
+                        dict(schedulers._REGISTRY))
+    return lambda strategy: schedulers.register_scheduler(strategy,
+                                                          replace=True)
 
 
 def build_fig21(m: int = 8, n: int = 4):

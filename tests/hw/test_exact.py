@@ -14,13 +14,14 @@ from repro.core.dfg import DFG
 from repro.errors import ScheduleError
 from repro.hw import (
     ACEV_LIBRARY, ExactSchedule, IICertificate, exact_modulo_schedule,
-    modulo_schedule, simulate_modulo, squash_distances,
+    modulo_schedule, squash_distances,
 )
 from repro.hw.exact import _decide_ii, _Budget
 from repro.hw.mii import default_edge_view
 from repro.hw.ops import cached_delay_map
 from repro.hw.schedulers import backtracking_modulo_schedule
 from repro.ir.types import U32
+from repro.verify import reverify_modulo
 from tests.conftest import build_fig21, build_fig41
 
 
@@ -82,8 +83,7 @@ class TestKnownOptima:
         assert sched.ii <= modulo_schedule(dfg, ACEV_LIBRARY,
                                            edges=edges).ii
         _assert_legal(dfg, ACEV_LIBRARY, sched, edges)
-        sim = simulate_modulo(dfg, ACEV_LIBRARY, sched, 12, edges=edges)
-        assert sim.ok, sim.violations[:3]
+        assert reverify_modulo(dfg, ACEV_LIBRARY, sched, edges) == []
 
     def test_memoryless_graph_needs_no_search(self):
         # fig21's kernel has no memory operations: the minimal solution
@@ -107,8 +107,7 @@ class TestGapInstance:
                           explored=sched.failed[0].explored),)
         assert sched.failed[0].explored > 0
         _assert_legal(dfg, lib, sched)
-        sim = simulate_modulo(dfg, lib, sched, 8)
-        assert sim.ok, sim.violations[:3]
+        assert reverify_modulo(dfg, lib, sched) == []
 
     def test_budget_exhaustion_degrades_to_backtrack(self):
         dfg, lib = _gap_dfg()

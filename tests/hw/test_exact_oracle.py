@@ -20,13 +20,13 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import find_loop_nests
 from repro.core import analyze_nest
 from repro.explore import DesignSpace, evaluate, format_pareto
-from repro.hw import ACEV_LIBRARY, exact_modulo_schedule, simulate_modulo, \
-    squash_distances
+from repro.hw import ACEV_LIBRARY, exact_modulo_schedule, squash_distances
 from repro.hw.mii import default_edge_view
 from repro.hw.schedulers import backtracking_modulo_schedule, \
     modulo_schedule
 from repro.ir.randgen import random_squashable_nest
 from repro.obs import metrics as obs_metrics
+from repro.verify import reverify_modulo
 from repro.workloads import table_6_1_benchmarks
 
 SCHEDULERS = ("modulo", "backtrack", "exact")
@@ -140,8 +140,7 @@ class TestOracleReplay:
                       backtracking_modulo_schedule(dfg, ACEV_LIBRARY,
                                                    edges=edges)):
             assert sched.ii >= exact.ii
-            sim = simulate_modulo(dfg, ACEV_LIBRARY, sched, 12, edges=edges)
-            assert sim.ok, sim.violations[:3]
+            assert reverify_modulo(dfg, ACEV_LIBRARY, sched, edges) == []
             for s, d, dist in view:
                 assert sched.time[d.nid] + sched.ii * dist >= \
                     sched.time[s.nid] + ACEV_LIBRARY.delay(s)
@@ -157,8 +156,7 @@ class TestOracleReplay:
         exact = exact_modulo_schedule(dfg, ACEV_LIBRARY, edges=edges)
         assert exact.ii <= modulo_schedule(dfg, ACEV_LIBRARY,
                                            edges=edges).ii
-        sim = simulate_modulo(dfg, ACEV_LIBRARY, exact, 8, edges=edges)
-        assert sim.ok, sim.violations[:3]
+        assert reverify_modulo(dfg, ACEV_LIBRARY, exact, edges) == []
 
 
 class TestIncrementalSearchParity:
@@ -286,5 +284,4 @@ class TestExhaustiveOracle:
         exact = exact_modulo_schedule(dfg, ACEV_LIBRARY, edges=edges)
         bt = backtracking_modulo_schedule(dfg, ACEV_LIBRARY, edges=edges)
         assert exact.ii <= bt.ii
-        sim = simulate_modulo(dfg, ACEV_LIBRARY, exact, 10, edges=edges)
-        assert sim.ok, sim.violations[:3]
+        assert reverify_modulo(dfg, ACEV_LIBRARY, exact, edges) == []

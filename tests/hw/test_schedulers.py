@@ -16,6 +16,7 @@ from repro.hw import (
 from repro.hw.mii import default_edge_view
 from repro.ir import U32, ProgramBuilder
 from repro.ir.randgen import random_squashable_nest
+from repro.verify import reverify_modulo
 from tests.conftest import build_fig21, build_fig41
 
 
@@ -98,8 +99,7 @@ class TestModuloScheduler:
         sched = modulo_schedule(dfg, ACEV_LIBRARY, edges=edges)
         _assert_schedule_legal(dfg, ACEV_LIBRARY, sched,
                                edges or default_edge_view(dfg))
-        sim = simulate_modulo(dfg, ACEV_LIBRARY, sched, 5, edges=edges)
-        assert sim.ok, sim.violations[:3]
+        assert reverify_modulo(dfg, ACEV_LIBRARY, sched, edges) == []
 
 
 class TestMRTRowAdvance:
@@ -188,8 +188,7 @@ class TestBacktrackingScheduler:
         assert bt.ii <= ims.ii
         _assert_schedule_legal(dfg, ACEV_LIBRARY, bt,
                                edges or default_edge_view(dfg))
-        sim = simulate_modulo(dfg, ACEV_LIBRARY, bt, 5, edges=edges)
-        assert sim.ok, sim.violations[:3]
+        assert reverify_modulo(dfg, ACEV_LIBRARY, bt, edges) == []
 
     def test_mii_bounds_reported(self):
         from repro.hw.schedulers import backtracking_modulo_schedule

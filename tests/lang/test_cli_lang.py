@@ -124,7 +124,7 @@ class TestCompileCommand:
         assert len(err.strip().splitlines()) == 1
 
     def test_guarded_load_exits_1_with_one_line(self, tmp_path, capsys):
-        from repro.verify import lint_file
+        from repro.verify.lint import lint_file
 
         p = tmp_path / "guarded.lang"
         p.write_text(GUARDED_LOAD)

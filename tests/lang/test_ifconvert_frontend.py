@@ -15,7 +15,7 @@ from repro.lang.diagnostics import SourceText
 from repro.lang.lower import lower
 from repro.lang.parser import parse
 from repro.lang.sema import analyze
-from repro.verify import lint_file
+from repro.verify.lint import lint_file
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 CLAMP = ROOT / "examples" / "clamp.lang"

@@ -5,18 +5,21 @@ import pytest
 
 import repro
 from repro.analysis import find_loop_nests
-from repro.errors import LegalityError, ScheduleError
+from repro.errors import LegalityError, ScheduleError, VerifyError
+from repro.explore import DesignQuery, ResultCache, evaluate
 from repro.hw.listsched import ListSchedule
 from repro.hw.modulo import ModuloSchedule
-from repro.hw.schedulers import _REGISTRY, register_scheduler
+from repro.hw.schedulers import _REGISTRY, register_scheduler, \
+    scheduler_by_name
 from repro.ir import ProgramBuilder, U32
 from repro.nimble import compile_original, compile_squash, compile_variants
 from repro.pipeline import (
     VARIANT_PLANS, AnalyzedDFG, BuiltKernel, CompilationPipeline,
-    PipelineRun, ScheduledDesign, TransformedNest, ValidatedDesign,
-    analysis_cache, variant_label,
+    PipelineRun, ScheduledDesign, TransformedNest, analysis_cache,
+    variant_label,
 )
-from tests.conftest import build_fig21, build_fig41, memo_traffic
+from tests.conftest import ShiftedSink, ShortMakespan, build_fig21, \
+    build_fig41, memo_traffic
 
 
 @pytest.fixture
@@ -55,8 +58,6 @@ class TestStageArtifacts:
         assert isinstance(run.transformed, TransformedNest)
         assert isinstance(run.analyzed, AnalyzedDFG)
         assert isinstance(run.scheduled, ScheduledDesign)
-        assert isinstance(run.validated, ValidatedDesign)
-        assert run.validated.ok
         assert run.point.variant == "squash" and run.point.factor == 4
 
     def test_original_is_list_scheduled(self, fig41_nest):
@@ -236,6 +237,56 @@ class TestErrorProvenance:
         pipe = CompilationPipeline(scheduler="not-registered-here")
         with pytest.raises(ScheduleError, match="unknown scheduler"):
             pipe.compile(prog, nest, "pipelined")
+
+
+class TestAlwaysOnScheduleCheck:
+    """With ``REPRO_VERIFY`` unset, the validate stage still runs the
+    independent re-verifier: a planted scheduler bug is rejected as a
+    compiler fault, never reported as a design or cached as a skip."""
+
+    @pytest.fixture(autouse=True)
+    def _verify_unset(self, monkeypatch):
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+
+    def test_precedence_break_is_rejected(self, fig41_nest, plant_scheduler):
+        plant_scheduler(ShiftedSink("shifted", scheduler_by_name("modulo")))
+        prog, nest = fig41_nest
+        with pytest.raises(VerifyError) as exc:
+            CompilationPipeline(scheduler="shifted").compile(
+                prog, nest, "squash", ds=4)
+        assert exc.value.findings[0].checker == "schedule.precedence"
+        assert exc.value.provenance == \
+            "fig41/squash(4) [target=acev, scheduler=shifted]"
+
+    def test_rejected_design_is_quarantined_not_cached(self, tmp_path,
+                                                       plant_scheduler):
+        plant_scheduler(ShiftedSink("shifted", scheduler_by_name("modulo")))
+        q = DesignQuery("iir", "squash", ds=2, scheduler="shifted")
+        result = evaluate([q], jobs=1, cache=ResultCache(tmp_path),
+                          retries=0)
+        assert not result.points() and not result.skips()
+        [fail] = result.fails()
+        assert fail.query == q and "schedule.precedence" in fail.reason
+        assert ResultCache(tmp_path).get(q) is None
+
+    def test_short_modulo_makespan_is_rejected(self, fig41_nest,
+                                               plant_scheduler):
+        plant_scheduler(ShortMakespan("short", scheduler_by_name("modulo")))
+        prog, nest = fig41_nest
+        with pytest.raises(VerifyError) as exc:
+            CompilationPipeline(scheduler="short").compile(
+                prog, nest, "pipelined")
+        assert [f.checker for f in exc.value.findings] == ["schedule.length"]
+
+    def test_short_list_makespan_is_rejected(self, fig41_nest,
+                                             plant_scheduler):
+        # the original design's II is its list schedule's makespan
+        plant_scheduler(ShortMakespan("list", scheduler_by_name("list")))
+        prog, nest = fig41_nest
+        with pytest.raises(VerifyError) as exc:
+            CompilationPipeline().compile(prog, nest, "original")
+        assert [f.checker for f in exc.value.findings] == ["schedule.length"]
+        assert "scheduler=list" in exc.value.provenance
 
 
 class TestThinWrappers:

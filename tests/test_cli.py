@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.hw.schedulers import scheduler_by_name
+from tests.conftest import ShiftedSink
 
 
 class TestCLI:
@@ -30,6 +32,19 @@ class TestCLI:
         assert main(["squash", "iir", "--ds", "16",
                      "--target", "vliw4"]) == 1
         assert "register pressure" in capsys.readouterr().err
+
+    def test_squash_reports_a_rejected_schedule_in_one_line(
+            self, capsys, monkeypatch, plant_scheduler):
+        # a planted modulo bug reaches the command as a VerifyError from
+        # the validate stage: one stderr line, no traceback
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+        plant_scheduler(ShiftedSink("modulo", scheduler_by_name("modulo")))
+        assert main(["squash", "iir", "--ds", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "schedule.precedence" in err[0]
+        assert err[0].startswith("iir/squash(2) [target=acev, "
+                                 "scheduler=modulo]: ")
 
     def test_tables_subset(self, capsys):
         assert main(["tables", "6.2", "--factors", "2"]) == 0

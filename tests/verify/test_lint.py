@@ -4,7 +4,7 @@ position on a crafted bad kernel, and the committed kernels stay clean
 
 import pathlib
 
-from repro.verify import format_lint, lint_file, lint_source
+from repro.verify.lint import format_lint, lint_file, lint_source
 
 KERNELS = (pathlib.Path(__file__).resolve().parents[2]
            / "src" / "repro" / "lang" / "kernels")

@@ -11,10 +11,12 @@ from repro.core.dfg import DFG
 from repro.errors import LegalityError, ScheduleError
 from repro.hw.mii import default_edge_view, res_mii
 from repro.hw.schedulers import scheduler_by_name
+from repro.hw.simulate import simulate_modulo
 from repro.nimble.compiler import _kernel_program
 from repro.nimble.target import decode_target
 from repro.pipeline import VARIANT_PLANS, CompilationPipeline
 from repro.pipeline.artifacts import BuiltKernel
+from repro.verify import reverify_modulo
 from repro.vliw.pressure import pressure_floor, register_pressure, \
     rotating_copies
 
@@ -121,13 +123,16 @@ class TestIIBump:
             pipe.compile(prog, nest, "squash", ds=8)
 
     def test_bumped_schedule_still_validates(self):
-        """The accepted schedule replays cleanly through the generic
-        simulator (issue slots, FU rows, dependences)."""
+        """The accepted schedule passes the independent re-verifier
+        (issue slots, FU rows, dependences), and its replay never
+        exceeds the machine's issue width or memory units."""
+        target = decode_target("vliw4::regs=32")
         prog, nest = _kernel_program("des-hw")
-        run = CompilationPipeline(decode_target("vliw4::regs=32")) \
-            .run(prog, nest, "pipelined")
-        assert run.validated.ok
-        peaks = run.validated.sim.resource_peaks
+        run = CompilationPipeline(target).run(prog, nest, "pipelined")
+        a, sched = run.analyzed, run.scheduled.schedule
+        assert reverify_modulo(a.dfg, target.library, sched, a.edges) == []
+        peaks = simulate_modulo(a.dfg, target.library, sched,
+                                6).resource_peaks
         assert peaks["issue"] <= 4 and peaks["mem"] <= 2
 
 

@@ -2,9 +2,9 @@
 
 For generator-produced kernels (:func:`repro.ir.randgen.
 random_squashable_nest`) both backends must (a) produce schedules that
-pass their own simulate checkers — the generic resource replay for
-timing, the VLIW replay for bundles — and (b) compute exactly the IR
-interpreter's values.  The fast tier samples a few seeds; the ``slow``
+pass the independent re-verifier (:mod:`repro.verify.schedule`) and the
+VLIW bundle replay, and (b) compute exactly the IR interpreter's
+values.  The fast tier samples a few seeds; the ``slow``
 tier (non-blocking CI job, like the exact oracle's) widens the seed
 space and the machine shapes.
 """
@@ -17,9 +17,9 @@ import pytest
 from repro.analysis.loops import trip_count
 from repro.core.squash import analyze_nest
 from repro.hw.schedulers import scheduler_by_name
-from repro.hw.simulate import simulate_modulo
 from repro.ir.randgen import SquashNestSpec, random_squashable_nest
 from repro.nimble.target import decode_target
+from repro.verify import reverify_modulo
 from repro.vliw.simulate import interpreter_reference, random_live_ins, \
     vliw_replay
 
@@ -36,11 +36,10 @@ def _check_nest(seed, spec, scheduler="modulo", nest_spec=None):
         prog, nest, 1, delay_fn=target.library.delay)
     sched = scheduler_by_name(scheduler).schedule(dfg, target.library)
 
-    # (a) the backend's own dynamic checker
-    sim = simulate_modulo(dfg, target.library, sched, iterations=6)
-    assert sim.ok, f"seed {seed} on {spec}: {sim.violations[:3]}"
-    for unit, slots in target.library.resource_slots().items():
-        assert sim.resource_peaks.get(unit, 0) <= slots
+    # (a) the independent re-verifier: dependences, resource rows
+    # within their slots, the claimed table, the makespan
+    assert reverify_modulo(dfg, target.library, sched) == [], \
+        f"seed {seed} on {spec}"
 
     # (b) cycle-accurate value agreement with the IR interpreter
     init = random_live_ins(work, w_nest, ssa, random.Random(seed + 1))
