@@ -26,7 +26,6 @@ applies, and callers must treat it conservatively (Case 3).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -36,7 +35,7 @@ from repro.ir.nodes import (
     Assign, BinOp, Block, Cast, Const, Expr, For, If, Load, Select, Stmt,
     Store, UnOp, Var,
 )
-from repro.ir.visitors import walk_exprs, walk_stmts
+from repro.ir.visitors import walk_exprs
 from repro.analysis.loops import LoopNest, trip_count
 
 __all__ = [

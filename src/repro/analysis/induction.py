@@ -17,7 +17,7 @@ from repro.ir.nodes import (
     Assign, BinOp, Block, Const, Expr, For, Stmt, Var,
 )
 from repro.ir.visitors import (
-    clone_expr, substitute, variables_read, variables_written, walk_stmts,
+    clone_expr, substitute, variables_read, walk_stmts,
 )
 
 __all__ = ["BasicIV", "find_basic_ivs", "rewrite_induction_variable"]

@@ -8,10 +8,10 @@ mirroring the 2-deep nests unroll-and-squash targets (thesis §4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import LegalityError
-from repro.ir.nodes import Block, Const, Expr, For, If, Program, Stmt
+from repro.ir.nodes import Block, Const, For, If, Program, Stmt
 from repro.ir.visitors import walk_stmts
 
 __all__ = [

@@ -22,14 +22,14 @@ computation, and operator/area accounting in :mod:`repro.hw`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
-from repro.analysis.ssa import SSABlock, base_name
+from repro.analysis.ssa import SSABlock
 from repro.errors import IRError
 from repro.ir.nodes import (
     Assign, BinOp, Cast, Const, Expr, Load, Select, Stmt, Store, UnOp, Var,
 )
-from repro.ir.types import I32, ScalarType
+from repro.ir.types import ScalarType
 
 __all__ = ["DFGNode", "DFGEdge", "DFG", "build_dfg"]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.loops import LoopNest, trip_count
-from repro.analysis.parallel import ParallelismReport, check_outer_parallel
+from repro.analysis.parallel import ParallelismReport
 from repro.analysis.ssa import is_straightline
 from repro.analysis.usedef import LoopLiveness, loop_liveness, uses_of_expr
 from repro.errors import LegalityError, ReproError

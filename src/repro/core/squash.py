@@ -28,7 +28,6 @@ from typing import Callable, Optional
 
 from repro.analysis.loops import LoopNest, find_loop_nests, trip_count
 from repro.analysis.ssa import SSABlock, ssa_rename
-from repro.analysis.usedef import loop_liveness
 from repro.core.dfg import DFG, build_dfg
 from repro.core.emit import SquashEmission, emit_dataset_mode
 from repro.core.legality import SquashCheck, check_squash

@@ -4,11 +4,14 @@ Fans :class:`DesignQuery` objects out over a process pool through the
 fault-tolerant supervisor (:mod:`repro.explore.supervise`), consulting a
 persistent :class:`ResultCache` first so repeated sweeps are
 incremental.  Designs the compiler rejects — ``LegalityError`` /
-``ScheduleError`` — come back as structured :class:`SkipRecord` entries;
-queries whose *evaluation* fails (worker crash, straggler timeout,
-unclassified exception, a ``VerifyError`` from the pipeline's schedule
-check) are retried, bisected to the culprit, and quarantined as
-:class:`FailRecord` entries instead of aborting the sweep.
+``ScheduleError`` — come back as structured :class:`SkipRecord` entries.
+A ``VerifyError`` from the pipeline's schedule check is deterministic, so
+the worker quarantines that design as a :class:`FailRecord` after one
+compile and its batch neighbours still commit.  Queries whose
+*evaluation* fails (worker crash, straggler timeout, unclassified
+exception) are retried, bisected to the culprit, and quarantined as
+:class:`FailRecord` entries instead of aborting the sweep.  Fails are
+never cached.
 
 The unit of dispatch is a *batch*: cache-missing queries are grouped by
 ``(kernel, variant)`` so one worker ships each kernel once and compiles
@@ -273,11 +276,16 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
         pooled = workers > 1
         obs_metrics.gauge("explore.jobs").set(workers)
 
-        def on_payload(positions: Sequence[int], payload: dict) -> None:
-            # commit this batch NOW: a later crash must not discard it
+        def on_payload(positions: Sequence[int], payload: dict) -> int:
+            # commit this batch NOW: a later crash must not discard it;
+            # the designs the worker quarantined are counted, not cached
+            quarantined = 0
             for p, r in zip(positions, payload["results"]):
                 results[pending[p]] = r
-                cache.put(todo[p], r)
+                if isinstance(r, FailRecord):
+                    quarantined += 1
+                else:
+                    cache.put(todo[p], r)
             # merge the batch's observability home.  Trace events are
             # safe to re-inject unconditionally (the worker drained its
             # buffer into the payload, so inline mode moves, not
@@ -290,6 +298,7 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
                 delta = payload.get("metrics")
                 if delta:
                     obs_metrics.registry().merge(delta)
+            return quarantined
 
         def on_failure(failure: BatchFailure) -> None:
             results[pending[failure.position]] = FailRecord(

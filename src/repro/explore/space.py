@@ -115,9 +115,11 @@ class FailRecord:
     The structured sibling of :class:`SkipRecord` for failures that are
     not the compiler's verdict on the design: the worker process died
     (``kind="crash"``), overran the per-batch wall-clock budget
-    (``kind="timeout"``), or raised an exception the compiler does not
-    classify (``kind="exception"``).  The supervised engine retries and
-    bisects failing batches down to the culprit query before writing one
+    (``kind="timeout"``), raised an exception the compiler does not
+    classify (``kind="exception"``), or produced a schedule the validate
+    stage rejected (``kind="verify"``, a compiler fault, quarantined
+    after one compile).  The supervised engine retries and bisects the
+    other failing batches down to the culprit query before writing one
     of these, so a ``FailRecord`` always names a single design — never a
     batch of innocent neighbors — and a sweep always accounts for every
     query (points + skips + fails), with no silent gaps.
@@ -128,7 +130,7 @@ class FailRecord:
     """
 
     query: DesignQuery
-    #: ``"crash"`` | ``"timeout"`` | ``"exception"``
+    #: ``"crash"`` | ``"timeout"`` | ``"exception"`` | ``"verify"``
     kind: str
     #: the exception repr, signal description, or timeout summary
     reason: str

@@ -21,7 +21,9 @@ discard its neighbors' work.  The supervisor owns the failure policy:
   split in half (each half with a fresh budget); a *single* query that
   exhausts it is quarantined as a :class:`~repro.explore.space.FailRecord`
   with full provenance (kind, attempts, elapsed, reason) instead of
-  poisoning further retries of innocent neighbors.
+  poisoning further retries of innocent neighbors.  A worker may also
+  quarantine items itself (a deterministic fault, which no retry would
+  mend): ``on_payload`` returns how many, and they count here too.
 * **KeyboardInterrupt**: the pool is shut down hard (worker processes
   killed, not orphaned) and :class:`SweepInterrupted` — still a
   ``KeyboardInterrupt`` — is raised; everything that completed was
@@ -53,6 +55,10 @@ from repro.obs import trace as obs_trace
 
 __all__ = ["BatchFailure", "SuperviseStats", "SweepInterrupted",
            "run_inline", "run_supervised"]
+
+#: Commits one completed batch: ``(positions, payload)`` -> how many of
+#: its items the worker quarantined itself (``None`` for none).
+OnPayload = Callable[[Sequence[int], object], Optional[int]]
 
 #: Respawn backoff: ``min(CAP, BASE * 2**events)`` seconds between pool
 #: teardowns, so a crash-looping sweep degrades instead of fork-bombing.
@@ -136,7 +142,7 @@ class _Run:
     """Shared retry/bisect/quarantine policy for both dispatch modes."""
 
     def __init__(self, batches: Sequence[Sequence[int]],
-                 on_payload: Callable[[Sequence[int], object], None],
+                 on_payload: OnPayload,
                  on_failure: Callable[[BatchFailure], None],
                  retries: int,
                  on_progress: Optional[Callable[[dict], None]] = None):
@@ -164,7 +170,10 @@ class _Run:
                 "respawns": self.stats.respawns})
 
     def complete(self, task: _Task, payload: object) -> None:
-        self.on_payload(task.positions, payload)
+        quarantined = self.on_payload(task.positions, payload) or 0
+        if quarantined:
+            self.stats.quarantined += quarantined
+            obs_metrics.counter("supervise.quarantined").add(quarantined)
         self.committed += 1
         self.done_items += len(task.positions)
         self.backoff_streak = 0
@@ -247,7 +256,7 @@ def _kill_pool(pool: Optional[ProcessPoolExecutor]) -> None:
 def run_inline(batches: Sequence[Sequence[int]],
                items: Sequence,
                worker_fn: Callable,
-               on_payload: Callable[[Sequence[int], object], None],
+               on_payload: OnPayload,
                on_failure: Callable[[BatchFailure], None],
                retries: int = 0,
                on_progress: Optional[Callable[[dict], None]] = None
@@ -284,7 +293,7 @@ def run_inline(batches: Sequence[Sequence[int]],
 def run_supervised(batches: Sequence[Sequence[int]],
                    items: Sequence,
                    worker_fn: Callable,
-                   on_payload: Callable[[Sequence[int], object], None],
+                   on_payload: OnPayload,
                    on_failure: Callable[[BatchFailure], None],
                    workers: int,
                    retries: int = 0,

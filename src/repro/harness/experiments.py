@@ -23,9 +23,7 @@ from repro.hw import (
     NormalizedPoint, modulo_schedule, normalize, occupancy_timeline,
     squash_distances,
 )
-from repro.nimble import (
-    ACEV, Target, VariantSet, decode_target, profile_summary,
-)
+from repro.nimble import ACEV, VariantSet, decode_target, profile_summary
 from repro.workloads import table_1_1_programs, table_6_1_benchmarks
 
 __all__ = [

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.dfg import DFG, DFGNode
-from repro.core.stages import ChainInfo
+from repro.core.dfg import DFG
 from repro.hw.modulo import ModuloSchedule
 from repro.hw.ops import OperatorLibrary
 

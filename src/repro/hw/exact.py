@@ -44,12 +44,12 @@ nodes, the result degrades gracefully to that heuristic schedule with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.dfg import DFG, DFGNode
 from repro.env import env_int
-from repro.hw.mii import EdgeView, default_edge_view, rec_mii, res_mii
+from repro.hw.mii import EdgeView, default_edge_view
 from repro.hw.modulo import ModuloSchedule
 from repro.hw.ops import OperatorLibrary, cached_delay_map
 from repro.obs import metrics as obs_metrics

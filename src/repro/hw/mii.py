@@ -143,20 +143,26 @@ def rec_mii(dfg: DFG, delay: Callable[[DFGNode], int],
     The bound decomposes over strongly connected components — a cycle
     never leaves its SCC — so each component gets its own binary search
     over its own (much smaller) delay budget, with the running maximum
-    as the lower bound: components that cannot raise the answer are
-    dismissed with a single probe (:func:`repro.hw.sched_kernel.
-    make_probe`: integer Bellman-Ford negative-cycle detection).
+    as the lower bound.  A component whose delay budget is within the
+    running maximum costs no probe; any other that cannot raise the
+    answer is dismissed with a single probe at the running maximum
+    (:func:`repro.hw.sched_kernel.make_probe`: integer Bellman-Ford
+    negative-cycle detection).
     """
     from repro.hw import sched_kernel
 
     edges = edges if edges is not None else default_edge_view(dfg)
     best = 1
     for nids, arcs in _scc_arcs(list(edges), delay):
-        probe = sched_kernel.make_probe(nids, arcs)
         # any cycle's delay is bounded by the component's total node
         # delay (and cycle distances are >= 1): the search stops there
         hi = sum({u: dly for u, _, dly, _ in arcs}.values()) + 1
-        lo = best
+        if hi <= best:
+            continue
+        probe = sched_kernel.make_probe(nids, arcs)
+        if not probe(best):
+            continue    # no cycle exceeds the running maximum
+        lo = best + 1
         # smallest lam with no cycle exceeding lam  ==>  this SCC's RecMII
         while lo < hi:
             mid = (lo + hi) // 2

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.caches import Memo
 from repro.core.dfg import DFGNode
-from repro.ir.types import ScalarType
 
 __all__ = ["OpSpec", "OperatorLibrary", "ACEV_LIBRARY", "GARP_LIBRARY"]
 
@@ -36,6 +35,10 @@ class OpSpec:
 
     delay: int
     rows: int
+
+
+#: The spec of every non-operator node (registers, constants, copies).
+_FREE = OpSpec(0, 0)
 
 
 def _default_table() -> dict[str, OpSpec]:
@@ -107,7 +110,7 @@ class OperatorLibrary:
 
     def spec(self, node: DFGNode) -> OpSpec:
         if not node.is_operator:
-            return OpSpec(0, 0)
+            return _FREE
         key = self.key_for(node)
         try:
             return self.table[key]

@@ -20,7 +20,7 @@ naturally through :mod:`repro.ir.builder`::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 

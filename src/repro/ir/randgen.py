@@ -20,15 +20,13 @@ not smaller, programs; we expose size knobs for shrinking instead).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ir.builder import ProgramBuilder
-from repro.ir.nodes import (
-    BinOp, Const, Expr, For, Load, Program, Select, UnOp, Var, as_expr,
-)
-from repro.ir.types import F64, I16, I32, I64, I8, U16, U32, U8, ScalarType
+from repro.ir.nodes import BinOp, Const, Expr, For, Load, Program, Select, Var
+from repro.ir.types import F64, I16, I32, U16, U32, U8, ScalarType
 
 __all__ = ["RandConfig", "random_program", "random_squashable_nest",
            "SquashNestSpec", "ValueDomain"]

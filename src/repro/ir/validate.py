@@ -20,7 +20,7 @@ from repro.errors import ValidationError
 from repro.ir.nodes import (
     Assign, Block, Const, Expr, For, If, Load, Program, Stmt, Store, Var,
 )
-from repro.ir.visitors import stmt_exprs, variables_written, walk_exprs
+from repro.ir.visitors import variables_written, walk_exprs
 
 __all__ = ["definitely_assigned", "validate_program"]
 

@@ -17,7 +17,7 @@ These helpers are the workhorses of every analysis and transform:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping
 
 from repro.ir.nodes import (
     Assign, BinOp, Block, Cast, Const, Expr, For, If, Load, Program, Select,

@@ -11,17 +11,18 @@ target-modifier errors of :mod:`repro.nimble.target`.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.errors import LangError
 
 __all__ = ["Span", "SourceText", "lang_error", "suggest", "LangError"]
 
 
-@dataclass(frozen=True)
-class Span:
-    """A half-open source region on one line (1-based line/col)."""
+class Span(NamedTuple):
+    """A half-open source region on one line (1-based line/col).
+
+    A tuple: immutable, hashable and equal by value, and cheap enough
+    for the scanner to build one per token."""
 
     line: int
     col: int

@@ -2,50 +2,93 @@
 
 Produces a flat token stream with 1-based line/column spans for every
 token, so the parser and semantic pass can pin diagnostics to source
-positions.  Handles ``//`` and ``/* */`` comments, ``#pragma`` lines,
-quoted kernel names, hex/decimal/float literals, and typed literal
-suffixes (``255u8``, ``1.5f32``); malformed input (unterminated string
-or block comment, unknown suffix, stray characters) raises
-:class:`~repro.errors.LangError` with a caret snippet.
+positions.  Token kinds:
+
+* ``ident`` — names, keywords and type names (the parser tells them
+  apart); ``value`` is the spelling;
+* ``int`` / ``float`` — hex, decimal and float literals; ``value`` is the
+  number, ``ty`` the type of a typed suffix (``255u8``, ``1.5f32``) or
+  ``None``;
+* ``string`` — a quoted kernel name, ``value`` without the quotes;
+* ``pragma`` — ``#pragma NAME``, ``value`` the annotation name;
+* ``op`` — punctuation and operators, ``value`` the symbol;
+* ``init`` — a literal initializer list ``{ lit, lit, ... }`` right after
+  an ``=``: ``value`` is the tuple of element values (a ``-`` sign folded
+  in, suffixes checked and dropped), ``span`` the ``{``...``}`` span the
+  parser reports.  Literal lookup tables (the ciphers' S-boxes) are most
+  of a kernel's lexemes, so reading one as one token is most of the
+  scanner's speed.  Braces holding anything else lex token by token, so
+  the parser raises its usual diagnostics;
+* ``eof`` — end of input.
+
+One compiled master regex matches at the cursor, with the whitespace and
+comments before each token folded into the match; line and column come
+from newline counts.  Every alternative after the trivia either matches
+or falls through to a one-character catch-all, so the trivia is never
+backtracked and each pattern runs in linear time.  Malformed input
+(unterminated string or block comment, unknown suffix, stray characters)
+raises :class:`~repro.errors.LangError` with a caret snippet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+import re
+from functools import partial
+from typing import Callable, NamedTuple, NoReturn, Optional, Union, cast
 
 from repro.ir.types import ALL_TYPES, ScalarType
 from repro.lang.diagnostics import SourceText, Span, lang_error, suggest
 
-__all__ = ["Token", "tokenize", "KEYWORDS", "TYPE_NAMES"]
-
-#: Reserved words (cannot be used as identifiers in declarations).
-KEYWORDS = frozenset({
-    "kernel", "param", "rom", "output", "for", "if", "else",
-    "true", "false",
-})
+__all__ = ["Token", "tokenize", "TYPE_NAMES"]
 
 #: Scalar type spellings (``i8`` ... ``f64``, ``bool``).
 TYPE_NAMES = {t.name: t for t in ALL_TYPES}
 
-#: Multi-character operators, longest first (order matters for matching).
-_OPS2 = ("<<", ">>", "<=", ">=", "==", "!=", "++", "--", "+=", "-=")
-_OPS1 = "{}()[];,=<>+-*/%&|^~?:"
+#: Whitespace and comments (a block comment runs to the first ``*/``).
+_LINE_COMMENT = r"//[^\n]*"
+_BLOCK_COMMENT = r"/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_DIGITS = r"0[xX][0-9a-fA-F]*|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_HEX = frozenset("0123456789abcdefABCDEF")
+_TOKEN = re.compile(rf"""
+    (?:[ \t\r\n]+|{_LINE_COMMENT}|{_BLOCK_COMMENT})*
+    (?:
+        (?P<ident>{_IDENT})
+      | (?P<num>(?:{_DIGITS})(?:{_IDENT})?)
+      | (?P<open_comment>/\*)
+      | (?P<op><<|>>|<=|>=|==|!=|\+\+|--|\+=|-=|[{{}}()\[\];,=<>+\-*/%&|^~?:])
+      | (?P<string>"[^"\n]*"?)
+      | (?P<pragma>\#)
+      | (?P<eof>\Z)
+      | (?P<bad>[\s\S])
+    )""", re.VERBOSE)
+_NUMBER = re.compile(rf"({_DIGITS})({_IDENT})?")
+_PRAGMA = re.compile(rf"({_IDENT})?[ \t]*({_IDENT})?")
+
+#: A literal initializer list, matched without backtracking: trivia is
+#: unambiguous (whitespace runs between maximal comments), and each
+#: element is a maximal literal, so a failed match costs one pass.
+_TRIVIA = (rf"[ \t\r\n]*(?:(?:{_LINE_COMMENT}(?![^\n])|{_BLOCK_COMMENT})"
+           r"[ \t\r\n]*)*")
+_ELEMENT = (rf"(?:-{_TRIVIA})?"
+            r"(?:0[xX][0-9a-fA-F]+(?![0-9a-fA-F])(?:[g-zG-Z_]\w*)?"
+            r"|(?!0[xX])[0-9]+(?![0-9])(?:\.[0-9]+(?![0-9]))?"
+            r"(?:[eE][+-]?[0-9]+(?![0-9]))?"
+            r"(?:(?![eE][+-]?[0-9])[A-Za-z_]\w*)?)(?!\w)")
+_INIT = re.compile(rf"\{{{_TRIVIA}{_ELEMENT}{_TRIVIA}"
+                   rf"(?:,{_TRIVIA}{_ELEMENT}{_TRIVIA})*(?:,{_TRIVIA})?\}}",
+                   re.ASCII)
+#: ... and its elements, once the comments are blanked out.
+_COMMENTS = re.compile(rf"{_LINE_COMMENT}|{_BLOCK_COMMENT}")
+_INIT_ELEMENT = re.compile(rf"(-?)[ \t\r\n]*({_DIGITS})({_IDENT})?")
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexeme.  ``kind`` is ``ident``/``int``/``float``/``string``/
-    ``pragma``/``op``/``eof``; ``ty`` is the suffix type of a typed
-    literal (``None`` for bare literals)."""
+class Token(NamedTuple):
+    """One lexeme (see the module docstring for the kinds); ``ty`` is the
+    suffix type of a typed literal (``None`` for bare literals)."""
 
     kind: str
-    value: Union[str, int, float]
+    value: Union[str, int, float, tuple]
     span: Span
     ty: Optional[ScalarType] = None
 
@@ -54,191 +97,143 @@ class Token:
         return str(self.value)
 
 
-class _Lexer:
-    def __init__(self, source: SourceText):
-        self.src = source
-        self.text = source.text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[Token] = []
+#: C-level constructors for the scanner loop (calling ``Token`` or
+#: ``Span`` runs a Python-level ``__new__``): ``_token((kind, value,
+#: span, ty))``, ``_span((line, col, length))``.
+_token = cast(Callable[[tuple], Token], partial(tuple.__new__, Token))
+_span = cast(Callable[[tuple], Span], partial(tuple.__new__, Span))
 
-    # -- position bookkeeping -------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> str:
-        p = self.pos + offset
-        return self.text[p] if p < len(self.text) else ""
+def _number(digits: str, suffix: Optional[str]
+            ) -> tuple[Union[int, float], Optional[ScalarType], str]:
+    """``(value, suffix type, problem)`` of one literal; ``problem`` is
+    ``"suffix"`` for an unknown suffix, ``"mismatch"`` for float digits
+    with an integer suffix or the reverse, else empty."""
+    ty: Optional[ScalarType] = None
+    hex_digits = digits[:2] in ("0x", "0X")
+    is_float = not hex_digits and (
+        "." in digits or "e" in digits or "E" in digits)
+    if suffix:
+        ty = TYPE_NAMES.get(suffix)
+        if ty is None:
+            return 0, None, "suffix"
+        if is_float != ty.is_float:
+            return 0, None, "mismatch"
+    if is_float:
+        return float(digits), ty, ""
+    return int(digits, 16 if hex_digits else 10), ty, ""
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
 
-    def _span(self, start_line: int, start_col: int, length: int) -> Span:
-        return Span(start_line, start_col, length)
-
-    def _error(self, message: str, span: Optional[Span] = None):
-        raise lang_error(self.src, message,
-                         span or Span(self.line, self.col, 1))
-
-    # -- scanners ------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            c = self._peek()
-            if c in " \t\r\n":
-                self._advance()
-            elif c == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif c == "/" and self._peek(1) == "*":
-                open_span = Span(self.line, self.col, 2)
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    self._error("unterminated block comment", open_span)
-            else:
-                return
-
-    def _read_ident(self) -> str:
-        start = self.pos
-        while self._peek() in _IDENT_CONT:
-            self._advance()
-        return self.text[start:self.pos]
-
-    def _lex_pragma(self) -> None:
-        line, col = self.line, self.col
-        self._advance()  # '#'
-        if self._peek() not in _IDENT_START:
-            self._error("expected 'pragma' after '#'",
-                        Span(line, col, 1))
-        word = self._read_ident()
-        if word != "pragma":
-            self._error(f"unknown directive '#{word}' (only '#pragma' "
-                        f"is recognized)", Span(line, col, len(word) + 1))
-        self._skip_trivia_same_line()
-        if self._peek() not in _IDENT_START:
-            self._error("expected an annotation name after '#pragma'",
-                        Span(self.line, self.col, 1))
-        nline, ncol = self.line, self.col
-        name = self._read_ident()
-        self.tokens.append(Token("pragma", name,
-                                 Span(nline, ncol, len(name))))
-
-    def _skip_trivia_same_line(self) -> None:
-        while self._peek() in " \t":
-            self._advance()
-
-    def _lex_string(self) -> None:
-        line, col = self.line, self.col
-        self._advance()  # opening quote
-        start = self.pos
-        while True:
-            c = self._peek()
-            if c == "" or c == "\n":
-                self._error("unterminated string literal",
-                            Span(line, col, self.pos - start + 1))
-            if c == '"':
-                break
-            self._advance()
-        value = self.text[start:self.pos]
-        self._advance()  # closing quote
-        self.tokens.append(Token("string", value,
-                                 Span(line, col, len(value) + 2)))
-
-    def _lex_number(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            if self._peek() not in _HEX:
-                self._error("malformed hex literal",
-                            Span(line, col, self.pos - start + 1))
-            while self._peek() in _HEX:
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." and self._peek(1).isdigit():
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() in "eE" and (
-                    self._peek(1).isdigit()
-                    or (self._peek(1) in "+-" and self._peek(2).isdigit())):
-                is_float = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        digits = self.text[start:self.pos]
-        ty = None
-        if self._peek() in _IDENT_START:
-            sline, scol = self.line, self.col
-            suffix = self._read_ident()
-            ty = TYPE_NAMES.get(suffix)
-            if ty is None:
-                self._error(
-                    f"unknown literal type suffix {suffix!r}"
-                    + suggest(suffix, TYPE_NAMES),
-                    Span(sline, scol, len(suffix)))
-            if is_float != ty.is_float:
-                self._error(
-                    f"literal {digits!r} does not match suffix type "
-                    f"{suffix!r}",
-                    Span(line, col, self.pos - start))
-        span = Span(line, col, self.pos - start)
-        if is_float:
-            self.tokens.append(Token("float", float(digits), span, ty))
-        else:
-            base = 16 if digits[:2].lower() == "0x" else 10
-            value = int(digits, base) if base == 16 else int(digits)
-            self.tokens.append(Token("int", value, span, ty))
-
-    def run(self) -> list[Token]:
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.text):
-                break
-            c = self._peek()
-            line, col = self.line, self.col
-            if c == "#":
-                self._lex_pragma()
-            elif c == '"':
-                self._lex_string()
-            elif c.isdigit():
-                self._lex_number()
-            elif c in _IDENT_START:
-                name = self._read_ident()
-                self.tokens.append(Token("ident", name,
-                                         Span(line, col, len(name))))
-            else:
-                two = self.text[self.pos:self.pos + 2]
-                if two in _OPS2:
-                    self._advance(2)
-                    self.tokens.append(Token("op", two, Span(line, col, 2)))
-                elif c in _OPS1:
-                    self._advance()
-                    self.tokens.append(Token("op", c, Span(line, col, 1)))
-                else:
-                    self._error(f"unexpected character {c!r}")
-        self.tokens.append(Token("eof", "", Span(self.line, self.col, 1)))
-        return self.tokens
+def _init_values(body: str) -> Optional[tuple]:
+    """Element values of a matched initializer list, or ``None`` when a
+    suffix is wrong (the token-by-token path reports it)."""
+    if "/" in body:
+        body = _COMMENTS.sub(" ", body)
+    values = []
+    for sign, digits, suffix in _INIT_ELEMENT.findall(body):
+        if not suffix and digits.isdigit():
+            values.append(-int(digits) if sign else int(digits))
+            continue
+        value, _, problem = _number(digits, suffix)
+        if problem:
+            return None
+        values.append(-value if sign else value)
+    return tuple(values)
 
 
 def tokenize(source: SourceText) -> list[Token]:
     """Tokenize ``source``; raises :class:`~repro.errors.LangError` on
     malformed input."""
-    return _Lexer(source).run()
+    text = source.text
+    match = _TOKEN.match
+    tokens: list[Token] = []
+    append = tokens.append
+    pos = counted = 0  # newlines are counted up to ``counted``
+    line = 1
+    line_start = 0     # offset of the first character of ``line``
+    after_eq = False   # the last token was a plain '='
+
+    def error(message: str, span: Span) -> NoReturn:
+        raise lang_error(source, message, span)
+
+    while True:
+        m = match(text, pos)
+        # the catch-all alternatives match everywhere
+        assert m is not None and m.lastgroup is not None
+        kind = m.lastgroup
+        start = m.start(kind)
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", counted, start) + 1
+        counted = start
+        col = start - line_start + 1
+        pos = m.end()
+
+        if kind == "ident":
+            append(_token(("ident", m[kind], _span((line, col, pos - start)),
+                           None)))
+        elif kind == "op":
+            sym = m[kind]
+            if sym == "{" and after_eq:
+                init = _INIT.match(text, start)
+                values = _init_values(init[0]) if init else None
+                if init and values:
+                    # a span across lines keeps its first line, as
+                    # Span.merge does
+                    pos = init.end()
+                    span = Span(line, col,
+                                1 if "\n" in init[0] else pos - start)
+                    append(Token("init", values, span))
+                    after_eq = False
+                    continue
+            append(_token(("op", sym, _span((line, col, pos - start)),
+                           None)))
+            after_eq = sym == "="
+            continue
+        elif kind == "num":
+            num = _NUMBER.match(m[kind])
+            assert num is not None
+            digits, suffix = num[1], num[2]
+            if digits in ("0x", "0X"):
+                error("malformed hex literal", Span(line, col, 3))
+            value, ty, problem = _number(digits, suffix)
+            if problem == "suffix":
+                error(f"unknown literal type suffix {suffix!r}"
+                      + suggest(suffix, TYPE_NAMES),
+                      Span(line, col + len(digits), len(suffix)))
+            if problem == "mismatch":
+                error(f"literal {digits!r} does not match suffix type "
+                      f"{suffix!r}", Span(line, col, pos - start))
+            append(_token(("float" if isinstance(value, float) else "int",
+                           value, _span((line, col, pos - start)), ty)))
+        elif kind == "string":
+            lexeme = m[kind]
+            if len(lexeme) < 2 or lexeme[-1] != '"':
+                error("unterminated string literal",
+                      Span(line, col, len(lexeme)))
+            append(Token("string", lexeme[1:-1],
+                         Span(line, col, len(lexeme))))
+        elif kind == "pragma":
+            p = _PRAGMA.match(text, pos)
+            assert p is not None      # every part is optional
+            word, name = p[1], p[2]
+            if word is None:
+                error("expected 'pragma' after '#'", Span(line, col, 1))
+            if word != "pragma":
+                error(f"unknown directive '#{word}' (only '#pragma' "
+                      f"is recognized)", Span(line, col, len(word) + 1))
+            if name is None:
+                error("expected an annotation name after '#pragma'",
+                      Span(line, p.end() - line_start + 1, 1))
+            append(Token("pragma", name,
+                         Span(line, p.start(2) - line_start + 1, len(name))))
+            pos = p.end()
+        elif kind == "open_comment":
+            error("unterminated block comment", Span(line, col, 2))
+        elif kind == "eof":
+            append(Token("eof", "", Span(line, col, 1)))
+            return tokens
+        else:
+            error(f"unexpected character {m[kind]!r}", Span(line, col, 1))
+        after_eq = False

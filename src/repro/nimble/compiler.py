@@ -20,6 +20,7 @@ via the process-local :class:`repro.pipeline.AnalysisCache`.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -29,7 +30,7 @@ if TYPE_CHECKING:  # avoid the explore <-> nimble import cycle at runtime
 
 from repro.analysis.loops import LoopNest, find_kernel_nests, find_loop_nests
 from repro.caches import register_cache
-from repro.errors import LegalityError, ScheduleError
+from repro.errors import LegalityError, ScheduleError, VerifyError
 from repro.hw.report import DesignPoint
 from repro.ir.nodes import Program
 from repro.nimble.target import ACEV, Target
@@ -131,9 +132,9 @@ def compile_query(query: "DesignQuery") -> "DesignPoint | SkipRecord":
     compiler rejects come back as structured :class:`SkipRecord` entries
     (``phase`` = ``"legality"`` or ``"schedule"``); any other exception
     propagates.  That includes a :class:`~repro.errors.VerifyError`: a
-    schedule the validate stage rejects is a compiler fault, so the
-    engine quarantines the design instead of caching a skip.  The
-    result is a function of the query alone — no
+    schedule the validate stage rejects is a compiler fault, so
+    :func:`compile_query_batch` quarantines the design instead of
+    caching a skip.  The result is a function of the query alone — no
     ambient state — so it is safe to evaluate in any process, in any
     order, and to cache by query hash.
     """
@@ -170,10 +171,17 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     engine merges into the parent registry; traced runs add ``"trace"``,
     the batch's drained span events.
 
+    A query whose schedule the validate stage rejects
+    (:class:`~repro.errors.VerifyError`) is a deterministic compiler
+    fault: a retry would fail the same way, so its slot holds a
+    ``kind="verify"`` :class:`~repro.explore.space.FailRecord` after one
+    compile and the batch goes on with its neighbours.
+
     ``attempt`` is the supervisor's dispatch count for this batch; it
     feeds the chaos-test fault site so a query that drew an injected
     crash/hang draws a *fresh* deterministic coin on each retry.
     """
+    from repro.explore.space import FailRecord
     from repro.faults import fault_site
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
@@ -184,7 +192,13 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
         results = []
         for q in queries:
             fault_site("worker", f"{q.query_hash}:{attempt}")
-            results.append(compile_query(q))
+            t0 = time.perf_counter()
+            try:
+                results.append(compile_query(q))
+            except VerifyError as exc:
+                results.append(FailRecord(
+                    query=q, kind="verify", reason=repr(exc), attempts=1,
+                    elapsed=round(time.perf_counter() - t0, 4)))
     payload = {"results": results,
                "metrics": obs_metrics.registry().delta_since(before_metrics)}
     if obs_trace.enabled():

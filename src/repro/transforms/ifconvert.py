@@ -35,7 +35,9 @@ from repro.ir.nodes import (
 )
 from repro.ir.types import ScalarType
 from repro.ir.validate import definitely_assigned
-from repro.ir.visitors import clone_expr, clone_program, substitute, walk_exprs
+from repro.ir.visitors import (
+    clone_expr, clone_program, substitute, walk_exprs, walk_stmts,
+)
 
 __all__ = ["if_convert"]
 
@@ -95,10 +97,24 @@ def _convert_if(s: If, q: Program, defined: set[str]) -> list[Stmt] | None:
             + [Assign(v, Var(temps[v], q.scalar_type(v))) for v in names])
 
 
+def _holds_if(p: Program, kernel_loops_only: bool) -> bool:
+    """Whether any conditional lies where the pass would convert it."""
+    scopes = ([s.body for s in walk_stmts(p.body)
+               if isinstance(s, For) and s.annotations.get("kernel")]
+              if kernel_loops_only else [p.body])
+    return any(isinstance(s, If) for b in scopes for s in walk_stmts(b))
+
+
 def if_convert(p: Program, *, kernel_loops_only: bool = False) -> Program:
     """If-conversion pass (innermost conditionals first).  With
     ``kernel_loops_only``, conditionals outside ``#pragma kernel`` loops
-    stay in place; definite assignment is still tracked through them."""
+    stay in place; definite assignment is still tracked through them.
+
+    When no conditional lies in scope, ``p`` itself comes back: nothing
+    is cloned and definite assignment is not walked (most kernels have
+    no ``if``).  Otherwise the result is a converted copy."""
+    if not _holds_if(p, kernel_loops_only):
+        return p
     q = clone_program(p)
 
     def visit(b: Block, defined: set[str], active: bool) -> None:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from repro.ir.builder import ProgramBuilder
-from repro.ir.nodes import BinOp, Program, as_expr
+from repro.ir.nodes import Program
 from repro.ir.types import I32
 
 __all__ = ["cos_table", "motion_search_reference", "dct8_reference",

@@ -1,15 +1,11 @@
 """Unit + property tests for the dependence analysis engines."""
 
-import random
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     DistanceKind, affine_of, collect_accesses, find_loop_nests,
     outer_distance, squash_case,
 )
-from repro.analysis.dependence import BRUTE_FORCE_LIMIT, MemAccess
 from repro.ir import BinOp, Const, I32, ProgramBuilder, U8, UnOp, Var
 
 

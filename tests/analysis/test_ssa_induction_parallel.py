@@ -10,9 +10,9 @@ from repro.analysis import (
 )
 from repro.errors import LegalityError
 from repro.ir import (
-    Assign, Block, Const, I32, ProgramBuilder, U8, U32, Var, run_program,
+    Assign, Block, Const, I32, ProgramBuilder, U32, Var, run_program,
 )
-from repro.ir.randgen import SquashNestSpec, random_squashable_nest
+from repro.ir.randgen import random_squashable_nest
 from tests.conftest import inner_loop, outer_loop
 
 

@@ -1,10 +1,7 @@
 """Unit tests for use/def and loop liveness."""
 
 from repro.analysis import live_before, loop_liveness, stmt_defs, stmt_uses
-from repro.ir import (
-    Assign, BinOp, Block, Const, For, I32, If, Load, ProgramBuilder, Store,
-    U8, Var,
-)
+from repro.ir import Assign, BinOp, Block, Const, For, I32, If, Store, U8, Var
 from tests.conftest import inner_loop, outer_loop
 
 

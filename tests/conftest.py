@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.ir import F64, I32, U8, U16, U32, ProgramBuilder
+from repro.ir import I32, U8, ProgramBuilder
 
 #: Per-test wall-clock budget (seconds).  The supervised engine and the
 #: chaos suite deliberately spawn pools, kill workers, and inject hangs;

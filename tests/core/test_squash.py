@@ -16,7 +16,7 @@ from repro.analysis import find_loop_nests
 from repro.core import check_squash, jam_then_squash, unroll_and_squash
 from repro.errors import LegalityError
 from repro.ir import (
-    Const, For, I32, ProgramBuilder, U8, U32, compile_program, run_program,
+    For, I32, ProgramBuilder, U32, compile_program, run_program,
     validate_program, walk_stmts,
 )
 from repro.ir.randgen import SquashNestSpec, random_squashable_nest

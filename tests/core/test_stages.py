@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis import find_loop_nests
-from repro.core import unroll_and_squash, assign_stages
-from repro.errors import ScheduleError
+from repro.core import unroll_and_squash
 from tests.conftest import build_fig21, build_fig41
 
 

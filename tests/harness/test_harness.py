@@ -4,9 +4,9 @@ import pytest
 
 from repro.harness import (
     clear_caches, figure_series, format_fig_2_4, format_figure,
-    format_table_1_1, format_table_6_1, format_table_6_2, format_table_6_3,
-    render_series, render_table, render_timeline, run_fig_2_4,
-    run_table_1_1, run_table_6_1, run_table_6_2, run_table_6_3,
+    format_table_6_1, format_table_6_2, format_table_6_3, render_series,
+    render_table, render_timeline, run_fig_2_4, run_table_6_1, run_table_6_2,
+    run_table_6_3,
 )
 from repro.harness.experiments import _decode_target
 

@@ -6,12 +6,9 @@ backtracking heuristic, and the optimality surface on
 :class:`repro.hw.report.DesignPoint`.
 """
 
-import pytest
-
 from repro.analysis import find_loop_nests
 from repro.core import analyze_nest
 from repro.core.dfg import DFG
-from repro.errors import ScheduleError
 from repro.hw import (
     ACEV_LIBRARY, ExactSchedule, IICertificate, exact_modulo_schedule,
     modulo_schedule, squash_distances,

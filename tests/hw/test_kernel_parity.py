@@ -192,3 +192,122 @@ class TestKernelParity:
                 records.append(_sched_record(first))
                 records.append(_sched_record(second))
         assert all(r == records[0] for r in records[1:])
+
+
+def _counted_probes(monkeypatch) -> list:
+    """Route ``make_probe`` through a wrapper that logs every probe's
+    lambda, one list per component."""
+    made = sched_kernel.make_probe
+    log: list = []
+
+    def make(nids, arcs):
+        probe, calls = made(nids, arcs), []
+        log.append(calls)
+
+        def counted(lam):
+            calls.append(lam)
+            return probe(lam)
+        return counted
+
+    monkeypatch.setattr(sched_kernel, "make_probe", make)
+    return log
+
+
+def _cycle(g, delays, dist):
+    from repro.ir import U32
+    nodes = [g.add_node(kind="binop", ty=U32, op="add", name=f"n{d}")
+             for d in delays]
+    for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+        g.add_edge(a, b, dist if b is nodes[0] else 0)
+    return {n.nid: d for n, d in zip(nodes, delays)}
+
+
+class TestRecMII:
+    """``repro.hw.mii.rec_mii`` skips the components that cannot raise
+    the running bound after one probe; its values stay the reference's
+    per-component binary search."""
+
+    @pytest.mark.parametrize("kernel", ["skipjack-mem", "skipjack-hw",
+                                        "des-mem", "des-hw", "iir"])
+    def test_suite_values_match_reference(self, kernel):
+        from repro.hw.mii import rec_mii
+        from repro.nimble.compiler import _kernel_program
+        from repro.pipeline.analysis import jam_analyzed_dfg
+
+        prog, nest = _kernel_program(kernel)
+        lib = decode_target("acev").library
+        views = [base_analyzed_dfg(prog, nest),
+                 jam_analyzed_dfg(prog, nest, 2)]
+        views += [squash_analyzed_dfg(prog, nest, ds, delay_fn=lib.delay)
+                  for ds in (2, 4, 8)]
+        if kernel in ("skipjack-mem", "des-mem", "iir"):
+            views.append(jam_analyzed_dfg(prog, nest, 32))
+        for a in views:
+            assert rec_mii(a.dfg, lib.delay, a.edges) == \
+                sched_reference.rec_mii(a.dfg, lib.delay, a.edges), kernel
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graph_values_match_reference(self, seed):
+        """Random delays, distances and component order, so components
+        below, at and above the running bound all occur."""
+        from repro.core.dfg import DFG
+        from repro.hw.mii import rec_mii
+
+        rng = random.Random(seed)
+        g, delay_of = DFG(), {}
+        for _ in range(rng.randrange(1, 7)):
+            delay_of.update(_cycle(
+                g, [rng.randrange(1, 6) for _ in range(rng.randrange(1, 5))],
+                rng.randrange(1, 4)))
+        nodes = list(g.nodes)
+        for _ in range(rng.randrange(0, 6)):   # arcs that merge cycles
+            g.add_edge(rng.choice(nodes), rng.choice(nodes),
+                       rng.randrange(0, 3))
+        delay = (lambda n: delay_of[n.nid])
+        assert rec_mii(g, delay) == sched_reference.rec_mii(g, delay)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_randgen_values_match_reference(self, seed):
+        from repro.hw.mii import rec_mii
+
+        prog, nest = _random_nest(seed)
+        lib = decode_target("vliw4").library
+        for ds in (2, 4):
+            a = squash_analyzed_dfg(prog, nest, ds, delay_fn=lib.delay)
+            assert rec_mii(a.dfg, lib.delay, a.edges) == \
+                sched_reference.rec_mii(a.dfg, lib.delay, a.edges)
+
+    def test_component_that_cannot_raise_costs_one_probe(self, monkeypatch):
+        """A delay-20 recurrence first, then three components whose
+        budgets exceed 20 but whose cycles do not: one probe each, at
+        the running bound."""
+        from repro.core.dfg import DFG
+        from repro.hw.mii import rec_mii
+
+        g, delay_of = DFG(), {}
+        delay_of.update(_cycle(g, [20], 1))
+        for _ in range(3):
+            delay_of.update(_cycle(g, [9, 9, 9], 2))   # RecMII 14
+        log = _counted_probes(monkeypatch)
+        assert rec_mii(g, lambda n: delay_of[n.nid]) == 20
+        assert [len(calls) for calls in log][1:] == [1, 1, 1]
+        assert [calls[0] for calls in log[1:]] == [20, 20, 20]
+
+    def test_jam32_probe_counts(self, monkeypatch):
+        """Probes per RecMII over the jam(32) DFGs on acev (a binary
+        search from the running bound in every component takes 193, 98
+        and 204)."""
+        from repro.hw.mii import rec_mii
+        from repro.nimble.compiler import _kernel_program
+        from repro.pipeline.analysis import jam_analyzed_dfg
+
+        lib = decode_target("acev").library
+        log = _counted_probes(monkeypatch)
+        counts = {}
+        for kernel in ("des-mem", "skipjack-mem", "iir"):
+            prog, nest = _kernel_program(kernel)
+            dfg = jam_analyzed_dfg(prog, nest, 32).dfg
+            log.clear()
+            rec_mii(dfg, lib.delay)
+            counts[kernel] = sum(len(calls) for calls in log)
+        assert counts == {"des-mem": 39, "skipjack-mem": 37, "iir": 73}

@@ -1,13 +1,10 @@
 """Unit tests for the operator library and MII bounds."""
 
-import pytest
-
 from repro.analysis import find_loop_nests
-from repro.core import analyze_nest, unroll_and_squash
+from repro.core import analyze_nest
 from repro.core.dfg import DFGNode
 from repro.hw import (
-    ACEV_LIBRARY, GARP_LIBRARY, OperatorLibrary, min_ii, rec_mii, res_mii,
-    squash_distances,
+    ACEV_LIBRARY, GARP_LIBRARY, min_ii, rec_mii, res_mii, squash_distances,
 )
 from repro.ir import F64, I32, ProgramBuilder, U8, U32
 from tests.conftest import build_fig21, build_fig41
@@ -45,6 +42,12 @@ class TestOperatorLibrary:
         lib = ACEV_LIBRARY
         assert lib.rows(DFGNode(0, "reg", U8, name="x")) == 0
         assert lib.delay(DFGNode(0, "const", U8)) == 0
+
+    def test_non_operators_share_one_spec(self):
+        # delay/rows run once per node per schedule check: no allocation
+        reg = ACEV_LIBRARY.spec(DFGNode(0, "reg", U8, name="x"))
+        assert reg is GARP_LIBRARY.spec(DFGNode(1, "const", U8))
+        assert (reg.delay, reg.rows) == (0, 0)
 
     def test_with_ports(self):
         lib = ACEV_LIBRARY.with_ports(1)

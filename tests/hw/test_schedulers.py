@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import find_loop_nests
-from repro.core import analyze_nest, unroll_and_squash
+from repro.core import analyze_nest
 from repro.hw import (
     ACEV_LIBRARY, GARP_LIBRARY, area_estimate, list_schedule, min_ii,
     modulo_schedule, occupancy_timeline, operator_rows, registers_original,

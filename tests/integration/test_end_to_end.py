@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import find_kernel_nests
 from repro.core import jam_then_squash, unroll_and_squash
-from repro.hw import normalize, simulate_modulo, squash_distances, modulo_schedule
+from repro.hw import simulate_modulo, squash_distances, modulo_schedule
 from repro.ir import run_program, validate_program
 from repro.ir.randgen import random_squashable_nest
 from repro.nimble import ACEV, compile_variants
 from repro.verify import reverify_modulo
-from repro.workloads import des, iir, skipjack, table_6_1_benchmarks
+from repro.workloads import skipjack, table_6_1_benchmarks
 
 
 class TestFullPipelinePerKernel:

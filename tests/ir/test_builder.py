@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import IRError
-from repro.ir import (
-    Assign, Block, F64, For, I32, If, Load, ProgramBuilder, Store, U8, Var,
-    run_program,
-)
+from repro.ir import Assign, For, I32, ProgramBuilder, Store, U8, run_program
 
 
 class TestDeclarations:

@@ -5,8 +5,8 @@ import pytest
 
 from repro.errors import IRError, TypeMismatchError
 from repro.ir import (
-    BOOL, F64, I32, U8, ArrayDecl, BinOp, Const, Load, Program, Select,
-    UnOp, Var, as_expr, const,
+    BOOL, F64, I32, U8, ArrayDecl, BinOp, Const, Load, Program, Select, Var,
+    const,
 )
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.ir import (
-    Assign, BinOp, Block, Const, F64, For, I32, If, Load, ProgramBuilder,
-    Select, Store, U8, UnOp, Var, expr_to_str, program_to_str, stmt_to_str,
-    validate_program,
+    Assign, BinOp, Block, Const, For, I32, If, Load, ProgramBuilder, Select,
+    Store, U8, Var, expr_to_str, program_to_str, stmt_to_str, validate_program,
 )
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from repro.errors import TypeMismatchError
 from repro.ir.types import (
-    BOOL, F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
-    type_from_name, unify, wrap_int,
+    F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, type_from_name, unify,
+    wrap_int,
 )
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import find_loop_nests
 from repro.hw import normalize
-from repro.ir import I32, ProgramBuilder, U32
+from repro.ir import ProgramBuilder, U32
 from repro.nimble import (
     ACEV, GARP, compile_variants, extract_kernels, profile_summary,
     select_kernel, target_by_name,

@@ -13,6 +13,7 @@ from repro.hw.schedulers import _REGISTRY, register_scheduler, \
     scheduler_by_name
 from repro.ir import ProgramBuilder, U32
 from repro.nimble import compile_original, compile_squash, compile_variants
+from repro.obs import metrics as obs_metrics
 from repro.pipeline import (
     VARIANT_PLANS, AnalyzedDFG, BuiltKernel, CompilationPipeline,
     PipelineRun, ScheduledDesign, TransformedNest, analysis_cache,
@@ -287,6 +288,82 @@ class TestAlwaysOnScheduleCheck:
             CompilationPipeline().compile(prog, nest, "original")
         assert [f.checker for f in exc.value.findings] == ["schedule.length"]
         assert "scheduler=list" in exc.value.provenance
+
+
+class _Logged:
+    """``base`` under its own name, appending one line per schedule call
+    to ``path`` (appends survive forked pool workers)."""
+
+    def __init__(self, base, path):
+        self.name, self.base, self.pipelined = base.name, base, base.pipelined
+        self.path = path
+
+    def schedule(self, dfg, lib, edges=None, max_ii=None, min_ii=None):
+        with open(self.path, "a") as fh:
+            fh.write(f"{self.name}\n")
+        return self.base.schedule(dfg, lib, edges=edges, max_ii=max_ii,
+                                  min_ii=min_ii)
+
+
+class TestVerifyFaultQuarantine:
+    """A ``VerifyError`` is deterministic: the design is quarantined after
+    one compile, its batch neighbours compile once and are cached, and
+    nothing is retried or bisected (retrying a 3-design batch twice and
+    then bisecting it costs 15 schedule calls)."""
+
+    @pytest.fixture(autouse=True)
+    def _verify_unset(self, monkeypatch):
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+
+    def _sweep(self, queries, jobs, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        retries = obs_metrics.counter("supervise.retries")
+        before = retries.value
+        result = evaluate(queries, jobs=jobs, cache=cache, retries=2)
+        assert retries.value == before
+        assert result.supervision["retries"] == 0
+        assert result.supervision["bisections"] == 0
+        return result, ResultCache(tmp_path / "cache")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lone_culprit(self, jobs, tmp_path, plant_scheduler):
+        log = tmp_path / "calls.txt"
+        plant_scheduler(ShiftedSink(
+            "shifted", _Logged(scheduler_by_name("modulo"), log)))
+        culprit = DesignQuery("iir", "squash", ds=2, scheduler="shifted")
+        other = DesignQuery("iir", "original")   # a batch of its own
+        result, cache = self._sweep([culprit, other], jobs, tmp_path)
+        [fail] = result.fails()
+        assert (fail.query, fail.kind, fail.attempts) == (culprit, "verify", 1)
+        assert "schedule.precedence" in fail.reason
+        assert log.read_text().splitlines() == ["modulo"]
+        assert result.supervision["quarantined"] == 1
+        assert cache.get(culprit) is None
+        assert cache.get(other) == result.results[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_planted_backtrack_spares_its_modulo_twin(self, jobs, tmp_path,
+                                                      plant_scheduler):
+        log = tmp_path / "calls.txt"
+        plant_scheduler(_Logged(scheduler_by_name("modulo"), log))
+        plant_scheduler(ShiftedSink(
+            "backtrack", _Logged(scheduler_by_name("backtrack"), log)))
+        # two (kernel, variant) batches, so jobs=2 splits neither
+        queries = [DesignQuery("iir", variant, ds=2, scheduler=s)
+                   for variant in ("squash", "jam")
+                   for s in ("modulo", "backtrack")]
+        result, cache = self._sweep(queries, jobs, tmp_path)
+        assert sorted(log.read_text().splitlines()) == \
+            ["backtrack", "backtrack", "modulo", "modulo"]
+        assert [f.query for f in result.fails()] == queries[1::2]
+        assert all(f.kind == "verify" and f.attempts == 1
+                   for f in result.fails())
+        assert result.supervision["quarantined"] == 2
+        for q, r in zip(queries, result.results):
+            if q.scheduler == "modulo":
+                assert r.ii > 0 and cache.get(q) == r
+            else:
+                assert cache.get(q) is None
 
 
 class TestThinWrappers:

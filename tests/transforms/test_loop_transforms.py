@@ -237,6 +237,30 @@ class TestIfConvert:
         assert [type(s) for s in walk_stmts(out.body)].count(If) == 1
         _same_arrays(prog, out)
 
+    def test_nothing_in_scope_returns_the_program_itself(self, monkeypatch):
+        import repro.transforms.ifconvert as ifc
+
+        def no_walk(*args):
+            raise AssertionError("cloned or walked an if-free scope")
+
+        monkeypatch.setattr(ifc, "clone_program", no_walk)
+        monkeypatch.setattr(ifc, "definitely_assigned", no_walk)
+        b = ProgramBuilder("p")
+        a = b.array("a", (8,), U32, output=True)
+        x = b.local("x", U32)
+        with b.loop("i", 0, 8) as i:
+            with b.if_(i > 0):          # outside the kernel loop
+                b.assign(x, 1)
+            with b.else_():
+                b.assign(x, 0)
+            with b.loop("j", 0, 4, kernel=True):
+                b.assign(x, b.var("x") + 1)
+            a[i] = b.var("x")
+        prog = b.build()
+        assert if_convert(prog, kernel_loops_only=True) is prog
+        straight = random_squashable_nest(random.Random(3))[0]
+        assert if_convert(straight) is straight
+
     @pytest.mark.parametrize("cfg", [
         RandConfig(), RandConfig(n_arrays=0, allow_div=False),
     ], ids=["default", "scalar-only"])

@@ -29,7 +29,7 @@ SPECS = ("acev", "vliw4")
 def _check_nest(seed, spec, scheduler="modulo", nest_spec=None):
     rng = random.Random(seed)
     prog, outer = random_squashable_nest(rng, nest_spec)
-    from repro.analysis.loops import LoopNest, find_loop_nests
+    from repro.analysis.loops import find_loop_nests
     nest = next(n for n in find_loop_nests(prog) if n.outer is outer)
     target = decode_target(spec)
     work, w_nest, ssa, dfg, _, check = analyze_nest(

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.analysis import find_kernel_nests, all_loops
+from repro.analysis import find_kernel_nests
 from repro.core import unroll_and_squash
 from repro.ir import run_program
 from repro.nimble import profile_summary
 from repro.workloads import (
-    adpcm, epic, iir, mpeg2, simple, skipjack, table_1_1_programs,
-    table_6_1_benchmarks, benchmark_by_name, wavelet,
+    adpcm, epic, iir, mpeg2, simple, table_1_1_programs, table_6_1_benchmarks,
+    benchmark_by_name, wavelet,
 )
 
 
