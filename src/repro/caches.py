@@ -131,8 +131,8 @@ def clear_caches(memory_only: bool = False) -> None:
 
     The one hook tests/benchmarks call to guarantee the next sweep
     recomputes from scratch.  ``memory_only=True`` drops just the
-    process-local tiers — the warm-cache benchmark phases use it to
-    simulate a fresh worker process against populated on-disk stores.
+    process-local tiers — tests use it to simulate a fresh worker
+    process against populated on-disk stores.
     """
     for memo in list(_MEMOS):
         memo.clear()

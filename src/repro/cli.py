@@ -13,11 +13,6 @@ Commands
                 parallel through the persistent cache and reports the
                 Pareto frontier (``--pareto``), the best-design ranking
                 (``--best``), and skip records;
-``bench``       measure the sweep hot path (cold / warm / warm-recompile
-                phases with per-stage timings and cache hit rates) and
-                write a standardized ``BENCH_*.json`` record; every acev
-                sweep whose factors include 2 also byte-checks the
-                formatted tables against the golden fixtures;
 ``compile``     compile a ``.lang`` source kernel (see :mod:`repro.lang`)
                 through the pipeline: diagnostics, optional functional
                 verification, and original/squash hardware estimates;
@@ -35,7 +30,7 @@ Commands
 ``squash``      transform one benchmark kernel, verify it, and report the
                 hardware estimate;
 ``trace``       validate an exported Chrome ``trace_event`` JSON file
-                (``--trace out.json`` on tables/explore/bench) and
+                (``--trace out.json`` on tables/explore) and
                 summarize its events;
 ``stats``       render the metrics summary embedded in an exported
                 trace (per-stage/per-kernel percentiles, cache hit
@@ -263,35 +258,6 @@ def _run_explore(args) -> int:
         print(f"wrote {path}")
     # quarantines are not silent: the sweep "succeeded" only partially
     return 3 if result.fails() else 0
-
-
-def _cmd_bench(args) -> int:
-    with _tracing(args.trace):
-        return _run_bench(args)
-
-
-def _run_bench(args) -> int:
-    import json
-
-    from repro.harness.bench import format_bench, run_sweep_bench
-
-    factors = (2,) if args.quick else tuple(args.factors)
-    baseline = None
-    if args.baseline:
-        baseline = json.loads(pathlib.Path(args.baseline).read_text())
-    record = run_sweep_bench(factors=factors, target_spec=args.target,
-                             jobs=args.jobs, scheduler=args.scheduler,
-                             baseline=baseline,
-                             vliw_spec=args.vliw_target or None)
-    print(format_bench(record))
-    out = pathlib.Path(args.out)
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    golden = record.get("golden", {})
-    if golden.get("checked") and not golden.get("ok"):
-        print(f"GOLDEN DRIFT: {golden['detail']}", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -674,30 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "rate, ETA; auto-disabled when stdout is not a "
                         "terminal)")
     e.set_defaults(fn=_cmd_explore)
-
-    b = sub.add_parser(
-        "bench", help="measure the sweep hot path and write BENCH json")
-    b.add_argument("--quick", action="store_true",
-                   help="factors=(2,) only (CI smoke mode); the golden "
-                        "byte-check runs on every acev sweep with 2 in "
-                        "its factors")
-    b.add_argument("--factors", type=int, nargs="+", default=[2, 4, 8, 16])
-    b.add_argument("--target", default="acev")
-    b.add_argument("--scheduler", default="",
-                   help="strategy for pipelined variants (default: target's)")
-    b.add_argument("--jobs", type=int, default=None,
-                   help="workers per phase (default: scaled to the sweep)")
-    b.add_argument("--out", default="BENCH_10.json",
-                   help="where to write the JSON record")
-    b.add_argument("--vliw-target", default="vliw4",
-                   help="second-backend retarget phase spec "
-                        "('' disables it)")
-    b.add_argument("--baseline",
-                   help="baseline JSON ({cold_wall_s, ...}) for speedups")
-    b.add_argument("--trace", metavar="OUT.json", default=None,
-                   help="export a Chrome trace_event JSON of the bench "
-                        "run (forces REPRO_TRACE on for the duration)")
-    b.set_defaults(fn=_cmd_bench)
 
     v = sub.add_parser(
         "verify", help="recompile designs with the independent artifact "

@@ -39,9 +39,7 @@ from repro import env as env_knobs
 from repro.env import env_int
 from repro.explore.cache import CacheStats, NullCache, ResultCache
 from repro.explore.space import DesignQuery, FailRecord, SkipRecord
-from repro.explore.supervise import (
-    BatchFailure, SuperviseStats, run_inline, run_supervised,
-)
+from repro.explore.supervise import BatchFailure, run_inline, run_supervised
 from repro.hw.report import DesignPoint
 from repro.nimble.compiler import compile_query_batch
 from repro.obs import metrics as obs_metrics
@@ -126,9 +124,6 @@ class ExploreResult:
     results: list["DesignPoint | SkipRecord | FailRecord"]
     cache_stats: CacheStats = field(default_factory=CacheStats)
     jobs: int = 1
-    #: supervisor counters (dispatches, retries, respawns, timeouts,
-    #: bisections, quarantined, ...) — empty for fully-warm runs
-    supervision: dict = field(default_factory=dict)
     #: lazily-built query -> result index (see :meth:`point_for`)
     _index: "Optional[dict[DesignQuery, object]]" = \
         field(default=None, repr=False, compare=False)
@@ -267,7 +262,6 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
         else:
             pending.append(i)
 
-    supervision: dict = {}
     if pending:
         todo = [queries[i] for i in pending]
         jobs = default_jobs(len(todo)) if jobs is None else max(1, jobs)
@@ -306,21 +300,17 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
                 reason=failure.reason, attempts=failure.attempts,
                 elapsed=failure.elapsed)
 
-        stats: SuperviseStats
         with obs_trace.span("evaluate", "explore", designs=len(todo),
                             batches=len(batches), workers=workers):
             if workers <= 1:
-                stats = run_inline(batches, todo, compile_query_batch,
-                                   on_payload, on_failure, retries=retries,
-                                   on_progress=on_progress)
+                run_inline(batches, todo, compile_query_batch, on_payload,
+                           on_failure, retries=retries,
+                           on_progress=on_progress)
             else:
-                stats = run_supervised(batches, todo, compile_query_batch,
-                                       on_payload, on_failure,
-                                       workers=workers, retries=retries,
-                                       batch_timeout=batch_timeout,
-                                       on_progress=on_progress)
-        if stats.eventful:
-            supervision = stats.as_dict()
+                run_supervised(batches, todo, compile_query_batch,
+                               on_payload, on_failure, workers=workers,
+                               retries=retries, batch_timeout=batch_timeout,
+                               on_progress=on_progress)
     else:
         jobs = default_jobs() if jobs is None else max(1, jobs)
 
@@ -331,5 +321,4 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
                            misses=cache.stats.misses - before[1],
                            stores=cache.stats.stores - before[2])
     return ExploreResult(queries=queries, results=results,
-                         cache_stats=run_stats, jobs=jobs,
-                         supervision=supervision)
+                         cache_stats=run_stats, jobs=jobs)

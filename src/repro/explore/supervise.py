@@ -112,18 +112,6 @@ class SuperviseStats:
     quarantined: int = 0    # single queries given up on (FailRecords)
     backoff_s: float = 0.0  # total seconds slept between respawns
 
-    def as_dict(self) -> dict:
-        return {"dispatches": self.dispatches, "retries": self.retries,
-                "respawns": self.respawns, "crashes": self.crashes,
-                "timeouts": self.timeouts, "exceptions": self.exceptions,
-                "bisections": self.bisections,
-                "quarantined": self.quarantined,
-                "backoff_s": round(self.backoff_s, 4)}
-
-    @property
-    def eventful(self) -> bool:
-        return bool(self.retries or self.quarantined or self.respawns)
-
 
 @dataclass
 class _Task:

@@ -7,7 +7,7 @@ the exploration engine (:mod:`repro.explore`): design points fan out
 over a process pool and land in the persistent on-disk result cache, so
 repeated sweeps — across benchmark modules *and* across processes — are
 incremental.  A process-local memo preserves the old identity guarantee
-(same arguments, same ``VariantSet`` objects); :func:`clear_caches`
+(same arguments, same ``VariantSet`` objects); :func:`repro.clear_caches`
 resets both layers for hermetic tests.
 """
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.loops import find_kernel_nests
-from repro.caches import clear_caches as central_clear_caches
 from repro.caches import register_cache
 from repro.harness.tables import render_series, render_table, render_timeline
 from repro.hw import (
@@ -32,7 +31,7 @@ __all__ = [
     "run_table_6_2", "format_table_6_2",
     "run_table_6_3", "format_table_6_3",
     "figure_series", "format_figure", "run_fig_2_4", "format_fig_2_4",
-    "clear_caches", "VARIANT_LABELS",
+    "VARIANT_LABELS",
 ]
 
 VARIANT_LABELS = ("original", "pipelined", "squash(2)", "squash(4)",
@@ -86,9 +85,6 @@ def format_table_6_1(benchmarks) -> str:
 #: target, scheduler, kernels) arguments return the *same* VariantSet
 #: objects within one process, as the old ``lru_cache`` did.
 _SWEEP_MEMO: dict[tuple, dict[str, VariantSet]] = {}
-
-#: Alias kept for callers of the old private helper.
-_decode_target = decode_target
 
 
 def _sweep(factors: tuple[int, ...], target_spec: str,
@@ -182,12 +178,6 @@ def run_table_6_2(factors: Sequence[int] = (2, 4, 8, 16),
 
 
 register_cache(_SWEEP_MEMO.clear)
-
-#: The one hook that drops every process-local cache (the sweep memo,
-#: the benchmark-build memo, the shared base-analysis cache) plus the
-#: persistent result cache.  Re-exported here for backwards
-#: compatibility; canonical home is :func:`repro.clear_caches`.
-clear_caches = central_clear_caches
 
 
 def _cell(p, fn):

@@ -2,7 +2,7 @@
 
 The thesis reports results as tables (6.1–6.3) and bar-chart figures
 (6.1–6.4).  We render tables with fixed-width columns and figures as
-labeled numeric series plus a coarse ASCII bar per value, so the bench
+labeled numeric series plus a coarse ASCII bar per value, so the
 output is diffable and the "shape" claims are visible at a glance.
 """
 

@@ -17,8 +17,8 @@ back with their results (:func:`repro.nimble.compiler
 .compile_query_batch`); the engine merges deltas into the parent
 registry so a sweep's counters are global facts regardless of which
 process did the work.  Metrics are always on — the cost is a few dict
-operations per event, which the ``trace_overhead`` bench phase prices —
-while the *span tracer* (:mod:`repro.obs.trace`) stays off by default.
+operations per event — while the *span tracer* (:mod:`repro.obs.trace`)
+stays off by default.
 
 Determinism: metrics only observe.  Results are byte-identical whether
 or not anyone ever reads them.
@@ -276,5 +276,5 @@ def histogram(name: str) -> Histogram:
 
 
 def reset_metrics() -> None:
-    """Zero the process registry (tests and bench phases)."""
+    """Zero the process registry (for tests)."""
     _REGISTRY.reset()

@@ -28,8 +28,7 @@ event ``ts`` is the anchored epoch plus a monotonic delta — comparable
 between workers to within clock sync, monotonic within each process.
 
 Tracing never changes results: traced runs are byte-identical to
-untraced ones (goldens are asserted both ways, and the ``trace_overhead``
-bench phase re-proves it on every bench run).
+untraced ones (the golden tables are asserted both ways).
 """
 
 from __future__ import annotations

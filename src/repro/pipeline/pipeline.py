@@ -70,7 +70,7 @@ __all__ = ["CompilationPipeline", "PipelineRun", "VARIANT_PLANS",
 
 
 # ---------------------------------------------------------------------------
-# Stage timing (the `repro bench` per-stage breakdown)
+# Stage timing (the per-stage rows of `repro stats`)
 # ---------------------------------------------------------------------------
 
 #: Per-stage wall time lives in the metrics registry as ``stage.*``

@@ -7,7 +7,7 @@ per-nest legality preparation (:mod:`repro.pipeline.analysis`, the
 (:mod:`repro.hw.iimemo`, the ``iisearch`` family).  Each lives as one
 pickle per key under ``<cache dir>/<family>/<code_version>/``, so
 ``ProcessPoolExecutor`` workers and repeated ``repro explore`` /
-``repro bench`` runs share one computation instead of redoing it per
+``repro tables`` runs share one computation instead of redoing it per
 process.
 
 Keys are content hashes (never object ids), and the directory is

@@ -79,6 +79,9 @@ class TestEvaluate:
         # supervised engine retries, then quarantines the culprit with
         # provenance, and the neighbor still evaluates
         from repro.explore import FailRecord, format_fails
+        from repro.obs import metrics as obs_metrics
+        quarantined = obs_metrics.counter("supervise.quarantined")
+        before = quarantined.value
         res = evaluate([DesignQuery("nope", "original"),
                         DesignQuery("iir", "original")],
                        jobs=1, retries=1)
@@ -88,7 +91,7 @@ class TestEvaluate:
         assert "KeyError" in fail.reason and "nope" in fail.reason
         assert fail.attempts == 2  # initial dispatch + one retry
         assert isinstance(res.results[1], DesignPoint)
-        assert res.supervision["quarantined"] == 1
+        assert quarantined.value - before == 1
         assert "Quarantined" in format_fails(res)
         assert "1 failed (quarantined)" in format_summary(res)
 

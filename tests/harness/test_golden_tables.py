@@ -12,9 +12,9 @@ shape.
 
 import pathlib
 
+from repro import clear_caches
 from repro.harness import (
-    clear_caches, format_table_6_2, format_table_6_3, run_table_6_2,
-    run_table_6_3,
+    format_table_6_2, format_table_6_3, run_table_6_2, run_table_6_3,
 )
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"

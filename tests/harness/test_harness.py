@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro import clear_caches
 from repro.harness import (
-    clear_caches, figure_series, format_fig_2_4, format_figure,
-    format_table_6_1, format_table_6_2, format_table_6_3, render_series,
-    render_table, render_timeline, run_fig_2_4, run_table_6_1, run_table_6_2,
-    run_table_6_3,
+    figure_series, format_fig_2_4, format_figure, format_table_6_1,
+    format_table_6_2, format_table_6_3, render_series, render_table,
+    render_timeline, run_fig_2_4, run_table_6_1, run_table_6_2, run_table_6_3,
 )
-from repro.harness.experiments import _decode_target
+from repro.nimble import decode_target
 
 
 class TestRendering:
@@ -34,17 +34,17 @@ class TestRendering:
 
 class TestTargetSpecs:
     def test_plain(self):
-        assert _decode_target("acev").mem_ports == 2
+        assert decode_target("acev").mem_ports == 2
 
     def test_ports_modifier(self):
-        assert _decode_target("acev::ports=1").mem_ports == 1
+        assert decode_target("acev::ports=1").mem_ports == 1
 
     def test_reg_rows_modifier(self):
-        t = _decode_target("acev::reg_rows=0.5")
+        t = decode_target("acev::reg_rows=0.5")
         assert t.library.reg_rows == 0.5
 
     def test_combined_modifiers(self):
-        t = _decode_target("acev::ports=4,reg_rows=0.25")
+        t = decode_target("acev::ports=4,reg_rows=0.25")
         assert t.mem_ports == 4 and t.library.reg_rows == 0.25
 
 

@@ -17,6 +17,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.analysis import find_loop_nests
 from repro.core import analyze_nest
 from repro.explore import DesignSpace, evaluate, format_pareto
@@ -164,17 +165,30 @@ class TestIncrementalSearchParity:
     skipped refuted candidates, reused exact certificates) must be
     observationally identical to the from-scratch search — same IIs,
     same start times, same certificates — across the whole oracle
-    space and on direct scheduler calls."""
+    space (warm in memory, or read back from the disk stores) and on
+    direct scheduler calls."""
 
-    def test_whole_suite_matches_from_scratch(self, monkeypatch):
+    def test_whole_suite_matches_from_scratch(self, monkeypatch, tmp_path):
         space = _oracle_space(factors=(2, 4))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))  # empty stores
         monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "1")  # two-tier on
+        repro.clear_caches(memory_only=True)  # so the first run fills them
         incremental = evaluate(space.enumerate(), jobs=1)
         replay = evaluate(space.enumerate(), jobs=1)  # memo-warm replay
+        # a fresh process against the populated artifact stores: the
+        # in-process tiers are dropped, the analyses and II-search
+        # certificates on disk are kept and must be read back
+        repro.clear_caches(memory_only=True)
+        analysis = obs_metrics.counter("analysis_disk_hits")
+        iimemo = obs_metrics.counter("iimemo_disk_hits")
+        before = (analysis.value, iimemo.value)
+        recompile = evaluate(space.enumerate(), jobs=1)
+        assert analysis.value > before[0] and iimemo.value > before[1]
         monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "0")  # memo fully off
         scratch = evaluate(space.enumerate(), jobs=1)
         assert incremental.results == scratch.results
         assert replay.results == scratch.results
+        assert recompile.results == scratch.results
 
     @pytest.mark.parametrize("kernel", ["iir", "des-mem"])
     @pytest.mark.parametrize("ds", [1, 2])

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.explore.space import DesignQuery
-from repro.harness import clear_caches, format_table_6_2, run_table_6_2
+from repro import clear_caches
+from repro.harness import format_table_6_2, run_table_6_2
 from repro.lang import compile_file, programs_equivalent
 from repro.lang.loader import lang_spec
 from repro.nimble.compiler import compile_query

@@ -316,14 +316,15 @@ class TestVerifyFaultQuarantine:
         monkeypatch.delenv("REPRO_VERIFY", raising=False)
 
     def _sweep(self, queries, jobs, tmp_path):
+        """The sweep's result, its supervision counters (a registry
+        delta) and a fresh view of its result cache."""
         cache = ResultCache(tmp_path / "cache")
-        retries = obs_metrics.counter("supervise.retries")
-        before = retries.value
+        before = obs_metrics.registry().snapshot()
         result = evaluate(queries, jobs=jobs, cache=cache, retries=2)
-        assert retries.value == before
-        assert result.supervision["retries"] == 0
-        assert result.supervision["bisections"] == 0
-        return result, ResultCache(tmp_path / "cache")
+        counters = obs_metrics.registry().delta_since(before)["counters"]
+        assert counters.get("supervise.retries", 0) == 0
+        assert counters.get("supervise.bisects", 0) == 0
+        return result, counters, ResultCache(tmp_path / "cache")
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_lone_culprit(self, jobs, tmp_path, plant_scheduler):
@@ -332,12 +333,13 @@ class TestVerifyFaultQuarantine:
             "shifted", _Logged(scheduler_by_name("modulo"), log)))
         culprit = DesignQuery("iir", "squash", ds=2, scheduler="shifted")
         other = DesignQuery("iir", "original")   # a batch of its own
-        result, cache = self._sweep([culprit, other], jobs, tmp_path)
+        result, counters, cache = self._sweep([culprit, other], jobs,
+                                              tmp_path)
         [fail] = result.fails()
         assert (fail.query, fail.kind, fail.attempts) == (culprit, "verify", 1)
         assert "schedule.precedence" in fail.reason
         assert log.read_text().splitlines() == ["modulo"]
-        assert result.supervision["quarantined"] == 1
+        assert counters["supervise.quarantined"] == 1
         assert cache.get(culprit) is None
         assert cache.get(other) == result.results[1]
 
@@ -352,13 +354,13 @@ class TestVerifyFaultQuarantine:
         queries = [DesignQuery("iir", variant, ds=2, scheduler=s)
                    for variant in ("squash", "jam")
                    for s in ("modulo", "backtrack")]
-        result, cache = self._sweep(queries, jobs, tmp_path)
+        result, counters, cache = self._sweep(queries, jobs, tmp_path)
         assert sorted(log.read_text().splitlines()) == \
             ["backtrack", "backtrack", "modulo", "modulo"]
         assert [f.query for f in result.fails()] == queries[1::2]
         assert all(f.kind == "verify" and f.attempts == 1
                    for f in result.fails())
-        assert result.supervision["quarantined"] == 2
+        assert counters["supervise.quarantined"] == 2
         for q, r in zip(queries, result.results):
             if q.scheduler == "modulo":
                 assert r.ii > 0 and cache.get(q) == r

@@ -192,38 +192,6 @@ class TestExploreCommand:
 
 
 class TestMainModuleAlias:
-    def test_bench_quick_writes_json_and_checks_golden(self, tmp_path,
-                                                       monkeypatch, capsys):
-        import json
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        out = tmp_path / "BENCH_test.json"
-        assert main(["bench", "--quick", "--jobs", "1",
-                     "--out", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "warm_recompile" in text and "byte-identical" in text
-        record = json.loads(out.read_text())
-        assert record["golden"] == {"checked": True, "ok": True,
-                                    "detail": ""}
-        assert record["phases"]["warm_result"]["result_cache"]["hit_rate"] \
-            == 1.0
-        assert record["phases"]["cold"]["stages_s"]["schedule"] > 0
-        # counters are the registry delta: scheduler effort included
-        assert record["phases"]["cold"]["counters"][
-            "sched_kernel_numpy_attempts"] > 0
-
-    def test_bench_speedups_against_baseline(self, tmp_path, monkeypatch,
-                                             capsys):
-        import json
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps({"cold_wall_s": 100.0}))
-        out = tmp_path / "BENCH_test.json"
-        assert main(["bench", "--quick", "--jobs", "1", "--out", str(out),
-                     "--baseline", str(base)]) == 0
-        record = json.loads(out.read_text())
-        assert record["speedup_vs_baseline"]["cold"] > 1
-        assert record["speedup_vs_baseline"]["warm_recompile"] > 1
-
     def test_python_dash_m_repro(self, monkeypatch, capsys):
         import runpy
         import sys

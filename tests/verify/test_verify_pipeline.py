@@ -9,8 +9,7 @@ import repro
 from repro.analysis import find_loop_nests
 from repro.cli import main
 from repro.harness import (
-    clear_caches, format_table_6_2, format_table_6_3, run_table_6_2,
-    run_table_6_3,
+    format_table_6_2, format_table_6_3, run_table_6_2, run_table_6_3,
 )
 from repro.obs import registry
 from repro.pipeline import CompilationPipeline
@@ -80,7 +79,7 @@ class TestPipelineHook:
 class TestGoldenByteIdentity:
     def test_strict_table_6_2_is_byte_identical(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY", "strict")
-        clear_caches()
+        repro.clear_caches()
         sweep = run_table_6_2(factors=(2,))
         golden = (DATA / "golden_table_6_2_f2.txt").read_text()
         assert format_table_6_2(sweep) == golden
