@@ -15,6 +15,18 @@ publish.  A memo's key is one of two kinds:
   — which may also live on disk, in an :class:`repro.store.ArtifactStore`
   that worker processes and later runs share.
 
+A memo lives as long as one of two scopes:
+
+* **per worker** (the default): per-kernel state every later batch of
+  the process can reuse — base analyses, legality preparations, content
+  keys, jammed programs, the II memo.  An entry lives until the LRU
+  bound drops it;
+* **per batch** (``per_batch=True``): state keyed by per-design objects
+  — search contexts, edge views, delay maps, squash and jam analyses.
+  :func:`release_batch` drops them when the engine's batch lands
+  (:func:`repro.nimble.compiler.compile_query_batch`), so a worker's
+  heap holds one batch of designs, not every design it ever compiled.
+
 Tests and benchmarks need one switch that drops *all* caches so
 repeated runs stay hermetic: every memo is registered here when it is
 built, the few other caches (two ``functools.lru_cache`` functions, the
@@ -35,7 +47,7 @@ from repro.obs import metrics as obs_metrics
 if TYPE_CHECKING:  # store -> caches import cycle: the type only
     from repro.store import ArtifactStore
 
-__all__ = ["Memo", "clear_caches", "register_cache"]
+__all__ = ["Memo", "clear_caches", "register_cache", "release_batch"]
 
 _CLEARERS: list[Callable[[], None]] = []
 _DISK_CLEARERS: list[Callable[[], None]] = []
@@ -56,17 +68,23 @@ class Memo:
     setting ``get`` computes (or misses) and ``put`` publishes nothing.
 
     Memory traffic counts as ``<name>_mem_hits``/``<name>_mem_misses``
-    in the metrics registry; the store counts its own disk traffic.
+    in the metrics registry, and every entry the LRU bound drops as
+    ``<name>_mem_evictions`` (a :meth:`clear` is not an eviction); the
+    store counts its own disk traffic.  ``per_batch`` marks a memo that
+    :func:`release_batch` empties.
     """
 
     def __init__(self, name: str, maxsize: int,
-                 store: "Optional[ArtifactStore]" = None):
+                 store: "Optional[ArtifactStore]" = None,
+                 per_batch: bool = False):
         self.name = name
         self.maxsize = maxsize
         self.store = store
+        self.per_batch = per_batch
         self._data: "OrderedDict[Hashable, tuple[tuple, Any]]" = OrderedDict()
         self._hits = obs_metrics.counter(f"{name}_mem_hits")
         self._misses = obs_metrics.counter(f"{name}_mem_misses")
+        self._evictions = obs_metrics.counter(f"{name}_mem_evictions")
         _MEMOS.add(self)
 
     def __len__(self) -> int:
@@ -104,6 +122,7 @@ class Memo:
         self._data[key] = (pins, value)
         if len(self._data) > self.maxsize:
             self._data.popitem(last=False)
+            self._evictions.add()
 
     def clear(self) -> None:
         """Drop the memory tier (the store keeps its artifacts)."""
@@ -123,6 +142,17 @@ def register_cache(clear_fn: Callable[[], None], *,
     if clear_fn not in registry:
         registry.append(clear_fn)
     return clear_fn
+
+
+def release_batch() -> None:
+    """Drop every per-batch memo's entries (and the objects they pin).
+
+    Called when a batch of design queries lands; the per-worker memos
+    keep their entries for the next batch.
+    """
+    for memo in list(_MEMOS):
+        if memo.per_batch:
+            memo.clear()
 
 
 def clear_caches(memory_only: bool = False) -> None:

@@ -31,7 +31,7 @@ from repro.ir.nodes import Program
 from repro.ir.visitors import variables_written
 
 __all__ = ["PreparedSquash", "SquashCheck", "check_squash",
-           "classify_squash", "prepare_squash"]
+           "classify_squash", "nest_liveness", "prepare_squash"]
 
 
 @dataclass
@@ -139,16 +139,9 @@ def prepare_squash(program: Program, nest: LoopNest) -> PreparedSquash:
         failures.append(f"inner loop bounds read {sorted(clobbered)} "
                         "which the outer body writes")
 
-    # liveness summary for the DFG build (live-out = anything the outer body
-    # reads after the inner loop, approximated by reads in post statements)
-    post_reads: set[str] = set()
-    for s in nest.post_stmts():
-        from repro.ir.visitors import variables_read
-        post_reads |= variables_read(s)
-    liveness = loop_liveness(nest.inner, post_reads)
-
     prep = PreparedSquash(outer_trip=outer_trip, inner_trip=inner_trip,
-                          base_failures=failures, liveness=liveness)
+                          base_failures=failures,
+                          liveness=nest_liveness(nest))
     if failures:
         return prep  # check_squash never ran the parallel check here
 
@@ -176,6 +169,21 @@ def prepare_squash(program: Program, nest: LoopNest) -> PreparedSquash:
                 pairs.append((a, a, dist, _fmt(dist), True))
     prep.pairs = pairs
     return prep
+
+
+def nest_liveness(nest: LoopNest) -> LoopLiveness:
+    """The inner loop's liveness summary for the DFG build.
+
+    Live-out is anything the outer body reads after the inner loop,
+    approximated by the reads in its post statements.  The names are
+    the program's own string objects.
+    """
+    from repro.ir.visitors import variables_read
+
+    post_reads: set[str] = set()
+    for s in nest.post_stmts():
+        post_reads |= variables_read(s)
+    return loop_liveness(nest.inner, post_reads)
 
 
 def classify_squash(prep: PreparedSquash, ds: int) -> SquashCheck:

@@ -21,9 +21,7 @@ from repro.explore.cache import (  # noqa: F401
 from repro.explore.engine import (  # noqa: F401
     ExploreResult, default_jobs, evaluate,
 )
-from repro.explore.supervise import (  # noqa: F401
-    SuperviseStats, SweepInterrupted,
-)
+from repro.explore.supervise import SweepInterrupted  # noqa: F401
 from repro.explore.pareto import (  # noqa: F401
     OBJECTIVES, best_designs, dominates, pareto_front, pareto_queries,
 )

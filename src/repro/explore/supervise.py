@@ -30,6 +30,14 @@ discard its neighbors' work.  The supervisor owns the failure policy:
   already committed via ``on_payload``, so the same command resumes
   from the result cache.
 
+Every event counts in the metrics registry (``supervise.dispatches``,
+``supervise.crashes``, ``supervise.retries``, ...), the one tally
+``repro stats`` and the tests read.  While its pool lives,
+:func:`run_supervised` keeps the parent's heap frozen (:func:`gc.freeze`):
+the forked workers inherit it in the collector's permanent generation,
+so their collections never walk the imported modules and the parent's
+state.
+
 :func:`run_inline` is the poolless (``jobs=1``) twin with the same
 retry/bisect/quarantine policy; injected main-process faults
 (:mod:`repro.faults`) surface there as ordinary exceptions.
@@ -42,6 +50,7 @@ workers and the engine stays a thin client.
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
@@ -53,8 +62,8 @@ from typing import Callable, Optional, Sequence
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-__all__ = ["BatchFailure", "SuperviseStats", "SweepInterrupted",
-           "run_inline", "run_supervised"]
+__all__ = ["BatchFailure", "SweepInterrupted", "run_inline",
+           "run_supervised"]
 
 #: Commits one completed batch: ``(positions, payload)`` -> how many of
 #: its items the worker quarantined itself (``None`` for none).
@@ -99,21 +108,6 @@ class BatchFailure:
 
 
 @dataclass
-class SuperviseStats:
-    """Counters describing how eventful one supervised run was."""
-
-    dispatches: int = 0     # batch submissions, including re-dispatches
-    retries: int = 0        # re-queued batches (any failure kind)
-    respawns: int = 0       # pool teardown + rebuild events
-    crashes: int = 0        # BrokenProcessPool events
-    timeouts: int = 0       # straggler deadline expiries
-    exceptions: int = 0     # worker-raised unclassified exceptions
-    bisections: int = 0     # failing batches split toward the culprit
-    quarantined: int = 0    # single queries given up on (FailRecords)
-    backoff_s: float = 0.0  # total seconds slept between respawns
-
-
-@dataclass
 class _Task:
     """One dispatchable unit: positions into the caller's item list."""
 
@@ -140,7 +134,8 @@ class _Run:
         self.on_failure = on_failure
         self.on_progress = on_progress
         self.retries = retries
-        self.stats = SuperviseStats()
+        #: what ``_progress`` reports; the registry counts every event
+        self.retried = self.quarantined = self.respawns = 0
         self.total = len(self.queue)
         self.total_items = sum(len(t.positions) for t in self.queue)
         self.done_items = 0
@@ -153,14 +148,13 @@ class _Run:
         if self.on_progress is not None:
             self.on_progress({
                 "done": self.done_items, "total": self.total_items,
-                "retries": self.stats.retries,
-                "quarantined": self.stats.quarantined,
-                "respawns": self.stats.respawns})
+                "retries": self.retried, "quarantined": self.quarantined,
+                "respawns": self.respawns})
 
     def complete(self, task: _Task, payload: object) -> None:
         quarantined = self.on_payload(task.positions, payload) or 0
         if quarantined:
-            self.stats.quarantined += quarantined
+            self.quarantined += quarantined
             obs_metrics.counter("supervise.quarantined").add(quarantined)
         self.committed += 1
         self.done_items += len(task.positions)
@@ -181,7 +175,7 @@ class _Run:
         task.elapsed += elapsed
         task.last_kind, task.last_reason = kind, reason
         if task.attempts <= self.retries:
-            self.stats.retries += 1
+            self.retried += 1
             obs_metrics.counter("supervise.retries").add()
             obs_trace.instant("retry", "supervise", kind=kind,
                               attempt=task.attempts,
@@ -193,7 +187,6 @@ class _Run:
             # The batch keeps failing: split it so the culprit query is
             # cornered while its neighbors get a fresh budget.  Total
             # work stays O(retries * n log n) per poisoned batch.
-            self.stats.bisections += 1
             obs_metrics.counter("supervise.bisects").add()
             obs_trace.instant("bisect", "supervise", kind=kind,
                               designs=len(task.positions))
@@ -202,7 +195,7 @@ class _Run:
             self.queue.appendleft(_Task(task.positions[:mid]))
             self.total += 1
             return
-        self.stats.quarantined += 1
+        self.quarantined += 1
         self.done_items += 1
         obs_metrics.counter("supervise.quarantined").add()
         obs_trace.instant("quarantine", "supervise", kind=kind,
@@ -248,7 +241,7 @@ def run_inline(batches: Sequence[Sequence[int]],
                on_failure: Callable[[BatchFailure], None],
                retries: int = 0,
                on_progress: Optional[Callable[[dict], None]] = None
-               ) -> SuperviseStats:
+               ) -> None:
     """Poolless supervised dispatch (``jobs=1``): same policy, no forks.
 
     Injected main-process faults and real worker exceptions both arrive
@@ -260,7 +253,7 @@ def run_inline(batches: Sequence[Sequence[int]],
     try:
         while run.queue:
             task = run.queue.popleft()
-            run.stats.dispatches += 1
+            obs_metrics.counter("supervise.dispatches").add()
             t0 = task.started = time.perf_counter()
             try:
                 payload = worker_fn([items[p] for p in task.positions],
@@ -268,14 +261,13 @@ def run_inline(batches: Sequence[Sequence[int]],
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
-                run.stats.exceptions += 1
+                obs_metrics.counter("supervise.exceptions").add()
                 run.fail(task, "exception", repr(exc),
                          time.perf_counter() - t0)
                 continue
             run.complete(task, payload)
     except KeyboardInterrupt:
         raise SweepInterrupted(run.committed, run.total) from None
-    return run.stats
 
 
 def run_supervised(batches: Sequence[Sequence[int]],
@@ -288,13 +280,18 @@ def run_supervised(batches: Sequence[Sequence[int]],
                    batch_timeout: Optional[float] = None,
                    mp_context=None,
                    on_progress: Optional[Callable[[dict], None]] = None
-                   ) -> SuperviseStats:
+                   ) -> None:
     """Pool-backed supervised dispatch — the engine's parallel core.
 
     Submits at most ``workers`` batches at a time (so deadlines measure
     running time, not queue time), consumes futures as they complete,
     and applies the module-level failure policy.  ``worker_fn`` must be
     a picklable module-level callable taking ``(items, attempt)``.
+
+    The parent's heap stays frozen (:func:`gc.freeze`) from before the
+    first submit forks the workers until the pool is torn down, on
+    every path out (done, crash, timeout, interrupt); respawned pools
+    fork from the same frozen heap.
     """
     run = _Run(batches, on_payload, on_failure, retries,
                on_progress=on_progress)
@@ -310,8 +307,7 @@ def run_supervised(batches: Sequence[Sequence[int]],
         _kill_pool(pool)
         delay = min(_BACKOFF_CAP, _BACKOFF_BASE * 2 ** run.backoff_streak)
         run.backoff_streak += 1
-        run.stats.respawns += 1
-        run.stats.backoff_s += delay
+        run.respawns += 1
         obs_metrics.counter("supervise.respawns").add()
         obs_trace.instant("respawn", "supervise", backoff_s=delay)
         time.sleep(delay)
@@ -336,13 +332,13 @@ def run_supervised(batches: Sequence[Sequence[int]],
                          now - task.started)
         inflight.clear()
 
-    pool = spawn()
+    gc.freeze()
     try:
+        pool = spawn()
         while run.queue or inflight:
             # --- windowed submission: at most `workers` outstanding ----
             while run.queue and len(inflight) < workers:
                 task = run.queue.popleft()
-                run.stats.dispatches += 1
                 task.started = time.perf_counter()
                 if batch_timeout is not None:
                     task.deadline = task.started + batch_timeout
@@ -353,12 +349,12 @@ def run_supervised(batches: Sequence[Sequence[int]],
                 except (BrokenProcessPool, RuntimeError):
                     # the pool broke between completions; put the task
                     # back and let the crash path below respawn
-                    run.stats.dispatches -= 1
                     run.queue.appendleft(task)
-                    run.stats.crashes += 1
+                    obs_metrics.counter("supervise.crashes").add()
                     abandon_inflight("crash", "worker pool broke")
                     respawn()
                     continue
+                obs_metrics.counter("supervise.dispatches").add()
                 inflight[fut] = task
 
             if not inflight:
@@ -378,7 +374,7 @@ def run_supervised(batches: Sequence[Sequence[int]],
                 try:
                     payload = fut.result()
                 except BrokenProcessPool as exc:
-                    run.stats.crashes += 1
+                    obs_metrics.counter("supervise.crashes").add()
                     run.fail(task, "crash",
                              f"worker process died ({exc})",
                              time.perf_counter() - task.started)
@@ -386,7 +382,7 @@ def run_supervised(batches: Sequence[Sequence[int]],
                 except KeyboardInterrupt:  # pragma: no cover - re-raised
                     raise
                 except Exception as exc:
-                    run.stats.exceptions += 1
+                    obs_metrics.counter("supervise.exceptions").add()
                     run.fail(task, "exception", repr(exc),
                              time.perf_counter() - task.started)
                 else:
@@ -402,7 +398,6 @@ def run_supervised(batches: Sequence[Sequence[int]],
                 overdue = next((f for f, t in inflight.items()
                                 if now > t.deadline), None)
                 if overdue is not None:
-                    run.stats.timeouts += 1
                     obs_metrics.counter("supervise.timeouts").add()
                     abandon_inflight(
                         "timeout",
@@ -410,10 +405,7 @@ def run_supervised(batches: Sequence[Sequence[int]],
                         "wall-clock budget", overdue=overdue)
                     respawn()
     except KeyboardInterrupt:
-        _kill_pool(pool)
-        pool = None
         raise SweepInterrupted(run.committed, run.total) from None
     finally:
-        if pool is not None:
-            _kill_pool(pool)
-    return run.stats
+        _kill_pool(pool)
+        gc.unfreeze()

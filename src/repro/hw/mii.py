@@ -38,8 +38,9 @@ EdgeView = list[tuple[DFGNode, DFGNode, int]]
 #: schedule/pressure call on an unrelaxed design re-derives
 #: this same list; returning one shared object also lets the II search's
 #: identity-keyed context memo hit across repeated calls.  Callers
-#: treat views as read-only (squash builds its own list).
-_DEFAULT_VIEWS = Memo("edge_view", 1024)
+#: treat views as read-only (squash builds its own list).  Per batch:
+#: dropped when the engine's batch lands, with the contexts keyed by it.
+_DEFAULT_VIEWS = Memo("edge_view", 1024, per_batch=True)
 
 
 def default_edge_view(dfg: DFG) -> EdgeView:

@@ -68,8 +68,9 @@ _REPAIR_ROUNDS = 8
 #: (:meth:`repro.pipeline.analysis.AnalysisCache.squash_for`); without
 #: this memo each re-entry re-derives all of them (RecMII's SCC
 #: decomposition dominated the vliw retarget profile).  Keys pin their
-#: objects, so ids stay valid.
-_CTX = Memo("search_ctx", 512)
+#: objects, so ids stay valid.  Per batch: the engine drops every
+#: context when a batch lands (:func:`repro.caches.release_batch`).
+_CTX = Memo("search_ctx", 512, per_batch=True)
 
 
 def search_context(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:

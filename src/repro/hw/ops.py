@@ -182,8 +182,9 @@ class OperatorLibrary:
 #: register-area accountants re-read every producer's latency once per
 #: edge per schedule, and the register-pressure II bump re-enters them
 #: once per floor — all over the same frozen (dfg, lib) pair.  Keys pin
-#: their objects, so ids stay valid while an entry lives.
-_DELAY_MAPS = Memo("delay_map", 1024)
+#: their objects, so ids stay valid while an entry lives.  Per batch: an
+#: entry lives until the engine's batch lands.
+_DELAY_MAPS = Memo("delay_map", 1024, per_batch=True)
 
 
 def cached_delay_map(dfg, lib: OperatorLibrary) -> dict[int, int]:

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # avoid the explore <-> nimble import cycle at runtime
     from repro.explore.space import DesignQuery, SkipRecord
 
 from repro.analysis.loops import LoopNest, find_kernel_nests, find_loop_nests
-from repro.caches import register_cache
+from repro.caches import register_cache, release_batch
 from repro.errors import LegalityError, ScheduleError, VerifyError
 from repro.hw.report import DesignPoint
 from repro.ir.nodes import Program
@@ -180,6 +180,13 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     ``attempt`` is the supervisor's dispatch count for this batch; it
     feeds the chaos-test fault site so a query that drew an injected
     crash/hang draws a *fresh* deterministic coin on each retry.
+
+    The batch is the lifetime of per-design state: when it ends, even
+    by an exception, :func:`repro.caches.release_batch` drops the
+    search contexts, edge views, delay maps and squash and jam analyses
+    its designs built.  The per-kernel state (built kernels, base
+    analyses, preparations, content keys, jammed programs, the II memo)
+    stays for the worker's later batches.
     """
     from repro.explore.space import FailRecord
     from repro.faults import fault_site
@@ -190,15 +197,19 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     with obs_trace.span("batch", "worker", size=len(queries),
                         attempt=attempt):
         results = []
-        for q in queries:
-            fault_site("worker", f"{q.query_hash}:{attempt}")
-            t0 = time.perf_counter()
-            try:
-                results.append(compile_query(q))
-            except VerifyError as exc:
-                results.append(FailRecord(
-                    query=q, kind="verify", reason=repr(exc), attempts=1,
-                    elapsed=round(time.perf_counter() - t0, 4)))
+        try:
+            for q in queries:
+                fault_site("worker", f"{q.query_hash}:{attempt}")
+                t0 = time.perf_counter()
+                try:
+                    results.append(compile_query(q))
+                except VerifyError as exc:
+                    results.append(FailRecord(
+                        query=q, kind="verify", reason=repr(exc),
+                        attempts=1,
+                        elapsed=round(time.perf_counter() - t0, 4)))
+        finally:
+            release_batch()
     payload = {"results": results,
                "metrics": obs_metrics.registry().delta_since(before_metrics)}
     if obs_trace.enabled():

@@ -3,8 +3,8 @@
 Renders three things from the same inputs:
 
 * :func:`format_stats` — per-stage/per-kernel duration percentiles,
-  per-memo, per-tier cache hit rates, scheduler attempt counts, and
-  supervision tallies
+  per-memo, per-tier cache hit rates and LRU evictions, scheduler
+  attempt counts, and supervision tallies
   from a metrics snapshot (live registry or the ``reproMetrics`` block
   embedded in an exported trace);
 * :func:`summarize_events` — per-category/per-name event counts and
@@ -75,26 +75,30 @@ def _rate(hits: int, misses: int) -> str:
     return f"{100.0 * hits / total:.1f}%"
 
 
-#: A memo tier's traffic counter: ``<memo>_{mem,disk}_{hits,misses}``.
-_TIER_COUNTER = re.compile(r"(.+)_(mem|disk)_(hits|misses)")
+#: A memo tier's counter: ``<memo>_{mem,disk}_{hits,misses}``, and
+#: ``<memo>_mem_evictions`` for the entries its LRU bound dropped.
+_TIER_COUNTER = re.compile(r"(.+)_(mem|disk)_(hits|misses|evictions)")
+_TIER_KINDS = ("hits", "misses", "evictions")
 
 
 def _cache_rows(counters: dict) -> "list[list[str]]":
     """One row per memo tier with traffic (memory before disk), then
-    the result cache."""
+    the result cache; a memory tier's row counts its evictions."""
     tiers: dict[tuple[str, bool], list[int]] = {}
     for name, val in counters.items():
         match = _TIER_COUNTER.fullmatch(name)
         if match:
             memo, tier, kind = match.groups()
             tiers.setdefault((memo, tier == "disk"),
-                             [0, 0])[kind == "misses"] += val
-    rows = [(f"{memo} ({'disk' if disk else 'mem'})", hits, misses)
-            for (memo, disk), (hits, misses) in sorted(tiers.items())]
+                             [0, 0, 0])[_TIER_KINDS.index(kind)] += val
+    rows = [(f"{memo} ({'disk' if disk else 'mem'})", hits, misses,
+             "-" if disk else str(evicted))
+            for (memo, disk), (hits, misses, evicted)
+            in sorted(tiers.items())]
     rows.append(("results", counters.get("explore.cache.hits", 0),
-                 counters.get("explore.cache.misses", 0)))
-    return [[label, str(hits), str(misses), _rate(hits, misses)]
-            for label, hits, misses in rows if hits or misses]
+                 counters.get("explore.cache.misses", 0), "-"))
+    return [[label, str(hits), str(misses), _rate(hits, misses), evicted]
+            for label, hits, misses, evicted in rows if hits or misses]
 
 
 def format_stats(snapshot: dict) -> str:
@@ -122,8 +126,8 @@ def format_stats(snapshot: dict) -> str:
     cache_rows = _cache_rows(counters)
     if cache_rows:
         lines.append("Caches")
-        lines.extend(_table(["cache", "hits", "misses", "hit rate"],
-                            cache_rows))
+        lines.extend(_table(["cache", "hits", "misses", "hit rate",
+                             "evicted"], cache_rows))
         lines.append("")
 
     sched_keys = [
@@ -141,11 +145,14 @@ def format_stats(snapshot: dict) -> str:
         lines.append("")
 
     sup_keys = [
+        ("batch dispatches", "supervise.dispatches"),
         ("batches completed", "supervise.batches"),
         ("designs completed", "supervise.designs"),
         ("retries", "supervise.retries"),
         ("bisections", "supervise.bisects"),
         ("quarantined", "supervise.quarantined"),
+        ("worker crashes", "supervise.crashes"),
+        ("worker exceptions", "supervise.exceptions"),
         ("pool respawns", "supervise.respawns"),
         ("batch timeouts", "supervise.timeouts"),
         ("injected faults seen", "faults.injected"),

@@ -24,7 +24,7 @@ any source invalidate stale artifacts automatically.
 Jam analyses are derived, not stored: jam(F) for F > 2 renames copy 1
 of the jam(2) analysis once per extra copy and appends the copies to
 the base analysis (:mod:`repro.core.jamdfg`).  Deriving them is cheaper
-than unpickling them, so they live in memory only.
+than unpickling them, so they live in memory only, for one batch.
 
 Squash analyses — the per-DS stage assignment, register chains and
 relaxed edge view layered over the base graph — live in memory only
@@ -33,7 +33,11 @@ a squash or jam+squash design therefore gets the *same*
 :class:`~repro.pipeline.artifacts.AnalyzedDFG`, and through its object
 identity the same II-search context (:data:`repro.hw.modulo._CTX`):
 ``modulo`` and ``backtrack`` share one dense problem, one MII pair and
-every topological placement.
+every topological placement.  The engine's batches group queries by
+(kernel, variant), so a design's schedulers normally meet in one batch,
+and both memos are per batch: the worker drops them when its batch
+lands (:func:`repro.caches.release_batch`), while base analyses,
+preparations and content keys stay for the worker's later batches.
 
 Set ``REPRO_ANALYSIS_CACHE=0`` to bypass sharing entirely (the reference
 route the parity tests compare against); :func:`repro.clear_caches`
@@ -51,7 +55,7 @@ from repro.analysis.ssa import SSABlock
 from repro.caches import Memo
 from repro.core.dfg import DFG
 from repro.core.legality import PreparedSquash, SquashCheck, check_squash, \
-    classify_squash, prepare_squash
+    classify_squash, nest_liveness, prepare_squash
 from repro.core.stages import assign_stages, default_delay, register_chains
 from repro.core.squash import analyze_front, analyze_nest
 from repro.env import analysis_cache_enabled
@@ -84,10 +88,20 @@ class BaseAnalysis:
 
 
 def _build_base(program: Program, nest: LoopNest,
-                check: Optional[SquashCheck] = None) -> BaseAnalysis:
-    """analyze_nest's front half, without raising on legality failure."""
-    if check is None:
+                prep: Optional[PreparedSquash] = None) -> BaseAnalysis:
+    """analyze_nest's front half, without raising on legality failure.
+
+    With ``prep``, the DS=1 check classifies it but carries the liveness
+    computed from ``program`` (:func:`~repro.core.legality.nest_liveness`):
+    a prep read back from the disk tier holds its own copies of the name
+    strings, which the base's pickle would write a second time, so the
+    stored base would depend on where its prep came from.
+    """
+    if prep is None:
         check = check_squash(program, nest, 1)
+    else:
+        check = classify_squash(prep, 1)
+        check.liveness = nest_liveness(nest)
     if not check.ok:
         return BaseAnalysis(check1=check)
     live = check.require_liveness()
@@ -133,15 +147,16 @@ class AnalysisCache:
     by :func:`content_key`, with :func:`repro.store.analysis_store` as
     their disk tier.  The map from a (program, nest) pair to its content
     key and the jam and squash analyses are memory-only identity memos
-    pinning their (program, nest) keys.
+    pinning their (program, nest) keys; the jam and squash analyses are
+    per batch (:func:`repro.caches.release_batch`).
     """
 
     def __init__(self, maxsize: int = 64):
         store = analysis_store()
         self._bases = Memo("analysis", maxsize, store)
         self._preps = Memo("prep", maxsize, store)
-        self._jams = Memo("jam_analysis", maxsize)
-        self._squashes = Memo("squash_analysis", maxsize)
+        self._jams = Memo("jam_analysis", maxsize, per_batch=True)
+        self._squashes = Memo("squash_analysis", maxsize, per_batch=True)
         self._keys = Memo("content_key", maxsize * 4)
 
     def __len__(self) -> int:
@@ -166,8 +181,8 @@ class AnalysisCache:
     def get_or_build(self, program: Program, nest: LoopNest) -> BaseAnalysis:
         return self._shared(
             self._bases, "base", program, nest,
-            lambda: _build_base(program, nest, check=classify_squash(
-                self.prep_for(program, nest), 1)))
+            lambda: _build_base(program, nest,
+                                self.prep_for(program, nest)))
 
     def check_for(self, program: Program, nest: LoopNest,
                   ds: int) -> SquashCheck:

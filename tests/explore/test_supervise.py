@@ -4,9 +4,11 @@ bisection/quarantine, interrupts, and killed-sweep resume.
 Driven with synthetic module-level workers (picklable under the fork
 start method) so every failure mode is scripted, not statistical; the
 engine-level chaos runs live in ``test_concurrent_cache.py`` (torn
-writes) and ``tests/obs/test_integration.py`` (worker crashes).
+writes) and ``tests/obs/test_integration.py`` (worker crashes).  The
+event counts are ``supervise.*`` metrics-registry deltas.
 """
 
+import gc
 import os
 import signal
 import time
@@ -16,6 +18,7 @@ import pytest
 from repro.explore.supervise import (
     BatchFailure, SweepInterrupted, run_inline, run_supervised,
 )
+from repro.obs import metrics as obs_metrics
 
 # --- synthetic workers (module-level: pickled by reference) -----------
 #
@@ -26,6 +29,7 @@ from repro.explore.supervise import (
 #   ("hang", x)           -> sleeps far past any test timeout
 #   ("poison", x)         -> raises on every attempt
 #   ("interrupt", x)      -> raises KeyboardInterrupt
+#   ("frozen", x)         -> contributes the worker's gc.get_freeze_count()
 
 
 def _stub_worker(items, attempt):
@@ -42,8 +46,23 @@ def _stub_worker(items, attempt):
             raise RuntimeError("always fails")
         if kind == "interrupt":
             raise KeyboardInterrupt
+        if kind == "frozen":
+            out.append(gc.get_freeze_count())
+            continue
         out.append(rest[-1] * 2)
     return out
+
+
+class _Events:
+    """The ``supervise.*`` counters' deltas since construction, read as
+    attributes (``events.retries``)."""
+
+    def __init__(self):
+        self._start = obs_metrics.registry().snapshot()
+
+    def __getattr__(self, event):
+        delta = obs_metrics.registry().delta_since(self._start)
+        return delta["counters"].get(f"supervise.{event}", 0)
 
 
 def _collect():
@@ -61,20 +80,20 @@ class TestInline:
     def test_happy_path(self):
         items = [("ok", i) for i in range(5)]
         got, fails, on_p, on_f = _collect()
-        stats = run_inline([[0, 1, 2], [3, 4]], items, _stub_worker,
-                           on_p, on_f)
+        events = _Events()
+        run_inline([[0, 1, 2], [3, 4]], items, _stub_worker, on_p, on_f)
         assert got == {i: i * 2 for i in range(5)}
         assert not fails
-        assert (stats.dispatches, stats.retries, stats.quarantined) == \
+        assert (events.dispatches, events.retries, events.quarantined) == \
             (2, 0, 0)
 
     def test_retry_then_success(self):
         items = [("raise_until", 2, 7)]
         got, fails, on_p, on_f = _collect()
-        stats = run_inline([[0]], items, _stub_worker, on_p, on_f,
-                           retries=2)
+        events = _Events()
+        run_inline([[0]], items, _stub_worker, on_p, on_f, retries=2)
         assert got == {0: 14} and not fails
-        assert stats.retries == 2 and stats.exceptions == 2
+        assert events.retries == 2 and events.exceptions == 2
 
     def test_bisection_corners_the_culprit(self):
         # one poison item inside a batch of five: the innocents must all
@@ -82,21 +101,23 @@ class TestInline:
         items = [("ok", 0), ("ok", 1), ("poison", 2), ("ok", 3),
                  ("ok", 4)]
         got, fails, on_p, on_f = _collect()
-        stats = run_inline([[0, 1, 2, 3, 4]], items, _stub_worker,
-                           on_p, on_f, retries=1)
+        events = _Events()
+        run_inline([[0, 1, 2, 3, 4]], items, _stub_worker,
+                   on_p, on_f, retries=1)
         assert got == {0: 0, 1: 2, 3: 6, 4: 8}
         assert [f.position for f in fails] == [2]
         assert fails[0].kind == "exception"
         assert "always fails" in fails[0].reason
         assert fails[0].attempts >= 2  # burned a real budget
-        assert stats.bisections >= 1 and stats.quarantined == 1
+        assert events.bisects >= 1 and events.quarantined == 1
 
     def test_zero_retries_quarantines_immediately(self):
         got, fails, on_p, on_f = _collect()
-        stats = run_inline([[0]], [("poison", 1)], _stub_worker,
-                           on_p, on_f, retries=0)
+        events = _Events()
+        run_inline([[0]], [("poison", 1)], _stub_worker,
+                   on_p, on_f, retries=0)
         assert fails[0].attempts == 1
-        assert stats.dispatches == 1
+        assert events.dispatches == 1
 
     def test_keyboard_interrupt_becomes_sweep_interrupted(self):
         items = [("ok", 0), ("interrupt", 1), ("ok", 2)]
@@ -113,44 +134,59 @@ class TestSupervised:
     def test_happy_path_parallel(self):
         items = [("ok", i) for i in range(6)]
         got, fails, on_p, on_f = _collect()
-        stats = run_supervised([[0, 1], [2, 3], [4, 5]], items,
-                               _stub_worker, on_p, on_f, workers=2)
+        events = _Events()
+        run_supervised([[0, 1], [2, 3], [4, 5]], items,
+                       _stub_worker, on_p, on_f, workers=2)
         assert got == {i: i * 2 for i in range(6)}
-        assert not fails and stats.respawns == 0
+        assert not fails and events.respawns == 0
 
     def test_worker_crash_respawns_and_recovers(self):
         # the batch kills its worker on attempt 0; the pool must break,
         # respawn, and the retry (attempt 1) must succeed
         items = [("crash_until", 1, 5), ("ok", 9)]
         got, fails, on_p, on_f = _collect()
-        stats = run_supervised([[0], [1]], items, _stub_worker,
-                               on_p, on_f, workers=2, retries=3)
+        events = _Events()
+        run_supervised([[0], [1]], items, _stub_worker,
+                       on_p, on_f, workers=2, retries=3)
         assert got == {0: 10, 1: 18}
         assert not fails
-        assert stats.crashes >= 1 and stats.respawns >= 1
+        assert events.crashes >= 1 and events.respawns >= 1
+        assert gc.get_freeze_count() == 0   # thawed after respawns too
+
+    def test_workers_fork_from_a_frozen_heap(self):
+        # the parent's heap is frozen before the first submit forks, so
+        # a worker's collector never walks what it inherited; the
+        # parent thaws it when the pool is gone
+        got, fails, on_p, on_f = _collect()
+        run_supervised([[0], [1]], [("frozen", 0), ("frozen", 1)],
+                       _stub_worker, on_p, on_f, workers=2)
+        assert not fails and got[0] > 0 and got[1] > 0
+        assert gc.get_freeze_count() == 0
 
     def test_persistent_crasher_is_quarantined_innocents_survive(self):
         items = [("crash_until", 99, 0), ("ok", 1), ("ok", 2)]
         got, fails, on_p, on_f = _collect()
-        stats = run_supervised([[0, 1, 2]], items, _stub_worker,
-                               on_p, on_f, workers=2, retries=1)
+        events = _Events()
+        run_supervised([[0, 1, 2]], items, _stub_worker,
+                       on_p, on_f, workers=2, retries=1)
         assert got == {1: 2, 2: 4}
         assert [f.position for f in fails] == [0]
         assert fails[0].kind == "crash"
-        assert stats.quarantined == 1
+        assert events.quarantined == 1
 
     def test_hung_batch_times_out_and_neighbors_complete(self):
         items = [("hang", 0), ("ok", 1)]
         got, fails, on_p, on_f = _collect()
         t0 = time.monotonic()
-        stats = run_supervised([[0], [1]], items, _stub_worker,
-                               on_p, on_f, workers=2, retries=0,
-                               batch_timeout=1.0)
+        events = _Events()
+        run_supervised([[0], [1]], items, _stub_worker,
+                       on_p, on_f, workers=2, retries=0,
+                       batch_timeout=1.0)
         assert time.monotonic() - t0 < 30  # never waits out the sleep
         assert got == {1: 2}
         assert [f.kind for f in fails] == ["timeout"]
         assert "1s wall-clock budget" in fails[0].reason
-        assert stats.timeouts >= 1 and stats.respawns >= 1
+        assert events.timeouts >= 1 and events.respawns >= 1
 
     def test_no_orphaned_workers_after_timeout(self):
         import multiprocessing
@@ -167,16 +203,18 @@ class TestSupervised:
         with pytest.raises(SweepInterrupted):
             run_supervised([[0]], items, _stub_worker, on_p, on_f,
                            workers=2)
+        assert gc.get_freeze_count() == 0
 
     def test_mixed_failures_converge(self):
         items = [("raise_until", 1, 0), ("crash_until", 1, 1),
                  ("ok", 2), ("ok", 3)]
         got, fails, on_p, on_f = _collect()
-        stats = run_supervised([[0, 1], [2, 3]], items, _stub_worker,
-                               on_p, on_f, workers=2, retries=6)
+        events = _Events()
+        run_supervised([[0, 1], [2, 3]], items, _stub_worker,
+                       on_p, on_f, workers=2, retries=6)
         assert got == {0: 0, 1: 2, 2: 4, 3: 6}
         assert not fails
-        assert stats.retries > 0
+        assert events.retries > 0
 
 
 class TestKilledSweepResume:

@@ -45,6 +45,21 @@ class TestFormatStats:
         assert "Supervision" in text
         assert "injected faults seen" in text
 
+    def test_memory_tiers_show_their_evictions(self):
+        snap = {"counters": {"squash_analysis_mem_hits": 3,
+                             "squash_analysis_mem_misses": 75,
+                             "squash_analysis_mem_evictions": 11,
+                             "analysis_disk_hits": 2,
+                             "analysis_disk_misses": 1},
+                "histograms": {}}
+        text = format_stats(snap)
+        assert re.search(r"^cache\s+hits\s+misses\s+hit rate\s+evicted$",
+                         text, re.M)
+        assert re.search(r"^squash_analysis \(mem\)\s+3\s+75\s+3\.8%\s+11$",
+                         text, re.M), text
+        assert re.search(r"^analysis \(disk\)\s+2\s+1\s+66\.7%\s+-$",
+                         text, re.M), text
+
     def test_empty_snapshot_says_so(self):
         text = format_stats({"counters": {}, "histograms": {}})
         assert "no recorded metrics" in text

@@ -111,3 +111,71 @@ class TestCheckEquivalence:
         assert mono.reasons == split.reasons
         assert (mono.outer_trip, mono.inner_trip) == \
             (split.outer_trip, split.inner_trip)
+
+
+def _pool_and_suite():
+    """(name, build) pairs: the ``lang-resume`` benchmark pool (64
+    kernels drawn by :mod:`repro.lang.fuzz` from
+    ``random.Random("lang-resume")``) and the five Table 6.1 kernels."""
+    import random
+
+    from repro.lang import compile_source
+    from repro.lang.fuzz import SourceNestSpec, random_source_nest
+    from repro.workloads import benchmark_by_name
+
+    rng = random.Random("lang-resume")
+    for i in range(64):
+        text = random_source_nest(rng, SourceNestSpec.sample(rng))
+        yield f"pool[{i}]", lambda text=text: compile_source(text)
+    for name in ("skipjack-mem", "skipjack-hw", "des-mem", "des-hw", "iir"):
+        bm = benchmark_by_name(name)
+        yield name, lambda bm=bm: bm.build(**bm.eval_kwargs)
+
+
+def _canonical_pickle(base: BaseAnalysis) -> bytes:
+    """``base``'s pickle with the DFG's ``stmt_nodes`` keyed by statement
+    position: it is keyed by ``id(stmt)``, an address that differs
+    between any two builds of the same program."""
+    import pickle
+
+    if base.dfg is None:
+        return pickle.dumps(base, protocol=pickle.HIGHEST_PROTOCOL)
+    where = {id(s): i for i, s in enumerate(base.ssa.stmts)}
+    by_id = base.dfg.stmt_nodes
+    base.dfg.stmt_nodes = {where[k]: n for k, n in by_id.items()}
+    try:
+        return pickle.dumps(base, protocol=pickle.HIGHEST_PROTOCOL)
+    finally:
+        base.dfg.stmt_nodes = by_id
+
+
+class TestBasePickle:
+    def test_a_prep_read_from_disk_stores_the_same_base(
+            self, monkeypatch, tmp_path):
+        """A base built over a prep read back from ``prep-*.pkl`` pickles
+        like one built over a fresh prep: the same size, and the same
+        bytes up to statement addresses (one process, one hash seed)."""
+        from repro.analysis.loops import find_kernel_nests
+        from repro.store import analysis_store
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        store = analysis_store()
+
+        def nest_of(prog):
+            return (find_kernel_nests(prog) or find_loop_nests(prog))[0]
+
+        for name, build in _pool_and_suite():
+            prog = build()
+            nest = nest_of(prog)
+            key = content_key(prog, nest)
+            fresh = AnalysisCache().get_or_build(prog, nest)
+            path = store._path(f"base-{key}")
+            size = path.stat().st_size
+            path.unlink()   # keep the prep, rebuild the base over it
+            hits = store.stats.hits
+            prog = build()
+            reread = AnalysisCache().get_or_build(prog, nest_of(prog))
+            assert store.stats.hits == hits + 1, name   # the prep
+            assert path.stat().st_size == size, name
+            assert _canonical_pickle(reread) == _canonical_pickle(fresh), \
+                name

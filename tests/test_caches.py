@@ -7,7 +7,8 @@ import weakref
 import pytest
 
 import repro
-from repro.caches import Memo
+from repro.caches import Memo, release_batch
+from repro.obs import metrics as obs_metrics
 from repro.store import ArtifactStore, analysis_store
 from tests.conftest import memo_traffic
 
@@ -58,6 +59,31 @@ class TestMemoryTier:
         memo.put("k", 1)
         repro.clear_caches(memory_only=True)
         assert len(memo) == 0
+
+    def test_the_lru_bound_counts_its_evictions(self):
+        memo = Memo("test_evict", 2)
+        evictions = obs_metrics.counter("test_evict_mem_evictions")
+        before = evictions.value
+        for key in "abc":
+            memo.put(key, key)
+        assert len(memo) == 2 and memo.get("a") is None
+        assert evictions.value - before == 1
+        repro.clear_caches(memory_only=True)   # a clear is no eviction
+        assert evictions.value - before == 1
+
+    def test_release_batch_drops_only_per_batch_memos(self):
+        design = Memo("test_design", 4, per_batch=True)
+        kernel = Memo("test_kernel", 4)
+        obj = _Pinned()
+        ref = weakref.ref(obj)
+        design.get(id(obj), lambda: "derived", (obj,))
+        kernel.put("k", 1)
+        del obj
+        release_batch()
+        gc.collect()
+        assert len(design) == 0 and ref() is None   # the pin went too
+        assert kernel.get("k", _never) == 1
+        assert obs_metrics.counter("test_design_mem_evictions").value == 0
 
     def test_knob_leaves_identity_memos_on(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "0")
