@@ -19,7 +19,7 @@ import numpy as np
 from repro.analysis import find_kernel_nests
 from repro.core import jam_then_squash
 from repro.hw import normalize
-from repro.ir import run_program
+from repro.ir.interp import run_program
 from repro.nimble import (
     compile_jam, compile_jam_squash, compile_original, compile_squash,
 )

@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.analysis import find_kernel_nests
 from repro.core import unroll_and_squash
-from repro.ir import program_to_str, run_program
+from repro.ir import program_to_str
+from repro.ir.interp import run_program
 from repro.lang import compile_file
 from repro.nimble import compile_original, compile_squash
 from repro.workloads import benchmark_by_name

@@ -14,7 +14,8 @@ from repro.analysis import find_kernel_nests
 from repro.core import unroll_and_squash
 from repro.harness import format_fig_2_4, run_fig_2_4
 from repro.hw import normalize
-from repro.ir import program_to_str, run_program
+from repro.ir import program_to_str
+from repro.ir.interp import run_program
 from repro.nimble import compile_jam, compile_original, compile_squash
 from repro.transforms import unroll_and_jam
 from repro.workloads.simple import build_fg_nest, fg_reference

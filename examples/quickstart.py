@@ -24,7 +24,8 @@ import numpy as np
 from repro.analysis import find_kernel_nests
 from repro.core import check_squash, unroll_and_squash
 from repro.hw import normalize
-from repro.ir import program_to_str, run_program
+from repro.ir import program_to_str
+from repro.ir.interp import run_program
 from repro.nimble import compile_original, compile_squash
 from repro.workloads.simple import build_running_example
 

@@ -14,7 +14,7 @@ import numpy as np
 from repro.analysis import find_kernel_nests
 from repro.core import unroll_and_squash
 from repro.hw import normalize
-from repro.ir import run_program
+from repro.ir.interp import run_program
 from repro.nimble import compile_variants
 from repro.workloads import skipjack
 

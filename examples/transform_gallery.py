@@ -12,7 +12,8 @@ import numpy as np
 from repro.analysis import find_loop_nests
 from repro.core import analyze_nest
 from repro.hw import modulo_schedule
-from repro.ir import I32, ProgramBuilder, program_to_str, run_program
+from repro.ir import I32, ProgramBuilder, program_to_str
+from repro.ir.interp import run_program
 from repro.nimble import ACEV
 from repro.transforms import unroll_and_jam
 

@@ -1,10 +1,11 @@
 """Packaging for the unroll-and-squash reproduction.
 
-numpy is a hard dependency: the scheduler core
-(:mod:`repro.hw.sched_kernel`, the only implementation of the II search)
-runs its placement/probe loops over dense arrays, the workloads seed
-their input arrays from it, and the simulators check values against
-numpy references.
+numpy is a dependency of the code that runs programs: the IR
+interpreter's array storage (functional verification and profiling),
+the VLIW value replay, and the workloads' reference models import it
+where they use it.  Compiling designs (the CLI's explore and tables
+commands, the ``.lang`` front end, analysis, scheduling, the engine
+and its reports) imports no numpy.
 """
 from setuptools import find_packages, setup
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from repro.ir.interp import eval_binop, cast_value
 from repro.ir.nodes import (
     Assign, BinOp, Block, Cast, Const, Expr, For, If, Load, Select, Stmt,
     Store, UnOp, Var,
@@ -295,7 +294,10 @@ class _IdxEval:
     """Evaluate subscript expressions over concrete loop-index values."""
 
     def __init__(self, env: dict[str, int]):
+        from repro.ir.interp import cast_value, eval_binop
+
         self.env = env
+        self._binop, self._cast = eval_binop, cast_value
 
     def eval(self, e: Expr) -> int:
         if isinstance(e, Const):
@@ -303,15 +305,15 @@ class _IdxEval:
         if isinstance(e, Var):
             return self.env[e.name]
         if isinstance(e, BinOp):
-            return int(eval_binop(e.op, self.eval(e.lhs), self.eval(e.rhs), e.ty))
+            return int(self._binop(e.op, self.eval(e.lhs), self.eval(e.rhs),
+                                   e.ty))
         if isinstance(e, UnOp):
             v = self.eval(e.operand)
-            return int(cast_value(-v, e.ty)) if e.op == "neg" else \
-                int(cast_value(~v, e.ty))
+            return int(self._cast(-v if e.op == "neg" else ~v, e.ty))
         if isinstance(e, Select):
             return self.eval(e.iftrue) if self.eval(e.cond) else self.eval(e.iffalse)
         if isinstance(e, Cast):
-            return int(cast_value(self.eval(e.operand), e.ty))
+            return int(self._cast(self.eval(e.operand), e.ty))
         raise ValueError(f"non-evaluable subscript node {type(e).__name__}")
 
 

@@ -403,7 +403,7 @@ def _cmd_lint(args) -> int:
 
 def _cmd_profile(args) -> int:
     from repro.harness import render_table
-    from repro.nimble import profile_summary
+    from repro.nimble.profile import profile_summary
     from repro.workloads import benchmark_by_name
     bm = benchmark_by_name(args.benchmark)
     prog = bm.build(**(bm.eval_kwargs or {}))
@@ -424,7 +424,7 @@ def _verify_squash(prog, nest, ds: int, params: dict, label: str):
     import numpy as np
     from repro.core import unroll_and_squash
     from repro.errors import InterpError
-    from repro.ir import run_program
+    from repro.ir.interp import run_program
 
     res = unroll_and_squash(prog, nest, ds)
     try:

@@ -9,6 +9,10 @@ Public surface::
     result.dfg                  # inner-loop data-flow graph (Fig. 4.1)
     result.stages               # DS-stage pipeline assignment (Fig. 4.2)
     result.chains               # shift-register chains / register count
+
+The code emitters (:mod:`repro.core.emit`, :mod:`repro.core.rotation`)
+are imported from their modules: a design-space sweep analyzes nests
+but never emits their transformed code.
 """
 
 from repro.core.dfg import DFG, DFGEdge, DFGNode, build_dfg  # noqa: F401
@@ -16,8 +20,6 @@ from repro.core.stages import (  # noqa: F401
     ChainInfo, StageAssignment, assign_stages, default_delay, register_chains,
 )
 from repro.core.legality import SquashCheck, check_squash  # noqa: F401
-from repro.core.emit import SquashEmission, emit_dataset_mode  # noqa: F401
-from repro.core.rotation import RotationUnsupported, emit_rotation_mode  # noqa: F401
 from repro.core.squash import (  # noqa: F401
     SquashResult, analyze_nest, jam_then_squash, unroll_and_squash,
 )

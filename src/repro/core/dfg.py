@@ -80,7 +80,9 @@ class DFG:
     regs: dict[str, DFGNode] = field(default_factory=dict)
     #: SSA version -> producing node (aliases resolve through copies)
     defs: dict[str, DFGNode] = field(default_factory=dict)
-    #: statement (by id) -> its node (None for pure-copy statements)
+    #: statement position in the SSA block -> its node (a pure copy maps
+    #: to its source's node); positions, unlike statement addresses, are
+    #: the same in every build and in a copy read back from disk
     stmt_nodes: dict[int, DFGNode] = field(default_factory=dict)
     #: the synthetic induction-variable increment node (if modeled)
     iv_inc: Optional[DFGNode] = None
@@ -182,13 +184,13 @@ def build_dfg(ssa: SSABlock, carried: set[str], invariant: set[str],
                 g.add_edge(p, node, 0, kind="mem")
         prior.append(node)
 
-    for s in ssa.stmts:
+    for k, s in enumerate(ssa.stmts):
         if isinstance(s, Assign):
             e = s.expr
             if isinstance(e, (Var, Const)):
                 src = operand(e)
                 g.defs[s.var] = src          # pure copy: alias
-                g.stmt_nodes[id(s)] = src
+                g.stmt_nodes[k] = src
                 continue
             if isinstance(e, BinOp):
                 node = g.add_node(kind="binop", ty=e.ty, op=e.op,
@@ -217,14 +219,14 @@ def build_dfg(ssa: SSABlock, carried: set[str], invariant: set[str],
             else:
                 raise IRError(f"DFG: unsupported expression {type(e).__name__}")
             g.defs[s.var] = node
-            g.stmt_nodes[id(s)] = node
+            g.stmt_nodes[k] = node
         elif isinstance(s, Store):
             node = g.add_node(kind="store", ty=s.value.ty, array=s.array, stmt=s)
             for i in s.index:
                 g.add_edge(operand(i), node, 0)
             g.add_edge(operand(s.value), node, 0)
             mem_order(node, s.array, is_store=True)
-            g.stmt_nodes[id(s)] = node
+            g.stmt_nodes[k] = node
         else:  # pragma: no cover - 3AC precondition
             raise IRError(f"DFG: unexpected statement {type(s).__name__}")
 

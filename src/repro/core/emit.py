@@ -121,8 +121,8 @@ def emit_dataset_mode(work: Program, nest: LoopNest, ds: int, ssa: SSABlock,
     # ---- stage slices -----------------------------------------------------------
     slices: dict[int, list[Stmt]] = {s: [] for s in range(1, ds + 1)}
     stage_of_stmt: list[int] = []
-    for s_stmt in ssa.stmts:
-        st = sa.of_stmt(dfg, s_stmt)
+    for k, s_stmt in enumerate(ssa.stmts):
+        st = sa.of_stmt(dfg, k)
         st = min(max(st, 1), ds)
         slices[st].append(s_stmt)
         stage_of_stmt.append(st)

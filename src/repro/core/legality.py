@@ -11,7 +11,7 @@ Requirements checked, in the thesis's order:
    front end if-converts the ``#pragma kernel`` loops
    (:func:`repro.lang.lower.compile_unit`), so a branch left there holds
    a store, a loop or a division; programs built in Python call
-   :func:`repro.transforms.if_convert` themselves;
+   :func:`repro.transforms.ifconvert.if_convert` themselves;
 4. the inner loop has a **constant iteration count across outer
    iterations** (constant bounds independent of the outer IV and of
    anything the outer body writes), and executes at least once
@@ -126,8 +126,8 @@ def prepare_squash(program: Program, nest: LoopNest) -> PreparedSquash:
                         "but it holds a loop or a branch (the .lang front "
                         "end if-converts branches that only assign scalars "
                         "and do not divide, §4.2; call "
-                        "repro.transforms.if_convert for programs built in "
-                        "Python)")
+                        "repro.transforms.ifconvert.if_convert for programs "
+                        "built in Python)")
 
     bound_reads = uses_of_expr(nest.inner.lo) | uses_of_expr(nest.inner.hi)
     if nest.outer.var in bound_reads:

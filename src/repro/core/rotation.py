@@ -223,8 +223,8 @@ def emit_rotation_mode(work: Program, nest: LoopNest, ds: int, ssa: SSABlock,
         raise LegalityError("rotation emission expects 3AC statements")
 
     slices: dict[int, list[Stmt]] = {s: [] for s in range(1, ds + 1)}
-    for s_stmt in ssa.stmts:
-        node = dfg.stmt_nodes.get(id(s_stmt))
+    for k, s_stmt in enumerate(ssa.stmts):
+        node = dfg.stmt_nodes.get(k)
         slices[st(node)].append(s_stmt)
 
     def emit_stages(active, out: list[Stmt]) -> None:
@@ -367,4 +367,4 @@ def emit_rotation_mode(work: Program, nest: LoopNest, ds: int, ssa: SSABlock,
     return SquashEmission(
         program=work, ds=ds, inner_trip=N, outer_trip=M, main_trips=main,
         peeled=M - main, steady_ticks=ds * (N - 1) + 1,
-        stage_of_stmt=[st(dfg.stmt_nodes[id(s)]) for s in ssa.stmts])
+        stage_of_stmt=[st(dfg.stmt_nodes[k]) for k in range(len(ssa.stmts))])

@@ -24,12 +24,11 @@ DS — is :func:`jam_then_squash`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.analysis.loops import LoopNest, find_loop_nests, trip_count
 from repro.analysis.ssa import SSABlock, ssa_rename
 from repro.core.dfg import DFG, build_dfg
-from repro.core.emit import SquashEmission, emit_dataset_mode
 from repro.core.legality import SquashCheck, check_squash
 from repro.core.stages import (
     ChainInfo, StageAssignment, assign_stages, default_delay, register_chains,
@@ -39,6 +38,9 @@ from repro.ir.nodes import For, Program
 from repro.ir.visitors import clone_program, variables_read
 from repro.transforms._util import find_in_clone
 from repro.transforms.three_address import is_three_address, lower_block_to_3ac
+
+if TYPE_CHECKING:
+    from repro.core.emit import SquashEmission
 
 __all__ = ["SquashResult", "unroll_and_squash", "jam_then_squash",
            "analyze_front", "analyze_nest", "front_dfg", "locate_jammed_nest"]
@@ -216,6 +218,8 @@ def unroll_and_squash(program: Program, nest: LoopNest, ds: int,
                 if emit_mode == "rotation":
                     raise
         if emission is None:
+            from repro.core.emit import emit_dataset_mode
+
             emission = emit_dataset_mode(work, w_nest, ds, ssa, dfg, sa)
         out = emission.program
     else:

@@ -55,9 +55,10 @@ class StageAssignment:
     #: per-stage internal critical path (drives the achievable tick length)
     stage_delay: dict[int, int] = field(default_factory=dict)
 
-    def of_stmt(self, dfg: DFG, stmt) -> int:
-        """Stage of a 3AC statement (copies inherit their source's stage)."""
-        node = dfg.stmt_nodes.get(id(stmt))
+    def of_stmt(self, dfg: DFG, k: int) -> int:
+        """Stage of the 3AC statement at position ``k`` of ``dfg``'s SSA
+        block (copies inherit their source's stage)."""
+        node = dfg.stmt_nodes.get(k)
         if node is None:
             raise ScheduleError("statement has no DFG node")
         return self.stage.get(node.nid, 1)

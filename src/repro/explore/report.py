@@ -1,21 +1,54 @@
 """Rendering for exploration runs: Pareto tables, rankings, skip lists.
 
-Built on the same fixed-width helpers (:mod:`repro.harness.tables`) as
-the thesis artifacts, so exploration output is diffable alongside the
-reproduced tables.
+:func:`render_table` is the fixed-width table the thesis artifacts
+(:mod:`repro.harness`) render too, so exploration output is diffable
+alongside the reproduced tables.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Iterable, Sequence
 
 from repro.explore.engine import ExploreResult
 from repro.explore.pareto import best_designs, pareto_queries
-from repro.harness.tables import render_table
 from repro.hw.report import DesignPoint, normalize
 
 __all__ = ["format_best", "format_cache_stats", "format_fails",
-           "format_pareto", "format_skips", "format_summary"]
+           "format_pareto", "format_skips", "format_summary", "render_table"]
+
+
+def render_table(headers: Sequence[str], rows: Iterable[Sequence],
+                 title: str = "", min_width: int = 6) -> str:
+    """Render a fixed-width text table."""
+    rows = [[_fmt(c) for c in row] for row in rows]
+    widths = [max(min_width, len(h)) for h in headers]
+    for row in rows:
+        for k, cell in enumerate(row):
+            widths[k] = max(widths[k], len(cell))
+    out = []
+    if title:
+        out.append(title)
+    out.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    out.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        out.append("  ".join(c.rjust(w) if _numeric(c) else c.ljust(w)
+                             for c, w in zip(row, widths)))
+    return "\n".join(out) + "\n"
+
+
+def _fmt(c) -> str:
+    if isinstance(c, float):
+        return f"{c:.2f}"
+    return str(c)
+
+
+def _numeric(c: str) -> bool:
+    try:
+        float(c)
+        return True
+    except ValueError:
+        return False
 
 
 def _group_title(key: tuple[str, str]) -> str:

@@ -19,10 +19,9 @@ from repro.analysis.loops import find_kernel_nests
 from repro.caches import register_cache
 from repro.harness.tables import render_series, render_table, render_timeline
 from repro.hw import (
-    NormalizedPoint, modulo_schedule, normalize, occupancy_timeline,
-    squash_distances,
+    NormalizedPoint, modulo_schedule, normalize, squash_distances,
 )
-from repro.nimble import ACEV, VariantSet, decode_target, profile_summary
+from repro.nimble import ACEV, VariantSet, decode_target
 from repro.workloads import table_1_1_programs, table_6_1_benchmarks
 
 __all__ = [
@@ -45,6 +44,8 @@ VARIANT_LABELS = ("original", "pipelined", "squash(2)", "squash(4)",
 
 def run_table_1_1(threshold: float = 0.01):
     """Profile the benchmark suite; returns ProfileSummary list."""
+    from repro.nimble.profile import profile_summary
+
     out = []
     for bm in table_1_1_programs():
         prog = bm.build(**bm.eval_kwargs)
@@ -296,6 +297,7 @@ def format_figure(fig: str, norm: Optional[dict] = None) -> str:
 def run_fig_2_4(ds: int = 2, horizon: int = 24):
     """Occupancy timelines for the f/g example: jam(ds) vs squash(ds)."""
     from repro.core import analyze_nest
+    from repro.hw.simulate import occupancy_timeline
     from repro.transforms.unroll_and_jam import unroll_and_jam
     from repro.analysis.loops import find_loop_nests
     from repro.workloads.simple import build_fg_nest

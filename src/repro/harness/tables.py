@@ -4,32 +4,18 @@ The thesis reports results as tables (6.1–6.3) and bar-chart figures
 (6.1–6.4).  We render tables with fixed-width columns and figures as
 labeled numeric series plus a coarse ASCII bar per value, so the
 output is diffable and the "shape" claims are visible at a glance.
+:func:`render_table` lives with the exploration reports
+(:mod:`repro.explore.report`), which a sweep formats without loading
+the harness.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
+
+from repro.explore.report import render_table
 
 __all__ = ["render_table", "render_series", "render_timeline"]
-
-
-def render_table(headers: Sequence[str], rows: Iterable[Sequence],
-                 title: str = "", min_width: int = 6) -> str:
-    """Render a fixed-width text table."""
-    rows = [[_fmt(c) for c in row] for row in rows]
-    widths = [max(min_width, len(h)) for h in headers]
-    for row in rows:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths[k], len(cell))
-    out = []
-    if title:
-        out.append(title)
-    out.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    out.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        out.append("  ".join(c.rjust(w) if _numeric(c) else c.ljust(w)
-                             for c, w in zip(row, widths)))
-    return "\n".join(out) + "\n"
 
 
 def render_series(title: str, labels: Sequence[str],
@@ -60,17 +46,3 @@ def render_timeline(title: str, timeline: dict[str, list[int]],
         text = "".join("." if c < 0 else str(c % 10) for c in cells)
         out.append(f"  {label:<14}|{text}|")
     return "\n".join(out) + "\n"
-
-
-def _fmt(c) -> str:
-    if isinstance(c, float):
-        return f"{c:.2f}"
-    return str(c)
-
-
-def _numeric(c: str) -> bool:
-    try:
-        float(c)
-        return True
-    except ValueError:
-        return False

@@ -3,7 +3,8 @@
 The Nimble back-end equivalent (thesis §5.1/§6.1): a parametric datapath
 cost model (rows + memory ports), RecMII/ResMII bounds, a modulo
 scheduler, a non-pipelined list scheduler, register/area estimation, and
-cycle accounting of scheduled datapaths.
+cycle accounting of scheduled datapaths (:mod:`repro.hw.simulate`, not
+re-exported: design compilation never runs it).
 """
 
 from repro.hw.ops import ACEV_LIBRARY, GARP_LIBRARY, OperatorLibrary, OpSpec  # noqa: F401
@@ -24,8 +25,5 @@ from repro.hw.schedulers import (  # noqa: F401
 from repro.hw.area import (  # noqa: F401
     AreaEstimate, area_estimate, operator_rows, registers_original,
     registers_pipelined,
-)
-from repro.hw.simulate import (  # noqa: F401
-    SimulationResult, occupancy_timeline, simulate_modulo, simulate_sequential,
 )
 from repro.hw.report import DesignPoint, NormalizedPoint, normalize  # noqa: F401

@@ -99,7 +99,7 @@ def search_res_mii(dfg: DFG, lib: OperatorLibrary,
 
 def _search_state(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
     """:func:`search_context` with the II search's invariants filled in:
-    resource map and slots, topological order, the dense problem, and
+    resource map and slots, topological order, the flat problem, and
     the (initially empty) per-II topological placement table."""
     from repro.hw import sched_kernel
 
@@ -162,14 +162,14 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     """The II search shared by every modulo strategy — incremental.
 
     For each candidate II (starting at ``max(RecMII, ResMII, min_ii)``),
-    each placement ``order`` (``None`` = topological) gets the array
-    core's full placement-and-repair loop
+    each placement ``order`` (``None`` = topological) gets the
+    scheduler core's full placement-and-repair loop
     (:func:`repro.hw.sched_kernel.search_rounds`) before the II is
     abandoned.
 
     Incrementality (all result-preserving):
 
-    * the delay map, dense problem arrays, resource map, and
+    * the delay map, flat problem lists, resource map, and
       topological order are computed once and shared by every candidate
       II, order, and repair round;
     * the topological order's outcome at each II is kept in the

@@ -1,42 +1,36 @@
-"""Array-programmed scheduler core: the hot loops behind the modulo/list
-schedulers (consumed by :mod:`repro.hw.modulo`, :mod:`repro.hw.listsched`,
+"""The scheduler core: the hot loops behind the modulo/list schedulers
+(consumed by :mod:`repro.hw.modulo`, :mod:`repro.hw.listsched`,
 :mod:`repro.hw.schedulers`, and :mod:`repro.hw.mii`).
 
 It is the only implementation of the II search's placement, repair, and
 RecMII probes.  ``BENCH_5.json`` showed the vliw retarget phase spending
 98% of its wall inside ``schedule``, almost all of it in per-cycle
 ``time mod II`` dict probing and per-edge repair loops; this module
-expresses that machinery over dense arrays, in the array-programming
-idiom of SNIPPETS.md Snippet 1 (CuPADMAN's batched EMC kernels):
+runs that machinery over flat, node-indexed Python lists:
 
 * a :class:`SchedProblem` is built **once per II search** from the DFG,
-  edge view, and operator library: a node-indexed delay vector, CSR
-  predecessor arrays, ``(src, dst, delay, dist)`` edge arrays shared by
+  edge view, and operator library: a node-indexed delay list, CSR
+  predecessor lists, ``(src, dst, delay, dist)`` edge lists shared by
   every candidate II and repair round, and per-node resource-row ids;
 * per-resource reservation tables are flat ``resource x II`` occupancy
   rows with one *availability bitmask integer* per resource (bit ``r``
   set while row ``r`` has a free slot); earliest-feasible-slot probing
   is then two shifts and a lowest-set-bit extraction over the AND of
   the node's resource masks — constant work per node instead of up to
-  II occupancy probes (the per-node loop itself stays in plain Python:
-  on small operands, interpreter-resident bit arithmetic beats the
-  per-call dispatch overhead of small-array ufuncs);
-* edge-violation checks and the repair-slack recomputation are single
-  vector comparisons over the edge arrays;
-* per-SCC RecMII probes run Bellman-Ford relaxation as whole-front
-  ``minimum.at`` sweeps;
-* the list scheduler's absolute-cycle probing and the backtracking
-  scheduler's ASAP/ALAP slack levels use the same arrays.
+  II occupancy probes;
+* the violation check after a pass scans only the edges that pass can
+  violate (sources not placed before their sinks), in edge order;
+* per-SCC RecMII probes run sequential integer Bellman-Ford relaxation
+  over the component's arcs;
+* the list scheduler's absolute-cycle probing uses saturation bitmasks
+  the same way, and the backtracking scheduler's ASAP/ALAP slack levels
+  are one topological pass each.
 
-Every routine is **bit-identical** to the pure-Python loops it replaced
-— same placement order, same tie-breaking, same repair growth, same
-error cases.  Those loops live on, frozen, as the test oracle
-``tests/hw/sched_reference.py``, which the parity suite diffs schedules
-against.  The Bellman-Ford probe is a Jacobi-style sweep where the
-reference relaxes sequentially; the *boolean* (negative-cycle) verdict
-is still identical: the relaxation map is monotone, so any no-change
-sweep proves a fixpoint (no negative cycle) and a negative cycle forces
-changes through all ``n`` sweeps.
+Every routine is **bit-identical** to the loops it replaced — same
+placement order, same tie-breaking, same repair growth, same error
+cases.  Those loops live on, frozen, as the test oracle
+``tests/hw/sched_reference.py``, which the parity suite diffs schedules,
+probe verdicts, and slack levels against.
 
 Node ids must be ``0..n-1`` positionally, which ``DFG.add_node``
 guarantees.  Every placement pass bumps the ``sched_kernel_numpy_attempts``
@@ -48,40 +42,38 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["SchedProblem", "build_problem", "list_schedule_arrays",
            "make_probe", "slack_levels"]
 
 #: Placement passes, one per repair round of the II search (the key
-#: predates the single core and is kept so recorded runs stay comparable).
+#: predates the pure-Python core and is kept so recorded runs stay
+#: comparable).
 _ATTEMPTS = obs_metrics.counter("sched_kernel_numpy_attempts")
 
 
 # ---------------------------------------------------------------------------
-# The modulo-scheduling problem, array-programmed
+# The modulo-scheduling problem
 # ---------------------------------------------------------------------------
 
 class SchedProblem:
-    """One II search's dense arrays, shared by all IIs/orders/rounds.
+    """One II search's flat lists, shared by all IIs/orders/rounds.
 
-    Two views of the same data coexist: numpy edge arrays for the
-    whole-edge-vector work (violation scan), and flat Python-list
-    mirrors for the per-node placement loop, where list indexing and
-    big-int bit arithmetic run well under the dispatch cost of
-    element-at-a-time ufunc calls.
+    Everything is indexed by node id or edge position: list indexing
+    and big-int bit arithmetic keep the per-node placement loop and the
+    per-edge violation scan inside the interpreter's fast paths.
     """
 
     __slots__ = ("n", "delay", "res_names", "res_slots", "nres_ptr",
                  "nres_ids", "esrc", "edst", "edelay", "edist",
-                 "pptr", "psrc", "pdelay", "pdist",
-                 "esrc_l", "edst_l", "edelay_l", "edist_l")
+                 "pptr", "psrc", "pdelay", "pdist", "padj")
 
-    def __init__(self, n: int, delay, res_names: list[str], res_slots,
-                 nres_ptr, nres_ids, esrc, edst, edelay, edist,
-                 pptr, psrc, pdelay, pdist):
+    def __init__(self, n: int, delay: list[int], res_names: list[str],
+                 res_slots: list[int], nres_ptr: list[int],
+                 nres_ids: list[int], esrc: list[int], edst: list[int],
+                 edelay: list[int], edist: list[int], pptr: list[int],
+                 psrc: list[int], pdelay: list[int], pdist: list[int]):
         self.n = n
         self.delay = delay
         self.res_names = res_names
@@ -96,10 +88,9 @@ class SchedProblem:
         self.psrc = psrc
         self.pdelay = pdelay
         self.pdist = pdist
-        self.esrc_l = esrc.tolist()
-        self.edst_l = edst.tolist()
-        self.edelay_l = edelay.tolist()
-        self.edist_l = edist.tolist()
+        #: II -> per-predecessor-entry ``delay - II*dist``, shared by
+        #: every order and repair round at that II
+        self.padj: dict[int, list[int]] = {}
 
     # -- placement --------------------------------------------------------
 
@@ -124,7 +115,10 @@ class SchedProblem:
         # of the node's masks plus a lowest-set-bit extraction
         full = (1 << ii) - 1
         masks = [full] * n_res
-        padj = (self.pdelay - ii * self.pdist).tolist()
+        padj = self.padj.get(ii)
+        if padj is None:
+            padj = self.padj[ii] = [d - ii * k for d, k in
+                                    zip(self.pdelay, self.pdist)]
         slots = self.res_slots
         pptr, psrc = self.pptr, self.psrc
         nres_ptr, nres_ids = self.nres_ptr, self.nres_ids
@@ -173,23 +167,38 @@ class SchedProblem:
 
     # -- verification / repair -------------------------------------------
 
-    def violations(self, time: list[int], ii: int):
-        """Indices (edge order) of edges with ``t(dst)+II*dist <
-        t(src)+delay(src)``."""
-        if self.esrc.size == 0:
-            return []
-        tarr = np.asarray(time, dtype=np.int64)
-        bad = tarr[self.edst] + ii * self.edist \
-            < tarr[self.esrc] + self.edelay
-        return np.nonzero(bad)[0].tolist()
+    def backward_edges(self, order_ids: list[int]) -> list[int]:
+        """Indices (edge order) of the edges a placement pass in this
+        order can violate.
+
+        :meth:`attempt` starts every node at or after each already
+        placed predecessor's ``t(src) + delay(src) - II*dist`` and only
+        moves it later, so an edge whose source is placed strictly
+        before its sink always holds.  Only the others (sources placed
+        later, self-loops) need checking after a pass.
+        """
+        pos = [-1] * self.n
+        for i, nid in enumerate(order_ids):
+            pos[nid] = i
+        return [i for i, (s, d) in enumerate(zip(self.esrc, self.edst))
+                if not 0 <= pos[s] < pos[d]]
+
+    def violations(self, time: list[int], ii: int,
+                   candidates: list[int]) -> list[int]:
+        """Indices (edge order) of the ``candidates`` edges with
+        ``t(dst)+II*dist < t(src)+delay(src)``."""
+        esrc, edst = self.esrc, self.edst
+        edelay, edist = self.edelay, self.edist
+        return [i for i in candidates
+                if time[edst[i]] + ii * edist[i] < time[esrc[i]] + edelay[i]]
 
     def grow_extra(self, extra: list[int], time: list[int],
                    bad_idx: list[int], ii: int) -> bool:
         """Repair: raise each violated sink's slack to ``t(src) +
         delay(src) - II*dist`` where that strictly grows it.  Returns
         whether anything grew (``False`` is the repair fixpoint)."""
-        esrc, edst = self.esrc_l, self.edst_l
-        edelay, edist = self.edelay_l, self.edist_l
+        esrc, edst = self.esrc, self.edst
+        edelay, edist = self.edelay, self.edist
         grew = False
         for i in bad_idx:
             d = edst[i]
@@ -221,51 +230,37 @@ class SchedProblem:
 def build_problem(dfg, edges, dmap: dict[int, int],
                   rmap: dict[int, tuple[str, ...]],
                   slots: dict[str, int]) -> SchedProblem:
-    """Densify one search's inputs."""
+    """Flatten one search's inputs."""
     n = len(dfg.nodes)
-    delay = np.fromiter((dmap[i] for i in range(n)), dtype=np.int64, count=n)
+    delay = [dmap[i] for i in range(n)]
 
     res_names = list(slots)
     rindex = {r: i for i, r in enumerate(res_names)}
-    res_slots = np.fromiter((slots[r] for r in res_names), dtype=np.int64,
-                            count=len(res_names))
-    nres_ptr = np.zeros(n + 1, dtype=np.int64)
-    flat_res: list[int] = []
+    res_slots = [slots[r] for r in res_names]
+    nres_ptr = [0]
+    nres_ids: list[int] = []
     for i in range(n):
-        for r in rmap[i]:
-            flat_res.append(rindex[r])
-        nres_ptr[i + 1] = len(flat_res)
-    nres_ids = np.array(flat_res, dtype=np.int64)
+        nres_ids.extend(rindex[r] for r in rmap[i])
+        nres_ptr.append(len(nres_ids))
 
-    ne = len(edges)
-    esrc = np.fromiter((s.nid for s, _, _ in edges), dtype=np.int64, count=ne)
-    edst = np.fromiter((d.nid for _, d, _ in edges), dtype=np.int64, count=ne)
-    edist = np.fromiter((dist for _, _, dist in edges), dtype=np.int64,
-                        count=ne)
-    edelay = delay[esrc] if ne else np.zeros(0, dtype=np.int64)
+    esrc = [s.nid for s, _, _ in edges]
+    edst = [d.nid for _, d, _ in edges]
+    edist = [dist for _, _, dist in edges]
+    edelay = [delay[s] for s in esrc]
 
     # predecessor CSR, grouped by dst in edge order
-    counts = np.zeros(n, dtype=np.int64)
-    np.add.at(counts, edst, 1)
-    pptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=pptr[1:])
-    fill = pptr[:-1].copy()
-    psrc = np.zeros(ne, dtype=np.int64)
-    pidx = np.zeros(ne, dtype=np.int64)
-    for i in range(ne):
-        d = edst[i]
-        j = fill[d]
-        psrc[j] = esrc[i]
-        pidx[j] = i
-        fill[d] = j + 1
-    pdelay = edelay[pidx] if ne else edelay
-    pdist = edist[pidx] if ne else edist
-    # the placement loop indexes element-at-a-time: hand it plain lists
-    # (numpy scalar extraction would dominate the loop)
-    return SchedProblem(n, delay.tolist(), res_names, res_slots.tolist(),
-                        nres_ptr.tolist(), nres_ids.tolist(),
-                        esrc, edst, edelay, edist,
-                        pptr.tolist(), psrc.tolist(), pdelay, pdist)
+    by_dst: list[list[int]] = [[] for _ in range(n)]
+    for i, d in enumerate(edst):
+        by_dst[d].append(i)
+    pptr = [0]
+    pidx: list[int] = []
+    for group in by_dst:
+        pidx.extend(group)
+        pptr.append(len(pidx))
+    return SchedProblem(n, delay, res_names, res_slots, nres_ptr, nres_ids,
+                        esrc, edst, edelay, edist, pptr,
+                        [esrc[i] for i in pidx], [edelay[i] for i in pidx],
+                        [edist[i] for i in pidx])
 
 
 def search_rounds(prob: SchedProblem, ii: int, order_ids: list[int],
@@ -277,12 +272,13 @@ def search_rounds(prob: SchedProblem, ii: int, order_ids: list[int],
     round would replay the same placement), or ``rounds`` exhausted.
     """
     extra = [0] * prob.n
+    candidates = prob.backward_edges(order_ids)
     for _ in range(rounds):
         res = prob.attempt(ii, extra, order_ids)
         if res is None:
             return None
         time, occ, length = res
-        bad = prob.violations(time, ii)
+        bad = prob.violations(time, ii, candidates)
         if not bad:
             return time, occ, length
         if not prob.grow_extra(extra, time, bad, ii):
@@ -291,37 +287,36 @@ def search_rounds(prob: SchedProblem, ii: int, order_ids: list[int],
 
 
 # ---------------------------------------------------------------------------
-# RecMII: vectorized Bellman-Ford probes
+# RecMII: Bellman-Ford probes
 # ---------------------------------------------------------------------------
 
 def make_probe(nids: list[int], arcs: list[tuple[int, int, int, int]]
                ) -> Callable[[int], bool]:
-    """A per-SCC lambda probe over dense arc arrays: ``probe(lam)`` asks
-    whether some cycle has ``sum(delay) > lam * sum(distance)``.
+    """A per-SCC lambda probe over the component's arcs: ``probe(lam)``
+    asks whether some cycle has ``sum(delay) > lam * sum(distance)``.
 
-    Bellman-Ford negative-cycle detection on the integer weights
-    ``lam*dist - delay(src)``: each sweep applies every relaxation from
-    the pre-sweep front (``minimum.at``); the map is monotone, so a
-    no-change sweep certifies the fixpoint (no negative cycle) and a
-    negative cycle keeps all ``n`` sweeps busy.  Integer weights compare
-    exactly, so the tie ``delay == lam * distance`` (weight 0) is never
-    an exceeding cycle.
+    Sequential Bellman-Ford negative-cycle detection on the integer
+    weights ``lam*dist - delay(src)``, relaxing the arcs in order: a
+    pass that changes nothing certifies the fixpoint (no negative
+    cycle), and a negative cycle keeps all ``n`` passes busy.  Integer
+    weights compare exactly, so the tie ``delay == lam * distance``
+    (weight 0) is never an exceeding cycle.
     """
     idx = {nid: i for i, nid in enumerate(nids)}
-    na = len(arcs)
-    u = np.fromiter((idx[a[0]] for a in arcs), dtype=np.int64, count=na)
-    v = np.fromiter((idx[a[1]] for a in arcs), dtype=np.int64, count=na)
-    dly = np.fromiter((a[2] for a in arcs), dtype=np.int64, count=na)
-    dd = np.fromiter((a[3] for a in arcs), dtype=np.int64, count=na)
+    local = [(idx[u], idx[v], dly, dd) for u, v, dly, dd in arcs]
     n = len(nids)
 
     def probe(lam: int) -> bool:
-        dist = np.zeros(n, dtype=np.int64)
-        w = lam * dd - dly
+        weighted = [(u, v, lam * dd - dly) for u, v, dly, dd in local]
+        dist = [0] * n
         for _ in range(n):
-            before = dist.copy()
-            np.minimum.at(dist, v, dist[u] + w)
-            if np.array_equal(dist, before):
+            changed = False
+            for u, v, w in weighted:
+                t = dist[u] + w
+                if t < dist[v]:
+                    dist[v] = t
+                    changed = True
+            if not changed:
                 return False
         return True
 
@@ -393,39 +388,43 @@ def list_schedule_arrays(dfg, lib):
 
 
 # ---------------------------------------------------------------------------
-# Backtracking orders: ASAP/ALAP slack levels by whole-front relaxation
+# Backtracking orders: ASAP/ALAP slack levels
 # ---------------------------------------------------------------------------
 
 def slack_levels(dfg, edges, dmap: dict[int, int]):
     """ASAP/ALAP levels of the view's distance-0 subgraph.
 
-    Returns ``(asap, alap)`` as plain-int lists indexed by nid, equal
-    to a single topological pass's values (the DAG longest-path
-    fixpoint is unique, so repeated ``maximum.at`` / ``minimum.at``
-    sweeps converge to exactly them).  ``dmap`` is the search's
-    node-id -> latency map.
+    Returns ``(asap, alap)`` as plain-int lists indexed by nid: one
+    forward pass in a topological order of the view's distance-0 edges,
+    then one backward pass (the DAG longest-path fixpoint is unique, so
+    any topological order gives the same levels).  ``dmap`` is the
+    search's node-id -> latency map.
     """
-    nodes = dfg.nodes
-    n = len(nodes)
-    delay = np.fromiter((dmap[node.nid] for node in nodes),
-                        dtype=np.int64, count=n)
-    d0 = [(s.nid, d.nid) for s, d, dist in edges if dist == 0]
-    src = np.fromiter((s for s, _ in d0), dtype=np.int64, count=len(d0))
-    dst = np.fromiter((d for _, d in d0), dtype=np.int64, count=len(d0))
+    n = len(dfg.nodes)
+    delay = [dmap[i] for i in range(n)]
+    succs: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for s, d, dist in edges:
+        if dist == 0:
+            succs[s.nid].append(d.nid)
+            indeg[d.nid] += 1
 
-    asap = np.zeros(n, dtype=np.int64)
-    if len(d0):
-        for _ in range(n):
-            before = asap.copy()
-            np.maximum.at(asap, dst, asap[src] + delay[src])
-            if np.array_equal(asap, before):
-                break
-    length = int((asap + delay).max()) if n else 0
-    alap = length - delay
-    if len(d0):
-        for _ in range(n):
-            before = alap.copy()
-            np.minimum.at(alap, src, alap[dst] - delay[src])
-            if np.array_equal(alap, before):
-                break
-    return asap.tolist(), alap.tolist()
+    order = [i for i in range(n) if not indeg[i]]
+    asap = [0] * n
+    for u in order:                 # ``order`` grows as nodes get ready
+        end = asap[u] + delay[u]
+        for v in succs[u]:
+            if end > asap[v]:
+                asap[v] = end
+            indeg[v] -= 1
+            if not indeg[v]:
+                order.append(v)
+    length = max((a + d for a, d in zip(asap, delay)), default=0)
+    alap = [length - d for d in delay]
+    for u in reversed(order):
+        du = delay[u]
+        for v in succs[u]:
+            t = alap[v] - du
+            if t < alap[u]:
+                alap[u] = t
+    return asap, alap

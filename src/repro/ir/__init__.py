@@ -2,7 +2,8 @@
 
 Quick tour::
 
-    from repro.ir import ProgramBuilder, U8, run_program
+    from repro.ir import ProgramBuilder, U8
+    from repro.ir.interp import run_program
 
     b = ProgramBuilder("demo")
     src = b.array("src", (16,), U8)
@@ -10,6 +11,10 @@ Quick tour::
     with b.loop("i", 0, 16) as i:
         dst[i] = src[i] + 1
     result = run_program(b.build(), arrays={"src": range(16)})
+
+The value-level interpreter (:mod:`repro.ir.interp`, NumPy storage) is
+not re-exported here: compiling a design never runs a program, so it is
+imported from its own module by the code that does.
 """
 
 from repro.ir.types import (  # noqa: F401
@@ -23,9 +28,6 @@ from repro.ir.nodes import (  # noqa: F401
 )
 from repro.ir.builder import ArrayHandle, ProgramBuilder  # noqa: F401
 from repro.ir.printer import expr_to_str, program_to_str, stmt_to_str  # noqa: F401
-from repro.ir.interp import (  # noqa: F401
-    ExecutionResult, Interpreter, LoopRecord, compile_program, run_program,
-)
 from repro.ir.validate import validate_program  # noqa: F401
 from repro.ir.visitors import (  # noqa: F401
     arrays_read, arrays_written, clone_expr, clone_program, clone_stmt,

@@ -24,14 +24,12 @@ on this.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import Any, Optional, Sequence, Union
 
 from repro.errors import IRError
 from repro.ir.nodes import (
     ArrayDecl, Assign, Block, Expr, ExprLike, For, If, Load, Program, Stmt,
-    Store, Var, as_expr,
+    Store, Var, as_expr, init_shape,
 )
 from repro.ir.types import I32, ScalarType
 
@@ -118,20 +116,21 @@ class ProgramBuilder:
         return Var(name, ty)
 
     def array(self, name: str, shape: Sequence[int], ty: ScalarType,
-              init: Optional[np.ndarray] = None, output: bool = False) -> ArrayHandle:
-        """Declare a RAM-backed array (loads/stores consume memory ports)."""
+              init: Any = None, output: bool = False) -> ArrayHandle:
+        """Declare a RAM-backed array (loads/stores consume memory ports);
+        ``init`` is a nest of sequences (or NumPy array) of ``shape``."""
         if name in self.program.arrays:
             raise IRError(f"duplicate array {name!r}")
         decl = ArrayDecl(name, tuple(shape), ty, rom=False, init=init, output=output)
         self.program.arrays[name] = decl
         return ArrayHandle(self, decl)
 
-    def rom(self, name: str, data: np.ndarray, ty: ScalarType) -> ArrayHandle:
-        """Declare a ROM lookup table (loads are port-free on-chip lookups)."""
+    def rom(self, name: str, data: Any, ty: ScalarType) -> ArrayHandle:
+        """Declare a ROM lookup table (loads are port-free on-chip
+        lookups) shaped like ``data``, a nest of sequences or NumPy array."""
         if name in self.program.arrays:
             raise IRError(f"duplicate array {name!r}")
-        data = np.asarray(data)
-        decl = ArrayDecl(name, data.shape, ty, rom=True, init=data)
+        decl = ArrayDecl(name, init_shape(data), ty, rom=True, init=data)
         self.program.arrays[name] = decl
         return ArrayHandle(self, decl)
 

@@ -20,25 +20,31 @@ Semantics notes (shared by both engines):
   types, so we simply clamp);
 * ``Select`` evaluates **both** arms, like the if-converted hardware would;
 * ``f32`` results round through IEEE single after every operation.
+
+Array storage is NumPy, built from each declaration's plain contents by
+:func:`array_storage`; NumPy is imported when a program runs, so the
+scalar semantics (:func:`eval_binop`, :func:`cast_value`) the compile
+path folds constants with load no NumPy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from repro.errors import InterpError
 from repro.ir.nodes import (
-    Assign, BinOp, Block, Cast, Const, Expr, For, If, Load, Program, Select,
-    Stmt, Store, UnOp, Var,
+    ArrayDecl, Assign, BinOp, Block, Cast, Const, Expr, For, If, Load,
+    Program, Select, Stmt, Store, UnOp, Var,
 )
-from repro.ir.types import F32, ScalarType, wrap_int
+from repro.ir.types import F32, ScalarType, round_f32, wrap_int
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ExecutionResult", "LoopRecord", "Interpreter", "run_program",
-    "compile_program", "CostModel", "UNIT_COSTS",
+    "compile_program", "array_storage", "CostModel", "UNIT_COSTS",
 ]
 
 
@@ -66,6 +72,35 @@ def make_table_cost_model(table: dict[str, int], default: int = 1) -> CostModel:
     def model(op: str, ty: ScalarType) -> int:
         return table.get(op, default)
     return model
+
+
+# ---------------------------------------------------------------------------
+# Array storage
+# ---------------------------------------------------------------------------
+
+def array_storage(decl: ArrayDecl, override: Any = None) -> "np.ndarray":
+    """A fresh NumPy array holding ``decl``'s run-time contents.
+
+    ``override`` (any array-like of the declared shape) replaces the
+    contents of a non-ROM array; otherwise the declared contents are
+    used, and arrays without any start zero-filled.  Every value-level
+    reader (both engines here, :mod:`repro.vliw.simulate`) builds its
+    storage through this one helper.
+    """
+    import numpy as np
+
+    dtype = decl.ty.numpy_dtype()
+    if override is not None:
+        if decl.rom:
+            raise InterpError(f"cannot override ROM {decl.name!r}")
+        arr = np.array(override, dtype=dtype)
+        if arr.shape != decl.shape:
+            raise InterpError(f"array {decl.name!r}: provided shape "
+                              f"{arr.shape} != {decl.shape}")
+        return arr
+    if decl.init is not None:
+        return np.array(decl.init, dtype=dtype).reshape(decl.shape)
+    return np.zeros(decl.shape, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +145,6 @@ class ExecutionResult:
 # ---------------------------------------------------------------------------
 # Shared scalar-op semantics
 # ---------------------------------------------------------------------------
-
-def _f32r(v: float) -> float:
-    return float(np.float32(v))
-
 
 def _int_div(a: int, b: int) -> int:
     if b == 0:
@@ -172,7 +203,7 @@ def eval_binop(op: str, a: "Scalar", b: "Scalar",
     else:  # pragma: no cover - defensive
         raise InterpError(f"unknown binop {op!r}")
     if ty.is_float:
-        return _f32r(r) if ty == F32 else float(r)
+        return round_f32(r) if ty == F32 else float(r)
     return wrap_int(int(r), ty)
 
 
@@ -180,7 +211,7 @@ def cast_value(v: "Scalar", ty: ScalarType) -> "Scalar":
     """Scalar conversion used by Cast, Assign, and Store."""
     if ty.is_float:
         v = float(v)
-        return _f32r(v) if ty == F32 else v
+        return round_f32(v) if ty == F32 else v
     return wrap_int(int(v), ty)
 
 
@@ -217,20 +248,8 @@ class Interpreter:
         for p in self.program.params:
             if p not in params:
                 raise InterpError(f"missing parameter {p!r}")
-        storage: dict[str, np.ndarray] = {}
-        for name, decl in self.program.arrays.items():
-            if arrays and name in arrays:
-                if decl.rom:
-                    raise InterpError(f"cannot override ROM {name!r}")
-                src = np.asarray(arrays[name], dtype=decl.ty.numpy_dtype())
-                if src.shape != decl.shape:
-                    raise InterpError(
-                        f"array {name!r}: provided shape {src.shape} != {decl.shape}")
-                storage[name] = src.copy()
-            elif decl.init is not None:
-                storage[name] = decl.init.copy()
-            else:
-                storage[name] = np.zeros(decl.shape, dtype=decl.ty.numpy_dtype())
+        storage = {name: array_storage(decl, (arrays or {}).get(name))
+                   for name, decl in self.program.arrays.items()}
 
         self._env: dict[str, int | float] = {k: v for k, v in params.items()}
         self._storage = storage
@@ -501,14 +520,11 @@ class _PyGen:
 
 
 _PRELUDE = """
-import numpy as _np
+from repro.ir.types import round_f32 as _f32
 
 def _sw(x, mask, sign):
     x &= mask
     return x - (sign << 1) if x >= sign else x
-
-def _f32(x):
-    return float(_np.float32(x))
 
 def _idiv(a, b):
     if b == 0:
@@ -551,20 +567,8 @@ def compile_program(program: Program) -> Callable[..., ExecutionResult]:
         for p in program.params:
             if p not in params:
                 raise InterpError(f"missing parameter {p!r}")
-        storage: dict[str, np.ndarray] = {}
-        for name, decl in program.arrays.items():
-            if arrays and name in arrays:
-                if decl.rom:
-                    raise InterpError(f"cannot override ROM {name!r}")
-                src_arr = np.asarray(arrays[name], dtype=decl.ty.numpy_dtype())
-                if src_arr.shape != decl.shape:
-                    raise InterpError(
-                        f"array {name!r}: provided shape {src_arr.shape} != {decl.shape}")
-                storage[name] = src_arr.copy()
-            elif decl.init is not None:
-                storage[name] = decl.init.copy()
-            else:
-                storage[name] = np.zeros(decl.shape, dtype=decl.ty.numpy_dtype())
+        storage = {name: array_storage(decl, (arrays or {}).get(name))
+                   for name, decl in program.arrays.items()}
         try:
             scal = fn(params, storage)
         except (ZeroDivisionError, IndexError) as exc:

@@ -19,17 +19,18 @@ naturally through :mod:`repro.ir.builder`::
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
-
-import numpy as np
+from typing import Any, Iterator, Optional, Union
 
 from repro.errors import IRError, TypeMismatchError
 from repro.ir.types import (
     BOOL,
+    F32,
     F64,
     I32,
     ScalarType,
+    round_f32,
     unify,
 )
 
@@ -142,7 +143,7 @@ def const(value: Union[int, float, bool], ty: Optional[ScalarType] = None) -> "C
     if ty is None:
         if isinstance(value, bool):
             ty = BOOL
-        elif isinstance(value, (int, np.integer)):
+        elif isinstance(value, numbers.Integral):
             ty = I32
         else:
             ty = F64
@@ -153,20 +154,24 @@ def as_expr(value: ExprLike, hint: Optional[ScalarType] = None) -> Expr:
     """Coerce a Python scalar (or pass through an :class:`Expr`).
 
     ``hint`` guides the constant's type so that e.g. ``x + 1`` with ``x: u8``
-    produces a ``u8`` constant and no accidental widening.
+    produces a ``u8`` constant and no accidental widening.  NumPy
+    scalars count as the Python numbers they stand for.
     """
     if isinstance(value, Expr):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return Const(bool(value), BOOL)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, bool):
+        return Const(value, BOOL)
+    if isinstance(value, numbers.Integral):
         if hint is not None and not hint.is_float:
             return Const(int(value), hint)
         return Const(int(value), I32)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         if hint is not None and hint.is_float:
             return Const(float(value), hint)
         return Const(float(value), F64)
+    item = getattr(value, "item", None)
+    if item is not None:    # a NumPy bool, which no ``numbers`` ABC covers
+        return as_expr(item(), hint)
     raise IRError(f"cannot convert {value!r} to an IR expression")
 
 
@@ -365,6 +370,60 @@ class If(Stmt):
 # Program
 # ---------------------------------------------------------------------------
 
+def init_shape(data: Any) -> tuple[int, ...]:
+    """The shape of a nest of sequences, read along its first elements."""
+    if hasattr(data, "shape"):          # a NumPy array
+        return tuple(int(d) for d in data.shape)
+    shape: list[int] = []
+    while hasattr(data, "__len__") and not isinstance(data, str):
+        shape.append(len(data))
+        if not len(data):
+            break
+        data = data[0]
+    return tuple(shape)
+
+
+def array_contents(name: str, shape: tuple[int, ...], ty: ScalarType,
+                   data: Any) -> tuple[Union[int, float], ...]:
+    """``data`` as an :class:`ArrayDecl`'s contents: a flat, row-major
+    tuple of Python ints (integer element types) or floats.
+
+    ``data`` is a nest of sequences (or a NumPy array) of ``shape``.
+    Floats are rounded to single precision for ``f32``; integer
+    elements truncate like a C conversion and must fit ``ty``.  Any
+    violation raises :class:`~repro.errors.IRError` naming the array.
+    """
+    got = init_shape(data)
+    if got != shape:
+        raise IRError(f"array {name!r} init shape {got} != declared {shape}")
+    flat = [data.tolist() if hasattr(data, "tolist") else data]
+    for dim in shape:
+        rows, flat = flat, []
+        for row in rows:
+            if isinstance(row, str) or not hasattr(row, "__len__") \
+                    or len(row) != dim:
+                raise IRError(f"array {name!r} init is not a regular "
+                              f"{shape} nest")
+            flat.extend(row)
+    for v in flat:
+        if not isinstance(v, numbers.Real):
+            raise IRError(f"array {name!r} init holds a non-number {v!r}")
+    if ty.is_float:
+        if ty is F32:
+            return tuple(round_f32(float(v)) for v in flat)
+        return tuple(float(v) for v in flat)
+    try:
+        values = tuple(v if type(v) is int else int(v) for v in flat)
+    except (ValueError, OverflowError) as exc:   # NaN or infinity
+        raise IRError(f"array {name!r} init: {exc}") from None
+    if values and (min(values) < ty.min_value or max(values) > ty.max_value):
+        bad = next(v for v in values
+                   if not ty.min_value <= v <= ty.max_value)
+        raise IRError(f"array {name!r} init value {bad} does not fit {ty} "
+                      f"[{ty.min_value}, {ty.max_value}]")
+    return values
+
+
 @dataclass(eq=False)
 class ArrayDecl:
     """Declaration of an array buffer or ROM.
@@ -378,7 +437,11 @@ class ArrayDecl:
         hardware back-end — their loads do **not** consume memory-bus ports
         (this is exactly the Skipjack-hw / DES-hw optimization of Table 6.1).
     init:
-        Optional initial contents (required for ROMs).
+        Optional initial contents (required for ROMs): any nest of
+        sequences or NumPy array of ``shape``, converted once here by
+        :func:`array_contents` to a flat, row-major tuple of Python
+        numbers.  Value-level code builds NumPy storage from it
+        (:func:`repro.ir.interp.array_storage`).
     output:
         Marks arrays whose final contents are the program result.
     """
@@ -387,7 +450,7 @@ class ArrayDecl:
     shape: tuple[int, ...]
     ty: ScalarType
     rom: bool = False
-    init: Optional[np.ndarray] = None
+    init: Optional[tuple[Union[int, float], ...]] = None
     output: bool = False
 
     def __post_init__(self) -> None:
@@ -395,11 +458,8 @@ class ArrayDecl:
         if self.rom and self.init is None:
             raise IRError(f"ROM array {self.name!r} must have initial contents")
         if self.init is not None:
-            arr = np.asarray(self.init, dtype=self.ty.numpy_dtype())
-            if arr.shape != self.shape:
-                raise IRError(
-                    f"array {self.name!r} init shape {arr.shape} != declared {self.shape}")
-            self.init = arr
+            self.init = array_contents(self.name, self.shape, self.ty,
+                                       self.init)
 
     @property
     def size(self) -> int:

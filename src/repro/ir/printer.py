@@ -153,11 +153,7 @@ def _kernel_name(name: str) -> str:
 
 def _init_to_str(decl: "ArrayDecl", pad: str) -> str:
     """Array initializer literal, wrapped at a readable width."""
-    flat = decl.init.reshape(-1)
-    if decl.ty.is_float:
-        items = [repr(float(v)) for v in flat]
-    else:
-        items = [str(int(v)) for v in flat]
+    items = [repr(v) for v in decl.init]
     body = ", ".join(items)
     if len(body) <= 60:
         return " = {" + body + "}"

@@ -22,8 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import BinOp, Const, Expr, For, Load, Program, Select, Var
 from repro.ir.types import F64, I16, I32, U16, U32, U8, ScalarType
@@ -185,9 +183,7 @@ class _Gen:
             ty = r.choice(_INT_CHOICES)
             lo = max(ty.min_value, -32768)
             hi = min(ty.max_value, 32767)
-            init = np.array([r.randrange(lo, hi + 1)
-                             for _ in range(cfg.array_size)],
-                            dtype=ty.numpy_dtype())
+            init = [r.randrange(lo, hi + 1) for _ in range(cfg.array_size)]
             self.b.array(f"arr{i}", (cfg.array_size,), ty, init=init, output=True)
             self.arrays.append(f"arr{i}")
         for i in range(cfg.n_scalars):
@@ -247,12 +243,11 @@ def random_squashable_nest(rng: random.Random,
     ins = []
     for k in range(spec.seed_arrays):
         ty = dom.pick_in_type(r)
-        init = np.array(dom.sample_init(r, ty, m), dtype=ty.numpy_dtype())
-        ins.append(b.array(f"in{k}", (m,), ty, init=init))
+        ins.append(b.array(f"in{k}", (m,), ty, init=dom.sample_init(r, ty, m)))
     out = b.array("out", (m,), U32, output=True)
     rom = None
     if spec.use_rom:
-        rom = b.rom("rom", np.array(dom.sample_rom(r), dtype=np.uint8), U8)
+        rom = b.rom("rom", dom.sample_rom(r), U8)
 
     state = [b.local(f"x{k}", U32) for k in range(spec.n_state)]
 

@@ -3,25 +3,30 @@
 The IR is deliberately close to the C subset the Nimble Compiler consumed:
 fixed-width two's-complement integers plus IEEE floats.  Integer arithmetic
 wraps at the declared width (the crypto kernels depend on 8/16/32-bit
-wrap-around), floats follow Python/NumPy double semantics.
+wrap-around), floats follow Python double semantics, and ``f32``
+values round through IEEE single precision (:func:`round_f32`).
 
 Types are interned singletons; compare with ``is`` or ``==`` freely.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import TypeMismatchError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ScalarType",
     "I8", "U8", "I16", "U16", "I32", "U32", "I64", "U64",
     "F32", "F64", "BOOL",
     "INT_TYPES", "FLOAT_TYPES", "ALL_TYPES",
-    "unify", "wrap_int", "type_from_name",
+    "unify", "wrap_int", "round_f32", "type_from_name",
 ]
 
 
@@ -61,8 +66,10 @@ class ScalarType:
             return (1 << (self.bits - 1)) - 1
         return (1 << self.bits) - 1
 
-    def numpy_dtype(self) -> np.dtype:
-        """The NumPy dtype used to store arrays of this type."""
+    def numpy_dtype(self) -> "np.dtype":
+        """The NumPy dtype value-level code stores arrays of this type in."""
+        import numpy as np
+
         if self.is_float:
             return np.dtype("f4") if self.bits == 32 else np.dtype("f8")
         kind = "i" if self.signed else "u"
@@ -128,3 +135,16 @@ def wrap_int(value: int, ty: ScalarType) -> int:
     if ty.signed and value > ty.max_value:
         value -= 1 << ty.bits
     return value
+
+
+_F32 = struct.Struct("f")
+
+
+def round_f32(x: float) -> float:
+    """``x`` rounded to IEEE single precision (to-nearest-even, as a C
+    cast does), as a Python float; values past the single range become
+    infinities of their sign."""
+    try:
+        return _F32.unpack(_F32.pack(x))[0]
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf

@@ -17,6 +17,7 @@ These helpers are the workhorses of every analysis and transform:
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Iterator, Mapping
 
 from repro.ir.nodes import (
@@ -114,12 +115,10 @@ def clone_stmt(s: Stmt) -> Stmt:
 
 
 def clone_program(p: "Program") -> "Program":
-    """Deep copy a :class:`~repro.ir.nodes.Program` (shares array init data)."""
-    from repro.ir.nodes import ArrayDecl, Program
-    arrays = {
-        name: ArrayDecl(a.name, a.shape, a.ty, a.rom, a.init, a.output)
-        for name, a in p.arrays.items()
-    }
+    """Deep copy a :class:`~repro.ir.nodes.Program` (shares the immutable
+    array contents: each declaration is copied without re-converting)."""
+    from repro.ir.nodes import Program
+    arrays = {name: copy.copy(a) for name, a in p.arrays.items()}
     return Program(p.name, dict(p.params), arrays, clone_stmt(p.body), dict(p.locals))
 
 

@@ -14,8 +14,6 @@ then if-converts the conditionals inside ``#pragma kernel`` loops (§4.2).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import IRError, ValidationError
 from repro.ir.nodes import (
     ArrayDecl, Assign, BinOp, Block, Cast, Const, Expr, For, If, Load,
@@ -74,14 +72,22 @@ def _lower_stmt(s: A.LStmt) -> Stmt:
     raise AssertionError(f"unhandled statement {type(s).__name__}")
 
 
+def _rows(values: list, shape: tuple[int, ...]) -> list:
+    """A flat initializer list nested row-major into ``shape``."""
+    for dim in reversed(shape[1:]):
+        values = [values[k:k + dim] for k in range(0, len(values), dim)]
+    return values
+
+
 def _array_decl(source: SourceText, a: A.LArray) -> ArrayDecl:
     init = None
     if a.init is not None:
+        # integer literals wrap to the element type like C initializers
         if a.ty.is_float:
             values = [float(v) for v in a.init]
         else:
             values = [wrap_int(int(v), a.ty) for v in a.init]
-        init = np.array(values, dtype=a.ty.numpy_dtype()).reshape(a.shape)
+        init = _rows(values, tuple(a.shape))
     try:
         return ArrayDecl(a.name, tuple(a.shape), a.ty, rom=a.rom,
                          init=init, output=a.output)
@@ -115,9 +121,9 @@ def compile_unit(source: SourceText, unit: A.LKernel) -> Program:
 
     Squash needs the kernel loop to be a single basic block; every
     conditional inside it whose arms only assign scalars becomes
-    ``select`` code (:func:`repro.transforms.if_convert`).  Conditionals
-    elsewhere stay in place, so a program whose kernel loops hold no
-    ``if`` comes back as lowered.
+    ``select`` code (:func:`repro.transforms.ifconvert.if_convert`).
+    Conditionals elsewhere stay in place, so a program whose kernel
+    loops hold no ``if`` comes back as lowered.
     """
     syms = analyze(source, unit)
     return if_convert(lower(source, unit, syms), kernel_loops_only=True)
@@ -149,9 +155,7 @@ def programs_equivalent(a: Program, b: Program) -> bool:
         if (da.shape != db.shape or da.ty is not db.ty
                 or da.rom != db.rom or da.output != db.output):
             return False
-        if (da.init is None) != (db.init is None):
-            return False
-        if da.init is not None and not np.array_equal(da.init, db.init):
+        if da.init != db.init:
             return False
     return (structurally_equal(a.body, b.body)
             and _kernel_annotations(a.body) == _kernel_annotations(b.body))

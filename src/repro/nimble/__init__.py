@@ -1,15 +1,14 @@
 """Nimble-Compiler-style driver: profiling, kernel selection, variant
-compilation onto a parametric reconfigurable target (thesis Ch. 5)."""
+compilation onto a parametric reconfigurable target (thesis Ch. 5).
+
+Profiling (:mod:`repro.nimble.profile`) and kernel selection
+(:mod:`repro.nimble.kernel`) run programs through the interpreter; they
+are not re-exported here, so compiling designs does not load them.
+"""
 
 from repro.nimble.target import (  # noqa: F401
     ACEV, GARP, VLIW4, Target, VLIWTarget, available_targets,
     decode_target, target_by_name,
-)
-from repro.nimble.profile import (  # noqa: F401
-    LoopProfile, ProfileSummary, profile_program, profile_summary,
-)
-from repro.nimble.kernel import (  # noqa: F401
-    KernelCandidate, extract_kernels, select_kernel,
 )
 from repro.nimble.compiler import (  # noqa: F401
     VariantSet, compile_jam, compile_jam_squash, compile_original,

@@ -15,14 +15,15 @@ quick synthesis step".  We reproduce the pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.loops import LoopNest, find_kernel_nests, find_loop_nests
 from repro.core.legality import SquashCheck, check_squash
 from repro.ir.nodes import Program
 from repro.nimble.profile import profile_program
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["KernelCandidate", "extract_kernels", "select_kernel"]
 

@@ -14,12 +14,13 @@ threshold share, and the total share covered by those hot loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.ir.interp import CostModel, Interpreter
 from repro.ir.nodes import Program
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LoopProfile", "ProfileSummary", "profile_program",
            "profile_summary"]

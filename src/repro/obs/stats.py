@@ -133,7 +133,7 @@ def format_stats(snapshot: dict) -> str:
     sched_keys = [
         ("II candidates tried", "sched.ii_attempts"),
         ("II memo/refutation skips", "sched.ii_memo_skips"),
-        # one placement pass per repair round (the array core's counter)
+        # one placement pass per repair round (the scheduler core's counter)
         ("repair rounds", "sched_kernel_numpy_attempts"),
         ("exact search nodes", "sched.exact_nodes"),
     ]

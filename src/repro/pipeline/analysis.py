@@ -32,7 +32,7 @@ too, keyed by (program, nest, DS, delay function).  Every scheduler of
 a squash or jam+squash design therefore gets the *same*
 :class:`~repro.pipeline.artifacts.AnalyzedDFG`, and through its object
 identity the same II-search context (:data:`repro.hw.modulo._CTX`):
-``modulo`` and ``backtrack`` share one dense problem, one MII pair and
+``modulo`` and ``backtrack`` share one scheduling problem, one MII pair and
 every topological placement.  The engine's batches group queries by
 (kernel, variant), so a design's schedulers normally meet in one batch,
 and both memos are per batch: the worker drops them when its batch

@@ -414,7 +414,7 @@ class CompilationPipeline:
         from time import perf_counter
 
         from repro.env import verify_mode
-        from repro.verify import verify_analyzed, verify_design_point, \
+        from repro.verify.schedule import verify_design_point, \
             verify_scheduled
 
         mode = verify_mode()
@@ -431,6 +431,8 @@ class CompilationPipeline:
             t1 = perf_counter()
             _record_stage("analyze", t1 - t0, t0, t1)
             if mode != "off":
+                from repro.verify.structural import verify_analyzed
+
                 stage, t0 = "verify", t1
                 verify_analyzed(analyzed, self.target.library,
                                 strict=strict)

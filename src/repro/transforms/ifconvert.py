@@ -28,7 +28,6 @@ of ``#pragma kernel`` loops, the only place squash needs it.
 
 from __future__ import annotations
 
-from repro.ir.interp import cast_value
 from repro.ir.nodes import (
     Assign, BinOp, Block, Cast, Const, Expr, For, If, Program, Select, Stmt,
     Var,
@@ -48,6 +47,8 @@ def _converted(e: Expr, ty: ScalarType) -> Expr:
     if e.ty == ty:
         return e
     if isinstance(e, Const):
+        from repro.ir.interp import cast_value
+
         return Const(cast_value(e.value, ty), ty)
     return Cast(e, ty)
 

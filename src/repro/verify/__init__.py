@@ -4,7 +4,9 @@ This package is the paper reproduction's safety net: checkers that
 *re-derive* the invariants the compiler relies on instead of trusting
 the data structures that claim them.  Three layers:
 
-* :mod:`repro.verify.structural` — DFG/SSA/edge-view well-formedness;
+* :mod:`repro.verify.structural` — DFG/SSA/edge-view well-formedness,
+  which only the ``on``/``strict`` modes run, so it is not re-exported
+  here: import it as ``repro.verify.structural``;
 * :mod:`repro.verify.schedule` — an independent re-verifier that
   re-checks every modulo-scheduling precedence constraint and rebuilds
   the reservation table from scratch, deliberately sharing no code with
@@ -28,13 +30,9 @@ from repro.verify.schedule import (
     crosscheck_pressure, independent_rec_mii, independent_res_mii,
     reverify_list, reverify_modulo, verify_design_point, verify_scheduled,
 )
-from repro.verify.structural import (
-    check_dfg, check_edge_view, check_ssa, verify_analyzed,
-)
 
 __all__ = [
-    "Finding", "check_dfg", "check_edge_view", "check_ssa",
-    "crosscheck_pressure", "independent_rec_mii", "independent_res_mii",
-    "raise_findings", "reverify_list", "reverify_modulo", "verify_analyzed",
-    "verify_design_point", "verify_scheduled",
+    "Finding", "crosscheck_pressure", "independent_rec_mii",
+    "independent_res_mii", "raise_findings", "reverify_list",
+    "reverify_modulo", "verify_design_point", "verify_scheduled",
 ]

@@ -32,7 +32,7 @@ makespan, which is the ``original`` design's II.
   recurrence pressure floor, which no legal schedule may undercut;
 * **MII lower bounds** — ResMII by direct slot counting and RecMII by
   a naive whole-graph parametric Bellman-Ford (no SCC decomposition,
-  no vectorized probes) — against the accepted II, and against any
+  no shared probes) — against the accepted II, and against any
   ``exact_ii`` optimality certificate a design point claims.
 """
 
@@ -279,7 +279,7 @@ def independent_rec_mii(dfg: DFG, delay: Callable[[DFGNode], int],
     Binary-searches the smallest ``lam`` admitting no cycle with
     ``sum(delay) > lam * sum(distance)``; each probe relaxes every arc
     ``V`` times over the whole graph — no SCC decomposition, no shared
-    probe state, no vectorized sweeps.  Slow and obviously correct.
+    probe state.  Slow and obviously correct.
     """
     view = _raw_view(dfg, edges)
     nids: dict[int, None] = {}

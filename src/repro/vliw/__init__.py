@@ -19,7 +19,8 @@ uses.  Three pieces:
   before any scheduling;
 * :mod:`repro.vliw.simulate` — a cycle-accurate replay that executes
   issue bundles *with values* and cross-checks them against the IR
-  interpreter.
+  interpreter.  It is value-level code (NumPy storage), so it is not
+  re-exported here; import it from its module.
 
 Select it with the ``vliw4`` target::
 
@@ -34,13 +35,9 @@ from repro.vliw.pressure import (  # noqa: F401
     PressureInfo, max_live, pressure_floor, register_pressure,
     rotating_copies,
 )
-from repro.vliw.simulate import (  # noqa: F401
-    VLIWReplay, interpreter_reference, random_live_ins, vliw_replay,
-)
 
 __all__ = [
     "VLIW4_LIBRARY", "VLIW_OP_CLASSES", "VLIWOperatorLibrary", "op_class",
     "PressureInfo", "max_live", "pressure_floor", "register_pressure",
     "rotating_copies",
-    "VLIWReplay", "interpreter_reference", "random_live_ins", "vliw_replay",
 ]

@@ -1,8 +1,8 @@
 """Cycle-accurate VLIW replay: issue bundles, units, *and values*.
 
-:mod:`repro.hw.simulate` validates schedules dynamically but only at
-the timing level (resource occupancy, dependence distances).  This
-module replays a modulo schedule the way a VLIW core would execute it —
+:mod:`repro.hw.simulate` only counts a schedule's cycles (the pipeline's
+validate stage is the static re-verifier, :mod:`repro.verify.schedule`).
+This module replays a modulo schedule the way a VLIW core would execute it —
 cycle by cycle, bundle by bundle — and additionally **computes every
 operation's value** with the IR's scalar semantics
 (:func:`repro.ir.interp.eval_binop` / :func:`~repro.ir.interp.
@@ -29,19 +29,19 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.dfg import DFG, DFGNode
 from repro.errors import ReproError
-from repro.hw.mii import EdgeView
 from repro.hw.modulo import ModuloSchedule
 from repro.hw.ops import OperatorLibrary
-from repro.ir.interp import ExecutionResult, cast_value, eval_binop, \
-    run_program
+from repro.ir.interp import ExecutionResult, array_storage, cast_value, \
+    eval_binop, run_program
 from repro.ir.nodes import Assign, BinOp, Block, Cast, Const, Expr, For, \
     Load, Program, Select, Store, UnOp, Var
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["VLIWReplay", "interpreter_reference", "random_live_ins",
            "vliw_replay"]
@@ -90,9 +90,7 @@ class _Replay:
         self.iv_step = iv_step
         self.vals: dict[tuple[int, int], object] = {}  # (nid, iter) -> value
         self.violations: list[str] = []
-        self.storage = {name: (decl.init.copy() if decl.init is not None
-                               else np.zeros(decl.shape,
-                                             dtype=decl.ty.numpy_dtype()))
+        self.storage = {name: array_storage(decl)
                         for name, decl in program.arrays.items()}
         self.init_regs = dict(init_regs)
         #: reg node -> its (unique) distance-1 in-edge source, if any
@@ -270,19 +268,15 @@ class _Replay:
 def vliw_replay(dfg: DFG, ssa, lib: OperatorLibrary, sched: ModuloSchedule,
                 program: Program, iterations: int,
                 init_regs: Optional[dict] = None,
-                iv_step: int = 1,
-                edges: Optional[EdgeView] = None) -> VLIWReplay:
+                iv_step: int = 1) -> VLIWReplay:
     """Replay ``sched`` for ``iterations`` iterations, computing values.
 
     ``program`` supplies the array declarations (the analysis-front
     *work* program); ``init_regs`` gives the pre-loop value of every
     live-in register (missing names default to 0); ``iv_step`` is the
-    inner loop's induction step.  ``edges`` is accepted for interface
-    symmetry with :func:`repro.hw.simulate.simulate_modulo` — the value
-    layer always follows the DFG's raw dependences, which is what any
-    legal edge-view relaxation must preserve.
+    inner loop's induction step.  Values follow the DFG's raw
+    dependences, which any legal edge-view relaxation must preserve.
     """
-    del edges  # values flow along raw DFG edges regardless of the view
     return _Replay(dfg, ssa, lib, sched, program,
                    init_regs or {}, iv_step).run(iterations)
 

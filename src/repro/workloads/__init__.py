@@ -6,18 +6,19 @@ Two registries:
   (Skipjack-mem/-hw, DES-mem/-hw, IIR) with builders and descriptions;
 * :func:`table_1_1_programs` — the profiling suite (wavelet, EPIC,
   UNEPIC, ADPCM, MPEG-2, Skipjack).
+
+The Table 6.1 builders are plain Python.  The profiling suite's modules
+load only when :func:`table_1_1_programs` is called; they and the
+reference models import NumPy inside the functions that use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.ir.nodes import Program
-
-from repro.workloads import (  # noqa: F401
-    adpcm, des, epic, iir, mpeg2, simple, skipjack, wavelet,
-)
+from repro.workloads import des, iir, skipjack
 
 __all__ = ["Benchmark", "table_6_1_benchmarks", "table_1_1_programs",
            "benchmark_by_name"]
@@ -81,6 +82,8 @@ def table_6_1_benchmarks() -> list[Benchmark]:
 
 def table_1_1_programs() -> list[Benchmark]:
     """The loop-profiling suite (thesis Table 1.1)."""
+    from repro.workloads import adpcm, epic, mpeg2, wavelet
+
     return [
         Benchmark("wavelet", "Wavelet image compression",
                   wavelet.build_program,
@@ -103,7 +106,8 @@ def benchmark_by_name(name: str) -> Benchmark:
         # source-file kernels: "lang:<path>#<digest>" or "<path>.lang"
         from repro.lang.loader import lang_kernel
         return lang_kernel(name)
-    for bm in table_6_1_benchmarks() + table_1_1_programs():
-        if bm.name == name:
-            return bm
+    for table in (table_6_1_benchmarks, table_1_1_programs):
+        for bm in table():
+            if bm.name == name:
+                return bm
     raise KeyError(f"unknown benchmark {name!r}")

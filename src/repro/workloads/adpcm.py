@@ -11,11 +11,14 @@ round-trip property (decode(encode(x)) tracks x) is exercised in tests.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Program
 from repro.ir.types import I16, I32, U8
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["STEP_TABLE", "INDEX_TABLE", "encode", "decode", "build_program"]
 
@@ -35,6 +38,8 @@ INDEX_TABLE: tuple[int, ...] = (-1, -1, -1, -1, 2, 4, 6, 8,
 
 def encode(samples: np.ndarray) -> np.ndarray:
     """Reference IMA ADPCM encoder (one 4-bit code per sample)."""
+    import numpy as np
+
     valpred, index = 0, 0
     out = np.zeros(len(samples), dtype=np.uint8)
     for n, sample in enumerate(np.asarray(samples, dtype=np.int64)):
@@ -68,6 +73,8 @@ def encode(samples: np.ndarray) -> np.ndarray:
 
 def decode(codes: np.ndarray) -> np.ndarray:
     """Reference IMA ADPCM decoder."""
+    import numpy as np
+
     valpred, index = 0, 0
     out = np.zeros(len(codes), dtype=np.int16)
     for n, delta in enumerate(np.asarray(codes, dtype=np.int64)):
@@ -91,6 +98,8 @@ def decode(codes: np.ndarray) -> np.ndarray:
 def build_program(n_samples: int = 256,
                   data: np.ndarray | None = None) -> Program:
     """IR transcription: encode loop, decode loop, error-accumulation loop."""
+    import numpy as np
+
     b = ProgramBuilder("adpcm")
     if data is None:
         rng = np.random.default_rng(0xADC)
@@ -99,10 +108,8 @@ def build_program(n_samples: int = 256,
                 + rng.integers(-400, 400, n_samples)).astype(np.int16)
     data = np.asarray(data, dtype=np.int16)
 
-    steps = b.array("steps", (89,), I32,
-                    init=np.array(STEP_TABLE, dtype=np.int32))
-    idxt = b.array("idxt", (16,), I32,
-                   init=np.array(INDEX_TABLE, dtype=np.int32))
+    steps = b.array("steps", (89,), I32, init=STEP_TABLE)
+    idxt = b.array("idxt", (16,), I32, init=INDEX_TABLE)
     pcm = b.array("pcm", (n_samples,), I16, init=data)
     codes = b.array("codes", (n_samples,), U8, output=True)
     rec = b.array("rec", (n_samples,), I16, output=True)

@@ -27,11 +27,15 @@ operator inventory matches a synthesized round.  Variants:
 
 from __future__ import annotations
 
-import numpy as np
+import random
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Program
 from repro.ir.types import I32, U8, U32
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["encrypt_block", "encrypt_ecb", "des_core", "key_chunks",
            "sp_tables", "build_program", "DEFAULT_KEY", "TEST_VECTOR",
@@ -133,26 +137,21 @@ def key_schedule(key64: int) -> list[int]:
     return keys
 
 
-def key_chunks(key64: int) -> np.ndarray:
+def key_chunks(key64: int) -> tuple[int, ...]:
     """Round keys as 16x8 6-bit chunks, flattened (the ``ks`` table)."""
-    out = np.zeros(16 * 8, dtype=np.uint8)
-    for r, k48 in enumerate(key_schedule(key64)):
-        for s in range(8):
-            out[8 * r + s] = (k48 >> (42 - 6 * s)) & 0x3F
-    return out
+    return tuple((k48 >> (42 - 6 * s)) & 0x3F
+                 for k48 in key_schedule(key64) for s in range(8))
 
 
-def sp_tables() -> np.ndarray:
+def _sp_word(s: int, v: int) -> int:
+    row = ((v >> 4) & 2) | (v & 1)
+    col = (v >> 1) & 0xF
+    return _permute(SBOX[s][row * 16 + col] << (28 - 4 * s), 32, P)
+
+
+def sp_tables() -> tuple[tuple[int, ...], ...]:
     """Combined S-box + P-permutation tables: ``SP[8][64]`` 32-bit words."""
-    sp = np.zeros((8, 64), dtype=np.uint32)
-    for s in range(8):
-        for v in range(64):
-            row = ((v >> 4) & 2) | (v & 1)
-            col = (v >> 1) & 0xF
-            nib = SBOX[s][row * 16 + col]
-            word = nib << (28 - 4 * s)
-            sp[s][v] = _permute(word, 32, P)
-    return sp
+    return tuple(tuple(_sp_word(s, v) for v in range(64)) for s in range(8))
 
 
 def _feistel(r: int, k48: int) -> int:
@@ -191,11 +190,11 @@ def encrypt_ecb(key64: int, blocks: list[int]) -> list[int]:
 
 def build_program(m_blocks: int = 16, variant: str = "mem",
                   key: int = DEFAULT_KEY, n_rounds: int = 16,
-                  data: np.ndarray | None = None) -> Program:
+                  data: Optional[Sequence[int]] = None) -> Program:
     """Build the DES-core IR kernel (see module docstring).
 
     ``data`` holds ``2*m_blocks`` 32-bit words: the post-IP (L, R) halves
-    of each block.
+    of each block (seeded random words by default).
     """
     if variant not in ("mem", "hw"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -208,13 +207,12 @@ def build_program(m_blocks: int = 16, variant: str = "mem",
         SP = b.rom("SP", sp, U32)
         KS = b.rom("ks", ks, U8)
     else:
-        SP = b.array("SP", sp.shape, U32, init=sp)
-        KS = b.array("ks", ks.shape, U8, init=ks)
+        SP = b.array("SP", (len(sp), len(sp[0])), U32, init=sp)
+        KS = b.array("ks", (len(ks),), U8, init=ks)
 
     if data is None:
-        rng = np.random.default_rng(0xDE5)
-        data = rng.integers(0, 1 << 32, size=2 * m_blocks, dtype=np.uint32)
-    data = np.asarray(data, dtype=np.uint32)
+        rng = random.Random(0xDE5)
+        data = [rng.randrange(1 << 32) for _ in range(2 * m_blocks)]
     din = b.array("data_in", (2 * m_blocks,), U32, init=data)
     dout = b.array("data_out", (2 * m_blocks,), U32, output=True)
 
@@ -248,9 +246,11 @@ def build_program(m_blocks: int = 16, variant: str = "mem",
     return b.build()
 
 
-def reference_output(program_input: np.ndarray, key: int = DEFAULT_KEY,
-                     n_rounds: int = 16) -> np.ndarray:
+def reference_output(program_input: Sequence[int], key: int = DEFAULT_KEY,
+                     n_rounds: int = 16) -> "np.ndarray":
     """Expected ``data_out`` for :func:`build_program`'s ``data_in``."""
+    import numpy as np
+
     words = np.asarray(program_input, dtype=np.uint32)
     out = np.empty_like(words)
     for blk in range(len(words) // 2):

@@ -13,11 +13,14 @@ tests pin the IR programs to.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import BinOp, Program, as_expr
 from repro.ir.types import I32
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["encode_reference", "decode_reference", "build_encoder",
            "build_decoder", "default_image"]
@@ -52,6 +55,8 @@ def encode_reference(img: np.ndarray, levels: int, q: int):
     The column blur reads the row-blurred buffer in place, exactly as the
     IR program does.
     """
+    import numpy as np
+
     cur = np.asarray(img, dtype=np.int64)
     bands = []
     for _ in range(levels):
@@ -74,6 +79,8 @@ def encode_reference(img: np.ndarray, levels: int, q: int):
 
 def decode_reference(bands, base, q: int) -> np.ndarray:
     """Invert :func:`encode_reference` (lossy by the quantizer)."""
+    import numpy as np
+
     cur = np.asarray(base, dtype=np.int64)
     for band in reversed(bands):
         up = np.repeat(np.repeat(cur, 2, axis=0), 2, axis=1)
@@ -83,6 +90,8 @@ def decode_reference(bands, base, q: int) -> np.ndarray:
 
 
 def default_image(n: int) -> np.ndarray:
+    import numpy as np
+
     rng = np.random.default_rng(0xE71C)
     yy, xx = np.mgrid[0:n, 0:n]
     return (100 + 50 * np.cos(xx / 3.0) + 40 * np.sin(yy / 4.0)
@@ -96,6 +105,8 @@ def default_image(n: int) -> np.ndarray:
 def build_encoder(n: int = 16, levels: int = 2, q: int = 3,
                   image: np.ndarray | None = None) -> Program:
     """The EPIC-like encoder as an IR program."""
+    import numpy as np
+
     b = ProgramBuilder("epic")
     image = default_image(n) if image is None else \
         np.asarray(image, dtype=np.int32)
@@ -170,6 +181,8 @@ def build_decoder(n: int = 16, levels: int = 2, q: int = 3,
     program is self-contained; the output reconstruction is checked
     against :func:`decode_reference`.
     """
+    import numpy as np
+
     b = ProgramBuilder("unepic")
     image = default_image(n) if image is None else \
         np.asarray(image, dtype=np.int32)

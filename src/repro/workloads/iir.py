@@ -25,11 +25,15 @@ f64 evaluation order, so IR results match bit-for-bit.
 
 from __future__ import annotations
 
-import numpy as np
+import random
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Program
 from repro.ir.types import F64
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BIQUAD_SECTIONS", "filter_channel", "build_program",
            "reference_output"]
@@ -44,9 +48,11 @@ BIQUAD_SECTIONS: tuple[tuple[float, float, float, float, float], ...] = (
 )
 
 
-def filter_channel(x: np.ndarray,
-                   sections=BIQUAD_SECTIONS) -> np.ndarray:
+def filter_channel(x: Sequence[float],
+                   sections=BIQUAD_SECTIONS) -> "np.ndarray":
     """Reference cascade filter over one channel (matches IR order)."""
+    import numpy as np
+
     z1 = [0.0] * len(sections)
     z2 = [0.0] * len(sections)
     out = np.zeros(len(x), dtype=np.float64)
@@ -63,15 +69,18 @@ def filter_channel(x: np.ndarray,
 
 def build_program(m_channels: int = 16, n_points: int = 64,
                   sections=BIQUAD_SECTIONS,
-                  data: np.ndarray | None = None) -> Program:
-    """Build the IIR IR kernel: channels x (64 points through 4 biquads)."""
+                  data: Optional[Sequence[float]] = None) -> Program:
+    """Build the IIR IR kernel: channels x (64 points through 4 biquads).
+
+    ``data`` gives the ``m_channels * n_points`` input samples, channel
+    after channel (seeded standard-normal samples by default).
+    """
     b = ProgramBuilder("iir")
     nsec = len(sections)
 
     if data is None:
-        rng = np.random.default_rng(0x11B)
-        data = rng.standard_normal(m_channels * n_points)
-    data = np.asarray(data, dtype=np.float64).reshape(m_channels * n_points)
+        rng = random.Random(0x11B)
+        data = [rng.gauss(0.0, 1.0) for _ in range(m_channels * n_points)]
     din = b.array("x_in", (m_channels * n_points,), F64, init=data)
     dout = b.array("y_out", (m_channels * n_points,), F64, output=True)
 
@@ -122,10 +131,12 @@ def default_params(sections=BIQUAD_SECTIONS) -> dict[str, float]:
     return out
 
 
-def reference_output(program_input: np.ndarray, m_channels: int,
+def reference_output(program_input: Sequence[float], m_channels: int,
                      n_points: int,
-                     sections=BIQUAD_SECTIONS) -> np.ndarray:
+                     sections=BIQUAD_SECTIONS) -> "np.ndarray":
     """Expected ``y_out`` contents for the IR kernel's ``x_in``."""
+    import numpy as np
+
     x = np.asarray(program_input, dtype=np.float64).reshape(
         m_channels, n_points)
     out = np.vstack([filter_channel(ch, sections) for ch in x])

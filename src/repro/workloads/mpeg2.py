@@ -14,12 +14,14 @@ All stages have exact Python references used by the tests.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Program
 from repro.ir.types import I32
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["cos_table", "motion_search_reference", "dct8_reference",
            "encode_reference", "build_program"]
@@ -29,6 +31,8 @@ BLK = 8
 
 def cos_table(scale: int = 64) -> np.ndarray:
     """Integer DCT-II basis, ``C[u][k] = round(scale*c(u)*cos(...))``."""
+    import numpy as np
+
     t = np.zeros((BLK, BLK), dtype=np.int32)
     for u in range(BLK):
         cu = math.sqrt(1.0 / BLK) if u == 0 else math.sqrt(2.0 / BLK)
@@ -42,6 +46,8 @@ def motion_search_reference(cur: np.ndarray, ref: np.ndarray, by: int,
                             bx: int, radius: int):
     """Full-search SAD over a clamped +-radius window; returns
     (best_dy, best_dx, best_sad) with row-major tie-breaking."""
+    import numpy as np
+
     h, w = ref.shape
     best = (0, 0, 1 << 30)
     for dy in range(-radius, radius + 1):
@@ -59,6 +65,8 @@ def motion_search_reference(cur: np.ndarray, ref: np.ndarray, by: int,
 
 def dct8_reference(block: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Integer separable 8x8 DCT matching the IR's evaluation order."""
+    import numpy as np
+
     b = np.asarray(block, dtype=np.int64)
     t = table.astype(np.int64)
     rows = np.zeros((BLK, BLK), dtype=np.int64)
@@ -74,6 +82,8 @@ def dct8_reference(block: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def encode_reference(cur: np.ndarray, ref: np.ndarray, radius: int, q: int):
     """Full pipeline reference: returns (motion vectors, coeffs, nonzeros)."""
+    import numpy as np
+
     h, w = cur.shape
     table = cos_table()
     mvs = []
@@ -93,6 +103,8 @@ def encode_reference(cur: np.ndarray, ref: np.ndarray, radius: int, q: int):
 
 
 def _frames(n: int):
+    import numpy as np
+
     rng = np.random.default_rng(0x39E6)
     yy, xx = np.mgrid[0:n, 0:n]
     ref = (96 + 40 * np.sin(xx / 3.0 + 1.0) + 30 * np.cos(yy / 2.0)
@@ -106,6 +118,8 @@ def build_program(n: int = 16, radius: int = 2, q: int = 4,
                   frames: tuple[np.ndarray, np.ndarray] | None = None
                   ) -> Program:
     """The encoder core as an IR program over an ``n x n`` frame pair."""
+    import numpy as np
+
     b = ProgramBuilder("mpeg2")
     cur_f, ref_f = _frames(n) if frames is None else frames
     nb = n // BLK

@@ -11,22 +11,24 @@ unroll-and-squash trade-off the chapter walks through.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Program
 from repro.ir.types import I32, U8
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = ["build_fg_nest", "build_running_example", "fg_reference"]
 
 
 def build_fg_nest(m: int = 16, n: int = 8,
-                  data: np.ndarray | None = None) -> Program:
+                  data: Optional[Sequence[int]] = None) -> Program:
     """The Fig. 2.1 nest: outer over M data items, inner N rounds of f∘g."""
     b = ProgramBuilder("simple-fg")
     if data is None:
-        data = (np.arange(m, dtype=np.uint8) * 37 + 11) & 0xFF
-    data = np.asarray(data, dtype=np.uint8)
+        data = [(k * 37 + 11) & 0xFF for k in range(m)]
     din = b.array("data_in", (m,), U8, init=data)
     dout = b.array("data_out", (m,), U8, output=True)
     a = b.local("a", U8)
@@ -40,8 +42,10 @@ def build_fg_nest(m: int = 16, n: int = 8,
     return b.build()
 
 
-def fg_reference(data: np.ndarray, n: int = 8) -> np.ndarray:
+def fg_reference(data: Sequence[int], n: int = 8) -> "np.ndarray":
     """Expected output of :func:`build_fg_nest`."""
+    import numpy as np
+
     out = np.asarray(data, dtype=np.uint8).copy()
     for _ in range(n):
         out = ((out + 7) & 0xFF) ^ 0x5A
@@ -51,7 +55,7 @@ def fg_reference(data: np.ndarray, n: int = 8) -> np.ndarray:
 def build_running_example(m: int = 8, n: int = 5) -> Program:
     """The Fig. 4.1 running example (uses i, j, and a parameter k)."""
     b = ProgramBuilder("running-example")
-    src = b.array("in", (m,), I32, init=np.arange(m, dtype=np.int32) * 3 + 1)
+    src = b.array("in", (m,), I32, init=[k * 3 + 1 for k in range(m)])
     dst = b.array("out", (m,), I32, output=True)
     b.param("k", I32)
     a = b.local("a", I32)

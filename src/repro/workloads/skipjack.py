@@ -25,12 +25,16 @@ the inner loop is a single basic block.
 
 from __future__ import annotations
 
-import numpy as np
+import random
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Program, Select
 from repro.ir.types import I32, U8, U16
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["F_TABLE", "g_permute", "encrypt_block", "encrypt_ecb",
            "expanded_key_schedule", "build_program", "DEFAULT_KEY",
@@ -107,19 +111,20 @@ def encrypt_ecb(key: bytes, data: bytes) -> bytes:
                     for o in range(0, len(data), 8))
 
 
-def expanded_key_schedule(key: bytes) -> np.ndarray:
+def expanded_key_schedule(key: bytes) -> tuple[int, ...]:
     """The 128-entry cv table: ``cv[4k+m] = key[(4k+m) mod 10]`` (Fig. 2.5)."""
-    return np.array([key[t % 10] for t in range(128)], dtype=np.uint8)
+    return tuple(key[t % 10] for t in range(128))
 
 
 def build_program(m_blocks: int = 16, variant: str = "mem",
                   key: bytes = DEFAULT_KEY, n_rounds: int = 32,
-                  data: np.ndarray | None = None) -> Program:
+                  data: Optional[Sequence[int]] = None) -> Program:
     """Build the Skipjack IR kernel.
 
-    The data stream is stored as ``4*m_blocks`` 16-bit words; the outer
-    loop processes one block per iteration, the annotated inner loop runs
-    ``n_rounds`` rounds.
+    The data stream is stored as ``4*m_blocks`` 16-bit words (seeded
+    random words unless ``data`` gives them); the outer loop processes
+    one block per iteration, the annotated inner loop runs ``n_rounds``
+    rounds.
     """
     if variant not in ("mem", "hw"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -127,19 +132,17 @@ def build_program(m_blocks: int = 16, variant: str = "mem",
     name = f"skipjack-{variant}"
     b = ProgramBuilder(name)
 
-    ftab = np.array(F_TABLE, dtype=np.uint8)
     cvt = expanded_key_schedule(key)[: 4 * n_rounds]
     if rom:
-        F = b.rom("F", ftab, U8)
+        F = b.rom("F", F_TABLE, U8)
         CV = b.rom("cv", cvt, U8)
     else:
-        F = b.array("F", ftab.shape, U8, init=ftab)
-        CV = b.array("cv", cvt.shape, U8, init=cvt)
+        F = b.array("F", (len(F_TABLE),), U8, init=F_TABLE)
+        CV = b.array("cv", (len(cvt),), U8, init=cvt)
 
     if data is None:
-        rng = np.random.default_rng(0x5A5A)
-        data = rng.integers(0, 1 << 16, size=4 * m_blocks, dtype=np.uint16)
-    data = np.asarray(data, dtype=np.uint16)
+        rng = random.Random(0x5A5A)
+        data = [rng.randrange(1 << 16) for _ in range(4 * m_blocks)]
     din = b.array("data_in", (4 * m_blocks,), U16, init=data)
     dout = b.array("data_out", (4 * m_blocks,), U16, output=True)
 
@@ -188,9 +191,11 @@ def build_program(m_blocks: int = 16, variant: str = "mem",
     return b.build()
 
 
-def reference_output(program_input: np.ndarray, key: bytes = DEFAULT_KEY,
-                     n_rounds: int = 32) -> np.ndarray:
+def reference_output(program_input: Sequence[int], key: bytes = DEFAULT_KEY,
+                     n_rounds: int = 32) -> "np.ndarray":
     """Expected ``data_out`` contents for :func:`build_program`'s input."""
+    import numpy as np
+
     words = np.asarray(program_input, dtype=np.uint16)
     out = np.empty_like(words)
     for blk in range(len(words) // 4):

@@ -10,17 +10,22 @@ count — about a dozen loops with a few hot ones, reproducing the
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Program
 from repro.ir.types import I32
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["haar2d", "quantize", "build_program"]
 
 
 def haar2d(img: np.ndarray, levels: int) -> np.ndarray:
     """Reference in-place integer Haar transform (matches the IR order)."""
+    import numpy as np
+
     a = np.asarray(img, dtype=np.int64).copy()
     n = a.shape[0]
     size = n
@@ -48,6 +53,8 @@ def haar2d(img: np.ndarray, levels: int) -> np.ndarray:
 
 def quantize(coeffs: np.ndarray, q: int) -> np.ndarray:
     """Reference deadzone quantizer (truncation toward zero)."""
+    import numpy as np
+
     c = np.asarray(coeffs, dtype=np.int64)
     return (np.sign(c) * (np.abs(c) // q)).astype(np.int64)
 
@@ -55,6 +62,8 @@ def quantize(coeffs: np.ndarray, q: int) -> np.ndarray:
 def build_program(n: int = 16, levels: int = 3, q: int = 4,
                   image: np.ndarray | None = None) -> Program:
     """IR wavelet coder over an ``n x n`` image (n a power of two)."""
+    import numpy as np
+
     b = ProgramBuilder("wavelet")
     if image is None:
         rng = np.random.default_rng(0x3A3)

@@ -9,9 +9,8 @@ from repro.analysis import (
     rewrite_induction_variable, ssa_rename,
 )
 from repro.errors import LegalityError
-from repro.ir import (
-    Assign, Block, Const, I32, ProgramBuilder, U32, Var, run_program,
-)
+from repro.ir import Assign, Block, Const, I32, ProgramBuilder, U32, Var
+from repro.ir.interp import run_program
 from repro.ir.randgen import random_squashable_nest
 from tests.conftest import inner_loop, outer_loop
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import find_loop_nests
-from repro.core import RotationUnsupported, unroll_and_squash
-from repro.ir import Assign, For, run_program, validate_program, walk_stmts
+from repro.core import unroll_and_squash
+from repro.core.rotation import RotationUnsupported
+from repro.ir import Assign, For, validate_program, walk_stmts
+from repro.ir.interp import run_program
 from repro.ir.randgen import random_squashable_nest
 from repro.workloads import iir, skipjack
 from tests.conftest import build_fig21, build_fig41

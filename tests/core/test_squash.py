@@ -16,9 +16,9 @@ from repro.analysis import find_loop_nests
 from repro.core import check_squash, jam_then_squash, unroll_and_squash
 from repro.errors import LegalityError
 from repro.ir import (
-    For, I32, ProgramBuilder, U32, compile_program, run_program,
-    validate_program, walk_stmts,
+    For, I32, ProgramBuilder, U32, validate_program, walk_stmts,
 )
+from repro.ir.interp import compile_program, run_program
 from repro.ir.randgen import SquashNestSpec, random_squashable_nest
 from tests.conftest import build_fig21, build_fig41
 
@@ -146,7 +146,7 @@ class TestLegality:
 
     def test_if_convert_then_squash(self):
         """§4.2: if-conversion makes conditional bodies squashable."""
-        from repro.transforms import if_convert
+        from repro.transforms.ifconvert import if_convert
         b = ProgramBuilder("p")
         out = b.array("out", (8,), U32, output=True)
         x = b.local("x", U32)

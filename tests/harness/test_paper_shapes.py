@@ -13,7 +13,8 @@ from repro.core import unroll_and_squash
 from repro.harness import figure_series, run_fig_2_4, run_table_6_2, \
     run_table_6_3
 from repro.hw import normalize
-from repro.ir import For, run_program, walk_stmts
+from repro.ir import For, walk_stmts
+from repro.ir.interp import run_program
 from repro.nimble import compile_jam, compile_jam_squash, compile_original, \
     compile_squash
 from repro.workloads.simple import build_fg_nest, fg_reference

@@ -2,16 +2,16 @@
 
 :mod:`repro.hw.sched_kernel` replaced these loops bit for bit.  They are
 kept here as they were (minus the attempt counter and the ``mrt`` view)
-so ``tests/hw/test_kernel_parity.py`` can diff the shipped array core
-against an independent, sequential implementation:
+so ``tests/hw/test_kernel_parity.py`` can diff the shipped scheduler
+core against an independent, sequential implementation:
 
 * ``_pred_map`` / ``_attempt`` / ``_violations`` and the repair loop of
   :func:`search`: the modulo II search;
 * ``_probe_exceeding`` and :func:`rec_mii`: the sequential Bellman-Ford
   RecMII probe;
 * :func:`list_schedule`: the cycle-by-cycle list scheduler;
-* ``_slack_orders``: the backtracking orders from topological ASAP/ALAP
-  passes.
+* :func:`slack_levels` and ``_slack_orders``: the backtracking orders
+  from topological ASAP/ALAP passes.
 
 Do not optimise or "fix" anything here: the oracle is what the parity
 suite pins.  Pieces with one implementation (ResMII, SCC grouping, edge
@@ -264,13 +264,11 @@ def search(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
         + ")")
 
 
-def _slack_orders(dfg: DFG, edges: EdgeView, ctx: dict
-                  ) -> list[list[DFGNode]]:
-    """Alternative placement orders tried after the topological one
-    (``repro.hw.schedulers._slack_orders`` with topological ASAP/ALAP
-    passes)."""
-    dmap, rmap, slots = ctx["dmap"], ctx["rmap"], ctx["slots"]
-    topo = ctx["topo"]
+def slack_levels(dfg: DFG, edges: EdgeView, dmap: dict[int, int],
+                 topo: list[DFGNode]) -> tuple[dict[int, int], dict[int, int]]:
+    """ASAP/ALAP levels of the view's distance-0 subgraph by topological
+    passes over ``topo`` (the oracle of
+    ``repro.hw.sched_kernel.slack_levels``)."""
     asap = {}
     preds: dict[int, list[DFGNode]] = {n.nid: [] for n in dfg.nodes}
     succs: dict[int, list[DFGNode]] = {n.nid: [] for n in dfg.nodes}
@@ -294,6 +292,16 @@ def _slack_orders(dfg: DFG, edges: EdgeView, ctx: dict
             if d.nid in alap:
                 latest = min(latest, alap[d.nid] - dmap[n.nid])
         alap[n.nid] = latest
+    return asap, alap
+
+
+def _slack_orders(dfg: DFG, edges: EdgeView, ctx: dict
+                  ) -> list[list[DFGNode]]:
+    """Alternative placement orders tried after the topological one
+    (``repro.hw.schedulers._slack_orders`` with topological ASAP/ALAP
+    passes)."""
+    rmap, slots, topo = ctx["rmap"], ctx["slots"], ctx["topo"]
+    asap, alap = slack_levels(dfg, edges, ctx["dmap"], topo)
     slack = {n.nid: alap[n.nid] - asap[n.nid] for n in topo}
 
     by_slack = sorted(topo, key=lambda n: (slack[n.nid], asap[n.nid], n.nid))

@@ -1,13 +1,14 @@
 """Bit-identity of the shipped scheduler core vs the frozen reference.
 
 ``repro.hw.sched_kernel`` runs the placement/probe/repair loops over
-dense arrays; ``tests/hw/sched_reference.py`` keeps the sequential
-pure-Python loops it replaced.  These tests pin the contract that the
-two are *bit-identical* — same II, same per-node start cycles, same
-reservation tables, same makespans — across seed-pinned random DFGs
-(``ir.randgen`` and ``lang.fuzz`` programs), both targets, all scheduler
-strategies, whole pipeline runs, and every crossing of the II-search
-memo (off/warm) with the core that wrote it.
+flat lists with bitmask slot probing; ``tests/hw/sched_reference.py``
+keeps the sequential loops it replaced.  These tests pin the contract
+that the two are *bit-identical* — same II, same per-node start cycles,
+same reservation tables, same makespans, same RecMII probe verdicts and
+slack levels — across seed-pinned random DFGs (``ir.randgen`` and
+``lang.fuzz`` programs), the suite's largest graphs, both targets, all
+scheduler strategies, whole pipeline runs, and every crossing of the
+II-search memo (off/warm) with the core that wrote it.
 """
 
 import random
@@ -66,7 +67,7 @@ def _schedule_both(analyzed, lib, sname):
     before = _attempts()
     ref = sched_reference.SCHEDULERS[sname].schedule(analyzed.dfg, lib,
                                                      edges=analyzed.edges)
-    assert _attempts() == before  # the oracle never touches the array core
+    assert _attempts() == before  # the oracle never touches the core
     return _sched_record(shipped), _sched_record(ref), passes
 
 
@@ -86,7 +87,7 @@ class TestKernelParity:
                 shipped, ref, passes = _schedule_both(analyzed, lib, sname)
                 assert shipped == ref, f"seed {seed} ds {variant_ds} {sname}"
                 if sname != "list":
-                    assert passes > 0   # the array core really ran
+                    assert passes > 0   # the shipped core really ran
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_fuzz_source_schedules_identical(self, seed):
@@ -192,6 +193,98 @@ class TestKernelParity:
                 records.append(_sched_record(first))
                 records.append(_sched_record(second))
         assert all(r == records[0] for r in records[1:])
+
+
+def _largest_suite_graphs(kernel):
+    """jam(32) and jam+squash J4 at DS 32 on acev and vliw4: the biggest
+    DFGs and edge views of the suite sweep (the latter where DS 32 is
+    legal), as ``(label, library, dfg, edges)``."""
+    from repro.core.squash import locate_jammed_nest
+    from repro.errors import LegalityError
+    from repro.hw.mii import default_edge_view
+    from repro.nimble.compiler import _kernel_program
+    from repro.pipeline.analysis import jam_analyzed_dfg
+    from repro.transforms.unroll_and_jam import unroll_and_jam
+
+    prog, nest = _kernel_program(kernel)
+    jam = jam_analyzed_dfg(prog, nest, 32).dfg
+    jammed = unroll_and_jam(prog, nest, 4)
+    jnest = locate_jammed_nest(jammed, nest, 4)
+    out = []
+    for tspec in ("acev", "vliw4"):
+        lib = decode_target(tspec).library
+        out.append((f"jam(32) @ {tspec}", lib, jam, default_edge_view(jam)))
+        try:
+            a = squash_analyzed_dfg(jammed, jnest, 32, delay_fn=lib.delay)
+        except LegalityError:
+            continue
+        out.append((f"jam+squash(4, 32) @ {tspec}", lib, a.dfg,
+                    list(a.edges)))
+    return out
+
+
+class TestLargestSuiteGraphs:
+    """The list-based probes and slack passes against the oracle on the
+    graphs a suite sweep schedules that the random nests never reach."""
+
+    @pytest.mark.parametrize("kernel", ["skipjack-mem", "skipjack-hw",
+                                        "des-mem", "des-hw", "iir"])
+    def test_slack_levels_and_probe_verdicts(self, kernel):
+        graphs = _largest_suite_graphs(kernel)
+        assert len(graphs[0][2].nodes) > 900
+        for label, lib, dfg, edges in graphs:
+            dmap = {n.nid: lib.delay(n) for n in dfg.nodes}
+            asap, alap = sched_kernel.slack_levels(dfg, edges, dmap)
+            ref_asap, ref_alap = sched_reference.slack_levels(
+                dfg, edges, dmap, dfg.topo_order())
+            assert asap == [ref_asap[n.nid] for n in dfg.nodes], label
+            assert alap == [ref_alap[n.nid] for n in dfg.nodes], label
+            for nids, arcs in _scc_arcs(edges, lib.delay):
+                probe = sched_kernel.make_probe(nids, arcs)
+                hi = sum({u: d for u, _, d, _ in arcs}.values()) + 1
+                # every lambda on the squashed views; around each
+                # component's answer on jam(32), whose copies repeat
+                lo, top = 1, hi
+                while lo < top:
+                    mid = (lo + top) // 2
+                    if sched_reference._probe_exceeding(nids, arcs, mid):
+                        lo = mid + 1
+                    else:
+                        top = mid
+                lams = (range(1, hi + 1) if "squash" in label
+                        else {1, lo - 1, lo, lo + 1, hi} - {0})
+                for lam in lams:
+                    assert probe(lam) == sched_reference._probe_exceeding(
+                        nids, arcs, lam), (label, lam)
+
+
+class TestSlackLevels:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_dags_match_reference(self, seed):
+        """Random delays and fan-in, so a node's longest predecessor path
+        is rarely the last one a topological pass reaches."""
+        from repro.core.dfg import DFG
+        from repro.ir import U32
+
+        rng = random.Random(seed)
+        g = DFG()
+        nodes = [g.add_node(kind="binop", ty=U32, op="add", name=f"n{i}")
+                 for i in range(rng.randrange(2, 40))]
+        edges = []
+        for _ in range(rng.randrange(1, 3 * len(nodes))):
+            a, b = sorted(rng.sample(range(len(nodes)), 2))
+            dist = 0 if rng.random() < 0.8 else rng.randrange(1, 3)
+            if rng.random() < 0.2:
+                a, b = b, a       # a backedge; carried, so off the DAG
+                dist = max(dist, 1)
+            g.add_edge(nodes[a], nodes[b], dist)
+            edges.append((nodes[a], nodes[b], dist))
+        dmap = {n.nid: rng.randrange(0, 6) for n in nodes}
+        asap, alap = sched_kernel.slack_levels(g, edges, dmap)
+        ref_asap, ref_alap = sched_reference.slack_levels(
+            g, edges, dmap, g.topo_order())
+        assert asap == [ref_asap[n.nid] for n in nodes]
+        assert alap == [ref_alap[n.nid] for n in nodes]
 
 
 def _counted_probes(monkeypatch) -> list:

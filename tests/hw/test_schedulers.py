@@ -9,9 +9,11 @@ from repro.analysis import find_loop_nests
 from repro.core import analyze_nest
 from repro.hw import (
     ACEV_LIBRARY, GARP_LIBRARY, area_estimate, list_schedule, min_ii,
-    modulo_schedule, occupancy_timeline, operator_rows, registers_original,
-    registers_pipelined, simulate_modulo, simulate_sequential,
+    modulo_schedule, operator_rows, registers_original, registers_pipelined,
     squash_distances,
+)
+from repro.hw.simulate import (
+    occupancy_timeline, simulate_modulo, simulate_sequential,
 )
 from repro.hw.mii import default_edge_view
 from repro.ir import U32, ProgramBuilder

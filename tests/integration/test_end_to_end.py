@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import find_kernel_nests
 from repro.core import jam_then_squash, unroll_and_squash
-from repro.hw import simulate_modulo, squash_distances, modulo_schedule
-from repro.ir import run_program, validate_program
+from repro.hw import squash_distances, modulo_schedule
+from repro.hw.simulate import simulate_modulo
+from repro.ir import validate_program
+from repro.ir.interp import run_program
 from repro.ir.randgen import random_squashable_nest
 from repro.nimble import ACEV, compile_variants
 from repro.verify import reverify_modulo

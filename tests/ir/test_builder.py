@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import IRError
-from repro.ir import Assign, For, I32, ProgramBuilder, Store, U8, run_program
+from repro.ir import Assign, For, I32, ProgramBuilder, Store, U8
+from repro.ir.interp import run_program
 
 
 class TestDeclarations:

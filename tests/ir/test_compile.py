@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ir import compile_program, run_program
+from repro.ir.interp import compile_program, run_program
 from repro.ir.randgen import RandConfig, random_program
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import InterpError
-from repro.ir import F32, F64, I8, I32, U8, ProgramBuilder, Var, run_program
+from repro.ir import F32, F64, I8, I32, U8, ProgramBuilder, Var
+from repro.ir.interp import run_program
 from repro.ir.interp import Interpreter, eval_binop, make_table_cost_model
 
 

@@ -1,13 +1,16 @@
 """Unit tests for IR node construction and operator overloading."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import IRError, TypeMismatchError
 from repro.ir import (
-    BOOL, F64, I32, U8, ArrayDecl, BinOp, Const, Load, Program, Select, Var,
-    const,
+    BOOL, F32, F64, I8, I32, U8, U16, U32, ArrayDecl, BinOp, Const, Load,
+    Program, ProgramBuilder, Select, Var, as_expr, clone_program, const,
 )
+from repro.lang import compile_source
 
 
 class TestConst:
@@ -98,10 +101,91 @@ class TestArrayDecl:
 
     def test_init_cast_to_decl_dtype(self):
         d = ArrayDecl("t", (3,), U8, init=np.array([1, 2, 3], dtype=np.int64))
-        assert d.init.dtype == np.dtype("u1")
+        assert d.init == (1, 2, 3)
+        assert all(type(v) is int for v in d.init)
 
     def test_size(self):
         assert ArrayDecl("t", (4, 8), I32).size == 32
+
+
+class TestArrayContents:
+    """``ArrayDecl.init`` is a flat, row-major tuple of Python numbers,
+    converted once at construction."""
+
+    def test_nested_rows_flatten_row_major(self):
+        d = ArrayDecl("t", (2, 3), I32, init=[[1, 2, 3], [4, 5, 6]])
+        assert d.init == (1, 2, 3, 4, 5, 6)
+        assert isinstance(d.init, tuple)
+
+    def test_f32_rounds_to_single_precision(self):
+        d = ArrayDecl("t", (3,), F32, init=[0.1, 1e39, -1e39])
+        assert d.init == (float(np.float32(0.1)), math.inf, -math.inf)
+        assert d.init[0] != 0.1
+        assert ArrayDecl("t", (1,), F64, init=[0.1]).init == (0.1,)
+
+    @pytest.mark.parametrize("ty, bad", [(U8, 256), (U8, -1), (I8, 128),
+                                         (I8, -129), (U32, 1 << 32)])
+    def test_out_of_range_int_names_the_array(self, ty, bad):
+        with pytest.raises(IRError, match="'tbl'"):
+            ArrayDecl("tbl", (2,), ty, init=[0, bad])
+
+    def test_builder_raises_irerror_not_overflowerror(self):
+        b = ProgramBuilder("p")
+        with pytest.raises(IRError, match="'x'"):
+            b.array("x", (2,), U8, init=[300, 1])
+        with pytest.raises(IRError, match="'r'"):
+            b.rom("r", [1, 2, 256], U8)
+
+    def test_shape_mismatch_and_non_numbers_rejected(self):
+        with pytest.raises(IRError, match="init shape"):
+            ArrayDecl("t", (2, 2), U8, init=[1, 2, 3, 4])
+        with pytest.raises(IRError, match="regular"):
+            ArrayDecl("t", (2, 2), U8, init=[[1, 2], [3]])
+        with pytest.raises(IRError, match="non-number"):
+            ArrayDecl("t", (2,), U8, init=["1", "2"])
+        with pytest.raises(IRError, match="'t'"):
+            ArrayDecl("t", (1,), I32, init=[math.nan])
+
+    def test_numpy_arrays_and_scalars_accepted(self):
+        d = ArrayDecl("t", (2, 2), U16,
+                      init=np.arange(4, dtype=np.int64).reshape(2, 2))
+        assert d.init == (0, 1, 2, 3)
+        assert all(type(v) is int for v in d.init)
+        d = ArrayDecl("t", (3,), U8, init=[np.uint8(3), np.int64(4), True])
+        assert d.init == (3, 4, 1)
+        d = ArrayDecl("t", (2,), F64,
+                      init=np.array([0.1, 2.5], dtype=np.float32))
+        assert d.init == (float(np.float32(0.1)), 2.5)
+        assert all(type(v) is float for v in d.init)
+        rom = ProgramBuilder("p").rom("r", np.arange(6).reshape(2, 3), U8)
+        assert rom.decl.shape == (2, 3)
+
+    def test_numpy_scalars_as_constants(self):
+        assert as_expr(np.int64(7)).value == 7
+        assert as_expr(np.uint8(7), U8).ty is U8
+        assert as_expr(np.float32(0.5)).ty is F64
+        assert as_expr(np.bool_(True)).ty is BOOL
+        assert const(np.int32(3)).ty is I32
+
+    def test_clone_shares_contents(self):
+        b = ProgramBuilder("p")
+        b.array("t", (2,), U8, init=[1, 2])
+        prog = b.build()
+        twin = clone_program(prog)
+        assert twin.arrays["t"] is not prog.arrays["t"]
+        assert twin.arrays["t"].init is prog.arrays["t"].init
+
+    def test_lang_initializers_wrap_like_c(self):
+        prog = compile_source("""
+        kernel k {
+          rom u8 lut[3] = { 255, 256, -1 };
+          f32 w[2][1] = { 0.1, 2 };
+          output u8 o[1];
+        }
+        """)
+        assert prog.arrays["lut"].init == (255, 0, 255)
+        assert prog.arrays["w"].shape == (2, 1)
+        assert prog.arrays["w"].init == (float(np.float32(0.1)), 2.0)
 
 
 class TestProgram:

@@ -5,9 +5,10 @@ import random
 from repro.ir import (
     Assign, BinOp, Block, Const, For, I32, U8, Var, arrays_read,
     arrays_written, clone_program, clone_stmt, count_nodes, map_exprs,
-    rename_vars, run_program, structurally_equal, substitute, variables_read,
+    rename_vars, structurally_equal, substitute, variables_read,
     variables_written, walk_exprs, walk_stmts,
 )
+from repro.ir.interp import run_program
 from repro.ir.randgen import random_program
 
 

@@ -20,6 +20,7 @@ a ``0`` that ends the input as a malformed hex prefix, a fault the
 scanner does not share (``test_zero_ending_the_input_is_an_int``).
 """
 
+import hashlib
 import pathlib
 import random
 import re
@@ -39,6 +40,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 #: Characters an insertion draws from: literal, operator and comment
 #: characters, quotes, whitespace and two stray ones.
 ALPHABET = ("0123456789abcdefxXuif._-+*/{}[]();,=<>!&|^~?:#\"' \t\n@$eE")
+
+
+#: sha256 of the 64 ``lang-resume`` pool sources joined by NUL.  The
+#: benchmark draws its pool with this generator from the checkout, so a
+#: change beneath it (``repro.lang.fuzz``, ``repro.ir.randgen``'s value
+#: domain) that moved a source would silently move the benchmark inputs.
+POOL_SHA256 = "421af995647f373a7acd137d2174fb392d591d6206bc559aa1ca75bf62e29324"
 
 
 def pool_sources(n: int = 64) -> list[str]:
@@ -97,9 +105,12 @@ def check_mutations(sources: list[str], seed: int, n: int) -> None:
 
 class TestAcceptedSources:
     def test_benchmark_pool(self):
-        for text in pool_sources():
+        pool = pool_sources()
+        for text in pool:
             want = lang_reference.parse(text)
             assert parse(text) == want
+        assert hashlib.sha256("\0".join(pool).encode()).hexdigest() \
+            == POOL_SHA256
 
     def test_committed_kernels_and_examples(self):
         for text in committed_sources():

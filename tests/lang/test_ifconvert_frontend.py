@@ -9,7 +9,8 @@ import pytest
 from repro.analysis import find_kernel_nests, is_straightline
 from repro.cli import main
 from repro.core import unroll_and_squash
-from repro.ir import If, run_program, walk_stmts
+from repro.ir import If, walk_stmts
+from repro.ir.interp import run_program
 from repro.lang import compile_file, compile_source, programs_equivalent
 from repro.lang.diagnostics import SourceText
 from repro.lang.lower import lower

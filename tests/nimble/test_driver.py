@@ -5,10 +5,9 @@ import pytest
 from repro.analysis import find_loop_nests
 from repro.hw import normalize
 from repro.ir import ProgramBuilder, U32
-from repro.nimble import (
-    ACEV, GARP, compile_variants, extract_kernels, profile_summary,
-    select_kernel, target_by_name,
-)
+from repro.nimble import ACEV, GARP, compile_variants, target_by_name
+from repro.nimble.kernel import extract_kernels, select_kernel
+from repro.nimble.profile import profile_summary
 from tests.conftest import build_fig21, build_fig41
 
 

@@ -3,7 +3,7 @@ content keys that make cross-process sharing sound."""
 
 import pytest
 
-from repro.analysis.loops import find_loop_nests
+from repro.analysis.loops import find_kernel_nests, find_loop_nests
 from repro.caches import Memo
 from repro.core.legality import PreparedSquash
 from repro.pipeline.analysis import (
@@ -132,30 +132,12 @@ def _pool_and_suite():
         yield name, lambda bm=bm: bm.build(**bm.eval_kwargs)
 
 
-def _canonical_pickle(base: BaseAnalysis) -> bytes:
-    """``base``'s pickle with the DFG's ``stmt_nodes`` keyed by statement
-    position: it is keyed by ``id(stmt)``, an address that differs
-    between any two builds of the same program."""
-    import pickle
-
-    if base.dfg is None:
-        return pickle.dumps(base, protocol=pickle.HIGHEST_PROTOCOL)
-    where = {id(s): i for i, s in enumerate(base.ssa.stmts)}
-    by_id = base.dfg.stmt_nodes
-    base.dfg.stmt_nodes = {where[k]: n for k, n in by_id.items()}
-    try:
-        return pickle.dumps(base, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        base.dfg.stmt_nodes = by_id
-
-
 class TestBasePickle:
     def test_a_prep_read_from_disk_stores_the_same_base(
             self, monkeypatch, tmp_path):
         """A base built over a prep read back from ``prep-*.pkl`` pickles
-        like one built over a fresh prep: the same size, and the same
-        bytes up to statement addresses (one process, one hash seed)."""
-        from repro.analysis.loops import find_kernel_nests
+        like one built over a fresh prep: the same size and the same
+        bytes (one process, one hash seed)."""
         from repro.store import analysis_store
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -177,5 +159,54 @@ class TestBasePickle:
             reread = AnalysisCache().get_or_build(prog, nest_of(prog))
             assert store.stats.hits == hits + 1, name   # the prep
             assert path.stat().st_size == size, name
-            assert _canonical_pickle(reread) == _canonical_pickle(fresh), \
-                name
+            assert _pickled(reread) == _pickled(fresh), name
+
+    def test_two_builds_pickle_to_equal_bytes(self):
+        """``DFG.stmt_nodes`` is keyed by statement position, not by the
+        statement's address, so two builds of one program's base write
+        the same ``base-*.pkl`` bytes."""
+        from repro.pipeline.analysis import _build_base
+
+        bases = []
+        for _ in range(2):
+            prog = _eval_build("iir")
+            bases.append(_build_base(prog, find_kernel_nests(prog)[0]))
+        assert _pickled(bases[0]) == _pickled(bases[1])
+
+    def test_stages_of_a_base_read_back_from_the_store(
+            self, monkeypatch, tmp_path):
+        """``StageAssignment.of_stmt`` over a base read back from disk
+        gives the stages of a freshly built one."""
+        from repro.core.stages import assign_stages
+        from repro.store import analysis_store
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        store = analysis_store()
+        prog = _eval_build("iir")
+        fresh = AnalysisCache().get_or_build(prog, find_kernel_nests(prog)[0])
+        hits = store.stats.hits
+        prog = _eval_build("iir")
+        reread = AnalysisCache().get_or_build(prog,
+                                              find_kernel_nests(prog)[0])
+        assert store.stats.hits == hits + 1   # the base itself, from disk
+        assert reread is not fresh
+
+        def stages(base):
+            sa = assign_stages(base.dfg, 4)
+            return [sa.of_stmt(base.dfg, k)
+                    for k in range(len(base.ssa.stmts))]
+        assert set(reread.dfg.stmt_nodes) == set(range(len(reread.ssa.stmts)))
+        assert stages(reread) == stages(fresh)
+
+
+def _eval_build(name):
+    from repro.workloads import benchmark_by_name
+
+    bm = benchmark_by_name(name)
+    return bm.build(**bm.eval_kwargs)
+
+
+def _pickled(base: BaseAnalysis) -> bytes:
+    import pickle
+
+    return pickle.dumps(base, protocol=pickle.HIGHEST_PROTOCOL)

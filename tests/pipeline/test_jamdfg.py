@@ -155,8 +155,7 @@ def fingerprint(base):
         edges=[(e.src.nid, e.dst.nid, e.dist, e.kind) for e in dfg.edges],
         regs=[(name, n.nid) for name, n in dfg.regs.items()],
         defs=[(name, n.nid) for name, n in dfg.defs.items()],
-        stmt_nodes=sorted((index[k], n.nid)
-                          for k, n in dfg.stmt_nodes.items()),
+        stmt_nodes=sorted((k, n.nid) for k, n in dfg.stmt_nodes.items()),
         iv_inc=None if dfg.iv_inc is None else dfg.iv_inc.nid,
         stmts=[stmt_to_str(s) for s in ssa.stmts],
         entry=list(ssa.entry.items()),

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import find_loop_nests, is_straightline
 from repro.errors import LegalityError
 from repro.ir import (
-    Const, For, I32, If, ProgramBuilder, U32, U8, run_program, walk_exprs,
-    walk_stmts,
+    Const, For, I32, If, ProgramBuilder, U32, U8, walk_exprs, walk_stmts,
 )
+from repro.ir.interp import run_program
 from repro.ir.randgen import (
     RandConfig, random_program, random_squashable_nest,
 )
-from repro.transforms import if_convert, unroll_and_jam
+from repro.transforms import unroll_and_jam
+from repro.transforms.ifconvert import if_convert
 from tests.conftest import inner_loop
 
 

@@ -22,10 +22,11 @@ from repro.ir import ProgramBuilder, U32
 from repro.nimble.target import decode_target
 from repro.pipeline import CompilationPipeline
 from repro.verify import (
-    check_dfg, check_edge_view, check_ssa, crosscheck_pressure,
-    independent_rec_mii, independent_res_mii, reverify_list,
-    reverify_modulo, verify_analyzed, verify_design_point,
-    verify_scheduled,
+    crosscheck_pressure, independent_rec_mii, independent_res_mii,
+    reverify_list, reverify_modulo, verify_design_point, verify_scheduled,
+)
+from repro.verify.structural import (
+    check_dfg, check_edge_view, check_ssa, verify_analyzed,
 )
 from tests.conftest import build_fig41
 
