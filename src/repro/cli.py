@@ -58,6 +58,7 @@ import argparse
 import contextlib
 import pathlib
 import sys
+from typing import NoReturn
 
 
 @contextlib.contextmanager
@@ -550,8 +551,44 @@ def _cmd_squash(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one stderr line and exit status 2, without the
+    usage dump that ``-h`` prints."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message} "
+                     f"(see {self.prog} -h)\n")
+
+
+def _count(minimum: int):
+    """An argparse ``type`` for an integer flag of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _seconds(text: str) -> float:
+    """An argparse ``type`` for a duration in seconds (> 0)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a number") from None
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be > 0 seconds, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="repro", description="Unroll-and-squash reproduction CLI")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -566,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="acev | garp | vliw4 | acev::ports=N | "
                         "acev::reg_rows=X | vliw4::mul=2,regs=128")
     t.add_argument("--out", help="write artifacts to this directory")
-    t.add_argument("--jobs", type=int, default=None,
+    t.add_argument("--jobs", type=_count(1), default=None,
                    help="parallel sweep workers (default: cores, capped)")
     t.add_argument("--scheduler", default="",
                    help="scheduling strategy for pipelined variants "
@@ -603,16 +640,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scheduling strategy for pipelined variants "
                         "(repeatable; e.g. modulo, backtrack, exact; "
                         "default: the target's)")
-    e.add_argument("--jobs", type=int, default=None,
+    e.add_argument("--jobs", type=_count(1), default=None,
                    help="parallel workers (default: cores, capped)")
-    e.add_argument("--retries", type=int, default=None,
+    e.add_argument("--retries", type=_count(0), default=None,
                    help="re-dispatches of a failing batch before "
-                        "bisection/quarantine (default: $REPRO_RETRIES "
-                        "or 2)")
-    e.add_argument("--timeout", type=float, default=None,
+                        "bisection/quarantine (default: 2)")
+    e.add_argument("--timeout", type=_seconds, default=None,
                    help="per-batch wall-clock budget in seconds; "
                         "overrunning batches are presumed hung "
-                        "(default: $REPRO_BATCH_TIMEOUT or off)")
+                        "(default: off)")
     e.add_argument("--resume", action="store_true",
                    help="resume an interrupted sweep from the result "
                         "cache (the default behavior; this flag just "

@@ -1,11 +1,12 @@
-"""Validated environment-variable parsing for the perf/cache knobs.
+"""Validated environment-variable parsing for the ``REPRO_*`` knobs.
 
-Every knob the sweep hot path reads — ``REPRO_JOBS``,
-``REPRO_EXACT_BUDGET``, ``REPRO_EXACT_NODE_LIMIT``,
-``REPRO_ANALYSIS_CACHE`` — goes through this module, so a typo'd value
-surfaces as a clear :class:`~repro.errors.ReproError` naming the
-variable and the accepted range instead of a raw ``ValueError``
-traceback from deep inside a worker process.
+The mode knobs (``REPRO_ANALYSIS_CACHE``, ``REPRO_VERIFY``,
+``REPRO_TRACE``) and the integer ``REPRO_FAULTS_SEED`` parse here, so a
+typo'd value surfaces as a clear :class:`~repro.errors.ReproError`
+naming the variable and the accepted values instead of a raw
+``ValueError`` traceback from deep inside a worker process.  What a
+flag sets (``--jobs``, ``--retries``, ``--timeout``) has no environment
+twin.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from typing import Optional
 
 from repro.errors import ReproError
 
-__all__ = ["ANALYSIS_CACHE_ENV", "BATCH_TIMEOUT_ENV", "KNOBS", "Knob",
-           "RETRIES_ENV", "TRACE_ENV", "VERIFY_ENV", "analysis_cache_enabled",
-           "batch_timeout", "env_float", "env_int", "registered_knobs",
-           "retries", "trace_mode", "verify_mode"]
+__all__ = ["ANALYSIS_CACHE_ENV", "KNOBS", "Knob", "TRACE_ENV", "VERIFY_ENV",
+           "analysis_cache_enabled", "env_int", "registered_knobs",
+           "trace_mode", "verify_mode"]
 
 #: Controls the shared-analysis machinery (see :mod:`repro.pipeline.analysis`
 #: and :mod:`repro.hw.iimemo`): ``"0"`` disables sharing entirely (the
@@ -38,19 +38,6 @@ ANALYSIS_CACHE_ENV = "REPRO_ANALYSIS_CACHE"
 #: only observe.
 VERIFY_ENV = "REPRO_VERIFY"
 
-#: How many times the supervised engine re-dispatches a failing batch
-#: (worker crash, straggler timeout, or an exception the compiler did
-#: not classify) before bisecting it toward the culprit query.  0 means
-#: quarantine on the first failure.
-RETRIES_ENV = "REPRO_RETRIES"
-
-#: Per-batch wall-clock budget in seconds, measured from dispatch.  A
-#: batch that overruns it is presumed hung: the pool is torn down,
-#: respawned, and the survivors re-dispatched.  Unset disables the
-#: straggler watchdog (the default — real batches have no natural bound
-#: the engine could guess).
-BATCH_TIMEOUT_ENV = "REPRO_BATCH_TIMEOUT"
-
 #: Controls the span/event tracer (see :mod:`repro.obs.trace`): unset/
 #: ``"0"``/``"off"`` (default) hands out no-op spans with no allocation on
 #: the hot path, ``"1"``/``"on"`` records pipeline/scheduler/cache/
@@ -58,9 +45,6 @@ BATCH_TIMEOUT_ENV = "REPRO_BATCH_TIMEOUT"
 #: II instants).  Traced runs are byte-identical to untraced ones — the
 #: tracer only observes.
 TRACE_ENV = "REPRO_TRACE"
-
-#: Default retry budget when neither the CLI nor the env chooses.
-DEFAULT_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -83,8 +67,6 @@ class Knob:
 #: accepted values and the behaviour at each setting.  Order is the
 #: presentation order of ``repro stats --knobs`` and the README tables.
 KNOBS: "tuple[Knob, ...]" = (
-    Knob("REPRO_JOBS", "int >= 1", "1",
-         "Worker-process count for sweeps (same as --jobs)."),
     Knob("REPRO_CACHE_DIR", "path", ".repro_cache",
          "Root directory of the result cache and artifact store."),
     Knob("REPRO_ANALYSIS_CACHE", "0 | 1", "1",
@@ -98,18 +80,6 @@ KNOBS: "tuple[Knob, ...]" = (
          "Span/event tracer: on records pipeline/scheduler/cache/"
          "supervisor spans, full adds per-candidate-II detail.  "
          "Output is byte-identical."),
-    Knob("REPRO_EXACT_BUDGET", "int >= 1", "200000",
-         "Search-node budget across the exact scheduler's whole II "
-         "sweep; exhausting it degrades the optimality claim."),
-    Knob("REPRO_EXACT_NODE_LIMIT", "int >= 1", "400",
-         "Largest DFG (node count) the exact scheduler will attempt; "
-         "bigger graphs skip the exact search."),
-    Knob("REPRO_RETRIES", "int >= 0", str(DEFAULT_RETRIES),
-         "Re-dispatch attempts for a failing batch before bisecting "
-         "toward the culprit query (same as --retries)."),
-    Knob("REPRO_BATCH_TIMEOUT", "float seconds > 0", "unset",
-         "Per-batch wall-clock budget; overruns presume a hang and "
-         "respawn the pool (same as --timeout).  Unset disables."),
     Knob("REPRO_FAULTS", "kind@site:prob,...", "unset",
          "Deterministic fault-injection plan, e.g. crash@worker:0.3,"
          "torn@store:0.5.  Sites: worker (crash/hang), store/cache "
@@ -145,52 +115,6 @@ def env_int(name: str, default: Optional[int],
         raise ReproError(
             f"{name}={raw!r} is out of range; the minimum is {minimum}")
     return val
-
-
-def env_float(name: str, default: Optional[float],
-              minimum: Optional[float] = None,
-              exclusive: bool = False) -> Optional[float]:
-    """Read a float knob; unset/empty returns ``default``.
-
-    Non-numeric or out-of-range values raise :class:`ReproError` naming
-    the variable and the accepted range.  ``exclusive`` makes the
-    ``minimum`` bound strict (e.g. a timeout must be > 0).
-    """
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        val = float(raw)
-    except ValueError:
-        raise ReproError(
-            f"{name}={raw!r} is not a number; set it to a value"
-            + (f" {'>' if exclusive else '>='} {minimum}"
-               if minimum is not None else "")) from None
-    if minimum is not None and (val < minimum
-                                or (exclusive and val == minimum)):
-        raise ReproError(
-            f"{name}={raw!r} is out of range; it must be "
-            f"{'>' if exclusive else '>='} {minimum}")
-    return val
-
-
-def retries(override: Optional[int] = None) -> int:
-    """The engine's retry budget: explicit override, env, or default."""
-    if override is not None:
-        if override < 0:
-            raise ReproError(f"retries must be >= 0, got {override}")
-        return override
-    return env_int(RETRIES_ENV, DEFAULT_RETRIES, minimum=0) or 0
-
-
-def batch_timeout(override: Optional[float] = None) -> Optional[float]:
-    """The per-batch wall-clock budget (seconds), or ``None`` when off."""
-    if override is not None:
-        if override <= 0:
-            raise ReproError(
-                f"the batch timeout must be > 0 seconds, got {override}")
-        return override
-    return env_float(BATCH_TIMEOUT_ENV, None, minimum=0.0, exclusive=True)
 
 
 def analysis_cache_enabled() -> bool:

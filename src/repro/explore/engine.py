@@ -35,8 +35,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro import env as env_knobs
-from repro.env import env_int
+from repro.errors import ReproError
 from repro.explore.cache import CacheStats, NullCache, ResultCache
 from repro.explore.space import DesignQuery, FailRecord, SkipRecord
 from repro.explore.supervise import BatchFailure, run_inline, run_supervised
@@ -45,15 +44,19 @@ from repro.nimble.compiler import compile_query_batch
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-__all__ = ["ExploreResult", "default_jobs", "evaluate"]
+__all__ = ["DEFAULT_RETRIES", "ExploreResult", "default_jobs", "evaluate"]
 
 #: Cap on the default worker count for *small* sweeps: tens of designs
 #: pay more in fork cost than they win in parallelism beyond this.
 _MAX_DEFAULT_JOBS = 8
 
-#: Hard ceiling on the auto-scaled worker count for large sweeps (the
-#: ``REPRO_JOBS`` override is never capped).
+#: Hard ceiling on the auto-scaled worker count for large sweeps (an
+#: explicit ``jobs`` is never capped).
 _MAX_SCALED_JOBS = 32
+
+#: Re-dispatches of a failing batch before bisection when the caller
+#: does not choose (``--retries``).
+DEFAULT_RETRIES = 2
 
 
 def _physical_target(spec: str) -> str:
@@ -72,17 +75,12 @@ def _physical_target(spec: str) -> str:
 def default_jobs(n_tasks: Optional[int] = None) -> int:
     """Worker count when the caller does not choose.
 
-    ``REPRO_JOBS`` (validated; non-integer or < 1 raises
-    :class:`~repro.errors.ReproError`) always wins.  Otherwise the
-    machine's core count, capped at ``_MAX_DEFAULT_JOBS`` — unless
+    The machine's core count, capped at ``_MAX_DEFAULT_JOBS`` — unless
     ``n_tasks`` says the sweep is large, in which case the cap scales
     with the actual work (one worker per ~4 dispatch units, up to
     ``_MAX_SCALED_JOBS``) instead of idling cores on thousand-point
     sweeps.
     """
-    env = env_int("REPRO_JOBS", None, minimum=1)
-    if env is not None:
-        return env
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
@@ -220,10 +218,11 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
     disables caching entirely.  Identical queries are deduplicated —
     duplicates cost one compile (and one cache lookup), not N.
 
-    Fault policy: ``retries`` (default ``REPRO_RETRIES``, 2) bounds how
-    often a failing batch is re-dispatched before bisection/quarantine;
-    ``batch_timeout`` (seconds; default ``REPRO_BATCH_TIMEOUT``, off)
-    arms the straggler watchdog.  Both are validated.
+    Fault policy: ``retries`` (``None``: :data:`DEFAULT_RETRIES`) bounds
+    how often a failing batch is re-dispatched before bisection/
+    quarantine; ``batch_timeout`` (seconds; ``None``: off) arms the
+    straggler watchdog.  A negative ``retries`` or a non-positive
+    ``batch_timeout`` raises :class:`~repro.errors.ReproError`.
 
     ``on_progress`` (optional) receives a small dict (designs done /
     total, retries, quarantines, respawns) after every batch completion
@@ -236,8 +235,13 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
     """
     from repro.faults import active_plan
     active_plan()   # validate REPRO_FAULTS in the parent, not a worker
-    retries = env_knobs.retries(retries)
-    batch_timeout = env_knobs.batch_timeout(batch_timeout)
+    if retries is None:
+        retries = DEFAULT_RETRIES
+    elif retries < 0:
+        raise ReproError(f"retries must be >= 0, got {retries}")
+    if batch_timeout is not None and batch_timeout <= 0:
+        raise ReproError(
+            f"the batch timeout must be > 0 seconds, got {batch_timeout}")
 
     queries = list(queries)
     cache = cache if cache is not None else NullCache()

@@ -278,7 +278,6 @@ def run_supervised(batches: Sequence[Sequence[int]],
                    workers: int,
                    retries: int = 0,
                    batch_timeout: Optional[float] = None,
-                   mp_context=None,
                    on_progress: Optional[Callable[[dict], None]] = None
                    ) -> None:
     """Pool-backed supervised dispatch — the engine's parallel core.
@@ -299,8 +298,7 @@ def run_supervised(batches: Sequence[Sequence[int]],
     inflight: dict[Future, _Task] = {}
 
     def spawn() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=workers,
-                                   mp_context=mp_context)
+        return ProcessPoolExecutor(max_workers=workers)
 
     def respawn() -> None:
         nonlocal pool

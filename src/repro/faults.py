@@ -82,8 +82,8 @@ SITES: dict[str, tuple[str, ...]] = {
 }
 
 #: How long a ``hang`` fault sleeps in a worker — far past any sane
-#: ``REPRO_BATCH_TIMEOUT``, so the supervisor's straggler handling (not
-#: the sleep expiring) is what recovers the sweep.
+#: ``--timeout``, so the supervisor's straggler handling (not the sleep
+#: expiring) is what recovers the sweep.
 _HANG_SECONDS = 3600.0
 
 #: Process exit code of an injected worker crash (SIGKILL-ish, distinct

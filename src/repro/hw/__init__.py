@@ -13,9 +13,6 @@ from repro.hw.mii import (  # noqa: F401
 )
 from repro.hw.modulo import ModuloSchedule, modulo_schedule  # noqa: F401
 from repro.hw.listsched import ListSchedule, list_schedule  # noqa: F401
-from repro.hw.exact import (  # noqa: F401
-    ExactSchedule, IICertificate, exact_modulo_schedule,
-)
 from repro.hw.schedulers import (  # noqa: F401
     DEFAULT_SCHEDULER, BacktrackingModuloScheduler, ExactModuloScheduler,
     IterativeModuloScheduler, ListScheduler, Scheduler,

@@ -48,10 +48,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.dfg import DFG, DFGNode
-from repro.env import env_int
 from repro.hw.mii import EdgeView, default_edge_view
 from repro.hw.modulo import ModuloSchedule
 from repro.hw.ops import OperatorLibrary, cached_delay_map
+from repro.hw.schedulers import backtracking_modulo_schedule
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -63,15 +63,12 @@ __all__ = ["DEFAULT_BUDGET", "DEFAULT_NODE_LIMIT", "ExactSchedule",
            "IICertificate", "exact_modulo_schedule"]
 
 #: Default cap on explored search nodes across the whole II sweep
-#: (override with the ``REPRO_EXACT_BUDGET`` environment variable).
+#: (``budget=`` overrides it per call).
 DEFAULT_BUDGET = 200_000
 
 #: Default cap on DFG size; larger graphs skip the exact search entirely
-#: (override with the ``REPRO_EXACT_NODE_LIMIT`` environment variable).
+#: (``node_limit=`` overrides it per call).
 DEFAULT_NODE_LIMIT = 400
-
-_ENV_BUDGET = "REPRO_EXACT_BUDGET"
-_ENV_NODE_LIMIT = "REPRO_EXACT_NODE_LIMIT"
 
 
 @dataclass(frozen=True)
@@ -122,12 +119,6 @@ class _Budget:
         self.spent += 1
         if self.spent > self.limit:
             raise _BudgetExceeded
-
-
-def _env_int(name: str, default: int) -> int:
-    """Validated env override (``repro.env.env_int``): non-integer or
-    negative values raise a clear :class:`repro.errors.ReproError`."""
-    return env_int(name, default, minimum=0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +405,9 @@ def _exact_impl(dfg: DFG, lib: OperatorLibrary,
                 budget: Optional[int],
                 node_limit: Optional[int],
                 min_ii: Optional[int]) -> ExactSchedule:
-    from repro.hw.schedulers import backtracking_modulo_schedule
-
     edges = edges if edges is not None else default_edge_view(dfg)
-    budget = _env_int(_ENV_BUDGET, DEFAULT_BUDGET) if budget is None \
-        else budget
-    node_limit = _env_int(_ENV_NODE_LIMIT, DEFAULT_NODE_LIMIT) \
-        if node_limit is None else node_limit
+    budget = DEFAULT_BUDGET if budget is None else budget
+    node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
 
     ub = backtracking_modulo_schedule(dfg, lib, edges=edges, max_ii=max_ii,
                                       min_ii=min_ii)

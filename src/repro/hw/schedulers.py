@@ -43,15 +43,17 @@ Registering a new strategy::
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from repro.core.dfg import DFG, DFGNode
-from repro.hw.exact import ExactSchedule, exact_modulo_schedule
 from repro.hw.listsched import ListSchedule, list_schedule
 from repro.hw.mii import EdgeView, default_edge_view
 from repro.hw.modulo import ModuloSchedule, _search, _search_state, \
     modulo_schedule
 from repro.hw.ops import OperatorLibrary
+
+if TYPE_CHECKING:
+    from repro.hw.exact import ExactSchedule
 
 __all__ = ["DEFAULT_SCHEDULER", "BacktrackingModuloScheduler",
            "ExactModuloScheduler", "IterativeModuloScheduler",
@@ -195,10 +197,11 @@ class ExactModuloScheduler:
     """Branch-and-bound optimal modulo scheduling (the testing oracle).
 
     Returns an :class:`repro.hw.exact.ExactSchedule` whose II is
-    certified minimal whenever the search completes within the
-    configured budget (``REPRO_EXACT_BUDGET`` search nodes,
-    ``REPRO_EXACT_NODE_LIMIT`` DFG nodes); beyond either it degrades to
-    the backtracking heuristic's schedule, uncertified.
+    certified minimal whenever the search completes within the default
+    budget (:data:`repro.hw.exact.DEFAULT_BUDGET` search nodes,
+    :data:`repro.hw.exact.DEFAULT_NODE_LIMIT` DFG nodes); beyond either
+    it degrades to the backtracking heuristic's schedule, uncertified.
+    Only this strategy loads :mod:`repro.hw.exact`.
     """
 
     name = "exact"
@@ -206,6 +209,7 @@ class ExactModuloScheduler:
 
     def schedule(self, dfg, lib, edges=None, max_ii=None,
                  min_ii=None) -> ExactSchedule:
+        from repro.hw.exact import exact_modulo_schedule
         return exact_modulo_schedule(dfg, lib, edges=edges, max_ii=max_ii,
                                      min_ii=min_ii)
 

@@ -1,16 +1,12 @@
-"""Reference interpreter and compiled executor for IR programs.
+"""Reference interpreter for IR programs.
 
-Two execution engines with identical semantics:
+:class:`Interpreter` is a tree-walking evaluator that also attributes a
+per-operation cost to every enclosing loop.  It is the one program
+executor: the semantics oracle for all transformation correctness tests,
+the functional check of ``repro compile``/``repro squash``, and the
+engine behind the Table 1.1 loop profiler.
 
-* :class:`Interpreter` — a tree-walking evaluator that also attributes a
-  per-operation cost to every enclosing loop.  It is the semantics oracle
-  for all transformation correctness tests and the engine behind the
-  Table 1.1 loop profiler.
-* :func:`compile_program` — translates a program to a Python function
-  (textual code generation) for fast functional verification of large
-  transformed kernels.  Property tests pin it to the tree-walker.
-
-Semantics notes (shared by both engines):
+Semantics notes:
 
 * integer ops wrap at the expression's declared width (two's complement);
 * scalar assignment wraps at the *local's* declared width (C assignment);
@@ -44,18 +40,13 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ExecutionResult", "LoopRecord", "Interpreter", "run_program",
-    "compile_program", "array_storage", "CostModel", "UNIT_COSTS",
+    "array_storage", "CostModel",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Cost model
 # ---------------------------------------------------------------------------
-
-#: op-kind -> abstract cost.  The default charges 1 per operation, which is
-#: what the thesis's profiling front-end effectively measured (basic-block
-#: execution traces).  The hardware layer supplies latency-weighted models.
-UNIT_COSTS: dict[str, int] = {}
 
 #: Runtime scalar values: ints (bools flow as 0/1) and floats.
 Scalar = Union[int, float]
@@ -64,6 +55,9 @@ CostModel = Callable[[str, ScalarType], int]
 
 
 def _unit_cost(op: str, ty: ScalarType) -> int:
+    """The default model: 1 per operation, which is what the thesis's
+    profiling front-end effectively measured (basic-block execution
+    traces).  The hardware layer supplies latency-weighted models."""
     return 1
 
 
@@ -84,7 +78,7 @@ def array_storage(decl: ArrayDecl, override: Any = None) -> "np.ndarray":
     ``override`` (any array-like of the declared shape) replaces the
     contents of a non-ROM array; otherwise the declared contents are
     used, and arrays without any start zero-filled.  Every value-level
-    reader (both engines here, :mod:`repro.vliw.simulate`) builds its
+    reader (:class:`Interpreter`, :mod:`repro.vliw.simulate`) builds its
     storage through this one helper.
     """
     import numpy as np
@@ -382,200 +376,3 @@ def run_program(program: Program, params: Optional[dict[str, int]] = None,
                 cost_model: Optional[CostModel] = None) -> ExecutionResult:
     """One-shot convenience wrapper around :class:`Interpreter`."""
     return Interpreter(program, cost_model).run(params, arrays)
-
-
-# ---------------------------------------------------------------------------
-# Compile-to-Python fast path
-# ---------------------------------------------------------------------------
-
-class _PyGen:
-    """Textual code generator producing a Python executable for a program."""
-
-    def __init__(self, program: Program):
-        self.p = program
-        self.lines: list[str] = []
-        self.indent = 1
-
-    def w(self, text: str) -> None:
-        self.lines.append("    " * self.indent + text)
-
-    # expression codegen -----------------------------------------------------
-
-    def _wrap(self, text: str, ty: ScalarType) -> str:
-        if ty.is_float:
-            return f"_f32({text})" if ty == F32 else text
-        if ty.signed:
-            return f"_sw({text}, {ty.mask}, {1 << (ty.bits - 1)})"
-        return f"(({text}) & {ty.mask})"
-
-    def expr(self, e: Expr) -> str:
-        if isinstance(e, Const):
-            return repr(e.value)
-        if isinstance(e, Var):
-            return f"V_{e.name}"
-        if isinstance(e, BinOp):
-            a, b = self.expr(e.lhs), self.expr(e.rhs)
-            op = e.op
-            if op in ("lt", "le", "gt", "ge", "eq", "ne"):
-                sym = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=",
-                       "eq": "==", "ne": "!="}[op]
-                return f"(1 if ({a}) {sym} ({b}) else 0)"
-            if op in ("min", "max"):
-                return self._wrap(f"{op}({a}, {b})", e.ty)
-            if op == "div":
-                return (f"(({a}) / ({b}))" if e.ty.is_float
-                        else self._wrap(f"_idiv({a}, {b})", e.ty))
-            if op == "mod":
-                return self._wrap(f"_imod({a}, {b})", e.ty)
-            if op == "shl":
-                return self._wrap(f"_shl({a}, {b}, {e.ty.bits})", e.ty)
-            if op == "shr":
-                return self._wrap(f"_shr({a}, {b}, {e.ty.bits})", e.ty)
-            sym = {"add": "+", "sub": "-", "mul": "*", "and": "&",
-                   "or": "|", "xor": "^"}[op]
-            return self._wrap(f"({a}) {sym} ({b})", e.ty)
-        if isinstance(e, UnOp):
-            v = self.expr(e.operand)
-            if e.op == "neg":
-                return self._wrap(f"-({v})", e.ty)
-            return self._wrap(f"~int({v})", e.ty)
-        if isinstance(e, Load):
-            decl = self.p.arrays[e.array]
-            idx = ", ".join(self.expr(i) for i in e.index)
-            conv = "float" if decl.ty.is_float else "int"
-            return f"{conv}(A_{e.array}[{idx}])"
-        if isinstance(e, Select):
-            c = self.expr(e.cond)
-            t = self.expr(e.iftrue)
-            f = self.expr(e.iffalse)
-            # evaluate both arms, as hardware select would
-            return self._wrap(f"_sel({c}, {t}, {f})", e.ty)
-        if isinstance(e, Cast):
-            v = self.expr(e.operand)
-            if e.ty.is_float:
-                return self._wrap(f"float({v})", e.ty)
-            return self._wrap(f"int({v})", e.ty)
-        raise InterpError(f"unknown expression node {type(e).__name__}")
-
-    # statement codegen --------------------------------------------------------
-
-    def stmt(self, s: Stmt) -> None:
-        if isinstance(s, Assign):
-            ty = self.p.scalar_type(s.var)
-            src = self.expr(s.expr)
-            if ty.is_float and not s.expr.ty.is_float:
-                src = f"float({src})"
-            elif not ty.is_float and s.expr.ty.is_float:
-                src = f"int({src})"
-            self.w(f"V_{s.var} = {self._wrap(src, ty)}")
-            return
-        if isinstance(s, Store):
-            decl = self.p.arrays[s.array]
-            idx = ", ".join(self.expr(i) for i in s.index)
-            val = self.expr(s.value)
-            if not decl.ty.is_float:
-                val = self._wrap(f"int({val})", decl.ty)
-            self.w(f"A_{s.array}[{idx}] = {val}")
-            return
-        if isinstance(s, Block):
-            if not s.stmts:
-                self.w("pass")
-            for c in s.stmts:
-                self.stmt(c)
-            return
-        if isinstance(s, For):
-            lo, hi = self.expr(s.lo), self.expr(s.hi)
-            self.w(f"for V_{s.var} in range({lo}, {hi}, {s.step}):")
-            self.indent += 1
-            if s.body.stmts:
-                self.stmt(s.body)
-            else:
-                self.w("pass")
-            self.indent -= 1
-            return
-        if isinstance(s, If):
-            self.w(f"if {self.expr(s.cond)}:")
-            self.indent += 1
-            self.stmt(s.then) if s.then.stmts else self.w("pass")
-            self.indent -= 1
-            if s.orelse.stmts:
-                self.w("else:")
-                self.indent += 1
-                self.stmt(s.orelse)
-                self.indent -= 1
-            return
-        raise InterpError(f"unknown statement node {type(s).__name__}")
-
-    def generate(self) -> str:
-        header = [
-            "def _program(params, arrays):",
-        ]
-        for name in self.p.params:
-            self.lines.insert(0, f"    V_{name} = params[{name!r}]")
-        for name in self.p.arrays:
-            self.lines.insert(0, f"    A_{name} = arrays[{name!r}]")
-        self.stmt(self.p.body)
-        self.w("return {k: v for k, v in locals().items() if k.startswith('V_')}")
-        return "\n".join(header + self.lines) + "\n"
-
-
-_PRELUDE = """
-from repro.ir.types import round_f32 as _f32
-
-def _sw(x, mask, sign):
-    x &= mask
-    return x - (sign << 1) if x >= sign else x
-
-def _idiv(a, b):
-    if b == 0:
-        raise ZeroDivisionError('integer division by zero')
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-def _imod(a, b):
-    return a - _idiv(a, b) * b
-
-def _shl(a, b, bits):
-    return 0 if (b >= bits or b < 0) else a << b
-
-def _shr(a, b, bits):
-    return (a >> min(b, bits)) if b >= 0 else 0
-
-def _sel(c, t, f):
-    return t if c else f
-"""
-
-
-def compile_program(program: Program) -> Callable[..., ExecutionResult]:
-    """Compile a program to a fast Python callable.
-
-    The callable has the same signature as :meth:`Interpreter.run` and
-    returns an :class:`ExecutionResult` (without cost accounting, which the
-    tree-walker provides).  Generated code is pure Python so semantics stay
-    inspectable: ``compile_program(p).source`` holds the text.
-    """
-    gen = _PyGen(program)
-    body_src = gen.generate()
-    src = _PRELUDE + "\n" + body_src
-    namespace: dict = {}
-    exec(compile(src, f"<ir:{program.name}>", "exec"), namespace)
-    fn = namespace["_program"]
-
-    def run(params: Optional[dict[str, int]] = None,
-            arrays: Optional[dict[str, np.ndarray]] = None) -> ExecutionResult:
-        params = dict(params or {})
-        for p in program.params:
-            if p not in params:
-                raise InterpError(f"missing parameter {p!r}")
-        storage = {name: array_storage(decl, (arrays or {}).get(name))
-                   for name, decl in program.arrays.items()}
-        try:
-            scal = fn(params, storage)
-        except (ZeroDivisionError, IndexError) as exc:
-            raise InterpError(str(exc)) from exc
-        scalars = {k[2:]: v for k, v in scal.items()
-                   if k.startswith("V_") and k[2:] not in params}
-        return ExecutionResult(arrays=storage, scalars=scalars)
-
-    run.source = src  # type: ignore[attr-defined]
-    return run

@@ -4,8 +4,8 @@ Two generators:
 
 * :func:`random_program` — arbitrary structured programs (straight-line
   code, nested counted loops, conditionals, array traffic), valid by
-  construction.  Used to pin the compiled executor to the tree-walking
-  interpreter and to check that if-conversion preserves semantics.
+  construction.  Used to check that if-conversion preserves semantics
+  and that programs survive cloning and the ``.lang`` round trip.
 * :func:`random_squashable_nest` — inner/outer loop pairs that satisfy the
   unroll-and-squash requirements by construction (parallel outer
   iterations, single-basic-block inner loop with scalar recurrences, ROM

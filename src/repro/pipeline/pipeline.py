@@ -48,7 +48,6 @@ from repro.env import analysis_cache_enabled
 from repro.errors import LegalityError, ScheduleError, VerifyError
 from repro.hw.area import operator_rows, registers_original, \
     registers_pipelined
-from repro.hw.exact import ExactSchedule
 from repro.hw.modulo import ModuloSchedule
 from repro.hw.report import DesignPoint, variant_label
 from repro.hw.schedulers import DEFAULT_SCHEDULER, Scheduler, \
@@ -380,9 +379,10 @@ class CompilationPipeline:
         # a certified exact schedule pins the design's optimal II; an
         # uncertified (budget-degraded) one claims nothing, and neither
         # does a register-pressure-floored one — its certificate proves
-        # minimality above the floor only, not the design optimum
-        exact_ii = sched.ii if isinstance(sched, ExactSchedule) \
-            and sched.certified and not scheduled.ii_floored else None
+        # minimality above the floor only, not the design optimum.  Only
+        # the exact scheduler's schedules carry ``certified``
+        exact_ii = sched.ii if getattr(sched, "certified", False) \
+            and not scheduled.ii_floored else None
         plan = VARIANT_PLANS[t.variant]
         pressure = scheduled.pressure
         return DesignPoint(

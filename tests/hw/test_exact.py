@@ -9,11 +9,10 @@ backtracking heuristic, and the optimality surface on
 from repro.analysis import find_loop_nests
 from repro.core import analyze_nest
 from repro.core.dfg import DFG
-from repro.hw import (
-    ACEV_LIBRARY, ExactSchedule, IICertificate, exact_modulo_schedule,
-    modulo_schedule, squash_distances,
+from repro.hw import ACEV_LIBRARY, modulo_schedule, squash_distances
+from repro.hw.exact import (
+    ExactSchedule, IICertificate, _Budget, _decide_ii, exact_modulo_schedule,
 )
-from repro.hw.exact import _decide_ii, _Budget
 from repro.hw.mii import default_edge_view
 from repro.hw.ops import cached_delay_map
 from repro.hw.schedulers import backtracking_modulo_schedule
@@ -119,13 +118,6 @@ class TestGapInstance:
         sched = exact_modulo_schedule(dfg, lib, node_limit=1)
         assert not sched.certified and sched.fallback == "backtrack"
         assert sched.explored == 0
-
-    def test_env_budget_override(self, monkeypatch):
-        dfg, lib = _gap_dfg()
-        monkeypatch.setenv("REPRO_EXACT_BUDGET", "0")
-        assert not exact_modulo_schedule(dfg, lib).certified
-        monkeypatch.setenv("REPRO_EXACT_BUDGET", "100000")
-        assert exact_modulo_schedule(dfg, lib).certified
 
     def test_heuristic_at_mii_certifies_for_free(self):
         # when the backtracking II meets max(RecMII, ResMII), the bound

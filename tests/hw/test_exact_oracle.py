@@ -21,7 +21,8 @@ import repro
 from repro.analysis import find_loop_nests
 from repro.core import analyze_nest
 from repro.explore import DesignSpace, evaluate, format_pareto
-from repro.hw import ACEV_LIBRARY, exact_modulo_schedule, squash_distances
+from repro.hw import ACEV_LIBRARY, squash_distances
+from repro.hw.exact import exact_modulo_schedule
 from repro.hw.mii import default_edge_view
 from repro.hw.schedulers import backtracking_modulo_schedule, \
     modulo_schedule

@@ -112,22 +112,28 @@ class TestSummarizeEvents:
 
 class TestKnobRegistry:
     def test_every_env_read_in_src_is_registered(self):
-        """Grep ``src/`` for REPRO_* reads; each must be a declared knob.
+        """Grep ``src/``, ``README.md`` and the CI workflow for REPRO_*
+        names; each must be a declared knob.
 
         The knob table in :mod:`repro.env` is what ``repro stats
         --knobs`` and the README present as the complete configuration
-        surface — an unregistered knob is invisible configuration.
+        surface — an unregistered knob is invisible configuration, and
+        a retired one that CI still sets or the README still documents
+        silently does nothing.
         """
-        read = set()
-        for path in (ROOT / "src").rglob("*.py"):
-            read |= set(re.findall(r"\bREPRO_[A-Z_]+\b", path.read_text()))
-        # test-only infrastructure knobs live outside src by design
-        read.discard("REPRO_TEST_TIMEOUT")
+        paths = [*(ROOT / "src").rglob("*.py"), ROOT / "README.md",
+                 ROOT / ".github" / "workflows" / "ci.yml"]
+        named = set()
+        for path in paths:
+            named |= set(re.findall(r"\bREPRO_[A-Z_]+\b", path.read_text()))
+        # the suite's own per-test watchdog (tests/conftest.py), which
+        # the README documents, is no program knob
+        named.discard("REPRO_TEST_TIMEOUT")
         registered = set(registered_knobs())
-        unregistered = sorted(read - registered)
+        unregistered = sorted(named - registered)
         assert not unregistered, (
-            f"REPRO_* variables read in src/ but missing from "
-            f"repro.env.KNOBS: {unregistered}")
+            f"REPRO_* variables named in src/, README.md or ci.yml but "
+            f"missing from repro.env.KNOBS: {unregistered}")
 
     def test_every_registered_knob_is_read_somewhere(self):
         source = "\n".join(p.read_text()

@@ -184,6 +184,25 @@ class TestExploreCommand:
         assert "--resume needs the result cache" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--kernel", "iir", "--variants", "original",
+         "--jobs", "0"],
+        ["tables", "6.2", "--factors", "2", "--jobs", "0"],
+        ["explore", "--kernel", "iir", "--variants", "original",
+         "--retries", "-1"],
+        ["explore", "--kernel", "iir", "--variants", "original",
+         "--timeout", "0"],
+        ["explore", "--kernel", "iir", "--variants", "original",
+         "--timeout", "soon"],
+    ])
+    def test_bad_sweep_flag_is_a_one_line_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"error: argument {argv[-2]}: " in err[0]
+
     def test_bad_fault_spec_fails_before_forking(self, monkeypatch):
         from repro.errors import ReproError
         monkeypatch.setenv("REPRO_FAULTS", "crash@worker")

@@ -1,16 +1,15 @@
 """Validated environment knobs: clear errors instead of raw tracebacks,
-and the worker-count scaling rules."""
+the worker-count scaling rules, and the engine's fault-policy defaults."""
 
 import pytest
 
-from repro.env import (
-    BATCH_TIMEOUT_ENV, RETRIES_ENV, analysis_cache_enabled, batch_timeout,
-    env_float, env_int, retries, verify_mode,
-)
+from repro.env import analysis_cache_enabled, env_int, verify_mode
 from repro.errors import ReproError
+from repro.explore import engine
 from repro.explore.engine import (
-    _MAX_DEFAULT_JOBS, _MAX_SCALED_JOBS, default_jobs,
+    _MAX_DEFAULT_JOBS, _MAX_SCALED_JOBS, default_jobs, evaluate,
 )
+from repro.explore.space import DesignQuery
 
 
 class TestEnvInt:
@@ -37,121 +36,49 @@ class TestEnvInt:
             env_int("REPRO_TEST_KNOB", 7, minimum=1)
 
 
-class TestEnvFloat:
-    def test_unset_returns_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
-        assert env_float("REPRO_TEST_KNOB", 1.5) == 1.5
-        assert env_float("REPRO_TEST_KNOB", None) is None
-
-    def test_valid_value_parses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "2.5")
-        assert env_float("REPRO_TEST_KNOB", None) == 2.5
-
-    def test_non_numeric_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "soon")
-        with pytest.raises(ReproError, match="REPRO_TEST_KNOB.*number"):
-            env_float("REPRO_TEST_KNOB", None)
-
-    def test_exclusive_minimum(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "0")
-        with pytest.raises(ReproError, match="> 0"):
-            env_float("REPRO_TEST_KNOB", None, minimum=0.0,
-                      exclusive=True)
-
-
 class TestSupervisionKnobs:
+    """``evaluate``'s fault policy: defaults and validation."""
+
+    @staticmethod
+    def _policy(monkeypatch) -> dict:
+        # two kernels at jobs=2 take the supervised route; the stub
+        # records the policy it is handed and evaluates nothing
+        seen: dict = {}
+        monkeypatch.setattr(engine, "run_supervised",
+                            lambda *args, **kwargs: seen.update(kwargs))
+        evaluate([DesignQuery("iir", "original"),
+                  DesignQuery("des-mem", "original")], jobs=2)
+        return seen
+
     def test_retries_default(self, monkeypatch):
-        monkeypatch.delenv(RETRIES_ENV, raising=False)
-        assert retries() == 2
+        assert self._policy(monkeypatch)["retries"] == 2
 
-    def test_retries_env_and_override(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "5")
-        assert retries() == 5
-        assert retries(0) == 0  # explicit override beats the env
-
-    def test_retries_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "-1")
-        with pytest.raises(ReproError, match=RETRIES_ENV):
-            retries()
+    def test_retries_rejects_garbage(self):
         with pytest.raises(ReproError, match="retries"):
-            retries(-3)
+            evaluate([], retries=-3)
 
     def test_batch_timeout_default_off(self, monkeypatch):
-        monkeypatch.delenv(BATCH_TIMEOUT_ENV, raising=False)
-        assert batch_timeout() is None
+        assert self._policy(monkeypatch)["batch_timeout"] is None
 
-    def test_batch_timeout_env_and_override(self, monkeypatch):
-        monkeypatch.setenv(BATCH_TIMEOUT_ENV, "1.5")
-        assert batch_timeout() == 1.5
-        assert batch_timeout(9.0) == 9.0
-
-    def test_batch_timeout_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv(BATCH_TIMEOUT_ENV, "0")
-        with pytest.raises(ReproError, match=BATCH_TIMEOUT_ENV):
-            batch_timeout()
+    def test_batch_timeout_rejects_nonpositive(self):
         with pytest.raises(ReproError, match="> 0"):
-            batch_timeout(0.0)
-
-
-class TestKnobValidation:
-    def test_repro_jobs_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "fast")
-        with pytest.raises(ReproError, match="REPRO_JOBS"):
-            default_jobs()
-
-    def test_repro_jobs_rejects_zero(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        with pytest.raises(ReproError, match="REPRO_JOBS"):
-            default_jobs()
-
-    def test_repro_jobs_valid_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert default_jobs() == 3
-        assert default_jobs(n_tasks=100000) == 3  # env beats scaling
-
-    def test_exact_budget_rejects_garbage(self, monkeypatch):
-        from repro.hw.exact import _env_int
-        monkeypatch.setenv("REPRO_EXACT_BUDGET", "lots")
-        with pytest.raises(ReproError, match="REPRO_EXACT_BUDGET"):
-            _env_int("REPRO_EXACT_BUDGET", 1)
-
-    def test_exact_node_limit_rejects_negative(self, monkeypatch):
-        from repro.hw.exact import _env_int
-        monkeypatch.setenv("REPRO_EXACT_NODE_LIMIT", "-1")
-        with pytest.raises(ReproError, match="REPRO_EXACT_NODE_LIMIT"):
-            _env_int("REPRO_EXACT_NODE_LIMIT", 1)
-
-    def test_exact_scheduler_surfaces_the_error(self, monkeypatch):
-        from repro.hw.exact import exact_modulo_schedule
-        from repro.hw.ops import ACEV_LIBRARY
-        from repro.analysis import find_loop_nests
-        from repro.core import analyze_nest
-        from tests.conftest import build_fig21
-        monkeypatch.setenv("REPRO_EXACT_BUDGET", "many")
-        prog = build_fig21()
-        nest = find_loop_nests(prog)[0]
-        _, _, _, dfg, _, _ = analyze_nest(prog, nest, 1)
-        with pytest.raises(ReproError, match="REPRO_EXACT_BUDGET"):
-            exact_modulo_schedule(dfg, ACEV_LIBRARY)
+            evaluate([], batch_timeout=0.0)
 
 
 class TestJobScaling:
     def test_small_sweeps_keep_the_cap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.setattr("os.sched_getaffinity",
                             lambda _: set(range(64)), raising=False)
         assert default_jobs() == _MAX_DEFAULT_JOBS
         assert default_jobs(n_tasks=8) == _MAX_DEFAULT_JOBS
 
     def test_large_sweeps_scale_past_the_cap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.setattr("os.sched_getaffinity",
                             lambda _: set(range(64)), raising=False)
         assert default_jobs(n_tasks=100) == 25
         assert default_jobs(n_tasks=100000) == _MAX_SCALED_JOBS
 
     def test_never_exceeds_cores(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.setattr("os.sched_getaffinity",
                             lambda _: {0, 1}, raising=False)
         assert default_jobs(n_tasks=100000) == 2

@@ -59,10 +59,12 @@ def test_command_prints_the_same_without_numpy(name, tmp_path):
 
 
 def test_imports_load_no_numpy(tmp_path):
+    # nor the exact scheduler, which only ``--scheduler exact`` runs
     code = ("import sys, repro.cli, repro.explore, repro.lang, "
             "repro.workloads, repro.vliw.pressure\n"
             "print(sorted(m for m in sys.modules "
-            "if m == 'numpy' or m.startswith('numpy.')))")
+            "if m == 'numpy' or m.startswith('numpy.') "
+            "or m == 'repro.hw.exact'))")
     proc = _spawn(["-c", code], tmp_path)
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
