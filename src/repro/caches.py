@@ -11,9 +11,10 @@ publish.  A memo's key is one of two kinds:
   the entry holds strong references to the objects passed as ``pins``,
   so an id can never be recycled by a different live object while its
   entry exists.  Identity memos live in memory only;
-* a **content** key — a string hashing everything the value depends on
-  — which may also live on disk, in an :class:`repro.store.ArtifactStore`
-  that worker processes and later runs share.
+* a **content** key — a string hashing everything the value depends on.
+  The front-end analysis memos also keep theirs on disk, in the
+  :class:`repro.store.ArtifactStore` that worker processes and later
+  runs share; the II memo (:mod:`repro.hw.iimemo` says why) does not.
 
 A memo lives as long as one of two scopes:
 
@@ -30,7 +31,7 @@ A memo lives as long as one of two scopes:
 Tests and benchmarks need one switch that drops *all* caches so
 repeated runs stay hermetic: every memo is registered here when it is
 built, the few other caches (two ``functools.lru_cache`` functions, the
-Table 6.2 sweep memo, the source-tree hash, the artifact stores)
+Table 6.2 sweep memo, the source-tree hash, the artifact store)
 register a clear function, and :func:`clear_caches` runs them all and
 then empties the persistent result cache.
 """
@@ -63,9 +64,10 @@ class Memo:
     ``store``'s artifact (refilling memory), else ``compute()`` published
     to both tiers; without ``compute`` a miss returns ``None``.
     ``put`` publishes a value computed elsewhere.  A memo with a
-    ``store`` takes string content keys; it is the shared-analysis
-    machinery ``REPRO_ANALYSIS_CACHE=0`` turns off, so under that
-    setting ``get`` computes (or misses) and ``put`` publishes nothing.
+    ``store`` takes string content keys.  It and any memo built with
+    ``shared=True`` are the shared-analysis machinery
+    ``REPRO_ANALYSIS_CACHE=0`` turns off, so under that setting ``get``
+    computes (or misses) and ``put`` publishes nothing.
 
     Memory traffic counts as ``<name>_mem_hits``/``<name>_mem_misses``
     in the metrics registry, and every entry the LRU bound drops as
@@ -76,11 +78,12 @@ class Memo:
 
     def __init__(self, name: str, maxsize: int,
                  store: "Optional[ArtifactStore]" = None,
-                 per_batch: bool = False):
+                 per_batch: bool = False, shared: bool = False):
         self.name = name
         self.maxsize = maxsize
         self.store = store
         self.per_batch = per_batch
+        self.shared = shared or store is not None
         self._data: "OrderedDict[Hashable, tuple[tuple, Any]]" = OrderedDict()
         self._hits = obs_metrics.counter(f"{name}_mem_hits")
         self._misses = obs_metrics.counter(f"{name}_mem_misses")
@@ -93,7 +96,7 @@ class Memo:
     def get(self, key: Any,
             compute: Optional[Callable[[], Any]] = None,
             pins: tuple = ()) -> Any:
-        if self.store is not None and not analysis_cache_enabled():
+        if self.shared and not analysis_cache_enabled():
             return None if compute is None else compute()
         entry = self._data.get(key)
         if entry is not None:
@@ -111,9 +114,9 @@ class Memo:
         return self.put(key, compute(), pins)
 
     def put(self, key: Any, value: Any, pins: tuple = ()) -> Any:
+        if self.shared and not analysis_cache_enabled():
+            return value
         if self.store is not None:
-            if not analysis_cache_enabled():
-                return value
             self.store.put(key, value)
         self._keep(key, pins, value)
         return value
@@ -135,7 +138,7 @@ def register_cache(clear_fn: Callable[[], None], *,
 
     Returns the function unchanged so it can be used as a decorator.
     Registration is idempotent per function object.  ``disk=True`` marks
-    caches whose state lives on disk (the persistent artifact stores);
+    caches whose state lives on disk (the persistent artifact store);
     ``clear_caches(memory_only=True)`` leaves those intact.
     """
     registry = _DISK_CLEARERS if disk else _CLEARERS

@@ -121,7 +121,23 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _knobs_rejected() -> bool:
+    """Check every ``REPRO_*`` knob before a sweep starts: a bad value
+    prints one stderr line naming the variable and its accepted values
+    (the command then exits 2) instead of failing every design."""
+    from repro.env import check_knobs
+    from repro.errors import ReproError
+    try:
+        check_knobs()
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_tables(args) -> int:
+    if _knobs_rejected():
+        return 2
     with _tracing(args.trace):
         return _run_tables(args)
 
@@ -179,8 +195,10 @@ def _run_tables(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    # --cache-dir roots every persistent cache (results and artifact
-    # stores alike), in this process and in the workers it forks
+    if _knobs_rejected():
+        return 2
+    # --cache-dir roots every persistent cache (results and the artifact
+    # store alike), in this process and in the workers it forks
     with _scoped_env("REPRO_CACHE_DIR", args.cache_dir), \
             _tracing(args.trace):
         return _run_explore(args)
@@ -664,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bypass the persistent result cache")
     e.add_argument("--cache-dir", default=None,
                    help="root of every persistent cache — results and "
-                        "artifact stores — for this run (default: "
+                        "the analysis store — for this run (default: "
                         "$REPRO_CACHE_DIR or .repro_cache)")
     e.add_argument("--clear-cache", action="store_true",
                    help="drop cached results before running")

@@ -18,13 +18,13 @@ from typing import Optional
 from repro.errors import ReproError
 
 __all__ = ["ANALYSIS_CACHE_ENV", "KNOBS", "Knob", "TRACE_ENV", "VERIFY_ENV",
-           "analysis_cache_enabled", "env_int", "registered_knobs",
-           "trace_mode", "verify_mode"]
+           "analysis_cache_enabled", "check_knobs", "env_int",
+           "registered_knobs", "trace_mode", "verify_mode"]
 
 #: Controls the shared-analysis machinery (see :mod:`repro.pipeline.analysis`
 #: and :mod:`repro.hw.iimemo`): ``"0"`` disables sharing entirely (the
 #: reference route the parity tests compare against), ``"1"`` (default)
-#: enables the two-tier (memory + disk) memos.
+#: enables the shared memos (the front-end analysis also on disk).
 ANALYSIS_CACHE_ENV = "REPRO_ANALYSIS_CACHE"
 
 #: Controls the static artifact verifiers (see :mod:`repro.verify`) beyond
@@ -71,7 +71,8 @@ KNOBS: "tuple[Knob, ...]" = (
          "Root directory of the result cache and artifact store."),
     Knob("REPRO_ANALYSIS_CACHE", "0 | 1", "1",
          "Analysis sharing: 0 disables (the reference route), 1 enables "
-         "the two-tier (memory + disk) memos."),
+         "the shared memos (front-end analysis in memory and on disk, "
+         "II search in memory)."),
     Knob("REPRO_VERIFY", "0/off | 1/on | strict", "off",
          "Checks beyond the always-on schedule re-verifier: on adds "
          "the structural DFG/SSA/edge-view checks, strict adds "
@@ -174,3 +175,18 @@ def trace_mode() -> str:
     raise ReproError(
         f"{TRACE_ENV}={raw!r} is not a recognized mode; "
         "use 0/off, 1/on, or full")
+
+
+def check_knobs() -> None:
+    """Parse every mode knob and the fault plan now.
+
+    A sweep calls this in the parent before it dispatches any design, so
+    a bad value raises one :class:`ReproError` naming the variable and
+    its accepted values instead of failing inside every design's
+    compile.
+    """
+    analysis_cache_enabled()
+    verify_mode()
+    trace_mode()
+    from repro.faults import active_plan
+    active_plan()

@@ -35,6 +35,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from repro.env import check_knobs
 from repro.errors import ReproError
 from repro.explore.cache import CacheStats, NullCache, ResultCache
 from repro.explore.space import DesignQuery, FailRecord, SkipRecord
@@ -222,7 +223,9 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
     how often a failing batch is re-dispatched before bisection/
     quarantine; ``batch_timeout`` (seconds; ``None``: off) arms the
     straggler watchdog.  A negative ``retries`` or a non-positive
-    ``batch_timeout`` raises :class:`~repro.errors.ReproError`.
+    ``batch_timeout`` raises :class:`~repro.errors.ReproError`, and so
+    does a ``REPRO_*`` knob set to a value it does not accept
+    (:func:`repro.env.check_knobs`), before any design is dispatched.
 
     ``on_progress`` (optional) receives a small dict (designs done /
     total, retries, quarantines, respawns) after every batch completion
@@ -233,8 +236,7 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
     :class:`~repro.explore.supervise.SweepInterrupted` after a hard
     pool shutdown) — resumes from the cache on the next run.
     """
-    from repro.faults import active_plan
-    active_plan()   # validate REPRO_FAULTS in the parent, not a worker
+    check_knobs()   # in the parent, before any design is dispatched
     if retries is None:
         retries = DEFAULT_RETRIES
     elif retries < 0:

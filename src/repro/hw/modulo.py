@@ -33,7 +33,7 @@ schedule overflowed the register file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.caches import Memo
 from repro.core.dfg import DFG, DFGNode
@@ -136,11 +136,16 @@ def _resource_map(dfg: DFG, lib: OperatorLibrary) -> ResourceMap:
     return {n.nid: lib.node_resources(n) for n in dfg.nodes}
 
 
+#: The alternative placement orders a strategy tries at an II where
+#: the topological order failed, built on first use.
+MoreOrders = Callable[[], list[list[DFGNode]]]
+
+
 def _search(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
-            orders: list[Optional[list[DFGNode]]],
             max_ii: Optional[int] = None,
             flavor: Optional[str] = None,
-            min_ii: Optional[int] = None) -> ModuloSchedule:
+            min_ii: Optional[int] = None,
+            more_orders: Optional[MoreOrders] = None) -> ModuloSchedule:
     """Traced wrapper over :func:`_search_impl` (the actual II search).
 
     One ``ii_search`` span per search when tracing is on, stamped with
@@ -148,24 +153,28 @@ def _search(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     """
     with obs_trace.span("ii_search", "sched", nodes=len(dfg.nodes),
                         flavor=flavor or "modulo") as sp:
-        sched = _search_impl(dfg, lib, edges, orders, max_ii=max_ii,
-                             flavor=flavor, min_ii=min_ii)
+        sched = _search_impl(dfg, lib, edges, max_ii=max_ii,
+                             flavor=flavor, min_ii=min_ii,
+                             more_orders=more_orders)
         sp.set(ii=sched.ii)
         return sched
 
 
 def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
-                 orders: list[Optional[list[DFGNode]]],
                  max_ii: Optional[int] = None,
                  flavor: Optional[str] = None,
-                 min_ii: Optional[int] = None) -> ModuloSchedule:
+                 min_ii: Optional[int] = None,
+                 more_orders: Optional[MoreOrders] = None
+                 ) -> ModuloSchedule:
     """The II search shared by every modulo strategy — incremental.
 
     For each candidate II (starting at ``max(RecMII, ResMII, min_ii)``),
-    each placement ``order`` (``None`` = topological) gets the
-    scheduler core's full placement-and-repair loop
+    the topological order, then each of ``more_orders()`` if it fails,
+    gets the scheduler core's full placement-and-repair loop
     (:func:`repro.hw.sched_kernel.search_rounds`) before the II is
-    abandoned.
+    abandoned.  ``more_orders`` is called at the first II where the
+    topological order fails, so a search that never backtracks never
+    builds its alternatives.
 
     Incrementality (all result-preserving):
 
@@ -179,14 +188,15 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
       backtracking upper-bound probe inside ``exact``, and every
       register-pressure re-entry never re-place what an earlier search
       of the same triple placed;
-    * when ``flavor`` names the strategy, the two-tier II memo
+    * when ``flavor`` names the strategy, the in-memory II memo
       (:data:`repro.hw.iimemo.MEMO`) is consulted: a hit supplies
       RecMII/ResMII (pure functions of the inputs) and the set of
-      *refuted* candidate IIs from an earlier identical search, which
-      are skipped — the placement/repair machinery is deterministic, so
-      replaying a refuted candidate can only fail the same way.  The
-      winning II is still placed by the ordinary machinery, so the
-      returned schedule is bit-identical to a from-scratch search's.
+      *refuted* candidate IIs from an earlier identical search in this
+      process, which are skipped — the placement/repair machinery is
+      deterministic, so replaying a refuted candidate can only fail the
+      same way.  The winning II is still placed by the ordinary
+      machinery, so the returned schedule is bit-identical to a
+      from-scratch search's.
     """
     from repro.hw import iimemo, sched_kernel
 
@@ -209,9 +219,9 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     start_ii = max(rmii, smii, min_ii or 1)
     limit = max_ii or max(start_ii, sum(dmap.values())) + 1
 
-    order_ids = [[n.nid for n in (o if o is not None else topo)]
-                 for o in orders]
+    topo_ids = [n.nid for n in topo]
     placed = ctx["placed"]  # II -> the topological order's outcome
+    more_ids: Optional[list[list[int]]] = None
 
     tried: list[int] = []
     for ii in range(start_ii, limit + 1):
@@ -222,17 +232,21 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
         _II_ATTEMPTS.add()
         if obs_trace.full_enabled():
             obs_trace.instant("ii_try", "sched", ii=ii)
-        for order, ids in zip(orders, order_ids):
-            if order is not None:
+        ids = topo_ids
+        if ii in placed:
+            hit = placed[ii]
+        else:
+            hit = placed[ii] = sched_kernel.search_rounds(
+                prob, ii, ids, _REPAIR_ROUNDS)
+        if hit is None and more_orders is not None:
+            if more_ids is None:
+                more_ids = [[n.nid for n in o] for o in more_orders()]
+            for ids in more_ids:
                 hit = sched_kernel.search_rounds(prob, ii, ids,
                                                  _REPAIR_ROUNDS)
-            elif ii in placed:
-                hit = placed[ii]
-            else:
-                hit = placed[ii] = sched_kernel.search_rounds(
-                    prob, ii, ids, _REPAIR_ROUNDS)
-            if hit is None:
-                continue
+                if hit is not None:
+                    break
+        if hit is not None:
             time_arr, occ, length = hit
             sched = ModuloSchedule(
                 ii=ii, time=prob.time_dict(time_arr, ids), rec_mii=rmii,
@@ -246,11 +260,12 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     if sig is not None and record is None:
         iimemo.MEMO.put(sig, {"rmii": rmii, "smii": smii,
                               "refuted": tried, "ii": None})
+    n_orders = 1 + (len(more_orders()) if more_orders is not None else 0)
     raise ScheduleError(
         f"no modulo schedule found up to II={limit} "
         f"(RecMII={rmii}, ResMII={smii}"
         + (f", II floor {min_ii}" if min_ii else "")
-        + (f", {len(orders)} orderings per II" if len(orders) > 1 else "")
+        + (f", {n_orders} orderings per II" if n_orders > 1 else "")
         + ")")
 
 
@@ -264,5 +279,5 @@ def modulo_schedule(dfg: DFG, lib: OperatorLibrary,
     ``min_ii`` floors the candidate range (the register-pressure bump).
     """
     edges = edges if edges is not None else default_edge_view(dfg)
-    return _search(dfg, lib, edges, orders=[None], max_ii=max_ii,
-                   flavor="modulo", min_ii=min_ii)
+    return _search(dfg, lib, edges, max_ii=max_ii, flavor="modulo",
+                   min_ii=min_ii)

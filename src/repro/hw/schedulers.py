@@ -168,17 +168,18 @@ def backtracking_modulo_schedule(dfg: DFG, lib: OperatorLibrary,
     table wherever an earlier search of the same triple ran them.
     """
     edges = edges if edges is not None else default_edge_view(dfg)
-    # the orders depend on the triple alone, so every register-pressure
-    # re-entry reuses the first call's
     ctx = _search_state(dfg, lib, edges)
-    orders: Optional[list[Optional[list[DFGNode]]]] = \
-        ctx.get("backtrack_orders")
-    if orders is None:
-        orders = [None]  # None = topo order
-        orders += _slack_orders(dfg, edges, ctx)
-        ctx["backtrack_orders"] = orders
-    return _search(dfg, lib, edges, orders=orders, max_ii=max_ii,
-                   flavor="backtrack", min_ii=min_ii)
+
+    def slack_orders() -> list[list[DFGNode]]:
+        # built when the topological order first fails at some II; they
+        # depend on the triple alone, so every later search of it (each
+        # register-pressure re-entry) reuses them
+        if "backtrack_orders" not in ctx:
+            ctx["backtrack_orders"] = _slack_orders(dfg, edges, ctx)
+        return ctx["backtrack_orders"]
+
+    return _search(dfg, lib, edges, max_ii=max_ii, flavor="backtrack",
+                   min_ii=min_ii, more_orders=slack_orders)
 
 
 class BacktrackingModuloScheduler:

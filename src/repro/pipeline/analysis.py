@@ -21,6 +21,14 @@ kernel nest instead of redoing it in every process.  The directory is
 partitioned by :func:`~repro.explore.cache.code_version`, so edits to
 any source invalidate stale artifacts automatically.
 
+A base is stored without its DFG: the graph is a pure function of the
+SSA block and the nest's liveness, rebuilt in milliseconds, while its
+pickle was most of the artifact's bytes.  :class:`BaseAnalysis` owns
+that stored form (the DS=1 check and the SSA block), and a base read
+back from disk gets its ``dfg``, ``carried`` and ``invariant`` from the
+one builder, :func:`repro.core.squash.front_dfg`, before any caller
+sees it; memory-tier entries are always full.
+
 Jam analyses are derived, not stored: jam(F) for F > 2 renames copy 1
 of the jam(2) analysis once per extra copy and appends the copies to
 the base analysis (:mod:`repro.core.jamdfg`).  Deriving them is cheaper
@@ -57,7 +65,7 @@ from repro.core.dfg import DFG
 from repro.core.legality import PreparedSquash, SquashCheck, check_squash, \
     classify_squash, nest_liveness, prepare_squash
 from repro.core.stages import assign_stages, default_delay, register_chains
-from repro.core.squash import analyze_front, analyze_nest
+from repro.core.squash import analyze_front, analyze_nest, front_dfg
 from repro.env import analysis_cache_enabled
 from repro.errors import ReproError
 from repro.hw.mii import squash_distances
@@ -78,6 +86,10 @@ class BaseAnalysis:
     When the ds=1 legality check fails the artifacts are ``None`` and
     only ``check1`` is populated (the failure is cached too, so repeated
     variants of an illegal nest fail fast).
+
+    A pickle holds the stored form, ``check1`` and ``ssa``; unpickled,
+    ``dfg``, ``carried`` and ``invariant`` are ``None`` until
+    :meth:`rebuild` derives them again.
     """
 
     check1: SquashCheck
@@ -85,6 +97,22 @@ class BaseAnalysis:
     dfg: Optional[DFG] = None
     carried: Optional[set[str]] = None
     invariant: Optional[set[str]] = None
+
+    def __getstate__(self) -> dict:
+        return {"check1": self.check1, "ssa": self.ssa}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, dfg=None, carried=None, invariant=None)
+
+    def rebuild(self, program: Program, nest: LoopNest) -> "BaseAnalysis":
+        """Derive the DFG and live-in split of a stored form in place,
+        from ``nest`` of ``program``, the pair it was analyzed from; a
+        full or failed base is returned as it is."""
+        if self.ssa is not None and self.dfg is None:
+            self.dfg, self.carried, self.invariant = front_dfg(
+                self.ssa, self.check1.require_liveness(), nest.inner,
+                program)
+        return self
 
 
 def _build_base(program: Program, nest: LoopNest,
@@ -179,10 +207,13 @@ class AnalysisCache:
                             lambda: prepare_squash(program, nest))
 
     def get_or_build(self, program: Program, nest: LoopNest) -> BaseAnalysis:
+        """The base analysis, through both tiers; one read back from
+        disk is rebuilt in place, so the memory tier keeps it full."""
         return self._shared(
             self._bases, "base", program, nest,
             lambda: _build_base(program, nest,
-                                self.prep_for(program, nest)))
+                                self.prep_for(program, nest))
+        ).rebuild(program, nest)
 
     def check_for(self, program: Program, nest: LoopNest,
                   ds: int) -> SquashCheck:

@@ -1,21 +1,22 @@
 """Persistent, content-addressed artifact store shared across processes.
 
 The disk tier of the :class:`repro.caches.Memo` instances worth sharing
-across processes: the per-kernel front-end analysis and the
-per-nest legality preparation (:mod:`repro.pipeline.analysis`, the
-``analysis`` family) and the II-search certificates
-(:mod:`repro.hw.iimemo`, the ``iisearch`` family).  Each lives as one
-pickle per key under ``<cache dir>/<family>/<code_version>/``, so
-``ProcessPoolExecutor`` workers and repeated ``repro explore`` /
-``repro tables`` runs share one computation instead of redoing it per
-process.
+across processes: the per-kernel front-end analysis and the per-nest
+legality preparation (:mod:`repro.pipeline.analysis`, the ``analysis``
+family).  Each artifact lives as one pickle per key under
+``<cache dir>/<family>/<code_version>/``, so ``ProcessPoolExecutor``
+workers and repeated ``repro explore`` / ``repro tables`` runs share one
+computation instead of redoing it per process.  Only what a later
+process cannot cheaply rebuild is stored: a base analysis pickles
+without its DFG (:class:`repro.pipeline.analysis.BaseAnalysis`), and the
+II-search memo (:mod:`repro.hw.iimemo`) has no disk tier at all.
 
 Keys are content hashes (never object ids), and the directory is
 partitioned by :func:`repro.explore.cache.code_version`, so editing any
 ``repro`` source invalidates every stored artifact automatically.
 Each store counts its traffic per instance (:class:`StoreStats`) and in
-the metrics registry as ``<metric>_disk_{hits,misses,stores}``
-(``analysis_disk_hits``, ``iimemo_disk_misses``, ...).
+the metrics registry as ``<name>_disk_{hits,misses,stores}``
+(``analysis_disk_hits``, ...).
 
 Concurrency: writes go to a unique temp file in the same directory and
 are published with :func:`os.replace` (atomic on POSIX), under an
@@ -62,21 +63,19 @@ class ArtifactStore:
     The directory is resolved lazily on every operation (honouring
     ``REPRO_CACHE_DIR`` changes mid-process, as the test harness makes),
     and partitioned by code version so stale artifacts are never served.
-    ``name`` namespaces one artifact family (``analysis``, ``iisearch``);
-    ``metric`` prefixes its registry counters (default: ``name``).
+    ``name`` namespaces one artifact family (``analysis``) and prefixes
+    its registry counters.
     """
 
     def __init__(self, name: str = "analysis",
-                 directory: "str | os.PathLike | None" = None,
-                 metric: Optional[str] = None):
+                 directory: "str | os.PathLike | None" = None):
         self.name = name
-        self.metric = metric or name
         self._directory = pathlib.Path(directory) if directory else None
         self.stats = StoreStats()
 
     def _count(self, what: str) -> None:
         setattr(self.stats, what, getattr(self.stats, what) + 1)
-        obs_metrics.counter(f"{self.metric}_disk_{what}").add()
+        obs_metrics.counter(f"{self.name}_disk_{what}").add()
 
     def root(self) -> pathlib.Path:
         if self._directory is not None:
@@ -185,18 +184,11 @@ class ArtifactStore:
                 pass
 
 
-#: Process-wide store instances, one per artifact family.
+#: The process-wide store instance.
 _ANALYSIS_STORE = ArtifactStore("analysis")
-_IISEARCH_STORE = ArtifactStore("iisearch", metric="iimemo")
 register_cache(_ANALYSIS_STORE.clear, disk=True)
-register_cache(_IISEARCH_STORE.clear, disk=True)
 
 
 def analysis_store() -> ArtifactStore:
     """The shared store for front-end analysis artifacts."""
     return _ANALYSIS_STORE
-
-
-def iisearch_store() -> ArtifactStore:
-    """The shared store for II-search certificates."""
-    return _IISEARCH_STORE

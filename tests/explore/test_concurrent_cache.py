@@ -1,6 +1,6 @@
 """Concurrency: two processes sweeping one ``.repro_cache/`` at once.
 
-The persistent result cache and the artifact stores are shared,
+The persistent result cache and the analysis store are shared,
 append-on-publish structures; simultaneous sweeps must never corrupt
 them (torn JSON lines, partial pickles) and every process must end up
 with the full, correct result set.
@@ -123,10 +123,10 @@ class TestConcurrentArtifactStore:
 
 class TestStoreRoundTrip:
     def test_value_round_trips_bytes_identical(self, tmp_path):
-        store = ArtifactStore("iisearch", tmp_path)
+        store = ArtifactStore("analysis", tmp_path)
         record = {"rmii": 3, "smii": 2, "refuted": [3, 4], "ii": 5}
         store.put("sig", record)
-        loaded = ArtifactStore("iisearch", tmp_path).get("sig")
+        loaded = ArtifactStore("analysis", tmp_path).get("sig")
         assert loaded == record
         assert pickle.dumps(loaded) == pickle.dumps(record)
 

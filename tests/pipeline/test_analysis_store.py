@@ -1,5 +1,6 @@
-"""The two-tier analysis cache: LRU bounds, disk round-trips, and the
-content keys that make cross-process sharing sound."""
+"""The two-tier analysis cache: LRU bounds, disk round-trips of the
+stored form, and the content keys that make cross-process sharing
+sound."""
 
 import pytest
 
@@ -162,9 +163,12 @@ class TestBasePickle:
             assert _pickled(reread) == _pickled(fresh), name
 
     def test_two_builds_pickle_to_equal_bytes(self):
-        """``DFG.stmt_nodes`` is keyed by statement position, not by the
-        statement's address, so two builds of one program's base write
-        the same ``base-*.pkl`` bytes."""
+        """Two builds of one program's base write the same
+        ``base-*.pkl`` bytes, and their DFGs (which the stored form
+        leaves out) pickle alike too: ``DFG.stmt_nodes`` is keyed by
+        statement position, not by the statement's address."""
+        import pickle
+
         from repro.pipeline.analysis import _build_base
 
         bases = []
@@ -172,6 +176,7 @@ class TestBasePickle:
             prog = _eval_build("iir")
             bases.append(_build_base(prog, find_kernel_nests(prog)[0]))
         assert _pickled(bases[0]) == _pickled(bases[1])
+        assert pickle.dumps(bases[0].dfg) == pickle.dumps(bases[1].dfg)
 
     def test_stages_of_a_base_read_back_from_the_store(
             self, monkeypatch, tmp_path):
@@ -197,6 +202,79 @@ class TestBasePickle:
                     for k in range(len(base.ssa.stmts))]
         assert set(reread.dfg.stmt_nodes) == set(range(len(reread.ssa.stmts)))
         assert stages(reread) == stages(fresh)
+
+
+class TestStoredForm:
+    def test_read_back_base_rebuilds_the_fresh_dfg(self, monkeypatch,
+                                                   tmp_path):
+        """A ``base-*.pkl`` holds the DS=1 check and the SSA block only;
+        a base read back in a fresh process stand-in rebuilds the DFG of
+        a fresh build, and its memory-tier entry stays full."""
+        import pickle
+
+        import repro
+        from repro.pipeline.analysis import _build_base
+        from repro.store import analysis_store
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        store = analysis_store()
+        for label, build in _suite_nests():
+            prog, nest = build()
+            fresh = _build_base(prog, nest)
+            AnalysisCache().get_or_build(prog, nest)
+            blob = store._path(f"base-{content_key(prog, nest)}") \
+                .read_bytes()
+            stored = pickle.loads(blob)
+            assert stored.ssa is not None, label
+            assert (stored.dfg, stored.carried, stored.invariant) == \
+                (None, None, None), label
+            assert b"repro.core.dfg" not in blob, label
+            repro.clear_caches(memory_only=True)
+            hits = store.stats.hits
+            prog, nest = build()
+            cache = AnalysisCache()
+            reread = cache.get_or_build(prog, nest)
+            assert store.stats.hits == hits + 1, label
+            assert _dfg_shape(reread) == _dfg_shape(fresh), label
+            again = cache.get_or_build(prog, nest)
+            assert again is reread and again.dfg is reread.dfg, label
+
+
+def _suite_nests():
+    """(label, build) pairs, ``build()`` returning a fresh (program,
+    nest): the five Table 6.1 kernels and the jam+squash jammed nest of
+    des-mem at J=4."""
+    from repro.core.squash import locate_jammed_nest
+    from repro.transforms.unroll_and_jam import unroll_and_jam
+
+    def kernel(name):
+        prog = _eval_build(name)
+        return prog, find_kernel_nests(prog)[0]
+
+    for name in ("skipjack-mem", "skipjack-hw", "des-mem", "des-hw", "iir"):
+        yield name, lambda name=name: kernel(name)
+
+    def jammed():
+        prog, nest = kernel("des-mem")
+        fused = unroll_and_jam(prog, nest, 4)
+        return fused, locate_jammed_nest(fused, nest, 4)
+    yield "des-mem jam(4)", jammed
+
+
+def _dfg_shape(base: BaseAnalysis) -> tuple:
+    """Everything a DFG consumer reads, with each node's statement as
+    its position in the base's own SSA block."""
+    dfg = base.dfg
+    at = {id(stmt): k for k, stmt in enumerate(base.ssa.stmts)}
+    nodes = [(n.nid, n.kind, n.op, n.name, n.array, n.ty,
+              None if n.stmt is None else at[id(n.stmt)])
+             for n in dfg.nodes]
+    edges = [(e.src.nid, e.dst.nid, e.dist, e.kind) for e in dfg.edges]
+    maps = [[(k, v.nid) for k, v in table.items()]
+            for table in (dfg.regs, dfg.defs, dfg.stmt_nodes)]
+    iv_inc = None if dfg.iv_inc is None else dfg.iv_inc.nid
+    return (nodes, edges, maps, iv_inc, sorted(base.carried),
+            sorted(base.invariant))
 
 
 def _eval_build(name):

@@ -157,9 +157,10 @@ class TestExploreCommand:
     def test_cache_dir_roots_every_persistent_cache(self, tmp_path,
                                                     monkeypatch, capsys):
         # from a scratch working directory with REPRO_CACHE_DIR unset,
-        # --cache-dir holds the results and both artifact stores, the
+        # --cache-dir holds the results and the analysis store, the
         # forked workers' writes included, and the environment of an
-        # in-process caller is left as it was
+        # in-process caller is left as it was; the II-search memo
+        # writes nothing to disk
         import os
 
         import repro
@@ -175,7 +176,7 @@ class TestExploreCommand:
         assert list(work.iterdir()) == []
         assert list(cache.glob("results-*.jsonl"))
         assert list(cache.glob("analysis/*/base-*.pkl"))
-        assert list(cache.glob("iisearch/*/*.pkl"))
+        assert not (cache / "iisearch").exists()
         assert "REPRO_CACHE_DIR" not in os.environ
 
     def test_resume_rejects_no_cache(self, capsys):
@@ -203,11 +204,38 @@ class TestExploreCommand:
         assert len(err) == 1
         assert f"error: argument {argv[-2]}: " in err[0]
 
-    def test_bad_fault_spec_fails_before_forking(self, monkeypatch):
-        from repro.errors import ReproError
+    def test_bad_fault_spec_fails_before_forking(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FAULTS", "crash@worker")
-        with pytest.raises(ReproError, match="malformed"):
-            main(["explore", "--kernel", "iir", "--no-cache"])
+        assert main(["explore", "--kernel", "iir", "--no-cache"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "malformed" in err
+
+
+class TestBadKnobs:
+    """A ``REPRO_*`` knob with a value it does not accept stops a sweep
+    before any design is dispatched: one stderr line naming the variable
+    and its accepted values, exit 2."""
+
+    @pytest.mark.parametrize("name,raw,accepted", [
+        ("REPRO_ANALYSIS_CACHE", "2", "use 0 or 1"),
+        ("REPRO_VERIFY", "paranoid", "use 0/off, 1/on, or strict"),
+        ("REPRO_TRACE", "bogus", "use 0/off, 1/on, or full"),
+        ("REPRO_FAULTS", "bogus", "kind@site:probability"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--kernel", "iir", "--variants", "original",
+         "pipelined", "--no-cache", "--jobs", "1"],
+        ["tables", "6.2", "6.3", "--factors", "2", "--jobs", "1"],
+    ], ids=["explore", "tables"])
+    def test_one_line_and_exit_2(self, monkeypatch, capsys, argv, name,
+                                 raw, accepted):
+        monkeypatch.setenv(name, raw)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert name in lines[0] and accepted in lines[0]
 
 
 class TestMainModuleAlias:

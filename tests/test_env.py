@@ -65,6 +65,24 @@ class TestSupervisionKnobs:
             evaluate([], batch_timeout=0.0)
 
 
+class TestCheckKnobs:
+    """``evaluate`` parses every knob in the parent, so a bad value
+    raises once, before any design is dispatched."""
+
+    @pytest.mark.parametrize("name,raw", [
+        ("REPRO_ANALYSIS_CACHE", "2"), ("REPRO_VERIFY", "paranoid"),
+        ("REPRO_TRACE", "bogus"), ("REPRO_FAULTS", "bogus"),
+    ])
+    def test_evaluate_rejects_before_dispatch(self, monkeypatch, name, raw):
+        dispatched: list = []
+        monkeypatch.setattr(engine, "run_inline",
+                            lambda *args, **kwargs: dispatched.append(args))
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ReproError, match=name):
+            evaluate([DesignQuery("iir", "original")], jobs=1)
+        assert dispatched == []
+
+
 class TestJobScaling:
     def test_small_sweeps_keep_the_cap(self, monkeypatch):
         monkeypatch.setattr("os.sched_getaffinity",
