@@ -8,8 +8,6 @@ code, the cycle counts, and the operator-occupancy timeline.
 Run:  python examples/motivation.py
 """
 
-import numpy as np
-
 from repro.analysis import find_kernel_nests
 from repro.core import unroll_and_squash
 from repro.harness import format_fig_2_4, run_fig_2_4
@@ -34,9 +32,9 @@ def main() -> None:
     print(program_to_str(jammed))
 
     print("=== Fig 2.3: unroll-and-squash by 2 (registers only) ===")
-    print("(rotation form: a uniform steady-state tick + shift/rotate moves,")
-    print(" exactly the thesis's emitted software)")
-    res = unroll_and_squash(prog, nest, 2, emit_mode="rotation")
+    print("(data-set form: prolog, DS*(N-1)+1 steady ticks, epilog; each")
+    print(" data set keeps its own copy of the outer body's variables)")
+    res = unroll_and_squash(prog, nest, 2)
     print(program_to_str(res.program))
 
     # all three compute the same stream

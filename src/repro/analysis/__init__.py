@@ -6,17 +6,13 @@ distances, and basic induction variables.
 """
 
 from repro.analysis.loops import (  # noqa: F401
-    LoopInfo, LoopNest, all_loops, direct_inner_loops, enclosing_path,
-    find_kernel_nests, find_loop_nests, innermost_loops, is_perfect_nest,
-    loop_depths, loop_infos, parent_block_of, trip_count,
+    LoopInfo, LoopNest, all_loops, direct_inner_loops, find_kernel_nests,
+    find_loop_nests, loop_infos, trip_count,
 )
 from repro.analysis.usedef import (  # noqa: F401
-    LoopLiveness, live_before, loop_liveness, stmt_defs, stmt_uses,
-    uses_of_expr,
+    LoopLiveness, live_before, loop_liveness, stmt_uses, uses_of_expr,
 )
-from repro.analysis.induction import (  # noqa: F401
-    BasicIV, find_basic_ivs, rewrite_induction_variable,
-)
+from repro.analysis.induction import BasicIV, find_basic_ivs  # noqa: F401
 from repro.analysis.ssa import SSABlock, base_name, is_straightline, ssa_rename  # noqa: F401
 from repro.analysis.dependence import (  # noqa: F401
     AffineForm, DistanceKind, DistanceSet, MemAccess, affine_of,

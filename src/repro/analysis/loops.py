@@ -15,34 +15,14 @@ from repro.ir.nodes import Block, Const, For, If, Program, Stmt
 from repro.ir.visitors import walk_stmts
 
 __all__ = [
-    "LoopInfo", "LoopNest", "all_loops", "loop_depths", "trip_count",
-    "find_loop_nests", "find_kernel_nests", "innermost_loops",
-    "enclosing_path", "is_perfect_nest", "parent_block_of",
+    "LoopInfo", "LoopNest", "all_loops", "trip_count",
+    "find_loop_nests", "find_kernel_nests",
 ]
 
 
 def all_loops(p: Program) -> list[For]:
     """All ``For`` statements in the program, pre-order."""
     return [s for s in walk_stmts(p.body) if isinstance(s, For)]
-
-
-def loop_depths(p: Program) -> dict[int, int]:
-    """Map ``id(loop) -> nesting depth`` (0 = top level)."""
-    depths: dict[int, int] = {}
-
-    def visit(s: Stmt, d: int) -> None:
-        if isinstance(s, For):
-            depths[id(s)] = d
-            visit(s.body, d + 1)
-        elif isinstance(s, Block):
-            for c in s.stmts:
-                visit(c, d)
-        elif isinstance(s, If):
-            visit(s.then, d)
-            visit(s.orelse, d)
-
-    visit(p.body, 0)
-    return depths
 
 
 def trip_count(loop: For) -> Optional[int]:
@@ -157,46 +137,3 @@ def find_kernel_nests(p: Program) -> list[LoopNest]:
     Nimble users marked loops for hardware mapping)."""
     return [n for n in find_loop_nests(p)
             if n.inner.annotations.get("kernel")]
-
-
-def innermost_loops(p: Program) -> list[For]:
-    """Loops containing no further loops."""
-    return [info.loop for info in loop_infos(p)
-            if not direct_inner_loops(info.loop)]
-
-
-def enclosing_path(p: Program, target: For) -> list[For]:
-    """Loops enclosing ``target`` from outermost to ``target`` itself."""
-    path: list[For] = []
-
-    def visit(s: Stmt, stack: list[For]) -> bool:
-        if isinstance(s, For):
-            stack.append(s)
-            if s is target or visit(s.body, stack):
-                return True
-            stack.pop()
-            return False
-        if isinstance(s, Block):
-            return any(visit(c, stack) for c in s.stmts)
-        if isinstance(s, If):
-            return visit(s.then, stack) or visit(s.orelse, stack)
-        return False
-
-    if not visit(p.body, path):
-        raise LegalityError("loop not found in program")
-    return path
-
-
-def is_perfect_nest(nest: LoopNest) -> bool:
-    """True when the outer body contains only the inner loop."""
-    return not nest.pre_stmts() and not nest.post_stmts()
-
-
-def parent_block_of(p: Program, target: Stmt) -> tuple[Block, int]:
-    """The block containing ``target`` and its index inside it."""
-    for s in walk_stmts(p.body):
-        if isinstance(s, Block):
-            for k, c in enumerate(s.stmts):
-                if c is target:
-                    return s, k
-    raise LegalityError("statement not found in program")

@@ -55,16 +55,6 @@ class SSABlock:
     exit: dict[str, str] = field(default_factory=dict)
     types: dict[str, ScalarType] = field(default_factory=dict)
 
-    def versions_of(self, name: str) -> list[str]:
-        """All versions of one original variable, in definition order."""
-        out = []
-        if self.entry.get(name) == f"{name}@0":
-            out.append(f"{name}@0")
-        for s in self.stmts:
-            if isinstance(s, Assign) and base_name(s.var) == name:
-                out.append(s.var)
-        return out
-
 
 def ssa_rename(block: Block, scalar_type, extra_live_in: set[str] = frozenset()) -> SSABlock:
     """Rename a straight-line block into SSA form.

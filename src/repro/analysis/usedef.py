@@ -19,8 +19,8 @@ from repro.ir.nodes import (
 )
 from repro.ir.visitors import walk_exprs
 
-__all__ = ["uses_of_expr", "stmt_uses", "stmt_defs", "live_before",
-           "LoopLiveness", "loop_liveness"]
+__all__ = ["uses_of_expr", "stmt_uses", "live_before", "LoopLiveness",
+           "loop_liveness"]
 
 
 def uses_of_expr(e: Expr) -> set[str]:
@@ -41,15 +41,6 @@ def stmt_uses(s: Stmt) -> set[str]:
         return uses_of_expr(s.lo) | uses_of_expr(s.hi)
     if isinstance(s, If):
         return uses_of_expr(s.cond)
-    return set()
-
-
-def stmt_defs(s: Stmt) -> set[str]:
-    """Scalars definitely defined by one (non-compound) statement."""
-    if isinstance(s, Assign):
-        return {s.var}
-    if isinstance(s, For):
-        return {s.var}  # the IV holds its final value after the loop
     return set()
 
 

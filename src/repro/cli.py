@@ -29,13 +29,12 @@ Commands
 ``profile``     Table 1.1-style loop profile of one benchmark;
 ``squash``      transform one benchmark kernel, verify it, and report the
                 hardware estimate;
-``trace``       validate an exported Chrome ``trace_event`` JSON file
-                (``--trace out.json`` on tables/explore) and
-                summarize its events;
-``stats``       render the metrics summary embedded in an exported
-                trace (per-stage/per-kernel percentiles, cache hit
-                rates, scheduler search effort, supervision tallies),
-                or the registered ``REPRO_*`` knob table (``--knobs``);
+``stats``       validate an exported Chrome ``trace_event`` JSON file
+                (``--trace out.json`` on tables/explore), summarize its
+                events, and render the metrics summary embedded in it
+                (per-stage/per-kernel percentiles, cache hit rates,
+                scheduler search effort, supervision tallies), or the
+                registered ``REPRO_*`` knob table (``--knobs``);
 ``list``        list available benchmarks.
 
 Exploration examples::
@@ -122,9 +121,10 @@ def _cmd_list(args) -> int:
 
 
 def _knobs_rejected() -> bool:
-    """Check every ``REPRO_*`` knob before a sweep starts: a bad value
-    prints one stderr line naming the variable and its accepted values
-    (the command then exits 2) instead of failing every design."""
+    """Check every ``REPRO_*`` knob before a command does any work: a
+    bad value prints one stderr line naming the variable and its
+    accepted values (the command then exits 2) instead of a traceback
+    or a failure per design."""
     from repro.env import check_knobs
     from repro.errors import ReproError
     try:
@@ -315,6 +315,9 @@ def _cmd_verify(args) -> int:
             for sched in (schedulers if variant != "original" else [""])]
     checked = skipped = failed = 0
     with _scoped_env(VERIFY_ENV, args.mode):
+        # inside the scope, so --mode overrides a bad REPRO_VERIFY
+        if _knobs_rejected():
+            return 2
         target = decode_target(args.target)
         for name in kernels:
             bm = benchmark_by_name(name)
@@ -349,11 +352,18 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_trace(args) -> int:
+def _cmd_stats(args) -> int:
     import json
 
-    from repro.obs.stats import summarize_events
+    from repro.obs.stats import format_knobs, format_stats, summarize_events
     from repro.obs.trace import validate_trace
+    if args.knobs:
+        print(format_knobs(), end="")
+        return 0
+    if not args.file:
+        print("stats needs an exported trace file (or --knobs)",
+              file=sys.stderr)
+        return 2
     try:
         doc = json.loads(pathlib.Path(args.file).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -369,26 +379,7 @@ def _cmd_trace(args) -> int:
               file=sys.stderr)
         return 1
     print(f"{args.file}: valid Chrome trace_event JSON")
-    print(summarize_events(doc["traceEvents"]), end="")
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    import json
-
-    from repro.obs.stats import format_knobs, format_stats
-    if args.knobs:
-        print(format_knobs(), end="")
-        return 0
-    if not args.file:
-        print("stats needs an exported trace file (or --knobs)",
-              file=sys.stderr)
-        return 2
-    try:
-        doc = json.loads(pathlib.Path(args.file).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-        return 2
+    print(summarize_events(doc["traceEvents"]))
     snapshot = doc.get("reproMetrics")
     if not isinstance(snapshot, dict):
         print(f"{args.file} has no 'reproMetrics' block (is it a repro "
@@ -497,6 +488,8 @@ def _cmd_compile(args) -> int:
     from repro.ir import program_to_str
     from repro.lang import compile_file
 
+    if _knobs_rejected():
+        return 2
     try:
         prog, _ = compile_file(args.file)
     except OSError as exc:
@@ -550,6 +543,8 @@ def _cmd_squash(args) -> int:
     from repro.ir import program_to_str
     from repro.workloads import benchmark_by_name
 
+    if _knobs_rejected():
+        return 2
     bm = benchmark_by_name(args.benchmark)
     prog = bm.build(**(bm.small_kwargs or bm.eval_kwargs))
     nest = find_kernel_nests(prog)[0]
@@ -721,16 +716,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "MaxLive/MII/exact-II re-derivations)")
     v.set_defaults(fn=_cmd_verify)
 
-    tr = sub.add_parser(
-        "trace", help="validate and summarize an exported trace file")
-    tr.add_argument("file", help="a --trace OUT.json export")
-    tr.set_defaults(fn=_cmd_trace)
-
     st = sub.add_parser(
-        "stats", help="render the metrics summary from an exported trace")
+        "stats", help="validate an exported trace and summarize its "
+                      "events and metrics")
     st.add_argument("file", nargs="?", default=None,
-                    help="a --trace OUT.json export (its embedded "
-                         "reproMetrics block is rendered)")
+                    help="a --trace OUT.json export (validated, its events "
+                         "summarized, its reproMetrics block rendered)")
     st.add_argument("--knobs", action="store_true",
                     help="print the registered REPRO_* environment-knob "
                          "table instead")

@@ -10,9 +10,9 @@ Public surface::
     result.stages               # DS-stage pipeline assignment (Fig. 4.2)
     result.chains               # shift-register chains / register count
 
-The code emitters (:mod:`repro.core.emit`, :mod:`repro.core.rotation`)
-are imported from their modules: a design-space sweep analyzes nests
-but never emits their transformed code.
+The code emitter (:mod:`repro.core.emit`) is imported from its module:
+a design-space sweep analyzes nests but never emits their transformed
+code.
 """
 
 from repro.core.dfg import DFG, DFGEdge, DFGNode, build_dfg  # noqa: F401

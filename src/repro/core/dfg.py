@@ -47,10 +47,6 @@ class DFGNode:
     stmt: Optional[Stmt] = None  # originating 3AC statement
 
     @property
-    def is_memory(self) -> bool:
-        return self.kind in ("load", "store")
-
-    @property
     def is_operator(self) -> bool:
         return self.kind in ("binop", "unop", "select", "cast", "load",
                              "rom_load", "store", "inc")
@@ -100,12 +96,6 @@ class DFG:
 
     def preds(self, n: DFGNode, max_dist: int = 0) -> list[DFGEdge]:
         return [e for e in self.edges if e.dst is n and e.dist <= max_dist]
-
-    def operator_nodes(self) -> list[DFGNode]:
-        return [n for n in self.nodes if n.is_operator]
-
-    def memory_nodes(self) -> list[DFGNode]:
-        return [n for n in self.nodes if n.is_memory]
 
     def backedges(self) -> list[DFGEdge]:
         return [e for e in self.edges if e.dist > 0]

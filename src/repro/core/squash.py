@@ -152,9 +152,7 @@ def analyze_nest(program: Program, nest: LoopNest, ds: int,
 
 
 def unroll_and_squash(program: Program, nest: LoopNest, ds: int,
-                      delay_fn: Optional[Callable] = None,
-                      emit: bool = True,
-                      emit_mode: str = "dataset") -> SquashResult:
+                      delay_fn: Optional[Callable] = None) -> SquashResult:
     """Apply unroll-and-squash by factor ``ds`` to ``nest``.
 
     Parameters
@@ -166,20 +164,10 @@ def unroll_and_squash(program: Program, nest: LoopNest, ds: int,
     delay_fn:
         Operator-delay model used to balance the stage cut (defaults to
         unit delays; the Nimble driver passes the hardware library's).
-    emit:
-        When False, only the analysis/staging artifacts are produced
-        (the hardware back-end path of §5.4 — "a pure hardware
-        implementation of the inner loop without a prolog and an epilog
-        in software").
-    emit_mode:
-        ``"dataset"`` (default) — per-data-set variable naming, fully
-        general; ``"rotation"`` — the thesis's §4.3 shift-register form
-        (raises :class:`~repro.core.rotation.RotationUnsupported` on
-        multi-lap recurrences); ``"auto"`` — rotation with data-set
-        fallback.
 
-    Returns a :class:`SquashResult`; raises :class:`LegalityError` when
-    the §4.1 requirements fail.
+    Returns a :class:`SquashResult` whose program is the data-set form
+    of Fig. 2.3 (:mod:`repro.core.emit`); raises :class:`LegalityError`
+    when the §4.1 requirements fail.
     """
     if ds == 1:
         # degenerate: squash(1) is the identity transformation
@@ -205,26 +193,11 @@ def unroll_and_squash(program: Program, nest: LoopNest, ds: int,
     chains = register_chains(dfg, sa, carried, invariant, live.live_out,
                              ssa.exit)
 
-    emission = None
-    if emit:
-        if emit_mode not in ("dataset", "rotation", "auto"):
-            raise LegalityError(f"unknown emit mode {emit_mode!r}")
-        if emit_mode in ("rotation", "auto"):
-            from repro.core.rotation import RotationUnsupported, \
-                emit_rotation_mode
-            try:
-                emission = emit_rotation_mode(work, w_nest, ds, ssa, dfg, sa)
-            except RotationUnsupported:
-                if emit_mode == "rotation":
-                    raise
-        if emission is None:
-            from repro.core.emit import emit_dataset_mode
+    from repro.core.emit import emit_dataset_mode
 
-            emission = emit_dataset_mode(work, w_nest, ds, ssa, dfg, sa)
-        out = emission.program
-    else:
-        out = work
-    return SquashResult(out, ds, check, ssa, dfg, sa, chains, emission)
+    emission = emit_dataset_mode(work, w_nest, ds, ssa, dfg, sa)
+    return SquashResult(emission.program, ds, check, ssa, dfg, sa, chains,
+                        emission)
 
 
 def jam_then_squash(program: Program, nest: LoopNest, jam: int, ds: int,

@@ -18,8 +18,8 @@ from typing import Optional
 from repro.errors import ReproError
 
 __all__ = ["ANALYSIS_CACHE_ENV", "KNOBS", "Knob", "TRACE_ENV", "VERIFY_ENV",
-           "analysis_cache_enabled", "check_knobs", "env_int",
-           "registered_knobs", "trace_mode", "verify_mode"]
+           "analysis_cache_enabled", "check_knobs", "env_int", "trace_mode",
+           "verify_mode"]
 
 #: Controls the shared-analysis machinery (see :mod:`repro.pipeline.analysis`
 #: and :mod:`repro.hw.iimemo`): ``"0"`` disables sharing entirely (the
@@ -89,11 +89,6 @@ KNOBS: "tuple[Knob, ...]" = (
          "Seed for the fault plan's SHA-256 coins; same seed, same "
          "plan, same decisions in every process."),
 )
-
-
-def registered_knobs() -> "dict[str, Knob]":
-    """The knob table keyed by variable name."""
-    return {k.name: k for k in KNOBS}
 
 
 def env_int(name: str, default: Optional[int],

@@ -123,9 +123,6 @@ class ExploreResult:
     results: list["DesignPoint | SkipRecord | FailRecord"]
     cache_stats: CacheStats = field(default_factory=CacheStats)
     jobs: int = 1
-    #: lazily-built query -> result index (see :meth:`point_for`)
-    _index: "Optional[dict[DesignQuery, object]]" = \
-        field(default=None, repr=False, compare=False)
 
     def pairs(self) -> list[
             tuple[DesignQuery, "DesignPoint | SkipRecord | FailRecord"]]:
@@ -139,21 +136,6 @@ class ExploreResult:
 
     def fails(self) -> list[FailRecord]:
         return [r for r in self.results if isinstance(r, FailRecord)]
-
-    def point_for(self, query: DesignQuery) -> Optional[DesignPoint]:
-        """The evaluated point for ``query``, or ``None``.
-
-        Indexed: the first call builds a query -> result map, so ranking
-        and report code that probes hundreds of queries pays O(1) per
-        lookup instead of a linear scan of ``pairs()`` each time.
-        """
-        if self._index is None:
-            index: dict[DesignQuery, object] = {}
-            for q, r in zip(self.queries, self.results):
-                index.setdefault(q, r)
-            self._index = index
-        r = self._index.get(query)
-        return r if isinstance(r, DesignPoint) else None
 
     def attach_base_ii(self) -> None:
         """Propagate each (kernel, target) group's original II.

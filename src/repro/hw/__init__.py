@@ -20,7 +20,6 @@ from repro.hw.schedulers import (  # noqa: F401
     scheduler_by_name,
 )
 from repro.hw.area import (  # noqa: F401
-    AreaEstimate, area_estimate, operator_rows, registers_original,
-    registers_pipelined,
+    operator_rows, registers_original, registers_pipelined,
 )
 from repro.hw.report import DesignPoint, NormalizedPoint, normalize  # noqa: F401

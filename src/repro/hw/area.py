@@ -18,33 +18,12 @@ rows, and register count.  This module supplies the area/register half:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.core.dfg import DFG
 from repro.hw.modulo import ModuloSchedule
 from repro.hw.ops import OperatorLibrary
 
-__all__ = ["AreaEstimate", "operator_rows", "registers_original",
-           "registers_pipelined", "area_estimate"]
-
-
-@dataclass
-class AreaEstimate:
-    """Rows split into operators and registers."""
-
-    op_rows: int
-    registers: int
-    reg_rows: float
-
-    @property
-    def total_rows(self) -> float:
-        return self.op_rows + self.registers * self.reg_rows
-
-    @property
-    def operator_fraction(self) -> float:
-        """Operators as a fraction of total area (Fig. 6.4)."""
-        total = self.total_rows
-        return self.op_rows / total if total else 1.0
+__all__ = ["operator_rows", "registers_original", "registers_pipelined"]
 
 
 def operator_rows(dfg: DFG, lib: OperatorLibrary) -> int:
@@ -85,8 +64,3 @@ def registers_pipelined(dfg: DFG, lib: OperatorLibrary,
             regs += math.ceil(residual / sched.ii)
     return max(regs + len(dfg.regs), registers_original(dfg))
 
-
-def area_estimate(dfg: DFG, lib: OperatorLibrary, registers: int) -> AreaEstimate:
-    """Combine operator rows with a register count."""
-    return AreaEstimate(op_rows=operator_rows(dfg, lib), registers=registers,
-                        reg_rows=lib.reg_rows)

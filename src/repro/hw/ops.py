@@ -125,10 +125,6 @@ class OperatorLibrary:
         """Area in rows."""
         return self.spec(node).rows
 
-    def uses_mem_port(self, node: DFGNode) -> bool:
-        """Does this node occupy a memory-bus port for one cycle?"""
-        return "mem" in self.node_resources(node)
-
     # -- generalized reservation-table resource model ----------------------
 
     def resource_slots(self) -> dict[str, int]:

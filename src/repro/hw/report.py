@@ -89,17 +89,6 @@ class DesignPoint:
         return max(self.rec_mii, self.res_mii)
 
     @property
-    def certified_optimal(self) -> bool:
-        """Is this design's II *proven* minimal?
-
-        True when the exact scheduler certified it (``exact_ii == ii``)
-        or when the II meets the RecMII/ResMII lower bound outright.
-        """
-        if self.exact_ii is not None and self.exact_ii == self.ii:
-            return True
-        return 0 < self.min_ii == self.ii
-
-    @property
     def optimality_gap(self) -> Optional[int]:
         """``ii - exact_ii`` when the optimum is known, else None.
 

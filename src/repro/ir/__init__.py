@@ -19,7 +19,7 @@ imported from its own module by the code that does.
 
 from repro.ir.types import (  # noqa: F401
     ALL_TYPES, BOOL, F32, F64, FLOAT_TYPES, I8, I16, I32, I64, INT_TYPES,
-    U8, U16, U32, U64, ScalarType, type_from_name, unify, wrap_int,
+    U8, U16, U32, U64, ScalarType, unify, wrap_int,
 )
 from repro.ir.nodes import (  # noqa: F401
     ArrayDecl, Assign, BinOp, BINOPS, Block, Cast, CMP_OPS, COMMUTATIVE_OPS,
@@ -30,7 +30,7 @@ from repro.ir.builder import ArrayHandle, ProgramBuilder  # noqa: F401
 from repro.ir.printer import expr_to_str, program_to_str, stmt_to_str  # noqa: F401
 from repro.ir.validate import validate_program  # noqa: F401
 from repro.ir.visitors import (  # noqa: F401
-    arrays_read, arrays_written, clone_expr, clone_program, clone_stmt,
-    count_nodes, map_exprs, rename_vars, structurally_equal, substitute,
-    variables_read, variables_written, walk_exprs, walk_stmts,
+    clone_expr, clone_program, clone_stmt, map_exprs, rename_vars,
+    structurally_equal, substitute, variables_read, variables_written,
+    walk_exprs, walk_stmts,
 )

@@ -61,13 +61,6 @@ def _unit_cost(op: str, ty: ScalarType) -> int:
     return 1
 
 
-def make_table_cost_model(table: dict[str, int], default: int = 1) -> CostModel:
-    """A cost model reading per-op costs from a table."""
-    def model(op: str, ty: ScalarType) -> int:
-        return table.get(op, default)
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Array storage
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import TypeMismatchError
-
 if TYPE_CHECKING:
     import numpy as np
 
@@ -26,7 +24,7 @@ __all__ = [
     "I8", "U8", "I16", "U16", "I32", "U32", "I64", "U64",
     "F32", "F64", "BOOL",
     "INT_TYPES", "FLOAT_TYPES", "ALL_TYPES",
-    "unify", "wrap_int", "round_f32", "type_from_name",
+    "unify", "wrap_int", "round_f32",
 ]
 
 
@@ -98,17 +96,6 @@ BOOL = ScalarType("bool", 8, False)
 INT_TYPES = (I8, U8, I16, U16, I32, U32, I64, U64, BOOL)
 FLOAT_TYPES = (F32, F64)
 ALL_TYPES = INT_TYPES + FLOAT_TYPES
-
-_BY_NAME = {t.name: t for t in ALL_TYPES}
-
-
-def type_from_name(name: str) -> ScalarType:
-    """Look a type up by its spelling (``"u8"`` -> :data:`U8`)."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:  # pragma: no cover - defensive
-        raise TypeMismatchError(f"unknown scalar type {name!r}") from None
-
 
 def unify(a: ScalarType, b: ScalarType) -> ScalarType:
     """C-like usual arithmetic conversions between two scalar types.

@@ -29,8 +29,7 @@ __all__ = [
     "walk_exprs", "walk_stmts", "stmt_exprs",
     "clone_expr", "clone_stmt", "clone_program",
     "map_exprs", "substitute", "rename_vars",
-    "variables_read", "variables_written", "arrays_read", "arrays_written",
-    "structurally_equal", "count_nodes",
+    "variables_read", "variables_written", "structurally_equal",
 ]
 
 
@@ -228,32 +227,6 @@ def variables_written(s: Stmt) -> set[str]:
         elif isinstance(st, For):
             out.add(st.var)
     return out
-
-
-def arrays_read(s: Stmt) -> set[str]:
-    """Names of arrays loaded from anywhere inside ``s``."""
-    out: set[str] = set()
-    for st in walk_stmts(s):
-        for e in stmt_exprs(st):
-            for node in walk_exprs(e):
-                if isinstance(node, Load):
-                    out.add(node.array)
-    return out
-
-
-def arrays_written(s: Stmt) -> set[str]:
-    """Names of arrays stored to anywhere inside ``s``."""
-    return {st.array for st in walk_stmts(s) if isinstance(st, Store)}
-
-
-def count_nodes(s: Stmt) -> int:
-    """Total statement + expression node count (complexity metric)."""
-    n = 0
-    for st in walk_stmts(s):
-        n += 1
-        for e in stmt_exprs(st):
-            n += sum(1 for _ in walk_exprs(e))
-    return n
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,9 @@ from repro.lang.parser import parse
 
 __all__ = [
     "LangError", "Span", "SourceText",
-    "parse_program", "compile_source", "compile_file",
+    "compile_source", "compile_file",
     "programs_equivalent",
 ]
-
-
-def parse_program(text: str, filename: str = "<lang>"):
-    """Parse source text to the front-end AST (no sema)."""
-    return parse(text, filename)
 
 
 def compile_source(text: str, filename: str = "<lang>"):

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 from repro.ir.randgen import ValueDomain
 
-__all__ = ["SourceNestSpec", "random_source_nest", "differential_check",
-           "run_fuzz"]
+__all__ = ["SourceNestSpec", "random_source_nest", "differential_check"]
 
 _OP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
               "xor": "^"}
@@ -200,13 +199,3 @@ def differential_check(seed: int, target_spec: str = "acev",
             problems.append(f"{where}: carried {name!r} diverged")
     return problems
 
-
-def run_fuzz(n_programs: int, base_seed: int = 0,
-             target_specs: tuple[str, ...] = ("acev", "vliw4")) -> list[str]:
-    """Bounded differential sweep: ``n_programs`` seeds across targets,
-    aggregating every failure."""
-    problems: list[str] = []
-    for i in range(n_programs):
-        for spec in target_specs:
-            problems += differential_check(base_seed + i, spec)
-    return problems

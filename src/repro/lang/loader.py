@@ -24,17 +24,12 @@ import os
 
 from repro.errors import ReproError
 
-__all__ = ["source_digest", "lang_spec", "is_lang_spec", "lang_kernel"]
+__all__ = ["source_digest", "lang_spec", "lang_kernel"]
 
 
 def source_digest(text: str) -> str:
     """Content digest of one source text (12 hex chars of SHA-256)."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-
-
-def is_lang_spec(name: str) -> bool:
-    """Whether a kernel name refers to a ``.lang`` source file."""
-    return name.startswith("lang:") or name.endswith(".lang")
 
 
 def _split_spec(name: str) -> tuple[str, str | None]:

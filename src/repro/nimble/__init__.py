@@ -7,10 +7,9 @@ are not re-exported here, so compiling designs does not load them.
 """
 
 from repro.nimble.target import (  # noqa: F401
-    ACEV, GARP, VLIW4, Target, VLIWTarget, available_targets,
-    decode_target, target_by_name,
+    ACEV, GARP, VLIW4, Target, VLIWTarget, decode_target, target_by_name,
 )
 from repro.nimble.compiler import (  # noqa: F401
     VariantSet, compile_jam, compile_jam_squash, compile_original,
-    compile_pipelined, compile_query, compile_squash, compile_variants,
+    compile_query, compile_squash, compile_variants,
 )

@@ -37,8 +37,8 @@ from repro.nimble.target import ACEV, Target
 from repro.pipeline import CompilationPipeline
 
 __all__ = ["VariantSet", "compile_query", "compile_query_batch",
-           "compile_variants", "compile_original", "compile_pipelined",
-           "compile_squash", "compile_jam", "compile_jam_squash"]
+           "compile_variants", "compile_original", "compile_squash",
+           "compile_jam", "compile_jam_squash"]
 
 
 @dataclass
@@ -63,14 +63,6 @@ def compile_original(program: Program, nest: LoopNest,
                      target: Target = ACEV) -> DesignPoint:
     """The non-pipelined baseline design."""
     return CompilationPipeline(target).compile(program, nest, "original")
-
-
-def compile_pipelined(program: Program, nest: LoopNest,
-                      target: Target = ACEV,
-                      scheduler: Optional[str] = None) -> DesignPoint:
-    """Classic modulo-scheduled pipelining of the unmodified loop."""
-    return CompilationPipeline(target, scheduler=scheduler).compile(
-        program, nest, "pipelined")
 
 
 def compile_squash(program: Program, nest: LoopNest, ds: int,

@@ -29,7 +29,7 @@ from repro.hw.ops import ACEV_LIBRARY, GARP_LIBRARY, OperatorLibrary
 from repro.vliw.machine import VLIW4_LIBRARY
 
 __all__ = ["Target", "VLIWTarget", "ACEV", "GARP", "VLIW4", "decode_target",
-           "target_by_name", "available_targets"]
+           "target_by_name"]
 
 
 def _suggest(name: str, known) -> str:
@@ -144,11 +144,6 @@ VLIW4 = VLIWTarget(
     description=VLIW4_LIBRARY.describe())
 
 _TARGETS = {t.name: t for t in (ACEV, GARP, VLIW4)}
-
-
-def available_targets() -> tuple[str, ...]:
-    """Registered base-target names, in registration order."""
-    return tuple(_TARGETS)
 
 
 def target_by_name(name: str) -> Target:

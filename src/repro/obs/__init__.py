@@ -9,8 +9,8 @@ Two always-importable, cheap-by-default facilities:
   ``REPRO_TRACE`` knob (off by default: no-op spans, no allocation),
   exporting merged sweeps as Chrome/Perfetto ``trace_event`` JSON.
 
-:mod:`repro.obs.stats` renders both as the ``repro stats`` /
-``repro trace`` summary tables.
+:mod:`repro.obs.stats` renders both as the ``repro stats`` summary
+tables.
 """
 
 from repro.obs import metrics, trace

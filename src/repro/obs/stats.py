@@ -8,7 +8,8 @@ Renders three things from the same inputs:
   from a metrics snapshot (live registry or the ``reproMetrics`` block
   embedded in an exported trace);
 * :func:`summarize_events` — per-category/per-name event counts and
-  total span time from a ``traceEvents`` list (``repro trace``);
+  total span time from a ``traceEvents`` list (``repro stats FILE``
+  prints it above the metrics summary);
 * :func:`format_knobs` — the registered environment-knob table from
   :data:`repro.env.KNOBS` (``repro stats --knobs``), the same source of
   truth the README renders.
@@ -171,7 +172,7 @@ def format_stats(snapshot: dict) -> str:
 
 
 def summarize_events(events: "list[dict]") -> str:
-    """Per-(cat, name) counts and span time for ``repro trace``."""
+    """Per-(cat, name) counts and span time for ``repro stats``."""
     agg: dict[tuple[str, str], list] = {}
     pids = set()
     for ev in events:

@@ -315,7 +315,7 @@ def validate_trace(doc: Any) -> "list[str]":
 
     An empty list means the document is a well-formed Chrome
     ``trace_event`` JSON object as this tracer produces them.  Used by
-    ``repro trace`` and the schema tests, so the exporter can't drift
+    ``repro stats`` and the schema tests, so the exporter can't drift
     from the format without a test noticing.
     """
     problems: list[str] = []

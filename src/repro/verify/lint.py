@@ -31,7 +31,7 @@ from repro.ir.types import ScalarType, wrap_int
 from repro.lang import ast as A
 from repro.lang.diagnostics import Span
 
-__all__ = ["LintFinding", "format_lint", "lint_file", "lint_source"]
+__all__ = ["LintFinding", "lint_file", "lint_source"]
 
 #: (lo, hi) inclusive integer interval, or None when statically unknown.
 Interval = Optional[tuple[int, int]]
@@ -50,10 +50,6 @@ class LintFinding:
     def render(self, filename: str) -> str:
         return (f"{filename}:{self.line}:{self.col}: "
                 f"{self.severity}[{self.code}]: {self.message}")
-
-
-def format_lint(findings: list[LintFinding], filename: str) -> str:
-    return "\n".join(f.render(filename) for f in findings)
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,9 @@ from repro.vliw.machine import (  # noqa: F401
 )
 from repro.vliw.pressure import (  # noqa: F401
     PressureInfo, max_live, pressure_floor, register_pressure,
-    rotating_copies,
 )
 
 __all__ = [
     "VLIW4_LIBRARY", "VLIW_OP_CLASSES", "VLIWOperatorLibrary", "op_class",
     "PressureInfo", "max_live", "pressure_floor", "register_pressure",
-    "rotating_copies",
 ]

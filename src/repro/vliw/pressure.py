@@ -43,7 +43,6 @@ design whose floor exceeds the file before scheduling it at all.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -55,7 +54,7 @@ from repro.hw.modulo import ModuloSchedule, search_context
 from repro.hw.ops import OperatorLibrary
 
 __all__ = ["PressureInfo", "max_live", "pressure_floor",
-           "register_pressure", "rotating_copies"]
+           "register_pressure"]
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,3 @@ def register_pressure(dfg: DFG, lib: OperatorLibrary,
         capacity=getattr(lib, "register_file", None),
         rotating=bool(getattr(lib, "rotating", True)))
 
-
-def rotating_copies(lifetime: int, ii: int) -> int:
-    """``ceil(lifetime / II)`` — copies one value needs under MVE."""
-    return math.ceil(lifetime / ii) if lifetime > 0 else 0

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis import (
-    all_loops, find_kernel_nests, find_loop_nests, innermost_loops,
-    is_perfect_nest, loop_depths, trip_count,
+    all_loops, find_kernel_nests, find_loop_nests, trip_count,
 )
 from repro.ir import Const, For, I32, ProgramBuilder, U8
 
@@ -40,15 +39,6 @@ class TestNestDiscovery:
         nest = find_loop_nests(fig21)[0]
         assert len(nest.pre_stmts()) == 1    # a = data_in[i]
         assert len(nest.post_stmts()) == 1   # data_out[i] = a
-        assert not is_perfect_nest(nest)
-
-    def test_depths(self, fig21):
-        depths = loop_depths(fig21)
-        assert sorted(depths.values()) == [0, 1]
-
-    def test_innermost(self, fig21):
-        inner = innermost_loops(fig21)
-        assert len(inner) == 1 and inner[0].var == "j"
 
     def test_triple_nest_yields_two_pairs(self):
         b = ProgramBuilder("p")

@@ -6,11 +6,10 @@ import pytest
 
 from repro.analysis import (
     check_outer_parallel, find_basic_ivs, find_loop_nests, is_straightline,
-    rewrite_induction_variable, ssa_rename,
+    ssa_rename,
 )
 from repro.errors import LegalityError
 from repro.ir import Assign, Block, Const, I32, ProgramBuilder, U32, Var
-from repro.ir.interp import run_program
 from repro.ir.randgen import random_squashable_nest
 from tests.conftest import inner_loop, outer_loop
 
@@ -48,14 +47,6 @@ class TestSSA:
             ssa_rename(outer.body, fig21.scalar_type)
         assert not is_straightline(outer.body)
 
-    def test_versions_of(self):
-        blk = Block([
-            Assign("t", Var("x", I32)),
-            Assign("x", Const(1, I32)),
-        ])
-        ssa = ssa_rename(blk, lambda n: I32)
-        assert ssa.versions_of("x") == ["x@0", "x@1"]
-
 
 def _vars(e):
     from repro.ir import walk_exprs, Var as V
@@ -79,18 +70,6 @@ class TestInduction:
         ivs = find_basic_ivs(loop)
         assert len(ivs) == 1
         assert ivs[0].var == "p" and ivs[0].step == 4
-
-    def test_rewrite_preserves_semantics(self):
-        prog = self._counter_prog()
-        before = run_program(prog).arrays["out"].copy()
-        loop = outer_loop(prog)
-        iv = find_basic_ivs(loop)[0]
-        rewrite_induction_variable(prog, loop, iv, Const(100, I32))
-        # the update statement is gone
-        assert all(not (isinstance(s, Assign) and s.var == "p")
-                   for s in loop.body.stmts)
-        after = run_program(prog).arrays["out"]
-        assert list(before) == list(after)
 
     def test_not_iv_when_written_twice(self):
         b = ProgramBuilder("p")

@@ -1,6 +1,6 @@
 """Unit tests for use/def and loop liveness."""
 
-from repro.analysis import live_before, loop_liveness, stmt_defs, stmt_uses
+from repro.analysis import live_before, loop_liveness, stmt_uses
 from repro.ir import Assign, BinOp, Block, Const, For, I32, If, Store, U8, Var
 from tests.conftest import inner_loop, outer_loop
 
@@ -9,17 +9,14 @@ class TestStmtFacts:
     def test_assign(self):
         s = Assign("x", BinOp("add", Var("y", I32), Var("z", I32)))
         assert stmt_uses(s) == {"y", "z"}
-        assert stmt_defs(s) == {"x"}
 
     def test_store(self):
         s = Store("a", (Var("i", I32),), Var("v", I32))
         assert stmt_uses(s) == {"i", "v"}
-        assert stmt_defs(s) == set()
 
     def test_for_bounds(self):
         f = For("i", Var("lo", I32), Var("hi", I32), Block())
         assert stmt_uses(f) == {"lo", "hi"}
-        assert stmt_defs(f) == {"i"}
 
 
 class TestLiveBefore:

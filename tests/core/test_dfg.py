@@ -35,7 +35,7 @@ class TestFig21DFG:
         # registers: only `a` is live-in (j unused in body)
         assert set(dfg.regs) == {"a"}
         # two operators: add (f) and xor (g)
-        ops = [n for n in dfg.operator_nodes()]
+        ops = [n for n in dfg.nodes if n.is_operator]
         assert sorted(n.op for n in ops) == ["add", "xor"]
         # one backedge: a@exit -> reg a
         backs = dfg.backedges()
@@ -70,7 +70,7 @@ class TestFig41DFG:
     def test_operator_inventory(self):
         prog = build_fig41()
         dfg, _, _ = _dfg_for(prog)
-        ops = sorted(n.op for n in dfg.operator_nodes() if n.op)
+        ops = sorted(n.op for n in dfg.nodes if n.is_operator and n.op)
         # add(b=a+i), sub(c=b-j), and(c&15), mul(*k), synthetic j++
         assert ops == ["add", "add", "and", "mul", "sub"]
 

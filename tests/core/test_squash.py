@@ -100,7 +100,7 @@ class TestEmittedStructure:
         counts = []
         for ds in (2, 4, 8):
             res = unroll_and_squash(prog, nest, ds)
-            counts.append(len(res.dfg.operator_nodes()))
+            counts.append(sum(n.is_operator for n in res.dfg.nodes))
         assert counts[0] == counts[1] == counts[2]
 
 
@@ -213,10 +213,10 @@ class TestCombinedJamSquash:
         nest = find_loop_nests(prog)[0]
         plain = unroll_and_squash(prog, nest, 2)
         combo = jam_then_squash(prog, nest, 2, 2)
-        n_plain = len([n for n in plain.dfg.operator_nodes()
-                       if n.kind != "inc"])
-        n_combo = len([n for n in combo.dfg.operator_nodes()
-                       if n.kind != "inc"])
+        n_plain = len([n for n in plain.dfg.nodes
+                       if n.is_operator and n.kind != "inc"])
+        n_combo = len([n for n in combo.dfg.nodes
+                       if n.is_operator and n.kind != "inc"])
         assert n_combo == 2 * n_plain
 
 

@@ -111,13 +111,6 @@ class TestEvaluate:
         assert res.results[0] == res.results[1] == res.results[2]
         assert isinstance(res.results[0], DesignPoint)
 
-    def test_point_for_uses_the_index(self, iir_result):
-        for q in iir_result.queries:
-            assert iir_result.point_for(q) is not None
-        assert iir_result._index is not None  # built once, then O(1)
-        assert iir_result.point_for(DesignQuery("iir", "squash",
-                                                ds=999)) is None
-
 
 class TestEngineCache:
     def test_second_run_is_all_hits(self, tmp_path):

@@ -34,7 +34,7 @@ def _assert_legal(dfg, lib, sched, edges=None):
             sched.time[s.nid] + lib.delay(s), f"{s} -> {d} (dist {dist})"
     rows: dict[int, int] = {}
     for n in dfg.nodes:
-        if lib.uses_mem_port(n):
+        if "mem" in lib.node_resources(n):
             r = sched.time[n.nid] % sched.ii
             rows[r] = rows.get(r, 0) + 1
             assert rows[r] <= lib.mem_ports
@@ -182,22 +182,25 @@ class TestRegistryIntegration:
 class TestDesignPointOptimality:
     def test_pipeline_stamps_certified_exact_ii(self):
         from repro.analysis import find_kernel_nests
-        from repro.nimble import compile_pipelined
+        from repro.nimble import ACEV
+        from repro.pipeline import CompilationPipeline
         prog = build_fig41()
         nest = find_kernel_nests(prog)[0]
-        point = compile_pipelined(prog, nest, scheduler="exact")
+        point = CompilationPipeline(ACEV, scheduler="exact").compile(
+            prog, nest, "pipelined")
         assert point.exact_ii == point.ii == 5
-        assert point.certified_optimal and point.optimality_gap == 0
+        assert point.optimality_gap == 0
 
     def test_mii_bound_certifies_without_exact(self):
         from repro.analysis import find_kernel_nests
-        from repro.nimble import compile_pipelined
+        from repro.nimble import ACEV
+        from repro.pipeline import CompilationPipeline
         prog = build_fig21()
         nest = find_kernel_nests(prog)[0]
-        point = compile_pipelined(prog, nest)  # default heuristic
+        point = CompilationPipeline(ACEV).compile(prog, nest, "pipelined")
         assert point.exact_ii is None
         assert point.ii == point.min_ii == 2
-        assert point.certified_optimal and point.optimality_gap == 0
+        assert point.optimality_gap == 0
 
     def test_unknown_gap_is_none_not_zero(self):
         from repro.hw.report import DesignPoint
@@ -205,6 +208,6 @@ class TestDesignPointOptimality:
                         op_rows=1, registers=1, reg_rows=1.0,
                         rec_mii=2, res_mii=1, outer_trip=0, inner_trip=0)
         assert p.min_ii == 2
-        assert p.optimality_gap is None and not p.certified_optimal
+        assert p.optimality_gap is None
         p.exact_ii = 5
-        assert p.optimality_gap == 2 and not p.certified_optimal
+        assert p.optimality_gap == 2

@@ -99,7 +99,6 @@ class TestOracle:
         assert des["modulo"].exact_ii == 16
         assert des["modulo"].optimality_gap == 3
         assert des["backtrack"].optimality_gap == 0
-        assert des["backtrack"].certified_optimal
 
     def test_pareto_report_shows_gap_column(self, oracle_result):
         text = format_pareto(oracle_result)

@@ -33,10 +33,12 @@ class TestOperatorLibrary:
 
     def test_mem_port_usage(self):
         lib = ACEV_LIBRARY
-        assert lib.uses_mem_port(DFGNode(0, "load", U8, array="a"))
-        assert lib.uses_mem_port(DFGNode(0, "store", U8, array="a"))
-        assert not lib.uses_mem_port(DFGNode(0, "rom_load", U8, array="t"))
-        assert not lib.uses_mem_port(DFGNode(0, "binop", U8, op="add"))
+        assert "mem" in lib.node_resources(DFGNode(0, "load", U8, array="a"))
+        assert "mem" in lib.node_resources(DFGNode(0, "store", U8, array="a"))
+        assert "mem" not in lib.node_resources(
+            DFGNode(0, "rom_load", U8, array="t"))
+        assert "mem" not in lib.node_resources(
+            DFGNode(0, "binop", U8, op="add"))
 
     def test_registers_and_consts_free(self):
         lib = ACEV_LIBRARY

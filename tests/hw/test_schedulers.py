@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import find_loop_nests
 from repro.core import analyze_nest
 from repro.hw import (
-    ACEV_LIBRARY, GARP_LIBRARY, area_estimate, list_schedule, min_ii,
+    ACEV_LIBRARY, GARP_LIBRARY, list_schedule, min_ii,
     modulo_schedule, operator_rows, registers_original, registers_pipelined,
     squash_distances,
 )
@@ -35,7 +35,7 @@ def _assert_schedule_legal(dfg, lib, sched, edges=None):
             sched.time[s.nid] + lib.delay(s), f"{s} -> {d} (dist {dist})"
     rows: dict[int, int] = {}
     for n in dfg.nodes:
-        if lib.uses_mem_port(n):
+        if "mem" in lib.node_resources(n):
             r = sched.time[n.nid] % sched.ii
             rows[r] = rows.get(r, 0) + 1
             assert rows[r] <= lib.mem_ports
@@ -145,7 +145,7 @@ class TestMRTRowAdvance:
         assert all(v <= ACEV_LIBRARY.mem_ports for v in rt["mem"].values())
         assert sum(rt["mem"].values()) == 5
         mem_rows = {time[n.nid] % 3 for n in dfg.nodes
-                    if ACEV_LIBRARY.uses_mem_port(n)}
+                    if "mem" in ACEV_LIBRARY.node_resources(n)}
         assert len(mem_rows) > 1
 
     def test_attempt_gives_up_when_all_rows_full(self):
@@ -281,18 +281,11 @@ class TestAreaModel:
         assert registers_pipelined(dfg, ACEV_LIBRARY, sched) >= \
             registers_original(dfg)
 
-    def test_area_estimate_fractions(self):
-        dfg, _ = _dfg(build_fig41())
-        est = area_estimate(dfg, ACEV_LIBRARY, registers=10)
-        assert est.total_rows == est.op_rows + 10
-        assert 0 < est.operator_fraction < 1
-
     def test_packed_registers_cheaper(self):
         dfg, _ = _dfg(build_fig41())
         packed = ACEV_LIBRARY.with_packed_registers(0.25)
-        a = area_estimate(dfg, ACEV_LIBRARY, 40).total_rows
-        b = area_estimate(dfg, packed, 40).total_rows
-        assert b < a
+        assert operator_rows(dfg, packed) == operator_rows(dfg, ACEV_LIBRARY)
+        assert packed.reg_rows < ACEV_LIBRARY.reg_rows
 
 
 class TestSimulator:

@@ -122,7 +122,7 @@ class TestMutationAlwaysCaught:
         _, _, _, dfg, _, _ = analyze_nest(prog, nest, 1,
                                           delay_fn=ACEV_LIBRARY.delay)
         lib = ACEV_LIBRARY.with_ports(1)
-        mem = [n for n in dfg.nodes if lib.uses_mem_port(n)]
+        mem = [n for n in dfg.nodes if "mem" in lib.node_resources(n)]
         assert len(mem) >= 3
         sched = modulo_schedule(dfg, lib)
         assert reverify_modulo(dfg, lib, sched) == []

@@ -97,8 +97,8 @@ class TestRandomNestPipeline:
         _, _, _, dfg0, _, _ = analyze_nest(prog, nest, 1,
                                            delay_fn=ACEV.library.delay)
         pipelined = modulo_schedule(dfg0, ACEV.library)
-        res = unroll_and_squash(prog, nest, 4, delay_fn=ACEV.library.delay,
-                                emit=False)
-        edges = squash_distances(res.dfg, res.stages)
-        squashed = modulo_schedule(res.dfg, ACEV.library, edges=edges)
+        _, _, _, dfg, stages, _ = analyze_nest(prog, nest, 4,
+                                               delay_fn=ACEV.library.delay)
+        edges = squash_distances(dfg, stages)
+        squashed = modulo_schedule(dfg, ACEV.library, edges=edges)
         assert squashed.ii <= pipelined.ii

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import InterpError
 from repro.ir import F32, F64, I8, I32, U8, ProgramBuilder, Var
 from repro.ir.interp import run_program
-from repro.ir.interp import Interpreter, eval_binop, make_table_cost_model
+from repro.ir.interp import Interpreter, eval_binop
 
 
 class TestEvalBinop:
@@ -161,8 +161,8 @@ class TestCostAccounting:
         assert res.total_cost >= outer.inclusive_cost
 
     def test_cost_model_table(self, fig21):
-        model = make_table_cost_model({"add": 10, "xor": 1}, default=0)
-        res = Interpreter(fig21, model).run()
+        table = {"add": 10, "xor": 1}
+        res = Interpreter(fig21, lambda op, ty: table.get(op, 0)).run()
         # 32 adds (inner) * 10 + 32 xor * 1
         assert res.total_cost == 32 * 10 + 32 * 1
 

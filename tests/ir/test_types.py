@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import TypeMismatchError
 from repro.ir.types import (
-    F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, type_from_name, unify,
-    wrap_int,
+    F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, unify, wrap_int,
 )
 
 
@@ -26,12 +24,6 @@ class TestScalarType:
         assert I32.numpy_dtype() == np.dtype("i4")
         assert F32.numpy_dtype() == np.dtype("f4")
         assert F64.numpy_dtype() == np.dtype("f8")
-
-    def test_lookup_by_name(self):
-        assert type_from_name("u8") is U8
-        assert type_from_name("f64") is F64
-        with pytest.raises(TypeMismatchError):
-            type_from_name("u128")
 
     def test_str(self):
         assert str(U16) == "u16"

@@ -12,7 +12,7 @@ import pytest
 
 from repro.lang import compile_source
 from repro.lang.fuzz import (
-    SourceNestSpec, differential_check, random_source_nest, run_fuzz,
+    SourceNestSpec, differential_check, random_source_nest,
 )
 
 
@@ -52,5 +52,6 @@ class TestDifferentialFast:
 class TestBoundedFuzz:
     def test_sweep_200_programs(self):
         # 100 seeds x 2 targets = 200 differential runs, seed-pinned
-        problems = run_fuzz(100, base_seed=0)
+        problems = [p for seed in range(100) for target in ("acev", "vliw4")
+                    for p in differential_check(seed, target)]
         assert problems == [], "\n".join(problems)

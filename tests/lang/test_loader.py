@@ -7,9 +7,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.explore.space import DesignQuery
-from repro.lang.loader import (
-    is_lang_spec, lang_kernel, lang_spec, source_digest,
-)
+from repro.lang.loader import lang_kernel, lang_spec, source_digest
 from repro.workloads import benchmark_by_name
 
 SRC = """kernel tiny {
@@ -36,11 +34,6 @@ class TestSpec:
     def test_canonical_spec_pins_digest(self, tiny):
         spec = lang_spec(str(tiny))
         assert spec == f"lang:{tiny}#{source_digest(SRC)}"
-
-    def test_is_lang_spec(self, tiny):
-        assert is_lang_spec(lang_spec(str(tiny)))
-        assert is_lang_spec("foo/bar.lang")
-        assert not is_lang_spec("skipjack-mem")
 
     def test_resolution_forms(self, tiny):
         for name in (lang_spec(str(tiny)), f"lang:{tiny}", str(tiny)):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import LangError
 from repro.ir.types import I32, U8
-from repro.lang import parse_program
+from repro.lang.parser import parse
 from repro.lang import ast as A
 
 
@@ -21,12 +21,12 @@ kernel k {
 
 
 def first_stmt(src):
-    return parse_program(src).body[0]
+    return parse(src).body[0]
 
 
 def expr_of(text, decls="u8 x; u8 y; u8 z;"):
     src = f"kernel k {{ output u8 o[1]; {decls} x = {text}; }}"
-    unit = parse_program(src)
+    unit = parse(src)
     for s in unit.body:
         if isinstance(s, A.LAssign):
             return s.expr
@@ -35,18 +35,18 @@ def expr_of(text, decls="u8 x; u8 y; u8 z;"):
 
 class TestStructure:
     def test_minimal_kernel(self):
-        unit = parse_program(MINIMAL)
+        unit = parse(MINIMAL)
         assert unit.name == "k"
         assert [a.name for a in unit.arrays] == ["out"]
         assert unit.arrays[0].output and not unit.arrays[0].rom
         assert isinstance(unit.body[0], A.LFor)
 
     def test_quoted_kernel_name(self):
-        unit = parse_program('kernel "fig 2.1" { output u8 o[1]; }')
+        unit = parse('kernel "fig 2.1" { output u8 o[1]; }')
         assert unit.name == "fig 2.1"
 
     def test_decl_kinds(self):
-        unit = parse_program("""
+        unit = parse("""
         kernel k {
           param i32 n;
           rom u8 lut[2] = { 1, 2 };
@@ -64,14 +64,14 @@ class TestStructure:
         assert unit.scalars[0].init is not None
 
     def test_multidim_array(self):
-        unit = parse_program(
+        unit = parse(
             "kernel k { output u8 m[2][3]; u8 x; x = m[1][2]; }")
         assert list(unit.arrays[0].shape) == [2, 3]
         ld = unit.body[0].expr
         assert isinstance(ld, A.LIndex) and len(ld.index) == 2
 
     def test_pragma_kernel_marks_loop(self):
-        unit = parse_program("""
+        unit = parse("""
         kernel k {
           output u8 o[2];
           u8 a;
@@ -97,7 +97,7 @@ class TestStructure:
         assert loop("i = 8; i > 0; i -= 2").step == -2
 
     def test_if_else_chain(self):
-        unit = parse_program("""
+        unit = parse("""
         kernel k {
           output u8 o[1];
           u8 x;
@@ -163,7 +163,7 @@ class TestExpressions:
 class TestContextualKeywords:
     def test_rom_as_array_name(self):
         # the randgen nests name their lookup table literally "rom"
-        unit = parse_program("""
+        unit = parse("""
         kernel k {
           rom u8 rom[2] = { 1, 2 };
           output u8 o[1];
@@ -174,13 +174,13 @@ class TestContextualKeywords:
         assert unit.arrays[0].name == "rom" and unit.arrays[0].rom
 
     def test_output_as_scalar_name(self):
-        unit = parse_program(
+        unit = parse(
             "kernel k { output u8 o[1]; u8 output; output = 1; }")
         assert unit.scalars[0].name == "output"
 
     def test_hard_keywords_rejected(self):
         with pytest.raises(LangError, match="reserved"):
-            parse_program("kernel k { output u8 o[1]; u8 for; }")
+            parse("kernel k { output u8 o[1]; u8 for; }")
 
 
 class TestParseErrors:
@@ -194,12 +194,12 @@ class TestParseErrors:
     ])
     def test_raises_langerror(self, src, fragment):
         with pytest.raises(LangError) as exc:
-            parse_program(src)
+            parse(src)
         assert fragment in str(exc.value)
         assert ":" in str(exc.value)  # has file:line:col
 
     def test_missing_semicolon_points_at_line(self):
         src = "kernel k {\n  output u8 o[1];\n  u8 x;\n  x = 1\n}\n"
         with pytest.raises(LangError) as exc:
-            parse_program(src)
+            parse(src)
         assert ":5:" in str(exc.value) or ":4:" in str(exc.value)

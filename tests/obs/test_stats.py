@@ -1,9 +1,12 @@
 """``repro stats`` rendering and the registered-knob contract."""
 
+import json
 import pathlib
 import re
 
-from repro.env import KNOBS, registered_knobs
+import pytest
+
+from repro.env import KNOBS
 from repro.obs.stats import format_knobs, format_stats, summarize_events
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -74,22 +77,55 @@ class TestFormatStats:
 
 
 class TestStatsCommand:
-    def test_modulo_sweep_reports_repair_rounds(self, tmp_path, capsys):
-        """Every placement pass of the array core is one repair round,
-        so a sweep that modulo-schedules anything shows a nonzero row."""
+    @pytest.fixture(scope="class")
+    def sweep_trace(self, tmp_path_factory):
+        """The export of a traced ``explore --kernel iir --jobs 1`` run."""
         from repro.cli import main
         from repro.obs import reset_metrics
 
         reset_metrics()
-        trace = tmp_path / "sweep.json"
+        trace = tmp_path_factory.mktemp("stats") / "sweep.json"
         assert main(["explore", "--kernel", "iir", "--factors", "2",
                      "--variants", "pipelined", "squash", "--jobs", "1",
                      "--no-cache", "--trace", str(trace)]) == 0
-        capsys.readouterr()
-        assert main(["stats", str(trace)]) == 0
+        return trace
+
+    def test_modulo_sweep_reports_repair_rounds(self, sweep_trace, capsys):
+        """Every placement pass of the array core is one repair round,
+        so a sweep that modulo-schedules anything shows a nonzero row."""
+        from repro.cli import main
+
+        assert main(["stats", str(sweep_trace)]) == 0
         text = capsys.readouterr().out
         row = re.search(r"^repair rounds\s+(\d+)$", text, re.M)
         assert row and int(row.group(1)) > 0, text
+
+    def test_prints_the_event_summary_then_the_metrics(self, sweep_trace,
+                                                        capsys):
+        from repro.cli import main
+
+        assert main(["stats", str(sweep_trace)]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"{sweep_trace}: valid Chrome trace_event "
+                               f"JSON\n")
+        events = re.search(r"^\d+ events from \d+ process\(es\)$", text,
+                           re.M)
+        stages = text.find("Pipeline stages")
+        assert events and 0 < events.start() < stages, text
+
+    def test_malformed_event_exits_1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        doc = {"traceEvents": [{"name": "flow", "cat": "pipeline",
+                                "ph": "X", "ts": 0, "pid": 1, "tid": 1}],
+               "reproMetrics": {"counters": {}, "histograms": {}}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["stats", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "traceEvents[0]: 'dur' must be a number >= 0" in err
+        assert f"{path}: INVALID (1 problem(s))" in err
 
 
 class TestSummarizeEvents:
@@ -129,7 +165,7 @@ class TestKnobRegistry:
         # the suite's own per-test watchdog (tests/conftest.py), which
         # the README documents, is no program knob
         named.discard("REPRO_TEST_TIMEOUT")
-        registered = set(registered_knobs())
+        registered = {k.name for k in KNOBS}
         unregistered = sorted(named - registered)
         assert not unregistered, (
             f"REPRO_* variables named in src/, README.md or ci.yml but "

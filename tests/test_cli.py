@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
 from repro.hw.schedulers import scheduler_by_name
 from tests.conftest import ShiftedSink
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "examples"
 
 
 class TestCLI:
@@ -211,22 +215,28 @@ class TestExploreCommand:
         assert out == "" and "malformed" in err
 
 
-class TestBadKnobs:
-    """A ``REPRO_*`` knob with a value it does not accept stops a sweep
-    before any design is dispatched: one stderr line naming the variable
-    and its accepted values, exit 2."""
+#: (knob, a value it rejects, the accepted values its error names)
+BAD_KNOBS = [
+    ("REPRO_ANALYSIS_CACHE", "2", "use 0 or 1"),
+    ("REPRO_VERIFY", "paranoid", "use 0/off, 1/on, or strict"),
+    ("REPRO_TRACE", "bogus", "use 0/off, 1/on, or full"),
+    ("REPRO_FAULTS", "bogus", "kind@site:probability"),
+]
 
-    @pytest.mark.parametrize("name,raw,accepted", [
-        ("REPRO_ANALYSIS_CACHE", "2", "use 0 or 1"),
-        ("REPRO_VERIFY", "paranoid", "use 0/off, 1/on, or strict"),
-        ("REPRO_TRACE", "bogus", "use 0/off, 1/on, or full"),
-        ("REPRO_FAULTS", "bogus", "kind@site:probability"),
-    ])
+
+class TestBadKnobs:
+    """A ``REPRO_*`` knob with a value it does not accept stops a command
+    before it does any work: one stderr line naming the variable and its
+    accepted values, exit 2."""
+
+    @pytest.mark.parametrize("name,raw,accepted", BAD_KNOBS)
     @pytest.mark.parametrize("argv", [
         ["explore", "--kernel", "iir", "--variants", "original",
          "pipelined", "--no-cache", "--jobs", "1"],
         ["tables", "6.2", "6.3", "--factors", "2", "--jobs", "1"],
-    ], ids=["explore", "tables"])
+        ["compile", str(EXAMPLES / "clamp.lang"), "--ds", "2"],
+        ["squash", "iir", "--ds", "2"],
+    ], ids=["explore", "tables", "compile", "squash"])
     def test_one_line_and_exit_2(self, monkeypatch, capsys, argv, name,
                                  raw, accepted):
         monkeypatch.setenv(name, raw)
@@ -236,6 +246,20 @@ class TestBadKnobs:
         lines = err.splitlines()
         assert len(lines) == 1
         assert name in lines[0] and accepted in lines[0]
+
+    @pytest.mark.parametrize("name,raw,accepted", BAD_KNOBS)
+    def test_verify_checks_every_knob_its_mode_does_not_set(
+            self, monkeypatch, capsys, name, raw, accepted):
+        monkeypatch.setenv(name, raw)
+        rc = main(["verify", "--kernel", "iir", "--variants", "pipelined"])
+        out, err = capsys.readouterr()
+        if name == "REPRO_VERIFY":  # --mode (default strict) replaces it
+            assert rc == 0 and out.endswith("0 failed\n"), out + err
+        else:
+            assert rc == 2 and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert name in lines[0] and accepted in lines[0]
 
 
 class TestMainModuleAlias:

@@ -4,7 +4,7 @@ position on a crafted bad kernel, and the committed kernels stay clean
 
 import pathlib
 
-from repro.verify.lint import format_lint, lint_file, lint_source
+from repro.verify.lint import lint_file, lint_source
 
 KERNELS = (pathlib.Path(__file__).resolve().parents[2]
            / "src" / "repro" / "lang" / "kernels")
@@ -226,7 +226,7 @@ kernel carried {
 class TestRendering:
     def test_render_carries_file_line_col(self):
         findings = lint_source("kernel bad {", "x.lang")
-        text = format_lint(findings, "x.lang")
+        text = findings[0].render("x.lang")
         assert text.startswith("x.lang:")
         assert "error[E000]" in text
 
@@ -238,4 +238,4 @@ class TestCommittedKernelsClean:
         assert paths, "no committed .lang kernels found"
         for path in paths:
             findings = lint_file(path)
-            assert findings == [], format_lint(findings, str(path))
+            assert findings == [], [f.render(str(path)) for f in findings]

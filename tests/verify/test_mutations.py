@@ -335,7 +335,8 @@ class TestScheduleMutations:
         run, lib = mem_run
         s = self.mutated(run)
         sched = s.schedule
-        mem_nodes = [n for n in s.analyzed.dfg.nodes if n.is_memory]
+        mem_nodes = [n for n in s.analyzed.dfg.nodes
+                     if "mem" in lib.node_resources(n)]
         cap = lib.resource_slots()["mem"]
         assert len(mem_nodes) > cap
         # cram every memory reference into one modulo row

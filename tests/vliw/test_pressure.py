@@ -17,8 +17,7 @@ from repro.nimble.target import decode_target
 from repro.pipeline import VARIANT_PLANS, CompilationPipeline
 from repro.pipeline.artifacts import BuiltKernel
 from repro.verify import reverify_modulo
-from repro.vliw.pressure import pressure_floor, register_pressure, \
-    rotating_copies
+from repro.vliw.pressure import pressure_floor, register_pressure
 
 #: The Table 6.1 kernels and the pipelined half of the suite design space
 #: (the ``original`` variant is list-scheduled and has no pressure).
@@ -40,11 +39,6 @@ def _schedule(kernel, spec, scheduler="modulo"):
 
 
 class TestPressureModel:
-    def test_rotating_copies(self):
-        assert rotating_copies(0, 4) == 0
-        assert rotating_copies(3, 4) == 1
-        assert rotating_copies(5, 4) == 2
-
     def test_stores_produce_no_live_values(self):
         """Memory-ordering edges out of stores are constraints, not data
         flow — they must not count as register lifetimes."""
