@@ -22,11 +22,12 @@ A memo lives as long as one of two scopes:
   the process can reuse — base analyses, legality preparations, content
   keys, jammed programs, the II memo.  An entry lives until the LRU
   bound drops it;
-* **per batch** (``per_batch=True``): state keyed by per-design objects
-  — search contexts, edge views, delay maps, squash and jam analyses.
-  :func:`release_batch` drops them when the engine's batch lands
+* **per kernel inside a batch** (``per_batch=True``): state keyed by
+  per-design objects — search contexts, edge views, delay maps, squash
+  and jam analyses.  :func:`release_batch` drops them at each kernel
+  boundary inside an engine batch and when the batch lands
   (:func:`repro.nimble.compiler.compile_query_batch`), so a worker's
-  heap holds one batch of designs, not every design it ever compiled.
+  heap holds one kernel's designs, not every design it ever compiled.
 
 Tests and benchmarks need one switch that drops *all* caches so
 repeated runs stay hermetic: every memo is registered here when it is
@@ -150,8 +151,9 @@ def register_cache(clear_fn: Callable[[], None], *,
 def release_batch() -> None:
     """Drop every per-batch memo's entries (and the objects they pin).
 
-    Called when a batch of design queries lands; the per-worker memos
-    keep their entries for the next batch.
+    Called at each kernel boundary inside a batch of design queries and
+    when the batch lands; the per-worker memos keep their entries for
+    the next batch.
     """
     for memo in list(_MEMOS):
         if memo.per_batch:

@@ -171,8 +171,6 @@ def unroll_and_squash(program: Program, nest: LoopNest, ds: int,
     """
     if ds == 1:
         # degenerate: squash(1) is the identity transformation
-        check = check_squash(program, nest, 1)
-        check.raise_if_failed()
         work, w_nest, ssa, dfg, sa, check = analyze_nest(program, nest, 1,
                                                          delay_fn)
         live = check.liveness

@@ -18,6 +18,16 @@ The unit of dispatch is a *batch*: cache-missing queries are grouped by
 all its targets, factors, and schedulers against the shared base
 analysis (and the shared II-search memo) instead of re-running the
 front-end in every process that happens to receive one of its queries.
+Kernels that pose the same scheduling problems on the sweep's targets
+form one *scheduling class*
+(:func:`repro.nimble.compiler.scheduling_classes`: on ``vliw4``, the
+``-mem`` and ``-hw`` versions of skipjack and DES), and one variant's
+groups over a class share a batch, one kernel after the other, so the
+later kernel replays the earlier one's schedules in the same worker
+instead of searching them again in another.  Batches dispatch heaviest
+first, weighed by the operator copies their queries schedule, so the
+longest batch does not start last and the pool's packing does not
+depend on the order the kernels were named in.
 Each batch's results commit to the cache **as the batch lands**, so an
 interrupted, crashed, or killed sweep resumes from the cache —
 recompiling only the unfinished batches — instead of restarting.
@@ -92,26 +102,49 @@ def default_jobs(n_tasks: Optional[int] = None) -> int:
     return max(1, min(cores, cap))
 
 
+def _weight(q: DesignQuery) -> int:
+    """Operator copies one query schedules: DS for ``jam``, J for
+    ``jam+squash``, 1 for everything else."""
+    if q.variant == "jam":
+        return q.ds
+    if q.variant == "jam+squash":
+        return q.jam
+    return 1
+
+
 def _batched(todo: list[DesignQuery],
              jobs: Optional[int] = None) -> list[list[int]]:
-    """Group positions in ``todo`` by ``(kernel, variant)``.
+    """Group positions in ``todo`` into dispatch batches.
 
-    Batch order follows first appearance, and queries keep their
-    relative order inside a batch, so dispatch is deterministic.  When
-    grouping alone would leave fewer batches than ``jobs`` (e.g. a
-    single-kernel sweep over many factors), large groups are split so
-    the requested parallelism is honoured — locality is a tie-breaker,
-    never a reason to idle explicitly requested workers.
+    Queries group by ``(kernel, variant)``, and the groups of one
+    variant over the kernels of one scheduling class
+    (:func:`repro.nimble.compiler.scheduling_classes` on the queries'
+    targets) join one batch, one kernel's group after the other in
+    first-appearance order.  Queries keep their relative order inside a
+    group.  When grouping alone would leave fewer batches than ``jobs``
+    (e.g. a single-kernel sweep over many factors), large batches are
+    split so the requested parallelism is honoured — locality is a
+    tie-breaker, never a reason to idle explicitly requested workers.
+    Batches are returned heaviest first (:func:`_weight` summed over the
+    batch), ties in first-appearance order, so dispatch is
+    deterministic and the longest batch starts first.
     """
-    groups: dict[tuple[str, str], list[int]] = {}
+    from repro.nimble.compiler import scheduling_classes
+
+    classes = scheduling_classes([q.kernel for q in todo],
+                                 [q.target_spec for q in todo])
+    groups: dict[tuple[str, str], dict[str, list[int]]] = {}
     for pos, q in enumerate(todo):
-        groups.setdefault((q.kernel, q.variant), []).append(pos)
-    batches = list(groups.values())
+        groups.setdefault((classes[q.kernel], q.variant), {}) \
+            .setdefault(q.kernel, []).append(pos)
+    batches = [[pos for group in kernels.values() for pos in group]
+               for kernels in groups.values()]
     if jobs is not None and len(batches) < jobs:
         size = max(1, -(-len(todo) // jobs))
         batches = [batch[i:i + size]
                    for batch in batches
                    for i in range(0, len(batch), size)]
+    batches.sort(key=lambda batch: -sum(_weight(todo[p]) for p in batch))
     return batches
 
 

@@ -21,10 +21,12 @@ the life of the process.  Object identity plays no role — the key is
 content, so it also hits across schedulers, targets and kernels that
 pose the same scheduling problem within one process, e.g. the exact
 scheduler's internal backtracking upper-bound probe.  It has no disk
-tier: a file per search pays off only where another process poses the
-same problem, which on the benchmark sweeps happens only when two
-workers retarget the suite to vliw4 (skipjack/des ``-mem`` and ``-hw``
-coincide); there it saved 40 of 344 candidate IIs, elsewhere nothing.
+tier: on the benchmark sweeps another process poses the same problem
+only when the suite is retargeted to vliw4 (skipjack/des ``-mem`` and
+``-hw`` coincide), and the engine batches those kernels into one worker,
+where the pipeline replays a whole design's schedule-stage outcome
+(:class:`repro.pipeline.CompilationPipeline`) before any search would
+consult this memo.
 
 Because a memo hit only *skips refuted candidates* — the winning II is
 still re-placed/re-decided by the ordinary machinery — the resulting

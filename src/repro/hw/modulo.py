@@ -69,7 +69,8 @@ _REPAIR_ROUNDS = 8
 #: this memo each re-entry re-derives all of them (RecMII's SCC
 #: decomposition dominated the vliw retarget profile).  Keys pin their
 #: objects, so ids stay valid.  Per batch: the engine drops every
-#: context when a batch lands (:func:`repro.caches.release_batch`).
+#: context at each kernel boundary inside a batch and when the batch
+#: lands (:func:`repro.caches.release_batch`).
 _CTX = Memo("search_ctx", 512, per_batch=True)
 
 

@@ -9,9 +9,10 @@ RecMII probes.  ``BENCH_5.json`` showed the vliw retarget phase spending
 runs that machinery over flat, node-indexed Python lists:
 
 * a :class:`SchedProblem` is built **once per II search** from the DFG,
-  edge view, and operator library: a node-indexed delay list, CSR
-  predecessor lists, ``(src, dst, delay, dist)`` edge lists shared by
-  every candidate II and repair round, and per-node resource-row ids;
+  edge view, and operator library: a node-indexed delay list, per-node
+  tuples of ``(src, delay, dist)`` predecessors and of resource-row
+  ids, and ``(src, dst, delay, dist)`` edge lists, all shared by every
+  candidate II and repair round;
 * per-resource reservation tables are flat ``resource x II`` occupancy
   rows with one *availability bitmask integer* per resource (bit ``r``
   set while row ``r`` has a free slot); earliest-feasible-slot probing
@@ -60,37 +61,33 @@ _ATTEMPTS = obs_metrics.counter("sched_kernel_numpy_attempts")
 class SchedProblem:
     """One II search's flat lists, shared by all IIs/orders/rounds.
 
-    Everything is indexed by node id or edge position: list indexing
-    and big-int bit arithmetic keep the per-node placement loop and the
-    per-edge violation scan inside the interpreter's fast paths.
+    Everything is indexed by node id or edge position: list indexing,
+    per-node tuples and big-int bit arithmetic keep the per-node
+    placement loop and the per-edge violation scan inside the
+    interpreter's fast paths.
     """
 
-    __slots__ = ("n", "delay", "res_names", "res_slots", "nres_ptr",
-                 "nres_ids", "esrc", "edst", "edelay", "edist",
-                 "pptr", "psrc", "pdelay", "pdist", "padj")
+    __slots__ = ("n", "delay", "res_names", "res_slots", "preds", "nres",
+                 "esrc", "edst", "edelay", "edist")
 
     def __init__(self, n: int, delay: list[int], res_names: list[str],
-                 res_slots: list[int], nres_ptr: list[int],
-                 nres_ids: list[int], esrc: list[int], edst: list[int],
-                 edelay: list[int], edist: list[int], pptr: list[int],
-                 psrc: list[int], pdelay: list[int], pdist: list[int]):
+                 res_slots: list[int],
+                 preds: list[tuple[tuple[int, int, int], ...]],
+                 nres: list[tuple[int, ...]], esrc: list[int],
+                 edst: list[int], edelay: list[int], edist: list[int]):
         self.n = n
         self.delay = delay
         self.res_names = res_names
         self.res_slots = res_slots
-        self.nres_ptr = nres_ptr
-        self.nres_ids = nres_ids
+        #: per node, its ``(src, delay(src), dist)`` predecessors in edge
+        #: order
+        self.preds = preds
+        #: per node, the ids of the resources it occupies
+        self.nres = nres
         self.esrc = esrc
         self.edst = edst
         self.edelay = edelay
         self.edist = edist
-        self.pptr = pptr
-        self.psrc = psrc
-        self.pdelay = pdelay
-        self.pdist = pdist
-        #: II -> per-predecessor-entry ``delay - II*dist``, shared by
-        #: every order and repair round at that II
-        self.padj: dict[int, list[int]] = {}
 
     # -- placement --------------------------------------------------------
 
@@ -106,8 +103,7 @@ class SchedProblem:
         ``None`` when some node probed all II rows without a free slot.
         """
         _ATTEMPTS.add()
-        n = self.n
-        time = [-1] * n
+        time = [-1] * self.n
         n_res = len(self.res_names)
         occ = [0] * (n_res * ii)
         # availability bitmask per resource: bit ``row`` set while the
@@ -115,32 +111,25 @@ class SchedProblem:
         # of the node's masks plus a lowest-set-bit extraction
         full = (1 << ii) - 1
         masks = [full] * n_res
-        padj = self.padj.get(ii)
-        if padj is None:
-            padj = self.padj[ii] = [d - ii * k for d, k in
-                                    zip(self.pdelay, self.pdist)]
         slots = self.res_slots
-        pptr, psrc = self.pptr, self.psrc
-        nres_ptr, nres_ids = self.nres_ptr, self.nres_ids
+        preds, nres = self.preds, self.nres
         delay = self.delay
         length = 0
         for nid in order_ids:
             t = extra[nid]
-            e = pptr[nid + 1]
-            for k in range(pptr[nid], e):
-                ts = time[psrc[k]]
+            for src, dly, dist in preds[nid]:
+                ts = time[src]
                 if ts >= 0:
-                    c = ts + padj[k]
+                    c = ts + dly - ii * dist
                     if c > t:
                         t = c
             if t < 0:
                 t = 0
-            rs = nres_ptr[nid]
-            re = nres_ptr[nid + 1]
-            if re > rs:
-                free = masks[nres_ids[rs]]
-                for k in range(rs + 1, re):
-                    free &= masks[nres_ids[k]]
+            res = nres[nid]
+            if res:
+                free = full
+                for r in res:
+                    free &= masks[r]
                 t0 = t % ii
                 hi = free >> t0
                 if hi:
@@ -152,8 +141,7 @@ class SchedProblem:
                     return None
                 row = t % ii
                 bit = 1 << row
-                for k in range(rs, re):
-                    r = nres_ids[k]
+                for r in res:
                     j = r * ii + row
                     c = occ[j] + 1
                     occ[j] = c
@@ -237,30 +225,20 @@ def build_problem(dfg, edges, dmap: dict[int, int],
     res_names = list(slots)
     rindex = {r: i for i, r in enumerate(res_names)}
     res_slots = [slots[r] for r in res_names]
-    nres_ptr = [0]
-    nres_ids: list[int] = []
-    for i in range(n):
-        nres_ids.extend(rindex[r] for r in rmap[i])
-        nres_ptr.append(len(nres_ids))
+    nres = [tuple(rindex[r] for r in rmap[i]) for i in range(n)]
 
     esrc = [s.nid for s, _, _ in edges]
     edst = [d.nid for _, d, _ in edges]
     edist = [dist for _, _, dist in edges]
     edelay = [delay[s] for s in esrc]
 
-    # predecessor CSR, grouped by dst in edge order
-    by_dst: list[list[int]] = [[] for _ in range(n)]
-    for i, d in enumerate(edst):
-        by_dst[d].append(i)
-    pptr = [0]
-    pidx: list[int] = []
-    for group in by_dst:
-        pidx.extend(group)
-        pptr.append(len(pidx))
-    return SchedProblem(n, delay, res_names, res_slots, nres_ptr, nres_ids,
-                        esrc, edst, edelay, edist, pptr,
-                        [esrc[i] for i in pidx], [edelay[i] for i in pidx],
-                        [edist[i] for i in pidx])
+    # predecessors per dst, in edge order
+    by_dst: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for s, d, dly, dist in zip(esrc, edst, edelay, edist):
+        by_dst[d].append((s, dly, dist))
+    return SchedProblem(n, delay, res_names, res_slots,
+                        [tuple(group) for group in by_dst], nres,
+                        esrc, edst, edelay, edist)
 
 
 def search_rounds(prob: SchedProblem, ii: int, order_ids: list[int],

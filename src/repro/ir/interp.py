@@ -26,7 +26,7 @@ path folds constants with load no NumPy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.errors import InterpError
 from repro.ir.nodes import (
@@ -40,25 +40,12 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ExecutionResult", "LoopRecord", "Interpreter", "run_program",
-    "array_storage", "CostModel",
+    "array_storage",
 ]
 
 
-# ---------------------------------------------------------------------------
-# Cost model
-# ---------------------------------------------------------------------------
-
 #: Runtime scalar values: ints (bools flow as 0/1) and floats.
 Scalar = Union[int, float]
-
-CostModel = Callable[[str, ScalarType], int]
-
-
-def _unit_cost(op: str, ty: ScalarType) -> int:
-    """The default model: 1 per operation, which is what the thesis's
-    profiling front-end effectively measured (basic-block execution
-    traces).  The hardware layer supplies latency-weighted models."""
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +200,15 @@ class Interpreter:
     ----------
     program:
         The IR program to execute.
-    cost_model:
-        ``(op_kind, result_type) -> cost``; defaults to unit cost per op.
-        Memory operations use kinds ``"load"``/``"store"``/``"rom_load"``.
+
+    Every operation costs 1, which is what the thesis's profiling
+    front-end effectively measured (basic-block execution traces).
+    Memory operations count under the kinds ``"load"``/``"store"``/
+    ``"rom_load"``.
     """
 
-    def __init__(self, program: Program, cost_model: Optional[CostModel] = None):
+    def __init__(self, program: Program):
         self.program = program
-        self.cost = cost_model or _unit_cost
 
     # -- public API ---------------------------------------------------------
 
@@ -254,12 +242,11 @@ class Interpreter:
 
     # -- internals ------------------------------------------------------------
 
-    def _charge(self, kind: str, ty: ScalarType) -> None:
-        c = self.cost(kind, ty)
-        self._total += c
+    def _charge(self, kind: str) -> None:
+        self._total += 1
         self._ops[kind] = self._ops.get(kind, 0) + 1
         for rec in self._stack:
-            rec.inclusive_cost += c
+            rec.inclusive_cost += 1
 
     def _eval(self, e: Expr) -> "Scalar":
         if isinstance(e, Const):
@@ -272,11 +259,11 @@ class Interpreter:
         if isinstance(e, BinOp):
             a = self._eval(e.lhs)
             b = self._eval(e.rhs)
-            self._charge(e.op, e.ty)
+            self._charge(e.op)
             return eval_binop(e.op, a, b, e.ty)
         if isinstance(e, UnOp):
             v = self._eval(e.operand)
-            self._charge(e.op, e.ty)
+            self._charge(e.op)
             if e.op == "neg":
                 r = -v
                 return cast_value(r, e.ty)
@@ -286,7 +273,7 @@ class Interpreter:
             if decl is None:
                 raise InterpError(f"load from unknown array {e.array!r}")
             idx = tuple(int(self._eval(i)) for i in e.index)
-            self._charge("rom_load" if decl.rom else "load", e.ty)
+            self._charge("rom_load" if decl.rom else "load")
             try:
                 v = self._storage[e.array][idx]
             except IndexError:
@@ -302,11 +289,11 @@ class Interpreter:
             c = self._eval(e.cond)
             t = self._eval(e.iftrue)
             f = self._eval(e.iffalse)
-            self._charge("select", e.ty)
+            self._charge("select")
             return cast_value(t if c else f, e.ty)
         if isinstance(e, Cast):
             v = self._eval(e.operand)
-            self._charge("cast", e.ty)
+            self._charge("cast")
             return cast_value(v, e.ty)
         raise InterpError(f"unknown expression node {type(e).__name__}")
 
@@ -328,7 +315,7 @@ class Interpreter:
                 raise InterpError(f"store to ROM {s.array!r}")
             idx = tuple(int(self._eval(i)) for i in s.index)
             v = self._eval(s.value)
-            self._charge("store", decl.ty)
+            self._charge("store")
             for i, (x, sz) in enumerate(zip(idx, decl.shape)):
                 if not (0 <= x < sz):
                     raise InterpError(
@@ -351,21 +338,21 @@ class Interpreter:
                 for v in range(lo, hi, s.step):
                     self._env[s.var] = v
                     rec.iterations += 1
-                    self._charge("branch", s.lo.ty)
+                    self._charge("branch")
                     self._exec_block(s.body)
             finally:
                 self._stack.pop()
             return
         if isinstance(s, If):
             c = self._eval(s.cond)
-            self._charge("branch", s.cond.ty)
+            self._charge("branch")
             self._exec_block(s.then if c else s.orelse)
             return
         raise InterpError(f"unknown statement node {type(s).__name__}")
 
 
 def run_program(program: Program, params: Optional[dict[str, int]] = None,
-                arrays: Optional[dict[str, np.ndarray]] = None,
-                cost_model: Optional[CostModel] = None) -> ExecutionResult:
+                arrays: Optional[dict[str, np.ndarray]] = None
+                ) -> ExecutionResult:
     """One-shot convenience wrapper around :class:`Interpreter`."""
-    return Interpreter(program, cost_model).run(params, arrays)
+    return Interpreter(program).run(params, arrays)

@@ -38,7 +38,7 @@ from repro.pipeline import CompilationPipeline
 
 __all__ = ["VariantSet", "compile_query", "compile_query_batch",
            "compile_variants", "compile_original", "compile_squash",
-           "compile_jam", "compile_jam_squash"]
+           "compile_jam", "compile_jam_squash", "scheduling_classes"]
 
 
 @dataclass
@@ -114,7 +114,80 @@ def _kernel_program(kernel: str):
 register_cache(_kernel_program.cache_clear)
 
 
-def compile_query(query: "DesignQuery") -> "DesignPoint | SkipRecord":
+def scheduling_classes(kernels: Sequence[str],
+                       target_specs: Sequence[str]) -> dict[str, str]:
+    """Map each kernel to the first kernel of its scheduling class.
+
+    A kernel's class on a target is the II-search signature
+    (:func:`repro.hw.iimemo.search_signature`) of its base design: the
+    ``pipelined`` DFG with the default edge view, on the target's
+    library.  Kernels whose classes match on any of ``target_specs``
+    share a class (on ``vliw4``, the ``-mem`` and ``-hw`` versions of
+    skipjack and DES).  Only kernels that one benchmark builder makes
+    with different arguments are compared; the rest, ``.lang`` kernels
+    included, are their own class without being built.  The builds and
+    base analyses land in :func:`_kernel_program`'s cache and the
+    analysis memos, which workers forked later inherit.  Without shared
+    analyses (``REPRO_ANALYSIS_CACHE=0``) nothing is compared.
+
+    A class only decides which designs share a worker; what a design
+    replays rests on its own content key
+    (:class:`repro.pipeline.CompilationPipeline`).
+    """
+    from repro.env import analysis_cache_enabled
+    from repro.errors import ReproError
+    from repro.hw.iimemo import search_signature
+    from repro.hw.mii import default_edge_view
+    from repro.nimble.target import decode_target
+    from repro.pipeline.analysis import analysis_cache
+    from repro.workloads import benchmark_by_name
+
+    order = list(dict.fromkeys(kernels))
+    first = {k: k for k in order}
+    if not analysis_cache_enabled():
+        return first
+    by_builder: dict[tuple[str, str], list[str]] = {}
+    for k in order:
+        if k.startswith("lang:") or k.endswith(".lang"):
+            continue
+        try:
+            build = benchmark_by_name(k).build
+        except KeyError:
+            continue  # compile_query reports it
+        # by name: a builder wrapped per lookup is a new object each time
+        by_builder.setdefault((getattr(build, "__module__", ""),
+                               getattr(build, "__qualname__", "")),
+                              []).append(k)
+    libs = []
+    for spec in dict.fromkeys(target_specs):
+        try:
+            libs.append(decode_target(spec).library)
+        except ReproError:
+            continue  # compile_query reports it
+    seen: dict[tuple[int, str], str] = {}
+    for group in by_builder.values():
+        if len(group) < 2:
+            continue
+        for k in group:
+            prog, nest = _kernel_program(k)
+            if nest is None:
+                continue
+            dfg = analysis_cache().get_or_build(prog, nest).dfg
+            if dfg is None:
+                continue
+            view = default_edge_view(dfg)
+            for i, lib in enumerate(libs):
+                twin = seen.setdefault(
+                    (i, search_signature(dfg, lib, view, "class")), k)
+                # the earlier kernel's class absorbs the later one's
+                lo, hi = sorted((first[twin], first[k]), key=order.index)
+                first = {x: lo if c == hi else c for x, c in first.items()}
+    return first
+
+
+def compile_query(query: "DesignQuery",
+                  replays: Optional[dict] = None
+                  ) -> "DesignPoint | SkipRecord":
     """Compile one :class:`repro.explore.space.DesignQuery` — the pure,
     picklable worker the exploration engine dispatches.
 
@@ -128,7 +201,9 @@ def compile_query(query: "DesignQuery") -> "DesignPoint | SkipRecord":
     :func:`compile_query_batch` quarantines the design instead of
     caching a skip.  The result is a function of the query alone — no
     ambient state — so it is safe to evaluate in any process, in any
-    order, and to cache by query hash.
+    order, and to cache by query hash.  ``replays`` is the pipeline's
+    table of schedule-stage outcomes (:class:`~repro.pipeline.
+    CompilationPipeline`); replaying one gives the same result.
     """
     from repro.explore.space import SkipRecord
     from repro.nimble.target import decode_target
@@ -140,7 +215,8 @@ def compile_query(query: "DesignQuery") -> "DesignPoint | SkipRecord":
                               f"no loop nest in {query.kernel!r}")
         target = decode_target(query.target_spec)
         pipe = CompilationPipeline(target,
-                                   scheduler=query.scheduler or None)
+                                   scheduler=query.scheduler or None,
+                                   replays=replays)
         return pipe.compile(prog, nest, query.variant,
                             ds=query.ds, jam=query.jam)
     except LegalityError as exc:
@@ -154,14 +230,17 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     """Compile a batch of queries in one worker — the engine's dispatch
     unit.
 
-    The engine groups queries by ``(kernel, variant)`` so one process
-    builds each kernel once and serves every target/factor/scheduler
-    crossing from its process-local caches (benchmark build, shared base
-    analysis, II-search memo).  Returns ``{"results", "metrics"}``: the
-    per-query results and the batch's metrics-registry delta (stage
-    wall times, cache hits and misses, scheduler effort), which the
-    engine merges into the parent registry; traced runs add ``"trace"``,
-    the batch's drained span events.
+    The engine batches the queries of one ``(kernel, variant)`` group,
+    or of one variant over the kernels of one scheduling class
+    (:func:`scheduling_classes`), one kernel's group after the other.
+    One process builds each kernel once and serves every
+    target/factor/scheduler crossing from its process-local caches
+    (benchmark build, shared base analysis, II-search memo).  Returns
+    ``{"results", "metrics"}``: the per-query results and the batch's
+    metrics-registry delta (stage wall times, cache hits and misses,
+    scheduler effort), which the engine merges into the parent
+    registry; traced runs add ``"trace"``, the batch's drained span
+    events.
 
     A query whose schedule the validate stage rejects
     (:class:`~repro.errors.VerifyError`) is a deterministic compiler
@@ -173,28 +252,40 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     feeds the chaos-test fault site so a query that drew an injected
     crash/hang draws a *fresh* deterministic coin on each retry.
 
-    The batch is the lifetime of per-design state: when it ends, even
-    by an exception, :func:`repro.caches.release_batch` drops the
-    search contexts, edge views, delay maps and squash and jam analyses
-    its designs built.  The per-kernel state (built kernels, base
-    analyses, preparations, content keys, jammed programs, the II memo)
-    stays for the worker's later batches.
+    One kernel's designs are the lifetime of per-design state: at each
+    kernel boundary inside the batch, and when the batch ends, even by
+    an exception, :func:`repro.caches.release_batch` drops the search
+    contexts, edge views, delay maps and squash and jam analyses its
+    designs built.  The per-kernel state (built kernels, base analyses,
+    preparations, content keys, jammed programs, the II memo) stays for
+    the worker's later batches.  A batch over more than one kernel also
+    gives the pipeline a replay table that lives as long as the batch:
+    a design that poses a scheduling problem an earlier design of the
+    batch solved replays that schedule-stage outcome.  Under
+    ``REPRO_ANALYSIS_CACHE=0`` nothing is replayed.
     """
+    from repro.env import analysis_cache_enabled
     from repro.explore.space import FailRecord
     from repro.faults import fault_site
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
 
     before_metrics = obs_metrics.registry().snapshot()
+    replays = {} if len({q.kernel for q in queries}) > 1 \
+        and analysis_cache_enabled() else None
     with obs_trace.span("batch", "worker", size=len(queries),
                         attempt=attempt):
         results = []
+        kernel = None
         try:
             for q in queries:
+                if kernel is not None and q.kernel != kernel:
+                    release_batch()
+                kernel = q.kernel
                 fault_site("worker", f"{q.query_hash}:{attempt}")
                 t0 = time.perf_counter()
                 try:
-                    results.append(compile_query(q))
+                    results.append(compile_query(q, replays))
                 except VerifyError as exc:
                     results.append(FailRecord(
                         query=q, kind="verify", reason=repr(exc),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.ir.interp import CostModel, Interpreter
+from repro.ir.interp import Interpreter
 from repro.ir.nodes import Program
 
 if TYPE_CHECKING:
@@ -53,10 +53,9 @@ class ProfileSummary:
 def profile_program(program: Program,
                     params: Optional[dict[str, int]] = None,
                     arrays: Optional[dict[str, np.ndarray]] = None,
-                    cost_model: Optional[CostModel] = None,
                     ) -> list[LoopProfile]:
     """Run the program and return per-loop profiles sorted by cost."""
-    res = Interpreter(program, cost_model).run(params, arrays)
+    res = Interpreter(program).run(params, arrays)
     total = max(res.total_cost, 1)
     out = [
         LoopProfile(label=rec.label, depth=rec.depth,
@@ -72,15 +71,14 @@ def profile_program(program: Program,
 def profile_summary(program: Program,
                     params: Optional[dict[str, int]] = None,
                     arrays: Optional[dict[str, np.ndarray]] = None,
-                    threshold: float = 0.01,
-                    cost_model: Optional[CostModel] = None) -> ProfileSummary:
+                    threshold: float = 0.01) -> ProfileSummary:
     """Produce a Table 1.1 row: loops, hot loops (> threshold), hot share.
 
     Following the paper's accounting, the combined share of the hot loops
     is measured by the *outermost* hot loops (so nested hot loops are not
     double counted).
     """
-    res = Interpreter(program, cost_model).run(params, arrays)
+    res = Interpreter(program).run(params, arrays)
     total = max(res.total_cost, 1)
     loops = [
         LoopProfile(label=rec.label, depth=rec.depth,

@@ -137,6 +137,7 @@ def format_stats(snapshot: dict) -> str:
         # one placement pass per repair round (the scheduler core's counter)
         ("repair rounds", "sched_kernel_numpy_attempts"),
         ("exact search nodes", "sched.exact_nodes"),
+        ("designs replayed", "sched.replays"),
     ]
     sched_rows = [[label, str(counters[key])]
                   for label, key in sched_keys if counters.get(key)]

@@ -41,11 +41,12 @@ a squash or jam+squash design therefore gets the *same*
 :class:`~repro.pipeline.artifacts.AnalyzedDFG`, and through its object
 identity the same II-search context (:data:`repro.hw.modulo._CTX`):
 ``modulo`` and ``backtrack`` share one scheduling problem, one MII pair and
-every topological placement.  The engine's batches group queries by
-(kernel, variant), so a design's schedulers normally meet in one batch,
-and both memos are per batch: the worker drops them when its batch
-lands (:func:`repro.caches.release_batch`), while base analyses,
-preparations and content keys stay for the worker's later batches.
+every topological placement.  The engine's batches keep each
+(kernel, variant) group together, so a design's schedulers normally
+meet in one batch, and both memos are per kernel: the worker drops them
+at each kernel boundary inside a batch and when its batch lands
+(:func:`repro.caches.release_batch`), while base analyses, preparations
+and content keys stay for the worker's later batches.
 
 Set ``REPRO_ANALYSIS_CACHE=0`` to bypass sharing entirely (the reference
 route the parity tests compare against); :func:`repro.clear_caches`

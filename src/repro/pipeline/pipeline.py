@@ -38,8 +38,10 @@ quarantines it instead of caching it as a skipped design.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.analysis.loops import LoopNest, trip_count
 from repro.caches import Memo
@@ -85,6 +87,43 @@ def _record_stage(stage: str, seconds: float,
     obs_metrics.histogram(_STAGE_PREFIX + stage).observe(seconds)
     if t0 is not None and t1 is not None:
         obs_trace.emit_span(stage, "pipeline.stage", t0, t1)
+
+
+# ---------------------------------------------------------------------------
+# Schedule-stage replay
+# ---------------------------------------------------------------------------
+
+#: Designs whose schedule stage replayed an earlier design's outcome.
+_REPLAYS = obs_metrics.counter("sched.replays")
+
+#: A recorded schedule-stage outcome: the reject text, or the schedule,
+#: its MaxLive (None off register-file targets) and the floored flag.
+Outcome = Union[str, tuple[ModuloSchedule, Optional[int], bool]]
+
+
+def _replay_key(strategy: str, analyzed: AnalyzedDFG, lib) -> str:
+    """Content key of one design's schedule-stage outcome.
+
+    The strategy's first II-search signature
+    (:func:`repro.hw.iimemo.search_signature`) covers what the search
+    reads; the pressure floor and the register-pressure walk also read
+    each raw edge's kind, which nodes are constants or stores, the
+    live-in count and the register file.
+    """
+    from repro.hw.iimemo import search_signature
+    from repro.hw.mii import default_edge_view
+
+    dfg = analyzed.dfg
+    edges = analyzed.edges if analyzed.edges is not None \
+        else default_edge_view(dfg)
+    sig = search_signature(dfg, lib, edges, strategy)
+    kinds = ",".join(e.kind for e in dfg.edges)
+    values = ",".join(f"{n.nid}{n.kind}" for n in dfg.nodes
+                      if n.kind in ("const", "store"))
+    return hashlib.sha256(
+        f"{sig}|{kinds}|{values}|{len(dfg.regs)}"
+        f"|{getattr(lib, 'register_file', None)}"
+        f"|{getattr(lib, 'rotating', True)}".encode()).hexdigest()[:32]
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +238,10 @@ def _registers_modulo(a: AnalyzedDFG, target: Target,
             f"the {s.scheduler!r} scheduler produced a "
             f"{type(s.schedule).__name__} where the register model needs "
             "a modulo schedule")
+    if s.pressure is not None and a.edges is None:
+        # the register-pressure walk's count over the same schedule and
+        # (default) edge view, counted on first read
+        return s.pressure.mve_registers
     return registers_pipelined(a.dfg, target.library, s.schedule)
 
 
@@ -262,11 +305,18 @@ class CompilationPipeline:
     scheduler.  ``cache`` is the shared base-analysis cache — by default
     the process-wide instance, so all variants of one kernel share one
     front-end analysis.
+
+    ``replays`` is a table of schedule-stage outcomes keyed by content
+    (:func:`_replay_key`), which the pipeline fills and reads: a design
+    that poses a recorded scheduling problem replays its outcome
+    instead of placing anything.  ``None`` (the default) schedules
+    every design.
     """
 
     def __init__(self, target: "Optional[Target]" = None,
                  scheduler: Optional[str] = None,
-                 cache: Optional[AnalysisCache] = None):
+                 cache: Optional[AnalysisCache] = None,
+                 replays: Optional[dict[str, Outcome]] = None):
         if target is None:
             from repro.nimble.target import ACEV
             target = ACEV
@@ -274,6 +324,7 @@ class CompilationPipeline:
         self.scheduler = scheduler if scheduler is not None \
             else getattr(target, "scheduler", "")
         self.cache = cache if cache is not None else analysis_cache()
+        self.replays = replays
 
     # -- stages -----------------------------------------------------------
 
@@ -294,6 +345,53 @@ class CompilationPipeline:
     def _schedule(self, plan: VariantPlan,
                   analyzed: AnalyzedDFG) -> ScheduledDesign:
         strategy = self._resolve_scheduler(plan)
+        if self.replays is None or not strategy.pipelined:
+            return self._schedule_fresh(strategy, analyzed)
+        key = _replay_key(strategy.name, analyzed, self.target.library)
+        outcome = self.replays.get(key)
+        if outcome is not None:
+            _REPLAYS.add()
+            return self._replay(strategy, analyzed, outcome)
+        try:
+            scheduled = self._schedule_fresh(strategy, analyzed)
+        except ScheduleError as exc:
+            self.replays[key] = str(exc)
+            raise
+        pressure = scheduled.pressure
+        self.replays[key] = (
+            scheduled.schedule,
+            pressure.max_live if pressure is not None else None,
+            scheduled.ii_floored)
+        return scheduled
+
+    def _replay(self, strategy: Scheduler, analyzed: AnalyzedDFG,
+                outcome: Outcome) -> ScheduledDesign:
+        """A recorded outcome, as this design's own: a reject raises
+        again, and a schedule comes back as a fresh copy whose MVE count
+        (read by the register model) is this design's."""
+        from repro.vliw.pressure import PressureInfo
+
+        if isinstance(outcome, str):
+            raise ScheduleError(outcome)
+        recorded, live, floored = outcome
+        schedule = dataclasses.replace(
+            recorded, time=dict(recorded.time),
+            rt={r: dict(rows) for r, rows in recorded.rt.items()})
+        pressure = None
+        if live is not None:
+            lib, dfg, edges = self.target.library, analyzed.dfg, \
+                analyzed.edges
+            pressure = PressureInfo(
+                max_live=live, capacity=lib.register_file,
+                rotating=bool(getattr(lib, "rotating", True)),
+                count_mve=lambda: registers_pipelined(dfg, lib, schedule,
+                                                      edges))
+        return ScheduledDesign(analyzed=analyzed, scheduler=strategy.name,
+                               schedule=schedule, pressure=pressure,
+                               ii_floored=floored)
+
+    def _schedule_fresh(self, strategy: Scheduler,
+                        analyzed: AnalyzedDFG) -> ScheduledDesign:
         lib = self.target.library
         capacity = getattr(lib, "register_file", None) \
             if strategy.pipelined else None

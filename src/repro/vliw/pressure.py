@@ -44,8 +44,9 @@ design whose floor exceeds the file before scheduling it at all.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Optional
 
 from repro.core.dfg import DFG
 from repro.hw.area import registers_pipelined
@@ -59,17 +60,27 @@ __all__ = ["PressureInfo", "max_live", "pressure_floor",
 
 @dataclass(frozen=True)
 class PressureInfo:
-    """Register demand of one modulo schedule against one file."""
+    """Register demand of one modulo schedule against one file.
+
+    ``mve_registers`` is counted on first read, by ``count_mve``: only a
+    non-rotating file decides a fit by it, so a register-pressure walk
+    over a rotating file never pays for the count.
+    """
 
     #: peak simultaneously-live values per kernel cycle (rotation model)
     max_live: int
-    #: modulo-variable-expansion register count (non-rotating model) —
-    #: identical to the pipelined Table 6.2 ``registers`` accounting
-    mve_registers: int
     #: architected register-file capacity (None = unbounded)
     capacity: Optional[int]
     #: does the file rotate (hardware modulo variable expansion)?
-    rotating: bool = True
+    rotating: bool
+    count_mve: Callable[[], int] = field(repr=False, compare=False)
+
+    @cached_property
+    def mve_registers(self) -> int:
+        """Modulo-variable-expansion register count (non-rotating
+        model) — identical to the pipelined Table 6.2 ``registers``
+        accounting."""
+        return self.count_mve()
 
     @property
     def required(self) -> int:
@@ -285,11 +296,12 @@ def pressure_floor(dfg: DFG, lib: OperatorLibrary,
 def register_pressure(dfg: DFG, lib: OperatorLibrary,
                       sched: ModuloSchedule,
                       edges: Optional[EdgeView] = None) -> PressureInfo:
-    """Both pressure models plus the library's capacity/rotation."""
+    """Both pressure models plus the library's capacity/rotation; the
+    MVE count waits until it is read."""
     edges = edges if edges is not None else default_edge_view(dfg)
     return PressureInfo(
         max_live=max_live(dfg, lib, sched, edges),
-        mve_registers=registers_pipelined(dfg, lib, sched, edges),
         capacity=getattr(lib, "register_file", None),
-        rotating=bool(getattr(lib, "rotating", True)))
+        rotating=bool(getattr(lib, "rotating", True)),
+        count_mve=lambda: registers_pipelined(dfg, lib, sched, edges))
 

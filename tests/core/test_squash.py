@@ -121,6 +121,40 @@ class TestLegality:
         with pytest.raises(LegalityError):
             unroll_and_squash(prog, nest, 2)
 
+    @pytest.mark.parametrize("ds", [1, 2])
+    def test_one_legality_check_per_call(self, ds, monkeypatch):
+        import repro.core.squash as squash_mod
+
+        calls = []
+
+        def counting(program, nest, factor):
+            calls.append(factor)
+            return check_squash(program, nest, factor)
+
+        monkeypatch.setattr(squash_mod, "check_squash", counting)
+        prog = build_fig21()
+        unroll_and_squash(prog, find_loop_nests(prog)[0], ds)
+        assert calls == [ds]
+
+    def test_illegal_nest_raises_at_ds1(self):
+        b = ProgramBuilder("p")
+        out = b.array("out", (8,), U32, output=True)
+        acc = b.local("acc", U32)
+        b.assign(acc, 1)
+        with b.loop("i", 0, 8) as i:
+            with b.loop("j", 0, 4):
+                b.assign(acc, b.var("acc") * 5 + 1)
+            out[i] = b.var("acc")
+        prog = b.build()
+        nest = find_loop_nests(prog)[0]
+        chk = check_squash(prog, nest, 1)
+        assert not chk.ok
+        with pytest.raises(LegalityError) as info:
+            unroll_and_squash(prog, nest, 1)
+        assert str(info.value) == ("unroll-and-squash rejected: "
+                                   + "; ".join(chk.reasons))
+        assert info.value.reasons == chk.reasons
+
     def test_control_flow_in_inner_rejected(self):
         b = ProgramBuilder("p")
         out = b.array("out", (8,), U32, output=True)

@@ -1,9 +1,10 @@
-"""A worker's heap holds one batch of designs.
+"""A worker's heap holds one kernel's designs.
 
 ``compile_query_batch`` releases the per-batch memos (search contexts,
-edge views, delay maps, squash and jam analyses) when its batch ends,
-by any exit; the per-worker memos keep the kernels' base analyses and
-preparations for later batches.  ``run_supervised`` freezes the parent
+edge views, delay maps, squash and jam analyses) at each kernel
+boundary inside its batch and when the batch ends, by any exit; the
+per-worker memos keep the kernels' base analyses and preparations for
+later batches.  ``run_supervised`` freezes the parent
 heap while its pool lives and thaws it on every path out.
 """
 
@@ -18,6 +19,7 @@ from repro.explore import DesignSpace, evaluate
 from repro.explore.engine import _batched
 from repro.explore.supervise import run_inline
 from repro.hw.schedulers import scheduler_by_name
+from repro.nimble import compiler
 from repro.nimble.compiler import (
     _kernel_program, compile_query, compile_query_batch,
 )
@@ -50,42 +52,65 @@ def _live_dfgs() -> dict:
     return {id(o): o for o in gc.get_objects() if isinstance(o, DFG)}
 
 
-def _batch_state(baseline: dict, compiled: set) -> dict:
-    """What the worker's heap holds between two batches, after batches
-    over the ``compiled`` kernels."""
+def _base_kernels(kernels) -> set:
+    """The ``kernels`` whose base analysis and preparation the
+    per-worker memos hold."""
+    cache = analysis_cache()
+    out = set()
+    for k in kernels:
+        key = content_key(*_kernel_program(k))
+        if f"base-{key}" in cache._bases._data \
+                and f"prep-{key}" in cache._preps._data:
+            out.add(k)
+    return out
+
+
+def _batch_state(baseline: dict, built: set) -> dict:
+    """What the worker's heap holds after a release, when the releases
+    so far found the ``built`` kernels' base analyses in the memos."""
     live = _live_dfgs()   # collects first
     cache = analysis_cache()
     held = {id(base.dfg) for _, base in cache._bases._data.values()
             if base.dfg is not None}
-    keys = {k: content_key(*_kernel_program(k)) for k in compiled}
     return {
         "per_batch": {m.name: len(m) for m in _MEMOS if m.per_batch},
-        "kernels_dropped": sorted(
-            k for k, key in keys.items()
-            if f"base-{key}" not in cache._bases._data
-            or f"prep-{key}" not in cache._preps._data),
+        "kernels_dropped": sorted(built - _base_kernels(built)),
         "extra_dfgs": set(live) - set(baseline) - held,
         "held_dfgs": len(held),
     }
 
 
-def _sweep_inline(queries):
+def _sweep_inline(queries, releases=None):
     """Run ``queries`` through ``run_inline``; the heap's state is
     recorded before every batch after the first, and after the last.
 
     The state is read when the next batch starts rather than in the
     batch's own ``finally``: while a batch's exception propagates, its
     traceback still holds the frames (and the DFGs) of the query that
-    raised.
+    raised.  Every release first notes which kernels' base analyses
+    the memos hold, so a state names a kernel as dropped only if a
+    release found its base and it is gone since.  ``releases``, when
+    given, also collects the state right after every release, kernel
+    boundaries inside a batch included; only a sweep in which no batch
+    raises may ask for it.
     """
     baseline = _live_dfgs()
     states, results = [], {}
-    compiled: set = set()
+    built: set = set()
+    kernels = {q.kernel for q in queries}
+    release_batch = compiler.release_batch
+    started = []
+
+    def release():
+        built.update(_base_kernels(kernels))
+        release_batch()
+        if releases is not None:
+            releases.append(_batch_state(baseline, built))
 
     def worker(items, attempt):
-        if compiled:
-            states.append(_batch_state(baseline, compiled))
-        compiled.update(q.kernel for q in items)
+        if started:
+            states.append(_batch_state(baseline, built))
+        started.append(items)
         return compile_query_batch(items, attempt)
 
     def on_payload(positions, payload):
@@ -94,8 +119,13 @@ def _sweep_inline(queries):
     def on_failure(failure):
         results[failure.position] = failure
 
-    run_inline(_batched(queries), queries, worker, on_payload, on_failure)
-    states.append(_batch_state(baseline, compiled))
+    compiler.release_batch = release
+    try:
+        run_inline(_batched(queries), queries, worker, on_payload,
+                   on_failure)
+    finally:
+        compiler.release_batch = release_batch
+    states.append(_batch_state(baseline, built))
     return states, [results[i] for i in range(len(queries))]
 
 
@@ -105,7 +135,10 @@ def _assert_released(states):
         assert state["per_batch"] == dict.fromkeys(PER_BATCH, 0), state
         assert state["kernels_dropped"] == [], state
         assert state["extra_dfgs"] == set(), state
-        assert state["held_dfgs"] > 0
+    # a heaviest-first sweep may start with a batch that builds no base
+    # analysis (a jam(2) takes the program-level route); the last state
+    # holds the sweep's kernels
+    assert states[-1]["held_dfgs"] > 0
 
 
 class _Raising:
@@ -150,6 +183,31 @@ class TestBatchScope:
                     for r in results}
         assert "exception" in outcomes
         assert outcomes <= {"exception", "legality", "schedule"}
+
+
+    def test_a_class_batch_releases_at_each_kernel_boundary(self):
+        # on vliw4, des-mem and des-hw pose the same scheduling problems:
+        # each variant's two groups share one batch, des-mem's first
+        queries = DesignSpace(
+            kernels=("des-mem", "des-hw"), variants=("squash", "jam"),
+            factors=(2, 4), target_specs=("vliw4",),
+            schedulers=("modulo", "backtrack")).enumerate()
+        batches = _batched(queries)
+        assert len(batches) == 2
+        for batch in batches:
+            kernels = [queries[p].kernel for p in batch]
+            assert kernels == sorted(kernels, key=("des-mem",
+                                                   "des-hw").index)
+        releases: list = []
+        states, results = _sweep_inline(queries, releases)
+        # one release at the boundary inside each batch, one at its end
+        assert len(releases) == 4
+        _assert_released(releases + states)
+        # the scheduling classes built both kernels' base analyses
+        # before dispatch; every release keeps both and no design
+        assert [r["held_dfgs"] for r in releases] == [2, 2, 2, 2]
+        assert _base_kernels({"des-mem", "des-hw"}) == {"des-mem", "des-hw"}
+        assert all(not isinstance(r, Exception) for r in results)
 
 
 class TestParity:

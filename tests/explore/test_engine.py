@@ -166,8 +166,30 @@ class TestAgainstSerialPath:
             assert by_label[point.label] == point
 
 
+#: The Table 6.1 kernels, in the table's order.
+SUITE = ("skipjack-mem", "skipjack-hw", "des-mem", "des-hw", "iir")
+
+
+def _suite_queries(target, kernels=SUITE):
+    return DesignSpace(kernels=kernels,
+                       variants=("pipelined", "squash", "jam"),
+                       factors=(2, 4), target_specs=(target,),
+                       schedulers=("modulo", "backtrack")).enumerate()
+
+
+def _kernel_runs(qs, batch):
+    """The batch's kernels in dispatch order, one entry per run of
+    consecutive queries of one kernel."""
+    runs = []
+    for p in batch:
+        if not runs or runs[-1] != qs[p].kernel:
+            runs.append(qs[p].kernel)
+    return runs
+
+
 class TestBatching:
-    """Dispatch groups by (kernel, variant) in first-seen order."""
+    """Dispatch groups by (kernel, variant), joins the groups of one
+    scheduling class, and sends the heaviest batch first."""
 
     def test_batches_group_by_kernel_variant(self):
         from repro.explore.engine import _batched
@@ -184,6 +206,73 @@ class TestBatching:
         assert _batched(qs) == [[0, 1, 2, 3, 4, 5]]
         assert _batched(qs, jobs=3) == [[0, 1], [2, 3], [4, 5]]
         assert _batched(qs, jobs=100) == [[i] for i in range(6)]
+
+    def test_vliw4_joins_the_mem_and_hw_groups(self):
+        from repro.explore.engine import _batched
+        qs = _suite_queries("vliw4")
+        batches = _batched(qs)
+        # three scheduling classes (skipjack, des, iir) x three variants
+        assert len(batches) == 9
+        runs = sorted(_kernel_runs(qs, b) for b in batches)
+        assert runs == sorted(3 * [["skipjack-mem", "skipjack-hw"],
+                                   ["des-mem", "des-hw"], ["iir"]])
+        for batch in batches:
+            assert len({qs[p].variant for p in batch}) == 1
+            for kernel in {qs[p].kernel for p in batch}:
+                # the kernel's queries keep their relative order: its
+                # modulo queries, then its backtrack queries
+                own = [p for p in batch if qs[p].kernel == kernel]
+                assert own == sorted(own)
+                scheds = [qs[p].scheduler for p in own]
+                assert scheds == sorted(scheds, key=("modulo",
+                                                     "backtrack").index)
+
+    def test_acev_keeps_one_kernel_per_batch(self):
+        from repro.explore.engine import _batched
+        qs = _suite_queries("acev")
+        batches = _batched(qs)
+        assert len(batches) == 15
+        assert all(len(_kernel_runs(qs, b)) == 1 for b in batches)
+
+    def test_iir_and_lang_kernels_are_never_built_or_joined(self):
+        import repro
+        from repro.explore.engine import _batched
+        from repro.lang.loader import lang_spec
+        from repro.nimble.compiler import _kernel_program
+
+        clamp = lang_spec("examples/clamp.lang")
+        qs = _suite_queries("vliw4", kernels=("iir", clamp, "des-mem",
+                                              "des-hw"))
+        repro.clear_caches(memory_only=True)
+        batches = _batched(qs)
+        # only the two des kernels were built, to compare their classes
+        assert _kernel_program.cache_info().currsize == 2
+        for batch in batches:
+            kernels = _kernel_runs(qs, batch)
+            if "iir" in kernels or clamp in kernels:
+                assert len(kernels) == 1
+
+    def test_heaviest_batch_dispatches_first(self):
+        from repro.explore.engine import _batched
+        qs = [DesignQuery("iir", "squash", ds=8),        # weight 1
+              DesignQuery("iir", "jam", ds=2),           # 2
+              DesignQuery("iir", "jam+squash", ds=2, jam=4),  # 4
+              DesignQuery("iir", "pipelined"),           # 1
+              DesignQuery("iir", "jam", ds=4),           # jam: 2 + 4
+              DesignQuery("iir", "original")]            # 1
+        assert _batched(qs) == [[1, 4], [2], [0], [3], [5]]
+
+    def test_dispatch_weights_do_not_follow_the_kernel_order(self):
+        from repro.explore.engine import _batched, _weight
+
+        def weights(kernels):
+            qs = _suite_queries("vliw4", kernels)
+            return [sum(_weight(qs[p]) for p in batch)
+                    for batch in _batched(qs)]
+
+        forward = weights(SUITE)
+        assert forward == sorted(forward, reverse=True)
+        assert weights(SUITE[::-1]) == forward
 
     def test_single_kernel_factor_sweep_parallel_matches_serial(self):
         space = DesignSpace(kernels=("iir",), variants=("squash",),

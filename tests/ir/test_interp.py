@@ -160,11 +160,12 @@ class TestCostAccounting:
         assert outer.inclusive_cost > inner.inclusive_cost > 0
         assert res.total_cost >= outer.inclusive_cost
 
-    def test_cost_model_table(self, fig21):
-        table = {"add": 10, "xor": 1}
-        res = Interpreter(fig21, lambda op, ty: table.get(op, 0)).run()
-        # 32 adds (inner) * 10 + 32 xor * 1
-        assert res.total_cost == 32 * 10 + 32 * 1
+    def test_unit_cost_total(self, fig21):
+        # every operation costs 1: 40 loop branches (8 outer + 32
+        # inner), 8 loads, 32 adds, 32 xors and 8 stores
+        res = Interpreter(fig21).run()
+        assert res.total_cost == 120
+        assert res.total_cost == sum(res.op_counts.values())
 
     def test_op_counts(self, fig21):
         res = run_program(fig21)

@@ -75,6 +75,12 @@ class TestFormatStats:
         assert "retries" not in text
         assert "II candidates tried" in text
 
+    def test_replayed_designs_row(self):
+        snap = {"counters": {"sched.ii_attempts": 2, "sched.replays": 3},
+                "histograms": {}}
+        text = format_stats(snap)
+        assert re.search(r"^designs replayed\s+3$", text, re.M), text
+
 
 class TestStatsCommand:
     @pytest.fixture(scope="class")
