@@ -26,8 +26,9 @@ groups over a class share a batch, one kernel after the other, so the
 later kernel replays the earlier one's schedules in the same worker
 instead of searching them again in another.  Batches dispatch heaviest
 first, weighed by the operator copies their queries schedule, so the
-longest batch does not start last and the pool's packing does not
-depend on the order the kernels were named in.
+longest batch does not start last.  The weight counts copies, not the
+size of a kernel's DFG: one variant's skipjack and DES batches weigh
+the same, and such ties keep the order the kernels were named in.
 Each batch's results commit to the cache **as the batch lands**, so an
 interrupted, crashed, or killed sweep resumes from the cache —
 recompiling only the unfinished batches — instead of restarting.

@@ -58,8 +58,8 @@ if TYPE_CHECKING:
 __all__ = ["DEFAULT_SCHEDULER", "BacktrackingModuloScheduler",
            "ExactModuloScheduler", "IterativeModuloScheduler",
            "ListScheduler", "Scheduler", "available_schedulers",
-           "backtracking_modulo_schedule", "register_scheduler",
-           "scheduler_by_name"]
+           "backtracking_modulo_schedule", "is_builtin_scheduler",
+           "register_scheduler", "scheduler_by_name"]
 
 #: Name resolved when a query/target does not choose a strategy.
 DEFAULT_SCHEDULER = "modulo"
@@ -220,7 +220,15 @@ _REGISTRY: dict[str, Scheduler] = {}
 
 def register_scheduler(scheduler: Scheduler, *, replace: bool = False
                        ) -> Scheduler:
-    """Add a strategy to the registry (``replace=True`` to override)."""
+    """Add a strategy to the registry (``replace=True`` to override).
+
+    The compilation pipeline replays one design's schedule-stage
+    outcome for another design that poses the same search only under
+    the strategies this module registers (:func:`is_builtin_scheduler`),
+    which read nothing of a DFG beyond what
+    :func:`repro.hw.iimemo.search_signature` signs.  A strategy
+    registered here may read anything, so its designs always schedule.
+    """
     name = scheduler.name
     if not replace and name in _REGISTRY:
         raise ValueError(f"scheduler {name!r} is already registered; "
@@ -247,3 +255,11 @@ register_scheduler(ListScheduler())
 register_scheduler(IterativeModuloScheduler())
 register_scheduler(BacktrackingModuloScheduler())
 register_scheduler(ExactModuloScheduler())
+
+_BUILTIN = dict(_REGISTRY)
+
+
+def is_builtin_scheduler(scheduler: Scheduler) -> bool:
+    """Is ``scheduler`` one this module registers (not an addition or a
+    replacement made through :func:`register_scheduler`)?"""
+    return _BUILTIN.get(scheduler.name) is scheduler

@@ -127,8 +127,9 @@ def scheduling_classes(kernels: Sequence[str],
     with different arguments are compared; the rest, ``.lang`` kernels
     included, are their own class without being built.  The builds and
     base analyses land in :func:`_kernel_program`'s cache and the
-    analysis memos, which workers forked later inherit.  Without shared
-    analyses (``REPRO_ANALYSIS_CACHE=0``) nothing is compared.
+    analysis memos, which workers forked later inherit; the per-design
+    memos the comparison fills are released before it returns.  Without
+    shared analyses (``REPRO_ANALYSIS_CACHE=0``) nothing is compared.
 
     A class only decides which designs share a worker; what a design
     replays rests on its own content key
@@ -182,6 +183,9 @@ def scheduling_classes(kernels: Sequence[str],
                 # the earlier kernel's class absorbs the later one's
                 lo, hi = sorted((first[twin], first[k]), key=order.index)
                 first = {x: lo if c == hi else c for x, c in first.items()}
+    # the signatures filled per-design memos (search contexts, edge
+    # views), which forked workers would otherwise inherit
+    release_batch()
     return first
 
 

@@ -53,7 +53,7 @@ from repro.hw.area import operator_rows, registers_original, \
 from repro.hw.modulo import ModuloSchedule
 from repro.hw.report import DesignPoint, variant_label
 from repro.hw.schedulers import DEFAULT_SCHEDULER, Scheduler, \
-    scheduler_by_name
+    is_builtin_scheduler, scheduler_by_name
 from repro.ir.nodes import Program
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -105,10 +105,12 @@ def _replay_key(strategy: str, analyzed: AnalyzedDFG, lib) -> str:
     """Content key of one design's schedule-stage outcome.
 
     The strategy's first II-search signature
-    (:func:`repro.hw.iimemo.search_signature`) covers what the search
-    reads; the pressure floor and the register-pressure walk also read
-    each raw edge's kind, which nodes are constants or stores, the
-    live-in count and the register file.
+    (:func:`repro.hw.iimemo.search_signature`) covers what the built-in
+    strategies' searches read (:func:`repro.hw.schedulers.
+    is_builtin_scheduler`; no other strategy is replayed); the pressure
+    floor and the register-pressure walk also read each raw edge's
+    kind, which nodes are constants or stores, the live-in count and
+    the register file.
     """
     from repro.hw.iimemo import search_signature
     from repro.hw.mii import default_edge_view
@@ -238,10 +240,6 @@ def _registers_modulo(a: AnalyzedDFG, target: Target,
             f"the {s.scheduler!r} scheduler produced a "
             f"{type(s.schedule).__name__} where the register model needs "
             "a modulo schedule")
-    if s.pressure is not None and a.edges is None:
-        # the register-pressure walk's count over the same schedule and
-        # (default) edge view, counted on first read
-        return s.pressure.mve_registers
     return registers_pipelined(a.dfg, target.library, s.schedule)
 
 
@@ -309,8 +307,10 @@ class CompilationPipeline:
     ``replays`` is a table of schedule-stage outcomes keyed by content
     (:func:`_replay_key`), which the pipeline fills and reads: a design
     that poses a recorded scheduling problem replays its outcome
-    instead of placing anything.  ``None`` (the default) schedules
-    every design.
+    instead of placing anything.  Only the built-in pipelined
+    strategies replay; a strategy added through
+    :func:`repro.hw.schedulers.register_scheduler` always schedules.
+    ``None`` (the default) schedules every design.
     """
 
     def __init__(self, target: "Optional[Target]" = None,
@@ -345,7 +345,8 @@ class CompilationPipeline:
     def _schedule(self, plan: VariantPlan,
                   analyzed: AnalyzedDFG) -> ScheduledDesign:
         strategy = self._resolve_scheduler(plan)
-        if self.replays is None or not strategy.pipelined:
+        if self.replays is None or not strategy.pipelined \
+                or not is_builtin_scheduler(strategy):
             return self._schedule_fresh(strategy, analyzed)
         key = _replay_key(strategy.name, analyzed, self.target.library)
         outcome = self.replays.get(key)

@@ -119,10 +119,12 @@ def _sweep_inline(queries, releases=None):
     def on_failure(failure):
         results[failure.position] = failure
 
+    # the parent's scheduling classes release once before dispatch;
+    # only the workers' releases are recorded
+    batches = _batched(queries)
     compiler.release_batch = release
     try:
-        run_inline(_batched(queries), queries, worker, on_payload,
-                   on_failure)
+        run_inline(batches, queries, worker, on_payload, on_failure)
     finally:
         compiler.release_batch = release_batch
     states.append(_batch_state(baseline, built))
@@ -208,6 +210,18 @@ class TestBatchScope:
         assert [r["held_dfgs"] for r in releases] == [2, 2, 2, 2]
         assert _base_kernels({"des-mem", "des-hw"}) == {"des-mem", "des-hw"}
         assert all(not isinstance(r, Exception) for r in results)
+
+    def test_the_classes_leave_the_parent_no_design_state(self):
+        # the parent compares the kernels' base designs before it forks
+        # the pool: their base analyses stay for the workers, but the
+        # search contexts and edge views the comparison built do not
+        queries = DesignSpace(
+            kernels=("des-mem", "des-hw"), variants=("jam",),
+            factors=(2,), target_specs=("vliw4",)).enumerate()
+        assert len(_batched(queries)) == 1
+        assert {m.name: len(m) for m in _MEMOS if m.per_batch} == \
+            dict.fromkeys(PER_BATCH, 0)
+        assert _base_kernels({"des-mem", "des-hw"}) == {"des-mem", "des-hw"}
 
 
 class TestParity:

@@ -91,6 +91,33 @@ class TestReplay:
             assert r.reason.startswith(f"{q.kernel}/"), r.reason
             assert other not in r.reason
 
+    def test_a_registered_strategy_always_schedules(self, plant_scheduler,
+                                                    monkeypatch):
+        # the key covers what the built-in searches read; a strategy of
+        # one's own may read more, so none of its designs replay
+        from repro.hw.schedulers import scheduler_by_name
+
+        base = scheduler_by_name("modulo")
+        searched = []
+
+        class Own:
+            name, pipelined = "modulo", True
+
+            def schedule(self, dfg, lib, edges=None, max_ii=None,
+                         min_ii=None):
+                searched.append(dfg)
+                return base.schedule(dfg, lib, edges=edges, max_ii=max_ii,
+                                     min_ii=min_ii)
+
+        plant_scheduler(Own())
+        mem, _, _, _ = _effort(_queries("des-mem"), monkeypatch)
+        alone = len(searched)
+        both, _, _, replays = _effort(
+            _queries("des-mem") + _queries("des-hw"), monkeypatch)
+        assert replays == 0
+        assert alone > 0 and len(searched) == 3 * alone
+        assert both[:len(DESIGNS)] == mem
+
     def test_a_single_kernel_batch_keys_nothing(self, monkeypatch):
         from repro.pipeline import pipeline
 
