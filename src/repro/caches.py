@@ -151,9 +151,10 @@ def register_cache(clear_fn: Callable[[], None], *,
 def release_batch() -> None:
     """Drop every per-batch memo's entries (and the objects they pin).
 
-    Called at each kernel boundary inside a batch of design queries and
-    when the batch lands; the per-worker memos keep their entries for
-    the next batch.
+    Called at each kernel boundary inside a batch of design queries,
+    when the batch lands, and after the parent compares the kernels'
+    scheduling classes (:func:`repro.nimble.compiler.scheduling_classes`);
+    the per-worker memos keep their entries for the next batch.
     """
     for memo in list(_MEMOS):
         if memo.per_batch:

@@ -136,6 +136,14 @@ def scheduling_classes(kernels: Sequence[str],
     (:class:`repro.pipeline.CompilationPipeline`).
     """
     from repro.env import analysis_cache_enabled
+
+    order = list(dict.fromkeys(kernels))
+    first = {k: k for k in order}
+    named = [k for k in order
+             if not (k.startswith("lang:") or k.endswith(".lang"))]
+    if len(named) < 2 or not analysis_cache_enabled():
+        return first
+
     from repro.errors import ReproError
     from repro.hw.iimemo import search_signature
     from repro.hw.mii import default_edge_view
@@ -143,14 +151,8 @@ def scheduling_classes(kernels: Sequence[str],
     from repro.pipeline.analysis import analysis_cache
     from repro.workloads import benchmark_by_name
 
-    order = list(dict.fromkeys(kernels))
-    first = {k: k for k in order}
-    if not analysis_cache_enabled():
-        return first
     by_builder: dict[tuple[str, str], list[str]] = {}
-    for k in order:
-        if k.startswith("lang:") or k.endswith(".lang"):
-            continue
+    for k in named:
         try:
             build = benchmark_by_name(k).build
         except KeyError:
