@@ -186,7 +186,7 @@ def scheduling_classes(kernels: Sequence[str],
                 lo, hi = sorted((first[twin], first[k]), key=order.index)
                 first = {x: lo if c == hi else c for x, c in first.items()}
     # the signatures filled per-design memos (search contexts, edge
-    # views), which forked workers would otherwise inherit
+    # views, delay maps), which forked workers would otherwise inherit
     release_batch()
     return first
 

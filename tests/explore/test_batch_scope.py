@@ -214,7 +214,8 @@ class TestBatchScope:
     def test_the_classes_leave_the_parent_no_design_state(self):
         # the parent compares the kernels' base designs before it forks
         # the pool: their base analyses stay for the workers, but the
-        # search contexts and edge views the comparison built do not
+        # per-design state the comparison built (search contexts, edge
+        # views, delay maps) does not
         queries = DesignSpace(
             kernels=("des-mem", "des-hw"), variants=("jam",),
             factors=(2,), target_specs=("vliw4",)).enumerate()
