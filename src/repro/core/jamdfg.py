@@ -32,8 +32,11 @@ The renames are sound only when lowering numbers temporaries uniformly
 and the per-copy names are fresh.  :func:`replicable` rules out the
 inputs where they are not (another nest shares the outer IV, or a
 scalar is already named ``t3_<n>`` or ``<v>__u<k>``), and
-:func:`replicate` returns ``None`` when the body assigns an induction
-variable, which every copy then writes.  The caller takes the
+:meth:`JamCopies.of` returns ``None`` when the body assigns an
+induction variable, which every copy then writes.  Copy k renames copy 1 the same
+way at every factor, so :class:`JamCopies` renames each copy once and
+keeps it: jam(8) shares the statements of the copies jam(4) made, as
+copy 0 shares the base's.  The caller takes the
 program-level route instead, as it does when the base DS=1 check fails
 (the reasons must come from the fused nest).
 ``tests/pipeline/test_jamdfg.py`` compares both routes field by field.
@@ -42,7 +45,7 @@ program-level route instead, as it does when the base DS=1 check fails
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.loops import LoopNest, find_loop_nests, trip_count
@@ -62,7 +65,8 @@ from repro.transforms.unroll_and_jam import _check_structure, \
 if TYPE_CHECKING:  # core <-> pipeline: BaseAnalysis only for types
     from repro.pipeline.analysis import BaseAnalysis
 
-__all__ = ["check_jam", "find_jammed_nest", "replicable", "replicate"]
+__all__ = ["JamCopies", "check_jam", "find_jammed_nest", "replicable",
+           "replicate"]
 
 #: Scalar names that three-address lowering (``t3_<n>``) and
 #: unroll-and-jam (``<v>__u<k>``) make up.
@@ -152,9 +156,18 @@ def _iv_add(e: Expr, iv0: str, step: int) -> Optional[BinOp]:
     return None
 
 
+#: One renamed copy: its statements, then its new entry, exit and types
+#: items.
+_Copy = tuple[list[Stmt], list, list, list]
+
+
 @dataclass
-class _Copy1:
-    """Copy 1 of a jam(2) template: what every copy k >= 1 renames."""
+class JamCopies:
+    """Copy 1 of a jam(2) template, and the copies renamed from it.
+
+    Copy k renames copy 1 the same way at every factor, so each copy is
+    renamed once and every jam(F) of the nest shares its statements.
+    """
 
     stmts: list[Stmt]
     #: ``v__u1`` -> ``v`` for every privatized scalar
@@ -167,17 +180,25 @@ class _Copy1:
     tails: tuple[list, list, list]
     #: every version copy k renames: copy 1's targets and entry versions
     versions: list[str]
+    #: copies 1, 2, ... renamed so far
+    made: list[_Copy] = field(default_factory=list)
 
     @classmethod
-    def of(cls, nest: LoopNest, privatized: set[str], base: SSABlock,
-           template: SSABlock) -> Optional["_Copy1"]:
-        """Copy 1 of ``template``, or ``None`` when copy 1 writes a
-        scalar the copies share: the renames would give every copy the
-        same versions of it.  Only an induction variable can be one, and
-        the builder's validator rejects assigning those, but a program
-        built by hand may."""
-        stmts = template.stmts[len(base.stmts):]
-        u1 = {f"{v}__u1": v for v in privatized}
+    def of(cls, nest: LoopNest, base: "BaseAnalysis",
+           template: "BaseAnalysis") -> Optional["JamCopies"]:
+        """Copy 1 of ``template`` (jam(2)) against ``base``.
+
+        ``None`` when either analysis has no SSA block, or when copy 1
+        writes a scalar the copies share: the renames would give every
+        copy the same versions of it.  Only an induction variable can
+        be one, and the builder's validator rejects assigning those, but
+        a program built by hand may.  The caller then takes the
+        program-level route.
+        """
+        if base.ssa is None or template.ssa is None:
+            return None
+        stmts = template.ssa.stmts[len(base.ssa.stmts):]
+        u1 = {f"{v}__u1": v for v in jam_privatized_names(nest)}
         iv0 = f"{nest.outer.var}@0"
         temps: dict[str, int] = {}
         iv_adds: dict[int, tuple[str, BinOp]] = {}
@@ -196,16 +217,22 @@ class _Copy1:
         # copy 0 is the base, so the template's tables extend the base's
         entry, exit_, types = (list(theirs.items())[len(mine):]
                                for mine, theirs in (
-                                   (base.entry, template.entry),
-                                   (base.exit, template.exit),
-                                   (base.types, template.types)))
+                                   (base.ssa.entry, template.ssa.entry),
+                                   (base.ssa.exit, template.ssa.exit),
+                                   (base.ssa.types, template.ssa.types)))
         versions = [s.var for s in stmts if isinstance(s, Assign)] \
             + [v for _, v in entry]
         return cls(stmts, u1, temps, iv_adds, (entry, exit_, types),
                    versions)
 
-    def copy(self, k: int, ssa: SSABlock, step: int) -> None:
-        """Append copy k to ``ssa``: its statements and name tables."""
+    def copy(self, k: int, step: int) -> _Copy:
+        """Copy k, renamed on first use."""
+        while len(self.made) < k:
+            self.made.append(self._rename(len(self.made) + 1, step))
+        return self.made[k - 1]
+
+    def _rename(self, k: int, step: int) -> _Copy:
+        """Copy 1's statements and name-table items, renamed to copy k's."""
         shift = (k - 1) * len(self.temps)
 
         def rename(name: str) -> str:
@@ -218,45 +245,44 @@ class _Copy1:
             return b + at + n
 
         versions = {v: rename(v) for v in self.versions}
+        stmts: list[Stmt] = []
         for i, s in enumerate(self.stmts):
             add = self.iv_adds.get(i)
             if add is None:
-                ssa.stmts.append(rename_vars(s, versions))
+                stmts.append(rename_vars(s, versions))
             else:
                 target, expr = add
-                ssa.stmts.append(Assign(versions[target], BinOp(
+                stmts.append(Assign(versions[target], BinOp(
                     "add", expr.lhs, Const(k * step, expr.rhs.ty))))
         entry, exit_, types = self.tails
-        ssa.entry.update((rename(n), versions[v]) for n, v in entry)
-        ssa.exit.update((rename(n), rename(v)) for n, v in exit_)
-        ssa.types.update((rename(v), ty) for v, ty in types)
+        return (stmts, [(rename(n), versions[v]) for n, v in entry],
+                [(rename(n), rename(v)) for n, v in exit_],
+                [(rename(v), ty) for v, ty in types])
 
 
 def replicate(program: Program, nest: LoopNest, base: "BaseAnalysis",
-              template: "BaseAnalysis",
-              factor: int) -> "Optional[BaseAnalysis]":
-    """jam(``factor``) of ``nest``, from its base analysis and jam(2).
+              copies: JamCopies, factor: int) -> "BaseAnalysis":
+    """jam(``factor``) of ``nest``, from its base analysis and the
+    :class:`JamCopies` of its jam(2).
 
     ``factor`` must already be clamped to the outer trip, ``base`` must
     have passed its DS=1 check, and the input must be
-    :func:`replicable`.  Returns ``None`` when the body assigns an
-    induction variable (see :meth:`_Copy1.of`).  Never mutates ``base``
-    or ``template``: copy 0 shares their statements, later copies their
-    constants and unrenamed variables.
+    :func:`replicable`.  Never mutates ``base``; ``copies`` only renames
+    the copies it lacks.  Copy 0 shares the base's statements, copy k
+    the statements ``copies`` renamed.
     """
     from repro.pipeline.analysis import BaseAnalysis
 
-    if base.ssa is None or template.ssa is None:
-        return None
-    privatized = jam_privatized_names(nest)
-    copy1 = _Copy1.of(nest, privatized, base.ssa, template.ssa)
-    if copy1 is None:
-        return None
-
+    assert base.ssa is not None   # JamCopies.of found one
     ssa = SSABlock(stmts=list(base.ssa.stmts), entry=dict(base.ssa.entry),
                    exit=dict(base.ssa.exit), types=dict(base.ssa.types))
     for k in range(1, factor):
-        copy1.copy(k, ssa, nest.outer.step)
+        stmts, entry, exit_, types = copies.copy(k, nest.outer.step)
+        ssa.stmts.extend(stmts)
+        ssa.entry.update(entry)
+        ssa.exit.update(exit_)
+        ssa.types.update(types)
+    privatized = jam_privatized_names(nest)
     live = _jammed_liveness(base.check1.require_liveness(), privatized,
                             factor)
     check = SquashCheck(parallelism=ParallelismReport(), liveness=live,

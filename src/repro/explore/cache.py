@@ -7,8 +7,9 @@ invalidates stale results automatically instead of serving them.  Each
 record is keyed by the query's stable content hash; repeated sweeps,
 benchmarks, and CLI runs are therefore incremental across processes.
 
-The cache is append-only: ``put`` appends a line, ``get`` reads from an
-in-memory index loaded once per instance.  Deserialization builds fresh
+The cache is append-only: ``put`` appends one line per new record (a
+landed batch's records in one write), ``get`` reads from an in-memory
+index loaded once per instance.  Deserialization builds fresh
 :class:`DesignPoint` objects on every ``get`` so callers may mutate the
 returned point (e.g. attach ``base_ii``) without corrupting the store.
 """
@@ -21,6 +22,7 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.caches import register_cache
 from repro.explore.space import DesignQuery, SkipRecord
@@ -112,7 +114,7 @@ class NullCache:
         _MISSES.add()
         return None
 
-    def put(self, query: DesignQuery, result) -> None:
+    def put(self, records: Iterable[tuple[DesignQuery, object]]) -> None:
         pass
 
     def clear(self) -> None:
@@ -169,29 +171,42 @@ class ResultCache:
         _HITS.add()
         return result
 
-    def put(self, query: DesignQuery,
-            result: DesignPoint | SkipRecord) -> None:
-        rec = _encode_result(query, result)
-        index = self._load()
-        if query.query_hash in index:
-            return
-        index[query.query_hash] = rec
-        self.directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(rec, sort_keys=True) + "\n"
+    def put(self, records: Iterable[tuple[DesignQuery,
+                                          DesignPoint | SkipRecord]]
+            ) -> None:
+        """Store every ``(query, result)`` not stored yet: one line each,
+        appended with one ``open`` and one ``write``.
+
+        The bytes are those of one append per record, torn records
+        included.
+        """
         from repro.faults import torn_write
-        if torn_write("cache", query.query_hash):
-            # Chaos injection: the appender died mid-line — half the
-            # record, no newline.  The in-memory index keeps the real
-            # result (this process computed it), but a fresh load must
-            # drop the line and treat the query as a miss.
-            line = line[:max(1, len(line) // 2)].rstrip("\n")
-            self.stats.torn += 1
-            _TORN.add()
-        else:
-            self.stats.stores += 1
-            _STORES.add()
+
+        index = self._load()
+        lines = []
+        for query, result in records:
+            key = query.query_hash
+            if key in index:
+                continue
+            rec = index[key] = _encode_result(query, result)
+            line = json.dumps(rec, sort_keys=True) + "\n"
+            if torn_write("cache", key):
+                # Chaos injection: the appender died mid-line — half the
+                # record, no newline.  The in-memory index keeps the real
+                # result (this process computed it), but a fresh load must
+                # drop the line and treat the query as a miss.
+                line = line[:max(1, len(line) // 2)].rstrip("\n")
+                self.stats.torn += 1
+                _TORN.add()
+            else:
+                self.stats.stores += 1
+                _STORES.add()
+            lines.append(line)
+        if not lines:
+            return
+        self.directory.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
-            fh.write(line)
+            fh.write("".join(lines))
 
     def clear(self) -> None:
         """Drop every stored result (all code versions)."""

@@ -24,7 +24,10 @@ form one *scheduling class*
 ``-mem`` and ``-hw`` versions of skipjack and DES), and one variant's
 groups over a class share a batch, one kernel after the other, so the
 later kernel replays the earlier one's schedules in the same worker
-instead of searching them again in another.  Batches dispatch heaviest
+instead of searching them again in another.  A *light* class, at most
+a quarter of one worker's share of the sweep, is one batch over all
+its variants, so a many-kernel sweep compiles each kernel and reads its
+base analysis in one worker only.  Batches dispatch heaviest
 first, weighed by the operator copies their queries schedule, so the
 longest batch does not start last.  The weight counts copies, not the
 size of a kernel's DFG: one variant's skipjack and DES batches weigh
@@ -113,6 +116,13 @@ def _weight(q: DesignQuery) -> int:
     return 1
 
 
+#: A scheduling class is *light* when its designs weigh at most
+#: ``1 / (_LIGHT_SHARE * jobs)`` of the sweep's total :func:`_weight`, a
+#: quarter of one worker's share: with heaviest-first dispatch, no one
+#: batch of a light class can then unbalance the pool by more than that.
+_LIGHT_SHARE = 4
+
+
 def _batched(todo: list[DesignQuery],
              jobs: Optional[int] = None) -> list[list[int]]:
     """Group positions in ``todo`` into dispatch batches.
@@ -122,24 +132,38 @@ def _batched(todo: list[DesignQuery],
     (:func:`repro.nimble.compiler.scheduling_classes` on the queries'
     targets) join one batch, one kernel's group after the other in
     first-appearance order.  Queries keep their relative order inside a
-    group.  When grouping alone would leave fewer batches than ``jobs``
-    (e.g. a single-kernel sweep over many factors), large batches are
-    split so the requested parallelism is honoured — locality is a
-    tie-breaker, never a reason to idle explicitly requested workers.
-    Batches are returned heaviest first (:func:`_weight` summed over the
-    batch), ties in first-appearance order, so dispatch is
-    deterministic and the longest batch starts first.
+    group.  Given ``jobs``, a *light* class (see :data:`_LIGHT_SHARE`)
+    is one batch over all its variants, each ``(kernel, variant)`` group
+    still contiguous: a many-kernel sweep then compiles each kernel and
+    reads its base analysis in one worker, instead of in every worker
+    that draws one of its variants.  When grouping alone would leave
+    fewer batches than ``jobs`` (e.g. a single-kernel sweep over many
+    factors), large batches are split so the requested parallelism is
+    honoured — locality is a tie-breaker, never a reason to idle
+    explicitly requested workers.  Batches are returned heaviest first
+    (:func:`_weight` summed over the batch), ties in first-appearance
+    order, so dispatch is deterministic and the longest batch starts
+    first.
     """
     from repro.nimble.compiler import scheduling_classes
 
     classes = scheduling_classes([q.kernel for q in todo],
                                  [q.target_spec for q in todo])
     groups: dict[tuple[str, str], dict[str, list[int]]] = {}
+    weights: dict[str, int] = {}
     for pos, q in enumerate(todo):
-        groups.setdefault((classes[q.kernel], q.variant), {}) \
+        cls = classes[q.kernel]
+        groups.setdefault((cls, q.variant), {}) \
             .setdefault(q.kernel, []).append(pos)
-    batches = [[pos for group in kernels.values() for pos in group]
-               for kernels in groups.values()]
+        weights[cls] = weights.get(cls, 0) + _weight(q)
+    total = sum(weights.values())
+    joined: dict[tuple[str, ...], list[int]] = {}
+    for (cls, variant), kernels in groups.items():
+        light = jobs is not None \
+            and _LIGHT_SHARE * jobs * weights[cls] <= total
+        joined.setdefault((cls,) if light else (cls, variant), []).extend(
+            pos for group in kernels.values() for pos in group)
+    batches = list(joined.values())
     if jobs is not None and len(batches) < jobs:
         size = max(1, -(-len(todo) // jobs))
         batches = [batch[i:i + size]
@@ -296,12 +320,14 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
             # commit this batch NOW: a later crash must not discard it;
             # the designs the worker quarantined are counted, not cached
             quarantined = 0
+            landed = []
             for p, r in zip(positions, payload["results"]):
                 results[pending[p]] = r
                 if isinstance(r, FailRecord):
                     quarantined += 1
                 else:
-                    cache.put(todo[p], r)
+                    landed.append((todo[p], r))
+            cache.put(landed)
             # merge the batch's observability home.  Trace events are
             # safe to re-inject unconditionally (the worker drained its
             # buffer into the payload, so inline mode moves, not

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Iterator, Sequence
 
 __all__ = ["VARIANTS", "DesignQuery", "DesignSpace", "FailRecord",
@@ -82,9 +83,14 @@ class DesignQuery:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @property
+    @cached_property
     def query_hash(self) -> str:
-        """Stable content hash (sha256 of the canonical JSON encoding)."""
+        """Stable content hash (sha256 of the canonical JSON encoding).
+
+        Computed on first read and kept in the instance ``__dict__``,
+        outside the fields: equality, hashing and :meth:`to_dict` never
+        see it.
+        """
         blob = json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:24]

@@ -13,8 +13,18 @@ discard its neighbors' work.  The supervisor owns the failure policy:
 * **stragglers**: with a wall-clock ``batch_timeout``, a batch that
   overruns its deadline is presumed hung — the pool (including the
   sleeping worker process) is killed, respawned, and the survivors
-  re-dispatched.  Dispatch is windowed to ``workers`` outstanding
-  futures so "time since dispatch" approximates "time running".
+  re-dispatched.  A batch's deadline counts from its *promotion*, not
+  its submission (see dispatch-ahead below), so it measures running
+  time, not queue time.
+* **dispatch-ahead**: ``2 × workers`` batches stay outstanding, so a
+  worker that finishes a batch starts the one queued behind it at once
+  instead of idling while the parent commits and resubmits.  The pool
+  hands batches out in submission order, so the first ``workers``
+  outstanding batches are the running ones: a queued batch is
+  *promoted* (its start and deadline stamped) when an earlier one
+  completes.  When the pool goes down (crash or straggler kill), the
+  queued batches never started: they return to the front of the queue
+  without being charged an attempt.
 * **exceptions**: a batch whose worker raised an unclassified exception
   is retried like a crash (the failure may be environmental).
 * **bisection & quarantine**: a batch that exhausts its retry budget is
@@ -57,6 +67,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
@@ -76,6 +87,10 @@ _BACKOFF_CAP = 1.0
 
 #: How long to wait for a killed worker process to reap before SIGKILL.
 _REAP_SECONDS = 0.5
+
+#: Outstanding batches per pool worker: the one it runs and one queued
+#: behind it, which it starts without waiting for the parent.
+_OUTSTANDING_PER_WORKER = 2
 
 
 class SweepInterrupted(KeyboardInterrupt):
@@ -282,10 +297,11 @@ def run_supervised(batches: Sequence[Sequence[int]],
                    ) -> None:
     """Pool-backed supervised dispatch — the engine's parallel core.
 
-    Submits at most ``workers`` batches at a time (so deadlines measure
-    running time, not queue time), consumes futures as they complete,
-    and applies the module-level failure policy.  ``worker_fn`` must be
-    a picklable module-level callable taking ``(items, attempt)``.
+    Keeps ``2 × workers`` batches outstanding, promoting each to running
+    as described under dispatch-ahead above, consumes futures as they
+    complete, and applies the module-level failure policy.
+    ``worker_fn`` must be a picklable module-level callable taking
+    ``(items, attempt)``.
 
     The parent's heap stays frozen (:func:`gc.freeze`) from before the
     first submit forks the workers until the pool is torn down, on
@@ -295,6 +311,8 @@ def run_supervised(batches: Sequence[Sequence[int]],
     run = _Run(batches, on_payload, on_failure, retries,
                on_progress=on_progress)
     pool: Optional[ProcessPoolExecutor] = None
+    #: outstanding batches in submission order; ``started == 0`` marks
+    #: a queued one
     inflight: dict[Future, _Task] = {}
 
     def spawn() -> ProcessPoolExecutor:
@@ -311,35 +329,49 @@ def run_supervised(batches: Sequence[Sequence[int]],
         time.sleep(delay)
         pool = spawn()
 
+    def promote() -> None:
+        """Stamp the batches the pool is running: the first ``workers``
+        outstanding ones."""
+        now = time.perf_counter()
+        for task in islice(inflight.values(), workers):
+            if not task.started:
+                task.started = now
+                if batch_timeout is not None:
+                    task.deadline = now + batch_timeout
+
     def abandon_inflight(kind: str, reason: str,
                          overdue: "Optional[Future]" = None) -> None:
-        """Every in-flight batch just lost its worker; charge and requeue.
+        """The pool is going down with every outstanding batch.
 
-        Only the ``overdue`` future (timeout case) keeps the specific
-        kind/reason; collateral batches are charged a dispatch too (their
-        work is lost and, under fault injection, their next attempt must
-        draw a fresh coin) but labeled as collateral of this event.
+        A running batch lost its work and is charged a dispatch: only
+        the ``overdue`` future (timeout case) keeps the specific
+        kind/reason; the others are charged too (under fault injection
+        their next attempt must draw a fresh coin) but labeled as
+        collateral of this event.  A queued batch never started: it
+        returns to the front of the queue, in submission order, with
+        its attempt count untouched.
         """
         now = time.perf_counter()
-        for fut, task in sorted(inflight.items(),
-                                key=lambda ft: ft[1].attempts):
+        queued = [t for t in inflight.values() if not t.started]
+        running = [(f, t) for f, t in inflight.items() if t.started]
+        for fut, task in sorted(running, key=lambda ft: ft[1].attempts):
             if overdue is None or fut is overdue:
                 run.fail(task, kind, reason, now - task.started)
             else:
                 run.fail(task, kind, f"collateral: {reason}",
                          now - task.started)
+        run.queue.extendleft(reversed(queued))
         inflight.clear()
 
     gc.freeze()
     try:
         pool = spawn()
         while run.queue or inflight:
-            # --- windowed submission: at most `workers` outstanding ----
-            while run.queue and len(inflight) < workers:
+            # --- dispatch ahead: two outstanding batches per worker ---
+            while run.queue and \
+                    len(inflight) < _OUTSTANDING_PER_WORKER * workers:
                 task = run.queue.popleft()
-                task.started = time.perf_counter()
-                if batch_timeout is not None:
-                    task.deadline = task.started + batch_timeout
+                task.started = task.deadline = 0.0
                 try:
                     fut = pool.submit(
                         worker_fn, [items[p] for p in task.positions],
@@ -354,6 +386,7 @@ def run_supervised(batches: Sequence[Sequence[int]],
                     continue
                 obs_metrics.counter("supervise.dispatches").add()
                 inflight[fut] = task
+            promote()
 
             if not inflight:
                 continue
@@ -361,32 +394,43 @@ def run_supervised(batches: Sequence[Sequence[int]],
             slack = None
             if batch_timeout is not None:
                 now = time.perf_counter()
-                slack = max(0.0, min(t.deadline for t in inflight.values())
-                            - now) + 0.01
+                slack = max(0.0, min(t.deadline for t in inflight.values()
+                                     if t.started) - now) + 0.01
             done, _ = futures_wait(set(inflight), timeout=slack,
                                    return_when=FIRST_COMPLETED)
 
             crashed = False
-            for fut in done:
-                task = inflight.pop(fut)
+            # submission order: each completion promotes the batch the
+            # freed worker took next, before that batch is looked at
+            for fut in [f for f in inflight if f in done]:
+                if not crashed:
+                    promote()
+                task = inflight[fut]
                 try:
                     payload = fut.result()
                 except BrokenProcessPool as exc:
-                    obs_metrics.counter("supervise.crashes").add()
-                    run.fail(task, "crash",
-                             f"worker process died ({exc})",
-                             time.perf_counter() - task.started)
                     crashed = True
+                    if not task.started:
+                        continue  # queued: abandon_inflight requeues it
+                    obs_metrics.counter("supervise.crashes").add()
+                    kind, reason = "crash", f"worker process died ({exc})"
                 except KeyboardInterrupt:  # pragma: no cover - re-raised
                     raise
                 except Exception as exc:
                     obs_metrics.counter("supervise.exceptions").add()
-                    run.fail(task, "exception", repr(exc),
-                             time.perf_counter() - task.started)
+                    kind, reason = "exception", repr(exc)
                 else:
+                    del inflight[fut]
                     run.complete(task, payload)
+                    continue
+                del inflight[fut]
+                # a batch that ran unpromoted (after a crash in this
+                # round stopped promotions) has no start to measure from
+                run.fail(task, kind, reason,
+                         time.perf_counter() - task.started
+                         if task.started else 0.0)
             if crashed:
-                # every other in-flight future is doomed with the pool
+                # every other outstanding future is doomed with the pool
                 abandon_inflight("crash", "worker process died")
                 respawn()
                 continue
@@ -394,7 +438,7 @@ def run_supervised(batches: Sequence[Sequence[int]],
             if batch_timeout is not None:
                 now = time.perf_counter()
                 overdue = next((f for f, t in inflight.items()
-                                if now > t.deadline), None)
+                                if t.started and now > t.deadline), None)
                 if overdue is not None:
                     obs_metrics.counter("supervise.timeouts").add()
                     abandon_inflight(

@@ -39,13 +39,14 @@ differential suite in ``tests/hw/test_exact_oracle.py``).
 from __future__ import annotations
 
 import hashlib
+from array import array
 from typing import Optional
 
 from repro.caches import Memo
 from repro.core.dfg import DFG
 from repro.hw.mii import EdgeView
 from repro.hw.modulo import search_context
-from repro.hw.ops import OperatorLibrary
+from repro.hw.ops import OperatorLibrary, cached_resource_map
 
 __all__ = ["MEMO", "search_signature"]
 
@@ -80,17 +81,37 @@ def search_signature(dfg: DFG, lib: OperatorLibrary,
     ctx = search_context(dfg, lib, edges)
     body = ctx.get("sig_body")
     if body is None:
-        dmap = ctx["dmap"]
-        slots = ",".join(f"{r}={c}" for r, c in sorted(lib.resource_slots()
-                                                       .items()))
-        parts = [slots]
-        parts += [f"{n.nid}:{dmap[n.nid]}:"
-                  f"{'+'.join(lib.node_resources(n))}" for n in dfg.nodes]
-        parts.append("view")
-        parts += [f"{s.nid}>{d.nid}:{dist}" for s, d, dist in edges]
-        parts.append("raw")
-        parts += [f"{e.src.nid}>{e.dst.nid}:{e.dist}" for e in dfg.edges]
-        body = ctx["sig_body"] = "|".join(parts)
-    return hashlib.sha256(f"{flavor}|{max_ii}|{min_ii}|{body}"
-                          .encode()).hexdigest()[:32]
+        body = ctx["sig_body"] = _signature_body(dfg, lib, edges,
+                                                 ctx["dmap"])
+    digest = hashlib.sha256(f"{flavor}|{max_ii}|{min_ii}|".encode())
+    digest.update(body)
+    return digest.hexdigest()[:32]
 
+
+def _signature_body(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
+                    dmap: dict[int, int]) -> bytes:
+    """The triple's part of a signature, packed as 64-bit integers.
+
+    Resources are numbered by name order.  Every variable-length run
+    (the resource table, each node's resources, both edge lists) is
+    preceded by its length, so equal bytes mean equal content; the
+    resource names follow the integers.
+    """
+    slots = lib.resource_slots()
+    names = sorted(slots)
+    index = {r: i for i, r in enumerate(names)}
+    # the few distinct resource tuples, each as (count, *indices)
+    rmap = cached_resource_map(dfg, lib)
+    codes = {res: (len(res), *[index[r] for r in res])
+             for res in set(rmap.values())}
+    ints = [len(names), *[slots[r] for r in names], len(dfg.nodes)]
+    for n in dfg.nodes:
+        ints += (n.nid, dmap[n.nid])
+        ints += codes[rmap[n.nid]]
+    ints.append(len(edges))
+    for src, dst, dist in edges:
+        ints += (src.nid, dst.nid, dist)
+    ints.append(len(dfg.edges))
+    for e in dfg.edges:
+        ints += (e.src.nid, e.dst.nid, e.dist)
+    return array("q", ints).tobytes() + "\0".join(names).encode()

@@ -21,12 +21,13 @@ formal core of why squash divides the recurrence bound by DS.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Callable, Optional
 
 from repro.caches import Memo
 from repro.core.dfg import DFG, DFGNode
 from repro.core.stages import StageAssignment
-from repro.hw.ops import OperatorLibrary
+from repro.hw.ops import OperatorLibrary, cached_resource_map
 
 __all__ = ["rec_mii", "res_mii", "min_ii", "squash_distances", "EdgeView"]
 
@@ -182,9 +183,12 @@ def res_mii(dfg: DFG, lib: OperatorLibrary) -> int:
     ``ceil(uses / slots)`` — on the spatial datapath that is the single
     memory-bus row (``ceil(memory references / ports)``); on issue-slot
     machines every functional-unit class and the issue width itself
-    contribute a bound.
+    contribute a bound.  Uses are counted over the (dfg, lib) pair's
+    :func:`~repro.hw.ops.cached_resource_map`, which the II search and
+    its memo signature read too.
     """
-    uses = lib.resource_use_counts(dfg.nodes)
+    uses = Counter(r for res in cached_resource_map(dfg, lib).values()
+                   for r in res)
     if not uses:
         return 1
     slots = lib.resource_slots()

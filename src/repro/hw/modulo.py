@@ -39,7 +39,9 @@ from repro.caches import Memo
 from repro.core.dfg import DFG, DFGNode
 from repro.errors import ScheduleError
 from repro.hw.mii import EdgeView, default_edge_view, rec_mii, res_mii
-from repro.hw.ops import OperatorLibrary, cached_delay_map
+from repro.hw.ops import (
+    OperatorLibrary, cached_delay_map, cached_resource_map,
+)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -48,9 +50,6 @@ __all__ = ["ModuloSchedule", "modulo_schedule"]
 #: Search-effort counters (module handles: no registry lookup per loop).
 _II_ATTEMPTS = obs_metrics.counter("sched.ii_attempts")
 _II_MEMO_SKIPS = obs_metrics.counter("sched.ii_memo_skips")
-
-#: nid -> resource-name tuple; hoisted out of the placement hot loop.
-ResourceMap = dict[int, tuple[str, ...]]
 
 #: Repair rounds per (II, order) before the candidate is abandoned.
 _REPAIR_ROUNDS = 8
@@ -69,8 +68,8 @@ _REPAIR_ROUNDS = 8
 #: this memo each re-entry re-derives all of them (RecMII's SCC
 #: decomposition dominated the vliw retarget profile).  Keys pin their
 #: objects, so ids stay valid.  Per batch: the engine drops every
-#: context at each kernel boundary inside a batch and when the batch
-#: lands (:func:`repro.caches.release_batch`).
+#: context at each (kernel, variant) boundary inside a batch and when
+#: the batch lands (:func:`repro.caches.release_batch`).
 _CTX = Memo("search_ctx", 512, per_batch=True)
 
 
@@ -106,7 +105,7 @@ def _search_state(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
 
     ctx = search_context(dfg, lib, edges)
     if "prob" not in ctx:
-        rmap = ctx["rmap"] = _resource_map(dfg, lib)
+        rmap = ctx["rmap"] = cached_resource_map(dfg, lib)
         slots = ctx["slots"] = lib.resource_slots()
         ctx["topo"] = dfg.topo_order()
         ctx["prob"] = sched_kernel.build_problem(dfg, edges, ctx["dmap"],
@@ -130,11 +129,6 @@ class ModuloSchedule:
 
     def start(self, node: DFGNode) -> int:
         return self.time[node.nid]
-
-
-def _resource_map(dfg: DFG, lib: OperatorLibrary) -> ResourceMap:
-    """Node-id -> occupied-resources memo, shared by the whole search."""
-    return {n.nid: lib.node_resources(n) for n in dfg.nodes}
 
 
 #: The alternative placement orders a strategy tries at an II where

@@ -190,6 +190,25 @@ def cached_delay_map(dfg, lib: OperatorLibrary) -> dict[int, int]:
                            (dfg, lib))
 
 
+#: node id -> the resources the node occupies (its ``node_resources``).
+ResourceMap = dict[int, tuple[str, ...]]
+
+#: Identity-keyed per-(dfg, lib) resource maps: the II search's flat
+#: problem, its ResMII and the II memo's signature all read every node's
+#: resources, and on an issue-slot library each lookup classifies the
+#: node afresh.  Per batch, like :data:`_DELAY_MAPS`.
+_RESOURCE_MAPS = Memo("resource_map", 1024, per_batch=True)
+
+
+def cached_resource_map(dfg, lib: OperatorLibrary) -> ResourceMap:
+    """``node id -> lib.node_resources(node)`` memo for one frozen
+    (dfg, lib)."""
+    return _RESOURCE_MAPS.get(
+        (id(dfg), id(lib)),
+        lambda: {n.nid: lib.node_resources(n) for n in dfg.nodes},
+        (dfg, lib))
+
+
 #: Default target: the ACEV board of §6.1 (2 memory references/cycle).
 ACEV_LIBRARY = OperatorLibrary(name="acev", mem_ports=2)
 

@@ -237,8 +237,9 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     unit.
 
     The engine batches the queries of one ``(kernel, variant)`` group,
-    or of one variant over the kernels of one scheduling class
-    (:func:`scheduling_classes`), one kernel's group after the other.
+    of one variant over the kernels of one scheduling class
+    (:func:`scheduling_classes`), one kernel's group after the other,
+    or, for a light class, of every variant over the class's kernels.
     One process builds each kernel once and serves every
     target/factor/scheduler crossing from its process-local caches
     (benchmark build, shared base analysis, II-search memo).  Returns
@@ -258,11 +259,13 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     feeds the chaos-test fault site so a query that drew an injected
     crash/hang draws a *fresh* deterministic coin on each retry.
 
-    One kernel's designs are the lifetime of per-design state: at each
-    kernel boundary inside the batch, and when the batch ends, even by
-    an exception, :func:`repro.caches.release_batch` drops the search
-    contexts, edge views, delay maps and squash and jam analyses its
-    designs built.  The per-kernel state (built kernels, base analyses,
+    One ``(kernel, variant)`` group's designs are the lifetime of
+    per-design state: at each group boundary inside the batch, and when
+    the batch ends, even by an exception,
+    :func:`repro.caches.release_batch` drops the search contexts, edge
+    views, delay and resource maps and squash and jam analyses its
+    designs built, so a merged batch never holds more of it than a
+    one-group batch.  The per-kernel state (built kernels, base analyses,
     preparations, content keys, jammed programs, the II memo) stays for
     the worker's later batches.  A batch over more than one kernel also
     gives the pipeline a replay table that lives as long as the batch:
@@ -282,12 +285,12 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     with obs_trace.span("batch", "worker", size=len(queries),
                         attempt=attempt):
         results = []
-        kernel = None
+        group = None
         try:
             for q in queries:
-                if kernel is not None and q.kernel != kernel:
+                if group is not None and (q.kernel, q.variant) != group:
                     release_batch()
-                kernel = q.kernel
+                group = (q.kernel, q.variant)
                 fault_site("worker", f"{q.query_hash}:{attempt}")
                 t0 = time.perf_counter()
                 try:

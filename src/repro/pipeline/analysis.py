@@ -43,10 +43,10 @@ identity the same II-search context (:data:`repro.hw.modulo._CTX`):
 ``modulo`` and ``backtrack`` share one scheduling problem, one MII pair and
 every topological placement.  The engine's batches keep each
 (kernel, variant) group together, so a design's schedulers normally
-meet in one batch, and both memos are per kernel: the worker drops them
-at each kernel boundary inside a batch and when its batch lands
-(:func:`repro.caches.release_batch`), while base analyses, preparations
-and content keys stay for the worker's later batches.
+meet in one batch, and both memos are per group: the worker drops them
+at each (kernel, variant) boundary inside a batch and when its batch
+lands (:func:`repro.caches.release_batch`), while base analyses,
+preparations and content keys stay for the worker's later batches.
 
 Set ``REPRO_ANALYSIS_CACHE=0`` to bypass sharing entirely (the reference
 route the parity tests compare against); :func:`repro.clear_caches`
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.analysis.loops import LoopNest, all_loops
 from repro.analysis.ssa import SSABlock
@@ -74,6 +74,9 @@ from repro.ir.nodes import Program
 from repro.pipeline.artifacts import AnalyzedDFG
 from repro.store import analysis_store
 from repro.transforms.unroll_and_jam import unroll_and_jam
+
+if TYPE_CHECKING:  # loaded when a sweep jams (core.jamdfg imports this)
+    from repro.core.jamdfg import JamCopies
 
 __all__ = ["AnalysisCache", "BaseAnalysis", "analysis_cache",
            "base_analyzed_dfg", "content_key", "jam_analyzed_dfg",
@@ -236,7 +239,8 @@ class AnalysisCache:
         * F = 2: the program-level analysis (:func:`_program_jam`), which
           is also the template whose copy 1 replication renames;
         * F > 2: :func:`repro.core.jamdfg.replicate` over the base and
-          the template.
+          the nest's :class:`~repro.core.jamdfg.JamCopies`, kept next to
+          the template, so each copy is renamed once per batch.
 
         Inputs the renames cannot cover take the program-level route at
         every F: the ones :func:`repro.core.jamdfg.replicable` rejects,
@@ -260,10 +264,11 @@ class AnalysisCache:
         base = self.get_or_build(program, nest)
         if clamped == 1:
             return base
-        jam = replicate(program, nest, base,
-                        self._jam_template(program, nest), clamped) \
+        copies = self._jam_copies(program, nest, base) \
             if base.check1.ok else None
-        return jam if jam is not None else _program_jam(program, nest, factor)
+        if copies is None:
+            return _program_jam(program, nest, factor)
+        return replicate(program, nest, base, copies, clamped)
 
     def squash_for(self, program: Program, nest: LoopNest, ds: int,
                    delay_fn: Optional[Callable]) -> AnalyzedDFG:
@@ -279,6 +284,19 @@ class AnalysisCache:
             (id(program), id(nest.outer), id(nest.inner), ds, delay_fn),
             lambda: _squash_analysis(program, nest, ds, delay_fn, self),
             (program, nest, delay_fn))
+
+    def _jam_copies(self, program: Program, nest: LoopNest,
+                    base: BaseAnalysis) -> Optional[JamCopies]:
+        """The nest's :class:`~repro.core.jamdfg.JamCopies`, a jam memo
+        entry next to the template: every factor of a batch extends and
+        shares the same renamed copies."""
+        from repro.core.jamdfg import JamCopies
+
+        return self._jams.get(
+            (id(program), id(nest.outer), id(nest.inner), "copies"),
+            lambda: JamCopies.of(nest, base,
+                                 self._jam_template(program, nest)),
+            (program, nest))
 
     def _jam_template(self, program: Program,
                       nest: LoopNest) -> BaseAnalysis:

@@ -1,8 +1,9 @@
 """A worker's heap holds one kernel's designs.
 
 ``compile_query_batch`` releases the per-batch memos (search contexts,
-edge views, delay maps, squash and jam analyses) at each kernel
-boundary inside its batch and when the batch ends, by any exit; the
+edge views, delay and resource maps, squash and jam analyses) at each
+``(kernel, variant)`` boundary inside its batch and when the batch
+ends, by any exit; the
 per-worker memos keep the kernels' base analyses and preparations for
 later batches.  ``run_supervised`` freezes the parent
 heap while its pool lives and thaws it on every path out.
@@ -27,8 +28,8 @@ from repro.pipeline.analysis import analysis_cache, content_key
 from tests.conftest import ShiftedSink
 
 #: The memos whose entries are keyed by per-design objects.
-PER_BATCH = {"search_ctx", "edge_view", "delay_map", "squash_analysis",
-             "jam_analysis"}
+PER_BATCH = {"search_ctx", "edge_view", "delay_map", "resource_map",
+             "squash_analysis", "jam_analysis"}
 
 KERNELS = ("iir", "des-mem")
 
@@ -80,9 +81,10 @@ def _batch_state(baseline: dict, built: set) -> dict:
     }
 
 
-def _sweep_inline(queries, releases=None):
-    """Run ``queries`` through ``run_inline``; the heap's state is
-    recorded before every batch after the first, and after the last.
+def _sweep_inline(queries, releases=None, batches=None):
+    """Run ``queries`` through ``run_inline`` in ``batches`` (default:
+    the engine's, without ``jobs``); the heap's state is recorded before
+    every batch after the first, and after the last.
 
     The state is read when the next batch starts rather than in the
     batch's own ``finally``: while a batch's exception propagates, its
@@ -121,7 +123,8 @@ def _sweep_inline(queries, releases=None):
 
     # the parent's scheduling classes release once before dispatch;
     # only the workers' releases are recorded
-    batches = _batched(queries)
+    if batches is None:
+        batches = _batched(queries)
     compiler.release_batch = release
     try:
         run_inline(batches, queries, worker, on_payload, on_failure)
@@ -209,6 +212,21 @@ class TestBatchScope:
         # before dispatch; every release keeps both and no design
         assert [r["held_dfgs"] for r in releases] == [2, 2, 2, 2]
         assert _base_kernels({"des-mem", "des-hw"}) == {"des-mem", "des-hw"}
+        assert all(not isinstance(r, Exception) for r in results)
+
+    def test_a_merged_batch_releases_at_each_variant_boundary(self):
+        # a light class is one batch over all its variants: each
+        # (kernel, variant) group's designs go before the next group's
+        queries = DesignSpace(
+            kernels=("iir",), variants=("squash", "jam", "jam+squash"),
+            factors=(2, 4), jam_factors=(2,),
+            target_specs=("vliw4",)).enumerate()
+        releases: list = []
+        states, results = _sweep_inline(
+            queries, releases, batches=[list(range(len(queries)))])
+        # one release at each of the two boundaries, one at the end
+        assert len(releases) == 3
+        _assert_released(releases + states)
         assert all(not isinstance(r, Exception) for r in results)
 
     def test_the_classes_leave_the_parent_no_design_state(self):

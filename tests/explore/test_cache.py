@@ -18,7 +18,7 @@ class TestResultCache:
         q = DesignQuery("iir", "squash", ds=2)
         first = ResultCache(tmp_path)
         assert first.get(q) is None
-        first.put(q, _point())
+        first.put([(q, _point())])
         assert first.stats.misses == 1 and first.stats.stores == 1
 
         # a "second run": fresh instance over the same directory
@@ -31,7 +31,7 @@ class TestResultCache:
     def test_get_returns_fresh_objects(self, tmp_path):
         q = DesignQuery("iir", "squash", ds=2)
         cache = ResultCache(tmp_path)
-        cache.put(q, _point())
+        cache.put([(q, _point())])
         a, b = cache.get(q), cache.get(q)
         assert a == b and a is not b
         a.base_ii = 999  # mutating a hit must not corrupt the store
@@ -40,21 +40,21 @@ class TestResultCache:
     def test_skip_records_roundtrip(self, tmp_path):
         q = DesignQuery("wavelet", "squash", ds=4)
         cache = ResultCache(tmp_path)
-        cache.put(q, SkipRecord(q, "legality", "rejected"))
+        cache.put([(q, SkipRecord(q, "legality", "rejected"))])
         got = ResultCache(tmp_path).get(q)
         assert isinstance(got, SkipRecord)
         assert got.phase == "legality" and got.query == q
 
     def test_version_partitions_results(self, tmp_path):
         q = DesignQuery("iir", "squash", ds=2)
-        ResultCache(tmp_path, version="aaa").put(q, _point())
+        ResultCache(tmp_path, version="aaa").put([(q, _point())])
         assert ResultCache(tmp_path, version="bbb").get(q) is None
         assert ResultCache(tmp_path, version="aaa").get(q) is not None
 
     def test_clear_drops_every_version(self, tmp_path):
         q = DesignQuery("iir", "squash", ds=2)
         for ver in ("aaa", "bbb"):
-            ResultCache(tmp_path, version=ver).put(q, _point())
+            ResultCache(tmp_path, version=ver).put([(q, _point())])
         cache = ResultCache(tmp_path, version="aaa")
         cache.clear()
         assert cache.get(q) is None
@@ -63,7 +63,7 @@ class TestResultCache:
     def test_tolerates_torn_writes(self, tmp_path):
         q = DesignQuery("iir", "squash", ds=2)
         cache = ResultCache(tmp_path)
-        cache.put(q, _point())
+        cache.put([(q, _point())])
         with cache.path.open("a") as fh:
             fh.write('{"hash": "truncated...')  # crash mid-append
         reread = ResultCache(tmp_path)
@@ -72,10 +72,35 @@ class TestResultCache:
     def test_put_is_idempotent(self, tmp_path):
         q = DesignQuery("iir", "squash", ds=2)
         cache = ResultCache(tmp_path)
-        cache.put(q, _point())
-        cache.put(q, _point())
+        cache.put([(q, _point())])
+        cache.put([(q, _point())])
         assert cache.stats.stores == 1
         assert len(ResultCache(tmp_path)) == 1
+
+    def test_a_batch_appends_the_per_record_bytes_at_once(
+            self, tmp_path, monkeypatch):
+        # a landed batch is one open and one write, of exactly the bytes
+        # one put per record writes: torn records (half a line, no
+        # newline) included
+        import pathlib
+
+        monkeypatch.setenv("REPRO_FAULTS", "torn@cache:0.5")
+        records = [(DesignQuery("iir", "squash", ds=ds), _point(factor=ds))
+                   for ds in range(2, 18)]
+        one_by_one = ResultCache(tmp_path / "one")
+        for record in records:
+            one_by_one.put([record])
+        opened = []
+        real_open = pathlib.Path.open
+        monkeypatch.setattr(pathlib.Path, "open", lambda path, *a, **kw:
+                            opened.append(path) or real_open(path, *a, **kw))
+        batch = ResultCache(tmp_path / "batch")
+        batch.put(records)
+        assert opened == [batch.path]
+        assert batch.path.read_bytes() == one_by_one.path.read_bytes()
+        assert 0 < batch.stats.torn < len(records)
+        assert (batch.stats.torn, batch.stats.stores) == \
+            (one_by_one.stats.torn, one_by_one.stats.stores)
 
     def test_code_version_is_stable_and_short(self):
         assert code_version() == code_version()
@@ -86,7 +111,7 @@ class TestNullCache:
     def test_never_hits(self):
         q = DesignQuery("iir", "squash", ds=2)
         cache = NullCache()
-        cache.put(q, _point())
+        cache.put([(q, _point())])
         assert cache.get(q) is None
         assert cache.stats.misses == 1 and cache.stats.stores == 0
 
@@ -106,7 +131,7 @@ class TestForeignRecordTolerance:
     def test_record_from_the_future_is_a_miss(self, tmp_path):
         q = DesignQuery("iir", "squash", ds=2)
         cache = ResultCache(tmp_path)
-        cache.put(q, _point())
+        cache.put([(q, _point())])
         self._tamper(cache, lambda r: r["data"].update(hologram_rows=9))
         reread = ResultCache(tmp_path)
         assert reread.get(q) is None
@@ -115,14 +140,14 @@ class TestForeignRecordTolerance:
     def test_record_missing_required_field_is_a_miss(self, tmp_path):
         q = DesignQuery("iir", "squash", ds=2)
         cache = ResultCache(tmp_path)
-        cache.put(q, _point())
+        cache.put([(q, _point())])
         self._tamper(cache, lambda r: r["data"].pop("ii"))
         assert ResultCache(tmp_path).get(q) is None
 
     def test_record_with_unknown_scheduler_is_a_miss(self, tmp_path):
         q = DesignQuery("iir", "squash", ds=2)
         cache = ResultCache(tmp_path)
-        cache.put(q, _point())
+        cache.put([(q, _point())])
         self._tamper(cache,
                      lambda r: r["query"].update(scheduler="quantum"))
         assert ResultCache(tmp_path).get(q) is None
@@ -130,7 +155,7 @@ class TestForeignRecordTolerance:
     def test_malformed_structure_is_a_miss(self, tmp_path):
         q = DesignQuery("iir", "squash", ds=2)
         cache = ResultCache(tmp_path)
-        cache.put(q, _point())
+        cache.put([(q, _point())])
         self._tamper(cache, lambda r: r.pop("kind"))
         assert ResultCache(tmp_path).get(q) is None
 
@@ -139,7 +164,7 @@ class TestForeignRecordTolerance:
         from repro.explore import evaluate
         q = DesignQuery("iir", "pipelined")
         cache = ResultCache(tmp_path)
-        cache.put(q, _point(variant="pipelined", factor=1))
+        cache.put([(q, _point(variant="pipelined", factor=1))])
         self._tamper(cache, lambda r: r["data"].update(alien=True))
         result = evaluate([q], jobs=1, cache=ResultCache(tmp_path))
         assert len(result.points()) == 1

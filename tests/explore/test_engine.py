@@ -189,7 +189,8 @@ def _kernel_runs(qs, batch):
 
 class TestBatching:
     """Dispatch groups by (kernel, variant), joins the groups of one
-    scheduling class, and sends the heaviest batch first."""
+    scheduling class, makes a light class one batch, and sends the
+    heaviest batch first."""
 
     def test_batches_group_by_kernel_variant(self):
         from repro.explore.engine import _batched
@@ -273,6 +274,58 @@ class TestBatching:
         forward = weights(SUITE)
         assert forward == sorted(forward, reverse=True)
         assert weights(SUITE[::-1]) == forward
+
+    def test_light_classes_are_one_batch_each(self):
+        # ten kernels of equal weight: each is at most a quarter of one
+        # of two workers' share, so each kernel is one batch over its
+        # variants, every (kernel, variant) group contiguous; without
+        # jobs the grouping stays per (kernel, variant)
+        from repro.explore.engine import _batched
+        designs = (("pipelined", 1), ("squash", 2), ("jam", 2),
+                   ("squash", 4), ("jam", 4))
+        qs = [DesignQuery(f"k{i}", variant, ds=ds)
+              for i in range(10) for variant, ds in designs]
+        batches = _batched(qs, jobs=2)
+        assert len(batches) == 10
+        assert sorted(batches) == [[5 * i + j for j in (0, 1, 3, 2, 4)]
+                                   for i in range(10)]
+        assert len(_batched(qs)) == 30
+
+    def test_a_heavy_class_keeps_one_batch_per_variant(self):
+        # nine light kernels (weight 8 each) and one whose jam designs
+        # weigh 96 of the sweep's 170: the heavy one keeps a batch per
+        # variant, dispatched first
+        from repro.explore.engine import _batched, _weight
+        designs = (("pipelined", 1), ("squash", 2), ("jam", 2),
+                   ("jam", 4))
+        qs = [DesignQuery(f"k{i}", variant, ds=ds)
+              for i in range(9) for variant, ds in designs]
+        qs += [DesignQuery("heavy", "pipelined"),
+               DesignQuery("heavy", "squash", ds=2),
+               DesignQuery("heavy", "jam", ds=32),
+               DesignQuery("heavy", "jam", ds=64)]
+        batches = _batched(qs, jobs=2)
+        assert [sum(_weight(qs[p]) for p in b) for b in batches] == \
+            [96] + [8] * 9 + [1, 1]
+        assert batches[0] == [38, 39]
+        heavy = [b for b in batches if qs[b[0]].kernel == "heavy"]
+        assert sorted(heavy) == [[36], [37], [38, 39]]
+
+    @pytest.mark.parametrize("target,count", [("acev", 25), ("vliw4", 15)])
+    def test_suite_space_batches_are_unchanged(self, target, count):
+        # the benchmark's suite space: every class is heavier than a
+        # quarter of a worker's share at jobs=2, so its batches are the
+        # per-(class, variant) ones, as when no jobs are given
+        from repro.explore.engine import _batched
+        qs = DesignSpace(kernels=SUITE,
+                         variants=("original", "pipelined", "squash", "jam",
+                                   "jam+squash"),
+                         factors=(2, 4, 8, 16, 32), jam_factors=(2, 4),
+                         target_specs=(target,),
+                         schedulers=("modulo", "backtrack")).enumerate()
+        batches = _batched(qs, jobs=2)
+        assert len(batches) == count
+        assert batches == _batched(qs)
 
     def test_single_kernel_factor_sweep_parallel_matches_serial(self):
         space = DesignSpace(kernels=("iir",), variants=("squash",),

@@ -47,6 +47,17 @@ class TestDesignQuery:
         assert DesignQuery("iir", "squash", ds=2).query_hash == \
             "aeac6b01ce0fb89f28c1912d"
 
+    def test_hash_is_computed_once_and_stays_out_of_the_fields(self):
+        import pickle
+
+        q = DesignQuery("iir", "jam", ds=4)
+        assert q.query_hash is q.query_hash   # read once, then kept
+        fresh = DesignQuery("iir", "jam", ds=4)
+        assert fresh == q and hash(fresh) == hash(q)
+        assert "query_hash" not in q.to_dict() and "query_hash" not in repr(q)
+        again = pickle.loads(pickle.dumps(q))
+        assert again == q and again.query_hash == q.query_hash
+
     def test_labels(self):
         assert DesignQuery("iir", "original").label == "original"
         assert DesignQuery("iir", "squash", ds=8).label == "squash(8)"

@@ -30,6 +30,8 @@ from repro.obs import metrics as obs_metrics
 #   ("poison", x)         -> raises on every attempt
 #   ("interrupt", x)      -> raises KeyboardInterrupt
 #   ("frozen", x)         -> contributes the worker's gc.get_freeze_count()
+#   ("sleep", s, x)       -> sleeps s seconds, then ok
+#   ("attempt", x)        -> contributes the batch's attempt number
 
 
 def _stub_worker(items, attempt):
@@ -48,6 +50,11 @@ def _stub_worker(items, attempt):
             raise KeyboardInterrupt
         if kind == "frozen":
             out.append(gc.get_freeze_count())
+            continue
+        if kind == "sleep":
+            time.sleep(rest[0])
+        if kind == "attempt":
+            out.append(attempt)
             continue
         out.append(rest[-1] * 2)
     return out
@@ -204,6 +211,30 @@ class TestSupervised:
             run_supervised([[0]], items, _stub_worker, on_p, on_f,
                            workers=2)
         assert gc.get_freeze_count() == 0
+
+    def test_a_queued_batch_is_timed_from_its_promotion(self):
+        # one worker, two outstanding batches: the second waits in the
+        # pool's queue while the first runs 0.8 s, and its 1.2 s budget
+        # starts when it is promoted, not when it was submitted
+        items = [("sleep", 0.8, 1), ("sleep", 0.8, 2)]
+        got, fails, on_p, on_f = _collect()
+        events = _Events()
+        run_supervised([[0], [1]], items, _stub_worker, on_p, on_f,
+                       workers=1, retries=0, batch_timeout=1.2)
+        assert got == {0: 2, 1: 4} and not fails
+        assert events.timeouts == 0 and events.respawns == 0
+
+    def test_a_batch_queued_behind_a_crash_is_not_charged(self):
+        # the queued batch's future fails with the broken pool too, but
+        # it never started: it runs again at attempt 0, and only the
+        # crasher is retried
+        items = [("crash_until", 1, 5), ("attempt", 0)]
+        got, fails, on_p, on_f = _collect()
+        events = _Events()
+        run_supervised([[0], [1]], items, _stub_worker, on_p, on_f,
+                       workers=1, retries=1)
+        assert got == {0: 10, 1: 0} and not fails
+        assert events.crashes == 1 and events.retries == 1
 
     def test_mixed_failures_converge(self):
         items = [("raise_until", 1, 0), ("crash_until", 1, 1),

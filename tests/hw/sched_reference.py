@@ -32,9 +32,9 @@ from repro.errors import ScheduleError
 from repro.hw import iimemo
 from repro.hw.listsched import ListSchedule
 from repro.hw.mii import EdgeView, _scc_arcs, default_edge_view, res_mii
-from repro.hw.modulo import _REPAIR_ROUNDS, ModuloSchedule, ResourceMap, \
-    _resource_map
-from repro.hw.ops import OperatorLibrary
+from repro.hw.modulo import _REPAIR_ROUNDS, ModuloSchedule
+from repro.hw.ops import OperatorLibrary, ResourceMap
+from repro.hw.ops import cached_resource_map as _resource_map
 
 # ---------------------------------------------------------------------------
 # Modulo placement and verification

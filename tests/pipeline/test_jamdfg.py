@@ -302,6 +302,17 @@ class TestDerivedJamMechanics:
         assert [stmt_to_str(s) for s in jam.ssa.stmts] == \
             [stmt_to_str(s) for s in oracle(prog, nest, 4).ssa.stmts]
 
+    def test_larger_factors_share_the_copies_smaller_ones_renamed(self):
+        # copy k renames copy 1 the same way at every factor: jam(8)'s
+        # first four copies are jam(4)'s statement objects
+        prog, nest = build_nest()
+        cache = AnalysisCache()
+        four = cache.jam_base_for(prog, nest, 4)
+        eight = cache.jam_base_for(prog, nest, 8)
+        n = len(four.ssa.stmts)
+        assert len(eight.ssa.stmts) > n
+        assert all(a is b for a, b in zip(four.ssa.stmts, eight.ssa.stmts))
+
     def test_original_program_not_mutated(self):
         from repro.ir.printer import program_to_str
 
