@@ -1,27 +1,26 @@
 """One memo type for every process-local cache, and the clear hook.
 
 Several layers reuse expensive work within one process: the shared
-front-end analysis (:mod:`repro.pipeline.analysis`), the II-search memo
-(:mod:`repro.hw.iimemo`), the scheduler's per-design search context
-(:mod:`repro.hw.modulo`).  Each keeps it in a :class:`Memo` — a bounded
-LRU whose single :meth:`Memo.get` goes memory → disk → compute →
-publish.  A memo's key is one of two kinds:
+front-end analysis (:mod:`repro.pipeline.analysis`) and the scheduler's
+per-design search context (:mod:`repro.hw.modulo`), among others.  Each
+keeps it in a :class:`Memo` — a bounded LRU whose single
+:meth:`Memo.get` goes memory → disk → compute → publish.  A memo's key
+is one of two kinds:
 
 * an **identity** key built from object ids (``(id(dfg), id(lib))``):
   the entry holds strong references to the objects passed as ``pins``,
   so an id can never be recycled by a different live object while its
   entry exists.  Identity memos live in memory only;
 * a **content** key — a string hashing everything the value depends on.
-  The front-end analysis memos also keep theirs on disk, in the
-  :class:`repro.store.ArtifactStore` that worker processes and later
-  runs share; the II memo (:mod:`repro.hw.iimemo` says why) does not.
+  The front-end analysis memos key theirs by content and also keep
+  them on disk, in the :class:`repro.store.ArtifactStore` that worker
+  processes and later runs share.
 
 A memo lives as long as one of two scopes:
 
 * **per worker** (the default): per-kernel state every later batch of
   the process can reuse — base analyses, legality preparations, content
-  keys, jammed programs, the II memo.  An entry lives until the LRU
-  bound drops it;
+  keys, jammed programs.  An entry lives until the LRU bound drops it;
 * **per group inside a batch** (``per_batch=True``): state keyed by
   per-design objects — search contexts, edge views, delay and resource
   maps, squash and jam analyses.  :func:`release_batch` drops them at
@@ -64,12 +63,9 @@ class Memo:
 
     ``get(key, compute, pins)`` returns the memory entry, else the
     ``store``'s artifact (refilling memory), else ``compute()`` published
-    to both tiers; without ``compute`` a miss returns ``None``.
-    ``put`` publishes a value computed elsewhere.  A memo with a
-    ``store`` takes string content keys.  It and any memo built with
-    ``shared=True`` are the shared-analysis machinery
-    ``REPRO_ANALYSIS_CACHE=0`` turns off, so under that setting ``get``
-    computes (or misses) and ``put`` publishes nothing.
+    to both tiers.  A memo with a ``store`` takes string content keys;
+    it is the shared-analysis machinery ``REPRO_ANALYSIS_CACHE=0`` turns
+    off, so under that setting its ``get`` only computes.
 
     Memory traffic counts as ``<name>_mem_hits``/``<name>_mem_misses``
     in the metrics registry, and every entry the LRU bound drops as
@@ -80,12 +76,11 @@ class Memo:
 
     def __init__(self, name: str, maxsize: int,
                  store: "Optional[ArtifactStore]" = None,
-                 per_batch: bool = False, shared: bool = False):
+                 per_batch: bool = False):
         self.name = name
         self.maxsize = maxsize
         self.store = store
         self.per_batch = per_batch
-        self.shared = shared or store is not None
         self._data: "OrderedDict[Hashable, tuple[tuple, Any]]" = OrderedDict()
         self._hits = obs_metrics.counter(f"{name}_mem_hits")
         self._misses = obs_metrics.counter(f"{name}_mem_misses")
@@ -95,39 +90,27 @@ class Memo:
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, key: Any,
-            compute: Optional[Callable[[], Any]] = None,
+    def get(self, key: Any, compute: Callable[[], Any],
             pins: tuple = ()) -> Any:
-        if self.shared and not analysis_cache_enabled():
-            return None if compute is None else compute()
+        store = self.store
+        if store is not None and not analysis_cache_enabled():
+            return compute()
         entry = self._data.get(key)
         if entry is not None:
             self._hits.add()
             self._data.move_to_end(key)
             return entry[1]
         self._misses.add()
-        if self.store is not None:
-            value = self.store.get(key)
-            if value is not None:
-                self._keep(key, pins, value)
-                return value
-        if compute is None:
-            return None
-        return self.put(key, compute(), pins)
-
-    def put(self, key: Any, value: Any, pins: tuple = ()) -> Any:
-        if self.shared and not analysis_cache_enabled():
-            return value
-        if self.store is not None:
-            self.store.put(key, value)
-        self._keep(key, pins, value)
-        return value
-
-    def _keep(self, key: Hashable, pins: tuple, value: Any) -> None:
+        value = store.get(key) if store is not None else None
+        if value is None:
+            value = compute()
+            if store is not None:
+                store.put(key, value)
         self._data[key] = (pins, value)
         if len(self._data) > self.maxsize:
             self._data.popitem(last=False)
             self._evictions.add()
+        return value
 
     def clear(self) -> None:
         """Drop the memory tier (the store keeps its artifacts)."""

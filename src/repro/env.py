@@ -21,10 +21,10 @@ __all__ = ["ANALYSIS_CACHE_ENV", "KNOBS", "Knob", "TRACE_ENV", "VERIFY_ENV",
            "analysis_cache_enabled", "check_knobs", "env_int", "trace_mode",
            "verify_mode"]
 
-#: Controls the shared-analysis machinery (see :mod:`repro.pipeline.analysis`
-#: and :mod:`repro.hw.iimemo`): ``"0"`` disables sharing entirely (the
-#: reference route the parity tests compare against), ``"1"`` (default)
-#: enables the shared memos (the front-end analysis also on disk).
+#: Controls the shared-analysis machinery (see :mod:`repro.pipeline.analysis`):
+#: ``"0"`` disables sharing entirely (the reference route the parity tests
+#: compare against), ``"1"`` (default) enables the shared memos (the
+#: front-end analysis also on disk).
 ANALYSIS_CACHE_ENV = "REPRO_ANALYSIS_CACHE"
 
 #: Controls the static artifact verifiers (see :mod:`repro.verify`) beyond

@@ -16,8 +16,8 @@ never cached.
 The unit of dispatch is a *batch*: cache-missing queries are grouped by
 ``(kernel, variant)`` so one worker ships each kernel once and compiles
 all its targets, factors, and schedulers against the shared base
-analysis (and the shared II-search memo) instead of re-running the
-front-end in every process that happens to receive one of its queries.
+analysis instead of re-running the front-end in every process that
+happens to receive one of its queries.
 Kernels that pose the same scheduling problems on the sweep's targets
 form one *scheduling class*
 (:func:`repro.nimble.compiler.scheduling_classes`: on ``vliw4``, the
@@ -288,8 +288,9 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
     queries = list(queries)
     cache = cache if cache is not None else NullCache()
     # snapshot the cache counters so the result reports THIS run's
-    # hit/miss/store deltas even when the caller reuses one cache
-    before = (cache.stats.hits, cache.stats.misses, cache.stats.stores)
+    # hit/miss/store/torn deltas even when the caller reuses one cache
+    before = (cache.stats.hits, cache.stats.misses, cache.stats.stores,
+              cache.stats.torn)
 
     # None marks not-yet-evaluated; every slot is filled (point, skip,
     # or fail) before the result is built, so the annotation stays loose
@@ -367,6 +368,7 @@ def evaluate(queries: "Sequence[DesignQuery] | Iterable[DesignQuery]",
 
     run_stats = CacheStats(hits=cache.stats.hits - before[0],
                            misses=cache.stats.misses - before[1],
-                           stores=cache.stats.stores - before[2])
+                           stores=cache.stats.stores - before[2],
+                           torn=cache.stats.torn - before[3])
     return ExploreResult(queries=queries, results=results,
                          cache_stats=run_stats, jobs=jobs)

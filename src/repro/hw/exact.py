@@ -415,35 +415,8 @@ def _exact_impl(dfg: DFG, lib: OperatorLibrary,
     rmii, smii = ub.rec_mii, ub.res_mii
     start_ii = max(rmii, smii, min_ii or 1)
 
-    # Incremental search: an earlier identical run's failed-II
-    # certificates are deterministic refutations, so they serve as lower
-    # bounds — those candidates are skipped instead of re-decided.  Any
-    # *new* refutations this run proves are merged back into the memo
-    # (sound even on budget exhaustion: only complete verdicts land in
-    # ``failed``, never budget-aborted decisions).  The budget knobs are
-    # part of the flavor so a tightly-budgeted search keeps its
-    # degradation semantics instead of borrowing a richer run's proofs.
-    from repro.hw import iimemo
-    sig = iimemo.search_signature(
-        dfg, lib, edges, f"exact:{budget}:{node_limit}", max_ii,
-        min_ii=min_ii)
-    record = iimemo.MEMO.get(sig)
-    known: dict[int, IICertificate] = {}
-    if record is not None:
-        known = {ii: IICertificate(ii, reason, explored)
-                 for ii, reason, explored in record.get("failed", ())}
-
-    def remember(failed: list[IICertificate]) -> None:
-        fresh = [c for c in failed if c.ii not in known]
-        if fresh:
-            merged = sorted(set(known.values()) | set(failed),
-                            key=lambda c: c.ii)
-            iimemo.MEMO.put(sig, {"failed": [(c.ii, c.reason, c.explored)
-                                             for c in merged]})
-
     def heuristic(certified: bool, failed: list[IICertificate],
                   explored: int) -> ExactSchedule:
-        remember(failed)
         return _package(dict(ub.time), ub.ii, rmii, smii, dfg, lib, dmap,
                         certified=certified, failed=tuple(failed),
                         explored=explored,
@@ -458,16 +431,12 @@ def _exact_impl(dfg: DFG, lib: OperatorLibrary,
     bud = _Budget(budget)
     failed: list[IICertificate] = []
     for ii in range(start_ii, ub.ii):
-        if ii in known:
-            failed.append(known[ii])
-            continue
         before = bud.spent
         try:
             time, reason = _decide_ii(dfg, edges, lib, ii, dmap, bud)
         except _BudgetExceeded:
             return heuristic(False, failed, bud.spent)
         if time is not None:
-            remember(failed)
             return _package(time, ii, rmii, smii, dfg, lib, dmap,
                             certified=True, failed=tuple(failed),
                             explored=bud.spent)

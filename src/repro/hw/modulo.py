@@ -32,6 +32,8 @@ schedule overflowed the register file.
 
 from __future__ import annotations
 
+import hashlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -45,11 +47,10 @@ from repro.hw.ops import (
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-__all__ = ["ModuloSchedule", "modulo_schedule"]
+__all__ = ["ModuloSchedule", "modulo_schedule", "search_signature"]
 
-#: Search-effort counters (module handles: no registry lookup per loop).
+#: Search-effort counter (a module handle: no registry lookup per loop).
 _II_ATTEMPTS = obs_metrics.counter("sched.ii_attempts")
-_II_MEMO_SKIPS = obs_metrics.counter("sched.ii_memo_skips")
 
 #: Repair rounds per (II, order) before the candidate is abandoned.
 _REPAIR_ROUNDS = 8
@@ -58,13 +59,15 @@ _REPAIR_ROUNDS = 8
 #: derivations — delay/resource maps, topological order, the dense
 #: :class:`~repro.hw.sched_kernel.SchedProblem`, the backtracking
 #: scheduler's slack orders, the register accountant's value edges and
-#: recurrence floor, the II memo's signature body, (lazily) RecMII and
-#: ResMII, and the topological order's placement outcome per II
-#: (``placed``), none of which depend on ``min_ii``/``max_ii``/flavor.
+#: recurrence floor, the :func:`search_signature` body, (lazily) RecMII
+#: and ResMII, and the topological order's placement outcome per II
+#: (``placed``), none of which depend on ``min_ii``/``max_ii``/strategy.
 #: The register-pressure II bump re-enters the search over the *same
 #: objects* with a raised floor, and every scheduler of a design gets
 #: the same objects from the shared analysis
-#: (:meth:`repro.pipeline.analysis.AnalysisCache.squash_for`); without
+#: (:meth:`repro.pipeline.analysis.AnalysisCache.squash_for`), as does
+#: a jam factor past the outer trip and the clamped factor
+#: (:meth:`~repro.pipeline.analysis.AnalysisCache.jam_base_for`); without
 #: this memo each re-entry re-derives all of them (RecMII's SCC
 #: decomposition dominated the vliw retarget profile).  Keys pin their
 #: objects, so ids stay valid.  Per batch: the engine drops every
@@ -95,6 +98,64 @@ def search_res_mii(dfg: DFG, lib: OperatorLibrary,
     if "res_mii" not in ctx:
         ctx["res_mii"] = res_mii(dfg, lib)
     return ctx["res_mii"]
+
+
+def search_signature(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
+                     flavor: str) -> str:
+    """Content hash of one scheduling problem as ``flavor`` poses it.
+
+    Covers every input the built-in II searches read: per-node (delay,
+    occupied resources), the edge-distance view, the DFG's *raw* edges
+    (their distance-0 subgraph drives ``topo_order`` and the slack
+    orders, and relaxation erases raw-distance information, so the view
+    alone would under-key the placement order), the full resource
+    description (every declared resource's slot capacity — not just the
+    memory bus), and ``flavor``, the caller's label for what it compares
+    (a strategy name, or a scheduling class).  Node ids are
+    construction-deterministic, so the signature is stable across
+    processes.
+
+    Everything but ``flavor`` is a function of the (dfg, lib, edges)
+    triple alone, so it is packed once per triple into the triple's
+    :func:`search_context`.
+    """
+    ctx = search_context(dfg, lib, edges)
+    body = ctx.get("sig_body")
+    if body is None:
+        body = ctx["sig_body"] = _signature_body(dfg, lib, edges,
+                                                 ctx["dmap"])
+    digest = hashlib.sha256(f"{flavor}|".encode())
+    digest.update(body)
+    return digest.hexdigest()[:32]
+
+
+def _signature_body(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
+                    dmap: dict[int, int]) -> bytes:
+    """The triple's part of a signature, packed as 64-bit integers.
+
+    Resources are numbered by name order.  Every variable-length run
+    (the resource table, each node's resources, both edge lists) is
+    preceded by its length, so equal bytes mean equal content; the
+    resource names follow the integers.
+    """
+    slots = lib.resource_slots()
+    names = sorted(slots)
+    index = {r: i for i, r in enumerate(names)}
+    # the few distinct resource tuples, each as (count, *indices)
+    rmap = cached_resource_map(dfg, lib)
+    codes = {res: (len(res), *[index[r] for r in res])
+             for res in set(rmap.values())}
+    ints = [len(names), *[slots[r] for r in names], len(dfg.nodes)]
+    for n in dfg.nodes:
+        ints += (n.nid, dmap[n.nid])
+        ints += codes[rmap[n.nid]]
+    ints.append(len(edges))
+    for src, dst, dist in edges:
+        ints += (src.nid, dst.nid, dist)
+    ints.append(len(dfg.edges))
+    for e in dfg.edges:
+        ints += (e.src.nid, e.dst.nid, e.dist)
+    return array("q", ints).tobytes() + "\0".join(names).encode()
 
 
 def _search_state(dfg: DFG, lib: OperatorLibrary, edges: EdgeView) -> dict:
@@ -148,8 +209,7 @@ def _search(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     """
     with obs_trace.span("ii_search", "sched", nodes=len(dfg.nodes),
                         flavor=flavor or "modulo") as sp:
-        sched = _search_impl(dfg, lib, edges, max_ii=max_ii,
-                             flavor=flavor, min_ii=min_ii,
+        sched = _search_impl(dfg, lib, edges, max_ii=max_ii, min_ii=min_ii,
                              more_orders=more_orders)
         sp.set(ii=sched.ii)
         return sched
@@ -157,7 +217,6 @@ def _search(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
 
 def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
                  max_ii: Optional[int] = None,
-                 flavor: Optional[str] = None,
                  min_ii: Optional[int] = None,
                  more_orders: Optional[MoreOrders] = None
                  ) -> ModuloSchedule:
@@ -171,46 +230,27 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     topological order fails, so a search that never backtracks never
     builds its alternatives.
 
-    Incrementality (all result-preserving):
+    Incrementality (all result-preserving), through the triple's
+    :func:`search_context`:
 
-    * the delay map, flat problem lists, resource map, and
-      topological order are computed once and shared by every candidate
-      II, order, and repair round;
+    * the delay map, flat problem lists, resource map, topological
+      order, RecMII and ResMII are computed once and shared by every
+      candidate II, order, repair round and later search of the triple;
     * the topological order's outcome at each II is kept in the
       context's ``placed`` table and read before placing: placement is
       deterministic in (problem, II, order, repair rounds), so
       ``backtrack`` (whose first order is the topological one), the
-      backtracking upper-bound probe inside ``exact``, and every
-      register-pressure re-entry never re-place what an earlier search
-      of the same triple placed;
-    * when ``flavor`` names the strategy, the in-memory II memo
-      (:data:`repro.hw.iimemo.MEMO`) is consulted: a hit supplies
-      RecMII/ResMII (pure functions of the inputs) and the set of
-      *refuted* candidate IIs from an earlier identical search in this
-      process, which are skipped — the placement/repair machinery is
-      deterministic, so replaying a refuted candidate can only fail the
-      same way.  The winning II is still placed by the ordinary
-      machinery, so the returned schedule is bit-identical to a
-      from-scratch search's.
+      backtracking upper-bound probe inside ``exact``, every
+      register-pressure re-entry and every design that shares the
+      triple never re-place what an earlier search of it placed.
     """
-    from repro.hw import iimemo, sched_kernel
+    from repro.hw import sched_kernel
 
     ctx = _search_state(dfg, lib, edges)
     dmap, topo, prob = ctx["dmap"], ctx["topo"], ctx["prob"]
-
-    sig = record = None
-    if flavor is not None:
-        sig = iimemo.search_signature(dfg, lib, edges, flavor, max_ii,
-                                      min_ii=min_ii)
-        record = iimemo.MEMO.get(sig)
-    if record is not None:
-        rmii, smii = record["rmii"], record["smii"]
-        refuted = set(record["refuted"])
-    else:
-        if "rec_mii" not in ctx:
-            ctx["rec_mii"] = rec_mii(dfg, lambda n: dmap[n.nid], edges)
-        rmii, smii = ctx["rec_mii"], search_res_mii(dfg, lib, edges)
-        refuted = set()
+    if "rec_mii" not in ctx:
+        ctx["rec_mii"] = rec_mii(dfg, lambda n: dmap[n.nid], edges)
+    rmii, smii = ctx["rec_mii"], search_res_mii(dfg, lib, edges)
     start_ii = max(rmii, smii, min_ii or 1)
     limit = max_ii or max(start_ii, sum(dmap.values())) + 1
 
@@ -218,12 +258,7 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
     placed = ctx["placed"]  # II -> the topological order's outcome
     more_ids: Optional[list[list[int]]] = None
 
-    tried: list[int] = []
     for ii in range(start_ii, limit + 1):
-        if ii in refuted:
-            _II_MEMO_SKIPS.add()
-            tried.append(ii)
-            continue
         _II_ATTEMPTS.add()
         if obs_trace.full_enabled():
             obs_trace.instant("ii_try", "sched", ii=ii)
@@ -243,18 +278,10 @@ def _search_impl(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
                     break
         if hit is not None:
             time_arr, occ, length = hit
-            sched = ModuloSchedule(
+            return ModuloSchedule(
                 ii=ii, time=prob.time_dict(time_arr, ids), rec_mii=rmii,
                 res_mii=smii, rt=prob.reservation_tables(occ, ii),
                 length=int(length))
-            if sig is not None and record is None:
-                iimemo.MEMO.put(sig, {"rmii": rmii, "smii": smii,
-                                      "refuted": tried, "ii": ii})
-            return sched
-        tried.append(ii)
-    if sig is not None and record is None:
-        iimemo.MEMO.put(sig, {"rmii": rmii, "smii": smii,
-                              "refuted": tried, "ii": None})
     n_orders = 1 + (len(more_orders()) if more_orders is not None else 0)
     raise ScheduleError(
         f"no modulo schedule found up to II={limit} "

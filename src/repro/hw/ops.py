@@ -133,8 +133,8 @@ class OperatorLibrary:
         The base datapath shares only the memory bus; subclasses add
         issue slots and functional-unit rows.  Keys are stable strings
         (``"mem"``, ``"issue"``, ``"alu"``, ...) — the reservation
-        tables, II-search memo signatures, and simulators are all keyed
-        by them.
+        tables, scheduling-problem signatures, and simulators are all
+        keyed by them.
         """
         return {"mem": self.mem_ports}
 
@@ -194,7 +194,7 @@ def cached_delay_map(dfg, lib: OperatorLibrary) -> dict[int, int]:
 ResourceMap = dict[int, tuple[str, ...]]
 
 #: Identity-keyed per-(dfg, lib) resource maps: the II search's flat
-#: problem, its ResMII and the II memo's signature all read every node's
+#: problem, its ResMII and its signature all read every node's
 #: resources, and on an issue-slot library each lookup classifies the
 #: node afresh.  Per batch, like :data:`_DELAY_MAPS`.
 _RESOURCE_MAPS = Memo("resource_map", 1024, per_batch=True)

@@ -226,7 +226,7 @@ def register_scheduler(scheduler: Scheduler, *, replace: bool = False
     outcome for another design that poses the same search only under
     the strategies this module registers (:func:`is_builtin_scheduler`),
     which read nothing of a DFG beyond what
-    :func:`repro.hw.iimemo.search_signature` signs.  A strategy
+    :func:`repro.hw.modulo.search_signature` signs.  A strategy
     registered here may read anything, so its designs always schedule.
     """
     name = scheduler.name

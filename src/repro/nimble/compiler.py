@@ -118,8 +118,8 @@ def scheduling_classes(kernels: Sequence[str],
                        target_specs: Sequence[str]) -> dict[str, str]:
     """Map each kernel to the first kernel of its scheduling class.
 
-    A kernel's class on a target is the II-search signature
-    (:func:`repro.hw.iimemo.search_signature`) of its base design: the
+    A kernel's class on a target is the scheduling-problem signature
+    (:func:`repro.hw.modulo.search_signature`) of its base design: the
     ``pipelined`` DFG with the default edge view, on the target's
     library.  Kernels whose classes match on any of ``target_specs``
     share a class (on ``vliw4``, the ``-mem`` and ``-hw`` versions of
@@ -145,8 +145,8 @@ def scheduling_classes(kernels: Sequence[str],
         return first
 
     from repro.errors import ReproError
-    from repro.hw.iimemo import search_signature
     from repro.hw.mii import default_edge_view
+    from repro.hw.modulo import search_signature
     from repro.nimble.target import decode_target
     from repro.pipeline.analysis import analysis_cache
     from repro.workloads import benchmark_by_name
@@ -242,7 +242,7 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     or, for a light class, of every variant over the class's kernels.
     One process builds each kernel once and serves every
     target/factor/scheduler crossing from its process-local caches
-    (benchmark build, shared base analysis, II-search memo).  Returns
+    (benchmark build, shared base analysis).  Returns
     ``{"results", "metrics"}``: the per-query results and the batch's
     metrics-registry delta (stage wall times, cache hits and misses,
     scheduler effort), which the engine merges into the parent
@@ -266,9 +266,9 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     views, delay and resource maps and squash and jam analyses its
     designs built, so a merged batch never holds more of it than a
     one-group batch.  The per-kernel state (built kernels, base analyses,
-    preparations, content keys, jammed programs, the II memo) stays for
-    the worker's later batches.  A batch over more than one kernel also
-    gives the pipeline a replay table that lives as long as the batch:
+    preparations, content keys, jammed programs) stays for the worker's
+    later batches.  A batch over more than one kernel also gives the
+    pipeline a replay table that lives as long as the batch:
     a design that poses a scheduling problem an earlier design of the
     batch solved replays that schedule-stage outcome.  Under
     ``REPRO_ANALYSIS_CACHE=0`` nothing is replayed.

@@ -32,7 +32,10 @@ sees it; memory-tier entries are always full.
 Jam analyses are derived, not stored: jam(F) for F > 2 renames copy 1
 of the jam(2) analysis once per extra copy and appends the copies to
 the base analysis (:mod:`repro.core.jamdfg`).  Deriving them is cheaper
-than unpickling them, so they live in memory only, for one batch.
+than unpickling them, so they live in memory only, for one batch.  A
+factor past the outer trip count fuses the whole loop, so once its own
+legality checks pass it gets the clamped factor's analysis object, and
+with it that design's II-search context.
 
 Squash analyses — the per-DS stage assignment, register chains and
 relaxed edge view layered over the base graph — live in memory only
@@ -232,9 +235,13 @@ class AnalysisCache:
 
         The jam legality checks run first, the same checks in the same
         order with the same messages as the program-level route; a hit
-        skips them (the entry exists only because they passed).  Then,
-        with F the factor clamped to the outer trip count:
+        skips them (the entry exists only because they passed).  Their
+        window grows with the factor, so a factor past the outer trip
+        count runs its own before it shares anything.  Then, with F the
+        factor clamped to the outer trip count:
 
+        * 0 < F < factor: jam(F)'s entry, the same object: jam past the
+          outer trip fuses every outer iteration, as jam(F) does;
         * F = 1: the base analysis;
         * F = 2: the program-level analysis (:func:`_program_jam`), which
           is also the template whose copy 1 replication renames;
@@ -244,9 +251,10 @@ class AnalysisCache:
 
         Inputs the renames cannot cover take the program-level route at
         every F: the ones :func:`repro.core.jamdfg.replicable` rejects,
-        and nests whose base DS=1 check fails (the reasons must come from
-        the fused nest).  Fused-nest base-legality failures are memoized
-        like results; jam-level rejections raise and are never stored.
+        nests whose base DS=1 check fails (the reasons must come from the
+        fused nest), and trip-0 nests, which stay untransformed.
+        Fused-nest base-legality failures are memoized like results;
+        jam-level rejections raise and are never stored.
         """
         return self._jams.get(
             (id(program), id(nest.outer), id(nest.inner), factor),
@@ -258,6 +266,10 @@ class AnalysisCache:
 
         trip = check_jam(program, nest, factor)
         clamped = 1 if factor == 1 else min(factor, trip)
+        if 0 < clamped < factor:
+            # past the outer trip, jam fuses the whole loop as jam(trip)
+            # does: share its analysis, and through it its search context
+            return self.jam_base_for(program, nest, clamped)
         if not replicable(program, nest) or clamped in (0, 2):
             # a trip-0 nest stays untransformed: re-location raises
             return _program_jam(program, nest, factor)

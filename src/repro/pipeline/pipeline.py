@@ -104,16 +104,16 @@ Outcome = Union[str, tuple[ModuloSchedule, Optional[int], bool]]
 def _replay_key(strategy: str, analyzed: AnalyzedDFG, lib) -> str:
     """Content key of one design's schedule-stage outcome.
 
-    The strategy's first II-search signature
-    (:func:`repro.hw.iimemo.search_signature`) covers what the built-in
+    The signature of the strategy's scheduling problem
+    (:func:`repro.hw.modulo.search_signature`) covers what the built-in
     strategies' searches read (:func:`repro.hw.schedulers.
     is_builtin_scheduler`; no other strategy is replayed); the pressure
     floor and the register-pressure walk also read each raw edge's
     kind, which nodes are constants or stores, the live-in count and
     the register file.
     """
-    from repro.hw.iimemo import search_signature
     from repro.hw.mii import default_edge_view
+    from repro.hw.modulo import search_signature
 
     dfg = analyzed.dfg
     edges = analyzed.edges if analyzed.edges is not None \
@@ -143,7 +143,7 @@ def _trips(nest: LoopNest) -> tuple[int, int]:
 #: shared analysis cache re-deriving the jammed nest's content key.
 #: Memory only: re-jamming costs milliseconds, and a worker gets the
 #: jammed nest's analyses from the disk tier by content key anyway.
-_JAM_MEMO = Memo("jam_program", 128)
+_JAMMED = Memo("jam_program", 128)
 
 
 def _memoized_jam(program: Program, nest: LoopNest, factor: int) -> Program:
@@ -151,9 +151,9 @@ def _memoized_jam(program: Program, nest: LoopNest, factor: int) -> Program:
 
     if not analysis_cache_enabled():
         return unroll_and_jam(program, nest, factor)
-    return _JAM_MEMO.get((id(program), id(nest.outer), id(nest.inner), factor),
-                         lambda: unroll_and_jam(program, nest, factor),
-                         (program, nest))
+    return _JAMMED.get((id(program), id(nest.outer), id(nest.inner), factor),
+                       lambda: unroll_and_jam(program, nest, factor),
+                       (program, nest))
 
 
 def _identity_transform(built: BuiltKernel, ds: int, jam: int,

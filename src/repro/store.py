@@ -8,8 +8,8 @@ family).  Each artifact lives as one pickle per key under
 workers and repeated ``repro explore`` / ``repro tables`` runs share one
 computation instead of redoing it per process.  Only what a later
 process cannot cheaply rebuild is stored: a base analysis pickles
-without its DFG (:class:`repro.pipeline.analysis.BaseAnalysis`), and the
-II-search memo (:mod:`repro.hw.iimemo`) has no disk tier at all.
+without its DFG (:class:`repro.pipeline.analysis.BaseAnalysis`), and no
+scheduling work reaches the disk at all.
 
 Keys are content hashes (never object ids), and the directory is
 partitioned by :func:`repro.explore.cache.code_version`, so editing any

@@ -151,6 +151,14 @@ class TestFaultInjectedTearing:
         assert rerun.results == torn_run.results
         assert all(isinstance(r, DesignPoint) for r in rerun.results)
 
+    def test_the_run_reports_its_torn_appends(self, tmp_path, monkeypatch):
+        queries = SPACE.enumerate()
+        monkeypatch.setenv("REPRO_FAULTS", "torn@cache:1.0")
+        run = evaluate(queries, jobs=1, cache=ResultCache(tmp_path))
+        assert run.cache_stats.torn == len(queries)
+        assert run.cache_stats.describe().endswith(
+            f"0 stored, {len(queries)} torn")
+
     def test_deterministic_tearing_is_stable_across_runs(self, tmp_path,
                                                          monkeypatch):
         # store/cache torn coins key on content alone (no attempt), so

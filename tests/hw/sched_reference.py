@@ -15,8 +15,7 @@ core against an independent, sequential implementation:
 
 Do not optimise or "fix" anything here: the oracle is what the parity
 suite pins.  Pieces with one implementation (ResMII, SCC grouping, edge
-views, the II-search memo, the resource map) are imported from
-``repro``.
+views, the resource map) are imported from ``repro``.
 
 The ``Reference*Scheduler`` classes implement the scheduler protocol
 under the shipped names, so ``register_scheduler(..., replace=True)``
@@ -29,7 +28,6 @@ from typing import Callable, Optional
 
 from repro.core.dfg import DFG, DFGNode
 from repro.errors import ScheduleError
-from repro.hw import iimemo
 from repro.hw.listsched import ListSchedule
 from repro.hw.mii import EdgeView, _scc_arcs, default_edge_view, res_mii
 from repro.hw.modulo import _REPAIR_ROUNDS, ModuloSchedule
@@ -194,36 +192,21 @@ def rec_mii(dfg: DFG, delay: Callable[[DFGNode], int],
 def search(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
            orders: list[Optional[list[DFGNode]]],
            max_ii: Optional[int] = None,
-           flavor: Optional[str] = None,
            min_ii: Optional[int] = None) -> ModuloSchedule:
     """The II search of ``repro.hw.modulo._search_impl`` over the
-    reference loops, consulting and filling the same II memo."""
+    reference loops."""
     dmap = _delay_map(dfg, lib)
     rmap = _resource_map(dfg, lib)
     slots = lib.resource_slots()
     topo = dfg.topo_order()
     preds = _pred_map(dfg, edges, dmap)
 
-    sig = record = None
-    if flavor is not None:
-        sig = iimemo.search_signature(dfg, lib, edges, flavor, max_ii,
-                                      min_ii=min_ii)
-        record = iimemo.MEMO.get(sig)
-    if record is not None:
-        rmii, smii = record["rmii"], record["smii"]
-        refuted = set(record["refuted"])
-    else:
-        rmii = rec_mii(dfg, lambda n: dmap[n.nid], edges)
-        smii = res_mii(dfg, lib)
-        refuted = set()
+    rmii = rec_mii(dfg, lambda n: dmap[n.nid], edges)
+    smii = res_mii(dfg, lib)
     start_ii = max(rmii, smii, min_ii or 1)
     limit = max_ii or max(start_ii, sum(dmap.values())) + 1
 
-    tried: list[int] = []
     for ii in range(start_ii, limit + 1):
-        if ii in refuted:
-            tried.append(ii)
-            continue
         for order in orders:
             extra: dict[int, int] = {}
             for _ in range(_REPAIR_ROUNDS):
@@ -237,9 +220,6 @@ def search(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
                 if not bad:
                     sched.rec_mii = rmii
                     sched.res_mii = smii
-                    if sig is not None and record is None:
-                        iimemo.MEMO.put(sig, {"rmii": rmii, "smii": smii,
-                                              "refuted": tried, "ii": ii})
                     return sched
                 grew = False
                 for s, d, dist in bad:
@@ -252,10 +232,6 @@ def search(dfg: DFG, lib: OperatorLibrary, edges: EdgeView,
                     # round replays this exact placement and fails the
                     # same way, so the remaining rounds are pure spin
                     break
-        tried.append(ii)
-    if sig is not None and record is None:
-        iimemo.MEMO.put(sig, {"rmii": rmii, "smii": smii,
-                              "refuted": tried, "ii": None})
     raise ScheduleError(
         f"no modulo schedule found up to II={limit} "
         f"(RecMII={rmii}, ResMII={smii}"
@@ -379,7 +355,7 @@ class ReferenceModuloScheduler:
                  min_ii=None) -> ModuloSchedule:
         edges = edges if edges is not None else default_edge_view(dfg)
         return search(dfg, lib, edges, orders=[None], max_ii=max_ii,
-                      flavor="modulo", min_ii=min_ii)
+                      min_ii=min_ii)
 
 
 class ReferenceBacktrackScheduler:
@@ -394,7 +370,7 @@ class ReferenceBacktrackScheduler:
         orders: list[Optional[list[DFGNode]]] = [None]
         orders += _slack_orders(dfg, edges, ctx)
         return search(dfg, lib, edges, orders=orders, max_ii=max_ii,
-                      flavor="backtrack", min_ii=min_ii)
+                      min_ii=min_ii)
 
 
 #: The oracle strategies by registry name.

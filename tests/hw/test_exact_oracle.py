@@ -161,12 +161,12 @@ class TestOracleReplay:
 
 
 class TestIncrementalSearchParity:
-    """The incremental II search (shared preds/topo, memoized RecMII,
-    skipped refuted candidates, reused exact certificates) must be
-    observationally identical to the from-scratch search — same IIs,
-    same start times, same certificates — across the whole oracle
-    space (memo-warm, or over analyses read back from the disk store)
-    and on direct scheduler calls."""
+    """The incremental II search (the search context's shared problem,
+    RecMII/ResMII and topological placements) must be observationally
+    identical to the from-scratch search — same IIs, same start times,
+    same certificates — across the whole oracle space (warm, or over
+    analyses read back from the disk store) and on direct scheduler
+    calls."""
 
     def test_whole_suite_matches_from_scratch(self, monkeypatch, tmp_path):
         space = _oracle_space(factors=(2, 4))
@@ -174,7 +174,7 @@ class TestIncrementalSearchParity:
         monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "1")  # sharing on
         repro.clear_caches(memory_only=True)  # so the first run fills them
         incremental = evaluate(space.enumerate(), jobs=1)
-        replay = evaluate(space.enumerate(), jobs=1)  # memo-warm replay
+        replay = evaluate(space.enumerate(), jobs=1)  # warm replay
         # a fresh process against the populated analysis store: the
         # in-process tiers are dropped, the analyses on disk are kept and
         # must be read back (and their DFGs rebuilt)
@@ -183,7 +183,7 @@ class TestIncrementalSearchParity:
         before = analysis.value
         recompile = evaluate(space.enumerate(), jobs=1)
         assert analysis.value > before
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "0")  # memo fully off
+        monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "0")  # sharing off
         scratch = evaluate(space.enumerate(), jobs=1)
         assert incremental.results == scratch.results
         assert replay.results == scratch.results
@@ -193,8 +193,6 @@ class TestIncrementalSearchParity:
     @pytest.mark.parametrize("ds", [1, 2])
     def test_memo_replay_bit_identical_schedules(self, monkeypatch,
                                                  tmp_path, kernel, ds):
-        from repro.hw import iimemo
-
         bm = next(b for b in table_6_1_benchmarks() if b.name == kernel)
         prog = bm.build(**bm.eval_kwargs)
         nest = find_loop_nests(prog)[0]
@@ -212,9 +210,7 @@ class TestIncrementalSearchParity:
 
         monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        iimemo.MEMO.clear()
-        memo_hits = obs_metrics.counter("iimemo_mem_hits")
-        before = memo_hits.value
+        repro.clear_caches(memory_only=True)
         for attempt in ("populate", "replay"):
             replay = {
                 "modulo": modulo_schedule(dfg, ACEV_LIBRARY, edges=edges),
@@ -232,17 +228,14 @@ class TestIncrementalSearchParity:
                 assert sched.length == want.length, (attempt, name)
             assert replay["exact"].certified == scratch["exact"].certified
             assert replay["exact"].failed == scratch["exact"].failed
-        # the replay round must actually have used the memo
-        assert memo_hits.value > before
 
     def test_memo_replays_schedule_failure_identically(self, monkeypatch,
                                                        tmp_path):
         from repro.errors import ScheduleError
-        from repro.hw import iimemo
 
         # cap the II search below des-mem's feasible range: the search
         # fails, and the failure (message included) must replay
-        # identically through the memo
+        # identically through the search context's placement table
         bm = next(b for b in table_6_1_benchmarks() if b.name == "des-mem")
         prog = bm.build(**bm.eval_kwargs)
         nest = find_loop_nests(prog)[0]
@@ -250,15 +243,12 @@ class TestIncrementalSearchParity:
                                           delay_fn=ACEV_LIBRARY.delay)
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        iimemo.MEMO.clear()
-        memo_hits = obs_metrics.counter("iimemo_mem_hits")
-        before = memo_hits.value
+        repro.clear_caches(memory_only=True)
         with pytest.raises(ScheduleError) as cold:
             modulo_schedule(dfg, ACEV_LIBRARY, max_ii=3)
         with pytest.raises(ScheduleError) as warm:
             modulo_schedule(dfg, ACEV_LIBRARY, max_ii=3)
         assert str(cold.value) == str(warm.value)
-        assert memo_hits.value > before
 
 
 @pytest.mark.slow

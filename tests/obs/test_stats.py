@@ -17,7 +17,7 @@ def _snapshot():
         "counters": {
             "analysis_mem_hits": 8, "analysis_mem_misses": 2,
             "explore.cache.hits": 5, "explore.cache.misses": 5,
-            "sched.ii_attempts": 40, "sched.ii_memo_skips": 12,
+            "sched.ii_attempts": 40,
             "sched.exact_nodes": 1234,
             "supervise.batches": 6, "supervise.retries": 2,
             "faults.injected": 3,

@@ -40,10 +40,10 @@ class TestLRUEviction:
     def test_pinning_lru_bound_under_churn(self):
         lru = Memo("test_churn", maxsize=4)
         for i in range(100):
-            lru.put(i, i * 2)
+            lru.get(i, lambda: i * 2)
             assert len(lru) <= 4
-        assert lru.get(99) == 198
-        assert lru.get(0) is None
+        assert lru.get(99, lambda: -1) == 198
+        assert lru.get(0, lambda: -1) == -1   # evicted: recomputed
 
 
 class TestDiskTier:

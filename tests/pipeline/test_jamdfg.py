@@ -357,6 +357,58 @@ class TestDerivedJamMechanics:
         assert sweep() == cold
 
 
+class TestPastTheOuterTrip:
+    """jam(F) past the outer trip fuses the whole loop, as jam(trip)
+    does: it shares jam(trip)'s analysis, and through the DFG's identity
+    its II-search context, but runs its own legality checks."""
+
+    def test_shares_the_clamped_factors_dfg(self):
+        from repro.nimble.compiler import _kernel_program
+        from repro.pipeline.analysis import analysis_cache, jam_analyzed_dfg
+
+        prog, nest = _kernel_program("iir")
+        assert trip_count(nest.outer) == 16
+        sixteen = jam_analyzed_dfg(prog, nest, 16, analysis_cache())
+        assert jam_analyzed_dfg(prog, nest, 32, analysis_cache()).dfg \
+            is sixteen.dfg
+
+    def test_places_nothing_the_clamped_factor_placed(self):
+        from repro.explore import DesignQuery
+        from repro.nimble.compiler import compile_query_batch
+        from repro.obs import metrics as obs_metrics
+
+        placements = obs_metrics.counter("sched_kernel_numpy_attempts")
+        spent, iis = [], []
+        for factors in ([16], [16, 32]):
+            repro.clear_caches()
+            before = placements.value
+            results = compile_query_batch(
+                [DesignQuery("iir", "jam", ds=f) for f in factors])["results"]
+            spent.append(placements.value - before)
+            iis.append([r.ii for r in results])
+        assert spent[1] == spent[0] > 0   # jam(32) placed nothing
+        assert iis[1] == [iis[0][0]] * 2
+
+    def test_runs_its_own_legality_checks(self, monkeypatch):
+        from repro.core import jamdfg
+        from repro.nimble.compiler import _kernel_program
+
+        checked = []
+        real = jamdfg.check_jam
+
+        def spy(program, nest, factor):
+            checked.append(factor)
+            return real(program, nest, factor)
+
+        monkeypatch.setattr(jamdfg, "check_jam", spy)
+        prog, nest = _kernel_program("iir")
+        cache = AnalysisCache()
+        sixteen = cache.jam_base_for(prog, nest, 16)
+        checked.clear()
+        assert cache.jam_base_for(prog, nest, 32) is sixteen
+        assert checked == [32]
+
+
 @pytest.mark.fuzz
 class TestFuzzOracle:
     def test_randgen_seeds(self):

@@ -13,8 +13,8 @@ import pytest
 
 import repro
 from repro.explore import DesignQuery, SkipRecord
-from repro.hw.iimemo import search_signature
 from repro.hw.mii import default_edge_view
+from repro.hw.modulo import search_signature
 from repro.nimble.compiler import _kernel_program, compile_query_batch
 from repro.nimble.target import decode_target
 from repro.obs import metrics as obs_metrics

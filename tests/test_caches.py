@@ -37,11 +37,6 @@ class TestMemoryTier:
         assert memo.get("k", _never) is None
         assert len(memo) == 1
 
-    def test_miss_without_compute_returns_none(self):
-        memo = Memo("test_peek", 4)
-        assert memo.get("k") is None
-        assert len(memo) == 0
-
     def test_entries_pin_their_key_objects(self):
         memo = Memo("test_pins", 4)
         obj = _Pinned()
@@ -56,7 +51,7 @@ class TestMemoryTier:
 
     def test_clear_caches_drops_every_memo(self):
         memo = Memo("test_hook", 4)
-        memo.put("k", 1)
+        memo.get("k", lambda: 1)
         repro.clear_caches(memory_only=True)
         assert len(memo) == 0
 
@@ -65,11 +60,13 @@ class TestMemoryTier:
         evictions = obs_metrics.counter("test_evict_mem_evictions")
         before = evictions.value
         for key in "abc":
-            memo.put(key, key)
-        assert len(memo) == 2 and memo.get("a") is None
-        assert evictions.value - before == 1
+            memo.get(key, key.upper)
+        assert len(memo) == 2 and evictions.value - before == 1
+        # "a" went first: recomputed, and its insert evicts "b"
+        assert memo.get("a", lambda: "again") == "again"
+        assert evictions.value - before == 2
         repro.clear_caches(memory_only=True)   # a clear is no eviction
-        assert evictions.value - before == 1
+        assert evictions.value - before == 2
 
     def test_release_batch_drops_only_per_batch_memos(self):
         design = Memo("test_design", 4, per_batch=True)
@@ -77,7 +74,7 @@ class TestMemoryTier:
         obj = _Pinned()
         ref = weakref.ref(obj)
         design.get(id(obj), lambda: "derived", (obj,))
-        kernel.put("k", 1)
+        kernel.get("k", lambda: 1)
         del obj
         release_batch()
         gc.collect()
@@ -106,8 +103,9 @@ class TestDiskTier:
 
     def test_put_publishes_to_both_tiers(self, tmp_path):
         store = ArtifactStore("memo", tmp_path)
-        Memo("test_put", 4, store).put("k", [1, 2])
-        assert store.get("k") == [1, 2]
+        memo = Memo("test_put", 4, store)
+        memo.get("k", lambda: [1, 2])
+        assert store.get("k") == [1, 2] and len(memo) == 1
 
     def test_torn_artifact_reads_as_a_miss(self, tmp_path, monkeypatch):
         store = ArtifactStore("memo", tmp_path)
@@ -140,7 +138,5 @@ class TestDiskTier:
         calls = []
         for _ in range(2):
             assert memo.get("k", lambda: calls.append(1) or 1) == 1
-        assert memo.put("j", 2) == 2
-        assert memo.get("j") is None
         assert len(calls) == 2 and len(memo) == 0 and len(store) == 0
         assert traffic() == (0, 0)
