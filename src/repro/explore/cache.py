@@ -7,6 +7,13 @@ invalidates stale results automatically instead of serving them.  Each
 record is keyed by the query's stable content hash; repeated sweeps,
 benchmarks, and CLI runs are therefore incremental across processes.
 
+A record is one compact JSON array, ``[query_hash, kind, *values]``:
+a point's values are its :class:`DesignPoint` fields in
+:data:`_POINT_FIELDS` order, a skip's its phase and reason.  The query
+itself is not stored — ``get`` is handed it, and a skip decodes with
+the caller's query.  A line that is torn, not an array, of an unknown
+kind or of the wrong length is a miss.
+
 The cache is append-only: ``put`` appends one line per new record (a
 landed batch's records in one write), ``get`` reads from an in-memory
 index loaded once per instance.  Deserialization builds fresh
@@ -39,6 +46,10 @@ _TORN = obs_metrics.counter("explore.cache.torn")
 
 __all__ = ["CacheStats", "NullCache", "ResultCache", "code_version",
            "default_cache_dir"]
+
+#: ``DesignPoint``'s fields in the order a point record stores their
+#: values (``dataclasses.fields`` order).
+_POINT_FIELDS = tuple(f.name for f in dataclasses.fields(DesignPoint))
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _DEFAULT_DIR = ".repro_cache"
@@ -130,26 +141,25 @@ class ResultCache:
             else default_cache_dir()
         self.version = version or code_version()
         self.stats = CacheStats()
-        self._index: dict[str, dict] | None = None
+        self._index: dict[str, list] | None = None
 
     @property
     def path(self) -> pathlib.Path:
         return self.directory / f"results-{self.version}.jsonl"
 
-    def _load(self) -> dict[str, dict]:
+    def _load(self) -> dict[str, list]:
         if self._index is None:
             self._index = {}
             if self.path.exists():
                 with self.path.open() as fh:
                     for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
                         try:
                             rec = json.loads(line)
                         except json.JSONDecodeError:
-                            continue  # torn write: drop the record
-                        self._index[rec["hash"]] = rec
+                            continue  # torn write or blank line: drop it
+                        if isinstance(rec, list) and rec \
+                                and isinstance(rec[0], str):
+                            self._index[rec[0]] = rec
         return self._index
 
     def __len__(self) -> int:
@@ -157,11 +167,11 @@ class ResultCache:
 
     def get(self, query: DesignQuery) -> DesignPoint | SkipRecord | None:
         rec = self._load().get(query.query_hash)
-        result = _decode_result(rec) if rec is not None else None
+        result = _decode_result(query, rec) if rec is not None else None
         if result is None:
-            # absent — or written by a different DesignPoint/DesignQuery
-            # field set (the code-version key partitions the default
-            # directory, but a custom REPRO_CACHE_DIR or a pinned
+            # absent — or written by a different DesignPoint field set
+            # or record layout (the code-version key partitions the
+            # default directory, but a custom REPRO_CACHE_DIR or a pinned
             # ``version=`` can serve foreign records): treat as a miss
             # and recompute rather than crash the sweep.
             self.stats.misses += 1
@@ -189,7 +199,7 @@ class ResultCache:
             if key in index:
                 continue
             rec = index[key] = _encode_result(query, result)
-            line = json.dumps(rec, sort_keys=True) + "\n"
+            line = json.dumps(rec, separators=(",", ":")) + "\n"
             if torn_write("cache", key):
                 # Chaos injection: the appender died mid-line — half the
                 # record, no newline.  The in-memory index keeps the real
@@ -217,29 +227,25 @@ class ResultCache:
 
 
 def _encode_result(query: DesignQuery,
-                   result: DesignPoint | SkipRecord) -> dict:
-    rec = {"hash": query.query_hash, "query": query.to_dict()}
+                   result: DesignPoint | SkipRecord) -> list:
     if isinstance(result, SkipRecord):
-        rec["kind"] = "skip"
-        rec["data"] = {"phase": result.phase, "reason": result.reason}
-    else:
-        rec["kind"] = "point"
-        rec["data"] = dataclasses.asdict(result)
-    return rec
+        return [query.query_hash, "skip", result.phase, result.reason]
+    return [query.query_hash, "point",
+            *(getattr(result, name) for name in _POINT_FIELDS)]
 
 
-def _decode_result(rec: dict) -> DesignPoint | SkipRecord | None:
+def _decode_result(query: DesignQuery,
+                   rec: list) -> DesignPoint | SkipRecord | None:
     """Rebuild a stored result; ``None`` when the record does not fit.
 
-    Records written by an older or newer ``repro`` (extra, missing, or
-    invalid ``DesignPoint``/``DesignQuery`` fields, unknown schedulers,
-    malformed structure) decode to ``None`` — the caller treats that as
-    a cache miss instead of crashing the whole sweep.
+    Records written by an older or newer ``repro`` (an unknown kind, or
+    more or fewer values than this ``DesignPoint`` has fields) decode
+    to ``None`` — the caller treats that as a cache miss instead of
+    crashing the whole sweep.
     """
-    try:
-        query = DesignQuery(**rec["query"])
-        if rec["kind"] == "skip":
-            return SkipRecord(query=query, **rec["data"])
-        return DesignPoint(**rec["data"])
-    except (KeyError, TypeError, ValueError):
-        return None
+    kind, values = rec[1:2], rec[2:]
+    if kind == ["point"] and len(values) == len(_POINT_FIELDS):
+        return DesignPoint(*values)
+    if kind == ["skip"] and len(values) == 2:
+        return SkipRecord(query, *values)
+    return None

@@ -11,7 +11,7 @@ import re
 from typing import Iterable, Sequence
 
 from repro.explore.engine import ExploreResult
-from repro.explore.pareto import best_designs, pareto_queries
+from repro.explore.pareto import _group, best_designs, pareto_queries
 from repro.hw.report import DesignPoint, normalize
 
 __all__ = ["format_best", "format_cache_stats", "format_fails",
@@ -94,15 +94,12 @@ def format_pareto(result: ExploreResult) -> str:
     """
     result.attach_base_ii()
     result.attach_exact_ii()
-    bases: dict[tuple[str, str], DesignPoint] = {}
-    for q, r in result.pairs():
-        if q.variant == "original" and isinstance(r, DesignPoint):
-            bases[(q.kernel, q.target_spec)] = r
+    groups = _group(result)
+    bases = {key: p for key, group in groups.items()
+             for q, p in group if q.variant == "original"}
     blocks = []
     for key, pairs in pareto_queries(result).items():
-        all_pts = [r for q, r in result.pairs()
-                   if isinstance(r, DesignPoint)
-                   and (q.kernel, q.target_spec) == key]
+        all_pts = [p for _, p in groups[key]]
         # per group, not per run: in a mixed acev+vliw sweep the
         # spatial groups keep their historical (diffable) layout
         has_live = any(p.max_live is not None for p in all_pts)

@@ -3,8 +3,8 @@
 The disk tier of the :class:`repro.caches.Memo` instances worth sharing
 across processes: the per-kernel front-end analysis and the per-nest
 legality preparation (:mod:`repro.pipeline.analysis`, the ``analysis``
-family).  Each artifact lives as one pickle per key under
-``<cache dir>/<family>/<code_version>/``, so ``ProcessPoolExecutor``
+family).  Each artifact lives as one zlib-compressed pickle per key
+under ``<cache dir>/<family>/<code_version>/``, so ``ProcessPoolExecutor``
 workers and repeated ``repro explore`` / ``repro tables`` runs share one
 computation instead of redoing it per process.  Only what a later
 process cannot cheaply rebuild is stored: a base analysis pickles
@@ -23,7 +23,8 @@ are published with :func:`os.replace` (atomic on POSIX), under an
 advisory ``fcntl`` lock on a sidecar lockfile so two sweeps hammering
 the same ``.repro_cache/`` never interleave partial writes; readers
 need no lock — they either see the old artifact, the new one, or
-nothing, and any torn/corrupt pickle deserializes to a miss.
+nothing, and any torn, truncated or foreign blob (one that does not
+decompress, or whose pickle does not load) is a miss.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import os
 import pathlib
 import pickle
 import tempfile
+import zlib
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -58,7 +60,8 @@ class StoreStats:
 
 
 class ArtifactStore:
-    """Content-hash-keyed pickle store with atomic, locked writes.
+    """Content-hash-keyed store of compressed pickles, with atomic,
+    locked writes.
 
     The directory is resolved lazily on every operation (honouring
     ``REPRO_CACHE_DIR`` changes mid-process, as the test harness makes),
@@ -93,9 +96,9 @@ class ArtifactStore:
         """Load one artifact; any read/decode failure is a miss."""
         try:
             blob = self._path(key).read_bytes()
-            value = pickle.loads(blob)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError):
+            value = pickle.loads(zlib.decompress(blob))
+        except (OSError, zlib.error, pickle.UnpicklingError, EOFError,
+                AttributeError, ImportError, IndexError, ValueError):
             self._count("misses")
             return None
         self._count("hits")
@@ -111,7 +114,8 @@ class ArtifactStore:
         root = path.parent
         try:
             root.mkdir(parents=True, exist_ok=True)
-            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            blob = zlib.compress(
+                pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
         except (OSError, pickle.PicklingError, TypeError, AttributeError,
                 RecursionError):
             return
@@ -119,7 +123,7 @@ class ArtifactStore:
         if torn_write("store", key):
             # Chaos injection: simulate a writer that died mid-publish on
             # a filesystem without the atomic-rename guarantee — half the
-            # pickle lands on the *final* path.  Readers must miss.
+            # blob lands on the *final* path.  Readers must miss.
             try:
                 path.write_bytes(blob[:max(1, len(blob) // 2)])
             except OSError:

@@ -81,9 +81,11 @@ def unroll_and_jam(program: Program, nest: LoopNest, factor: int,
     trip = trip_count(outer)
     if trip is None:
         raise LegalityError("unroll-and-jam requires a constant outer trip count")
-    if factor == 1 or trip == 0:
-        return q
+    # a factor past the trip fuses the whole loop; a trip-1 (or trip-0)
+    # loop then has nothing to fuse and comes back untransformed
     factor = min(factor, trip)
+    if factor <= 1:
+        return q
 
     main_trips = (trip // factor) * factor
     lo = int(outer.lo.value)        # type: ignore[union-attr]

@@ -45,6 +45,41 @@ class TestResultCache:
         assert isinstance(got, SkipRecord)
         assert got.phase == "legality" and got.query == q
 
+    def test_a_point_round_trips_its_none_and_float_fields(self, tmp_path):
+        q = DesignQuery("iir", "squash", ds=2, target_spec="vliw4")
+        point = DesignPoint(kernel="iir", variant="squash", factor=2, ii=7,
+                            op_rows=100, registers=20, reg_rows=0.75,
+                            rec_mii=2, res_mii=1, outer_trip=16,
+                            inner_trip=64, base_ii=None, schedule_length=9,
+                            squash_ds=None, exact_ii=6, max_live=None,
+                            reg_capacity=32)
+        ResultCache(tmp_path).put([(q, point)])
+        got = ResultCache(tmp_path).get(q)
+        assert got == point
+        assert got.reg_rows == 0.75 and isinstance(got.reg_rows, float)
+        assert (got.base_ii, got.squash_ds, got.max_live) == (None,) * 3
+
+    def test_a_skip_comes_back_with_the_callers_query(self, tmp_path):
+        q = DesignQuery("wavelet", "squash", ds=4, scheduler="backtrack")
+        reason = "wavelet/squash(4) [target=acev]: no \"legal\" tiling"
+        ResultCache(tmp_path).put([(q, SkipRecord(q, "schedule", reason))])
+        got = ResultCache(tmp_path).get(q)
+        assert got == SkipRecord(q, "schedule", reason)
+        assert got.query is q
+
+    def test_a_record_is_one_compact_array_without_the_query(
+            self, tmp_path):
+        import dataclasses
+        import json
+        q = DesignQuery("iir", "squash", ds=2)
+        cache = ResultCache(tmp_path)
+        cache.put([(q, _point())])
+        line = cache.path.read_text()
+        assert line.endswith("\n") and line.count("\n") == 1
+        assert ", " not in line and ": " not in line
+        assert json.loads(line) == [q.query_hash, "point",
+                                    *dataclasses.astuple(_point())]
+
     def test_version_partitions_results(self, tmp_path):
         q = DesignQuery("iir", "squash", ds=2)
         ResultCache(tmp_path, version="aaa").put([(q, _point())])
@@ -117,22 +152,22 @@ class TestNullCache:
 
 
 class TestForeignRecordTolerance:
-    """Records from an older/newer ``DesignPoint``/``DesignQuery`` field
-    set (possible under a custom ``REPRO_CACHE_DIR`` or a pinned
+    """Records from an older/newer ``DesignPoint`` field set or record
+    layout (possible under a custom ``REPRO_CACHE_DIR`` or a pinned
     ``version=``) must decode as misses, not crash the sweep."""
 
     def _tamper(self, cache, mutate):
         import json
         lines = cache.path.read_text().splitlines()
         rec = json.loads(lines[0])
-        mutate(rec)
+        rec = mutate(rec) or rec
         cache.path.write_text(json.dumps(rec) + "\n")
 
     def test_record_from_the_future_is_a_miss(self, tmp_path):
         q = DesignQuery("iir", "squash", ds=2)
         cache = ResultCache(tmp_path)
         cache.put([(q, _point())])
-        self._tamper(cache, lambda r: r["data"].update(hologram_rows=9))
+        self._tamper(cache, lambda r: r.append(9))   # one value too many
         reread = ResultCache(tmp_path)
         assert reread.get(q) is None
         assert reread.stats.misses == 1 and reread.stats.hits == 0
@@ -141,22 +176,37 @@ class TestForeignRecordTolerance:
         q = DesignQuery("iir", "squash", ds=2)
         cache = ResultCache(tmp_path)
         cache.put([(q, _point())])
-        self._tamper(cache, lambda r: r["data"].pop("ii"))
+        self._tamper(cache, lambda r: r.pop())       # one value too few
         assert ResultCache(tmp_path).get(q) is None
 
-    def test_record_with_unknown_scheduler_is_a_miss(self, tmp_path):
+    def test_skip_with_a_value_too_many_is_a_miss(self, tmp_path):
+        q = DesignQuery("wavelet", "squash", ds=4)
+        cache = ResultCache(tmp_path)
+        cache.put([(q, SkipRecord(q, "legality", "rejected"))])
+        self._tamper(cache, lambda r: r.append("extra"))
+        assert ResultCache(tmp_path).get(q) is None
+
+    def test_record_with_unknown_kind_is_a_miss(self, tmp_path):
         q = DesignQuery("iir", "squash", ds=2)
         cache = ResultCache(tmp_path)
         cache.put([(q, _point())])
-        self._tamper(cache,
-                     lambda r: r["query"].update(scheduler="quantum"))
+        self._tamper(cache, lambda r: r.__setitem__(1, "hologram"))
         assert ResultCache(tmp_path).get(q) is None
 
     def test_malformed_structure_is_a_miss(self, tmp_path):
+        # a record that is not an array (the old dict layout, say)
         q = DesignQuery("iir", "squash", ds=2)
         cache = ResultCache(tmp_path)
         cache.put([(q, _point())])
-        self._tamper(cache, lambda r: r.pop("kind"))
+        self._tamper(cache, lambda r: {"hash": r[0], "kind": r[1]})
+        reread = ResultCache(tmp_path)
+        assert reread.get(q) is None and len(reread) == 0
+
+    def test_record_without_a_kind_is_a_miss(self, tmp_path):
+        q = DesignQuery("iir", "squash", ds=2)
+        cache = ResultCache(tmp_path)
+        cache.put([(q, _point())])
+        self._tamper(cache, lambda r: r[:1])
         assert ResultCache(tmp_path).get(q) is None
 
     def test_miss_recomputes_and_moves_on(self, tmp_path):
@@ -165,7 +215,7 @@ class TestForeignRecordTolerance:
         q = DesignQuery("iir", "pipelined")
         cache = ResultCache(tmp_path)
         cache.put([(q, _point(variant="pipelined", factor=1))])
-        self._tamper(cache, lambda r: r["data"].update(alien=True))
+        self._tamper(cache, lambda r: r.append(True))
         result = evaluate([q], jobs=1, cache=ResultCache(tmp_path))
         assert len(result.points()) == 1
         assert result.cache_stats.misses == 1

@@ -2,13 +2,14 @@
 
 The persistent result cache and the analysis store are shared,
 append-on-publish structures; simultaneous sweeps must never corrupt
-them (torn JSON lines, partial pickles) and every process must end up
+them (torn JSON lines, partial blobs) and every process must end up
 with the full, correct result set.
 """
 
 import json
 import multiprocessing
 import pickle
+import zlib
 
 import pytest
 
@@ -129,6 +130,50 @@ class TestStoreRoundTrip:
         loaded = ArtifactStore("analysis", tmp_path).get("sig")
         assert loaded == record
         assert pickle.dumps(loaded) == pickle.dumps(record)
+
+    def test_a_stored_blob_is_the_compressed_pickle(self, tmp_path):
+        store = ArtifactStore("analysis", tmp_path)
+        value = {"nodes": list(range(200)), "tag": "x" * 100}
+        store.put("k", value)
+        blob = (store.root() / "k.pkl").read_bytes()
+        assert blob == zlib.compress(
+            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        assert len(blob) < len(pickle.dumps(value))
+
+    def test_a_bit_flipped_blob_is_a_miss(self, tmp_path):
+        # a flip the inflater does not reject fails the stream's Adler-32
+        # check; the one kind that loads flips a padding bit of deflate's
+        # last byte, which the inflater ignores, so it loads the value
+        # stored: no flip at any byte ever serves a different value
+        store = ArtifactStore("analysis", tmp_path)
+        value = {"nodes": list(range(50)), "tag": "x" * 20}
+        store.put("k", value)
+        path = store.root() / "k.pkl"
+        blob = path.read_bytes()
+        loaded = []
+        for pos in range(len(blob)):
+            for bit in (0x01, 0x10, 0x80):
+                damaged = bytearray(blob)
+                damaged[pos] ^= bit
+                path.write_bytes(bytes(damaged))
+                got = ArtifactStore("analysis", tmp_path).get("k")
+                assert got is None or got == value, (pos, bit)
+                if got is not None:
+                    loaded.append(pos)
+        # only the last deflate byte, just before the 4-byte checksum
+        assert set(loaded) <= {len(blob) - 5}
+
+    @pytest.mark.parametrize("keep", [0, 1, 2, 0.5, -4, -1])
+    def test_a_truncated_blob_is_a_miss(self, tmp_path, keep):
+        store = ArtifactStore("analysis", tmp_path)
+        store.put("k", {"nodes": list(range(50)), "tag": "x" * 20})
+        path = store.root() / "k.pkl"
+        blob = path.read_bytes()
+        cut = int(len(blob) * keep) if isinstance(keep, float) else keep
+        path.write_bytes(blob[:cut])
+        fresh = ArtifactStore("analysis", tmp_path)
+        assert fresh.get("k") is None
+        assert fresh.stats.misses == 1 and fresh.stats.hits == 0
 
 
 class TestFaultInjectedTearing:

@@ -243,6 +243,20 @@ class TestReplicationOracle:
         prog, nest = build_nest(m=trip)
         assert_matches_oracle(prog, nest, (1, 2, 3, 4))
 
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_trip_one_jams_to_the_untransformed_program(self, factor):
+        # the factor clamps to the trip before any copy is made: no
+        # privatized-name fixup names a copy that was never declared
+        from repro.ir.interp import run_program
+        from repro.ir.printer import program_to_str
+
+        prog, nest = build_nest(m=1)
+        jammed = unroll_and_jam(prog, nest, factor)
+        assert program_to_str(jammed) == program_to_str(prog)
+        want, got = run_program(prog), run_program(jammed)
+        assert {k: v.tolist() for k, v in got.arrays.items()} == \
+            {k: v.tolist() for k, v in want.arrays.items()}
+
     def test_body_without_outer_iv(self):
         prog, nest = build_nest(reads_outer_iv=False)
         assert_matches_oracle(prog, nest, (2, 3, 5, 8))

@@ -183,6 +183,25 @@ class TestExploreCommand:
         assert not (cache / "iisearch").exists()
         assert "REPRO_CACHE_DIR" not in os.environ
 
+    def test_a_cold_sweep_persists_at_most_20000_bytes(self, tmp_path,
+                                                       capsys):
+        # compressed analyses and one compact array per result record:
+        # this sweep's 50 designs and 2 kernels' analyses take 14,839
+        # bytes (56,750 as plain pickles and keyed JSON objects)
+        import repro
+        cache = tmp_path / "cache"
+        repro.clear_caches(memory_only=True)  # cold memos: the store writes
+        assert main(["explore", "--kernel", "iir", "--kernel", "des-mem",
+                     "--variants", "original", "pipelined", "squash", "jam",
+                     "jam+squash", "--factors", "2", "4", "--jam-factors",
+                     "2", "--jobs", "1", "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        assert list(cache.glob("results-*.jsonl"))
+        assert list(cache.glob("analysis/*/base-*.pkl"))
+        written = sum(p.stat().st_size for p in cache.rglob("*")
+                      if p.is_file())
+        assert written <= 20_000
+
     def test_resume_rejects_no_cache(self, capsys):
         assert main(["explore", "--kernel", "iir", "--resume",
                      "--no-cache"]) == 2
