@@ -120,6 +120,9 @@ class LoopLiveness:
         scalar recurrences (the DFG backedges).
     defined:
         All scalars written by the body (incl. SSA-expansion candidates).
+
+    A pickle holds each set as a sorted list, so the stored bytes do not
+    depend on the string-hash seed of the process that wrote them.
     """
 
     live_in: set[str] = field(default_factory=set)
@@ -127,6 +130,13 @@ class LoopLiveness:
     invariant_reads: set[str] = field(default_factory=set)
     carried: set[str] = field(default_factory=set)
     defined: set[str] = field(default_factory=set)
+
+    def __getstate__(self) -> dict:
+        return {name: sorted(names) for name, names in self.__dict__.items()}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update((name, set(names))
+                             for name, names in state.items())
 
 
 def loop_liveness(loop: For, live_after_loop: set[str]) -> LoopLiveness:

@@ -12,15 +12,15 @@ is one of two kinds:
   so an id can never be recycled by a different live object while its
   entry exists.  Identity memos live in memory only;
 * a **content** key — a string hashing everything the value depends on.
-  The front-end analysis memos key theirs by content and also keep
+  The base-analysis memo keys its entries by content and also keeps
   them on disk, in the :class:`repro.store.ArtifactStore` that worker
   processes and later runs share.
 
 A memo lives as long as one of two scopes:
 
 * **per worker** (the default): per-kernel state every later batch of
-  the process can reuse — base analyses, legality preparations, content
-  keys, jammed programs.  An entry lives until the LRU bound drops it;
+  the process can reuse — base analyses, content keys, jammed
+  programs.  An entry lives until the LRU bound drops it;
 * **per group inside a batch** (``per_batch=True``): state keyed by
   per-design objects — search contexts, edge views, delay and resource
   maps, squash and jam analyses.  :func:`release_batch` drops them at

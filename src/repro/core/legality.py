@@ -28,10 +28,10 @@ from repro.analysis.ssa import is_straightline
 from repro.analysis.usedef import LoopLiveness, loop_liveness, uses_of_expr
 from repro.errors import LegalityError, ReproError
 from repro.ir.nodes import Program
-from repro.ir.visitors import variables_written
+from repro.ir.visitors import variables_read, variables_written
 
 __all__ = ["PreparedSquash", "SquashCheck", "check_squash",
-           "classify_squash", "nest_liveness", "prepare_squash"]
+           "classify_squash", "prepare_squash"]
 
 
 @dataclass
@@ -78,9 +78,12 @@ class PreparedSquash:
     dependences, liveness, the scalar-parallelism verdict, and every
     array dependence pair with its (DS-independent) distance set — so a
     sweep over many DS factors, targets, and schedulers analyzes the
-    nest once and re-classifies per DS in microseconds.  Pickles
-    cleanly, so the shared analysis cache persists it across worker
-    processes (see :class:`repro.pipeline.analysis.AnalysisCache`).
+    nest once and re-classifies per DS in microseconds.  The shared
+    analysis cache stores it in each nest's base analysis (see
+    :class:`repro.pipeline.analysis.BaseAnalysis`); its pickle holds
+    ``scalar_conflicts`` as a sorted list, as
+    :class:`~repro.analysis.usedef.LoopLiveness` does its sets, so the
+    stored bytes do not depend on the string-hash seed.
     """
 
     outer_trip: int | None
@@ -93,6 +96,16 @@ class PreparedSquash:
     #: (a1, a2, distance set, formatted distance, is output dep), in the
     #: exact order check_outer_parallel enumerates pairs
     pairs: list[tuple] | None = None
+
+    def __getstate__(self) -> dict:
+        conflicts = self.scalar_conflicts
+        return {**self.__dict__, "scalar_conflicts":
+                None if conflicts is None else sorted(conflicts)}
+
+    def __setstate__(self, state: dict) -> None:
+        conflicts = state["scalar_conflicts"]
+        self.__dict__.update(state, scalar_conflicts=None
+                             if conflicts is None else set(conflicts))
 
 
 def prepare_squash(program: Program, nest: LoopNest) -> PreparedSquash:
@@ -139,9 +152,14 @@ def prepare_squash(program: Program, nest: LoopNest) -> PreparedSquash:
         failures.append(f"inner loop bounds read {sorted(clobbered)} "
                         "which the outer body writes")
 
+    # liveness summary for the DFG build (live-out = anything the outer body
+    # reads after the inner loop, approximated by reads in post statements)
+    post_reads: set[str] = set()
+    for s in nest.post_stmts():
+        post_reads |= variables_read(s)
     prep = PreparedSquash(outer_trip=outer_trip, inner_trip=inner_trip,
                           base_failures=failures,
-                          liveness=nest_liveness(nest))
+                          liveness=loop_liveness(nest.inner, post_reads))
     if failures:
         return prep  # check_squash never ran the parallel check here
 
@@ -169,21 +187,6 @@ def prepare_squash(program: Program, nest: LoopNest) -> PreparedSquash:
                 pairs.append((a, a, dist, _fmt(dist), True))
     prep.pairs = pairs
     return prep
-
-
-def nest_liveness(nest: LoopNest) -> LoopLiveness:
-    """The inner loop's liveness summary for the DFG build.
-
-    Live-out is anything the outer body reads after the inner loop,
-    approximated by the reads in its post statements.  The names are
-    the program's own string objects.
-    """
-    from repro.ir.visitors import variables_read
-
-    post_reads: set[str] = set()
-    for s in nest.post_stmts():
-        post_reads |= variables_read(s)
-    return loop_liveness(nest.inner, post_reads)
 
 
 def classify_squash(prep: PreparedSquash, ds: int) -> SquashCheck:

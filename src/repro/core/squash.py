@@ -53,9 +53,10 @@ def locate_jammed_nest(jammed: Program, nest: LoopNest,
     Candidates are nests with a constant inner trip count; preferred is
     the one whose outer loop kept ``nest``'s IV and grew its step by the
     jam factor, with the first candidate as fallback.  Shared by
-    :func:`jam_then_squash` and the pipeline's jam+squash transform so
-    the software emitter and the hardware path always pick the same
-    nest.  Raises :class:`LegalityError` when no candidate exists.
+    :func:`jam_then_squash` and the jam+squash analysis
+    (:func:`repro.pipeline.analysis.jam_squash_analyzed_dfg`) so the
+    software emitter and the hardware path always pick the same nest.
+    Raises :class:`LegalityError` when no candidate exists.
     """
     nests = [n for n in find_loop_nests(jammed)
              if trip_count(n.inner) is not None]

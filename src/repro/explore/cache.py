@@ -51,6 +51,9 @@ __all__ = ["CacheStats", "NullCache", "ResultCache", "code_version",
 #: values (``dataclasses.fields`` order).
 _POINT_FIELDS = tuple(f.name for f in dataclasses.fields(DesignPoint))
 
+#: How many values follow the hash and the kind in each kind of record.
+_ARITY = {"point": len(_POINT_FIELDS), "skip": 2}
+
 _ENV_DIR = "REPRO_CACHE_DIR"
 _DEFAULT_DIR = ".repro_cache"
 
@@ -157,8 +160,7 @@ class ResultCache:
                             rec = json.loads(line)
                         except json.JSONDecodeError:
                             continue  # torn write or blank line: drop it
-                        if isinstance(rec, list) and rec \
-                                and isinstance(rec[0], str):
+                        if _fits(rec):
                             self._index[rec[0]] = rec
         return self._index
 
@@ -167,19 +169,13 @@ class ResultCache:
 
     def get(self, query: DesignQuery) -> DesignPoint | SkipRecord | None:
         rec = self._load().get(query.query_hash)
-        result = _decode_result(query, rec) if rec is not None else None
-        if result is None:
-            # absent — or written by a different DesignPoint field set
-            # or record layout (the code-version key partitions the
-            # default directory, but a custom REPRO_CACHE_DIR or a pinned
-            # ``version=`` can serve foreign records): treat as a miss
-            # and recompute rather than crash the sweep.
+        if rec is None:
             self.stats.misses += 1
             _MISSES.add()
             return None
         self.stats.hits += 1
         _HITS.add()
-        return result
+        return _decode_result(query, rec)
 
     def put(self, records: Iterable[tuple[DesignQuery,
                                           DesignPoint | SkipRecord]]
@@ -234,18 +230,24 @@ def _encode_result(query: DesignQuery,
             *(getattr(result, name) for name in _POINT_FIELDS)]
 
 
-def _decode_result(query: DesignQuery,
-                   rec: list) -> DesignPoint | SkipRecord | None:
-    """Rebuild a stored result; ``None`` when the record does not fit.
+def _fits(rec) -> bool:
+    """Whether a decoded line is a record this ``repro`` can read.
 
-    Records written by an older or newer ``repro`` (an unknown kind, or
-    more or fewer values than this ``DesignPoint`` has fields) decode
-    to ``None`` — the caller treats that as a cache miss instead of
-    crashing the whole sweep.
+    A line written by an older or newer ``repro`` (an unknown kind, or
+    more or fewer values than this ``DesignPoint`` has fields) does not
+    fit: the code-version key partitions the default directory, but a
+    custom ``REPRO_CACHE_DIR`` or a pinned ``version=`` can serve
+    foreign records.  It is left out of the index, so its query is a
+    miss that recomputes and appends a fresh record.
     """
-    kind, values = rec[1:2], rec[2:]
-    if kind == ["point"] and len(values) == len(_POINT_FIELDS):
-        return DesignPoint(*values)
-    if kind == ["skip"] and len(values) == 2:
-        return SkipRecord(query, *values)
-    return None
+    return isinstance(rec, list) and len(rec) >= 2 \
+        and isinstance(rec[0], str) and isinstance(rec[1], str) \
+        and _ARITY.get(rec[1]) == len(rec) - 2
+
+
+def _decode_result(query: DesignQuery,
+                   rec: list) -> DesignPoint | SkipRecord:
+    """Rebuild a stored result from a record that :func:`_fits`."""
+    if rec[1] == "point":
+        return DesignPoint(*rec[2:])
+    return SkipRecord(query, *rec[2:])

@@ -266,8 +266,8 @@ def compile_query_batch(queries: "Sequence[DesignQuery]",
     views, delay and resource maps and squash and jam analyses its
     designs built, so a merged batch never holds more of it than a
     one-group batch.  The per-kernel state (built kernels, base analyses,
-    preparations, content keys, jammed programs) stays for the worker's
-    later batches.  A batch over more than one kernel also gives the
+    content keys, jammed programs) stays for the worker's later
+    batches.  A batch over more than one kernel also gives the
     pipeline a replay table that lives as long as the batch:
     a design that poses a scheduling problem an earlier design of the
     batch solved replays that schedule-stage outcome.  Under

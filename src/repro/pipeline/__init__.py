@@ -2,16 +2,18 @@
 analysis.
 
 The extension surface of the compiler: every design variant flows
-``build -> transform -> analyze -> schedule -> validate -> report``
-through :class:`CompilationPipeline`, with scheduling strategies resolved
-by name from :mod:`repro.hw.schedulers`, every schedule checked by the
-independent re-verifier (:mod:`repro.verify.schedule`) in the validate
-stage, and the DS-independent front-end analysis shared across variants
-via :class:`AnalysisCache`.
+``build -> analyze -> schedule -> validate -> report`` through
+:class:`CompilationPipeline`, with every variant's analysis (squash and
+jam included) derived from the built nest in :mod:`repro.pipeline.
+analysis`, scheduling strategies resolved by name from
+:mod:`repro.hw.schedulers`, every schedule checked by the independent
+re-verifier (:mod:`repro.verify.schedule`) in the validate stage, and
+the DS-independent front-end analysis shared across variants via
+:class:`AnalysisCache`.
 """
 
 from repro.pipeline.artifacts import (  # noqa: F401
-    AnalyzedDFG, BuiltKernel, ScheduledDesign, TransformedNest,
+    AnalyzedDFG, BuiltKernel, ScheduledDesign,
 )
 from repro.pipeline.analysis import (  # noqa: F401
     AnalysisCache, BaseAnalysis, analysis_cache, base_analyzed_dfg,

@@ -1,41 +1,44 @@
-"""Shared per-kernel base analysis, memoized in memory and on disk.
+"""Every variant's analysis of a kernel nest, from one shared base.
 
-The expensive front half of :func:`repro.core.squash.analyze_nest` —
-legality liveness, program clone, three-address lowering, SSA renaming,
-and DFG construction — does not depend on the squash factor DS, the
-operator library, or the scheduler.  Yet the pre-pipeline compiler
-re-ran it for every variant of a sweep: once for ``original``, once for
-``pipelined``, and once per squash factor.  This module computes it once
-per (program, nest) and shares the result across all variants; only the
-genuinely per-variant steps (the DS legality check, stage assignment,
-register chains, the relaxed edge view) are recomputed.
+This module turns a built nest into any variant's
+:class:`~repro.pipeline.artifacts.AnalyzedDFG`: the base (``original``,
+``pipelined``), squash(DS), jam(F) and jam(J)+squash(DS).  The
+expensive front half of :func:`repro.core.squash.analyze_nest` — the
+legality preparation, program clone, three-address lowering, SSA
+renaming, and DFG construction — does not depend on DS, the operator
+library, or the scheduler, so it is computed once per (program, nest)
+and shared across all variants; only the genuinely per-variant steps
+(the DS legality classification, stage assignment, register chains, the
+relaxed edge view) are recomputed.
 
-:class:`AnalysisCache` keeps the base analyses and the DS-independent
-legality preparations (:func:`repro.core.legality.prepare_squash`) in
-two-tier :class:`repro.caches.Memo` instances keyed by
-:func:`content_key` — a hash of the printed program (plus local types
-and kernel annotations) and the nest's position.  Their disk tier is
-:func:`repro.store.analysis_store`, so ``ProcessPoolExecutor`` workers
-and repeated ``repro explore`` runs share one front-end analysis per
-kernel nest instead of redoing it in every process.  The directory is
-partitioned by :func:`~repro.explore.cache.code_version`, so edits to
-any source invalidate stale artifacts automatically.
+:class:`AnalysisCache` keeps the base analyses in a two-tier
+:class:`repro.caches.Memo` keyed by :func:`content_key` — a hash of the
+printed program (plus local types and kernel annotations) and the
+nest's position.  Its disk tier is :func:`repro.store.analysis_store`,
+so ``ProcessPoolExecutor`` workers and repeated ``repro explore`` runs
+share one ``base-<key>`` artifact per kernel nest instead of redoing
+the analysis in every process.  The directory is partitioned by
+:func:`~repro.explore.cache.code_version`, so edits to any source
+invalidate stale artifacts automatically.
 
-A base is stored without its DFG: the graph is a pure function of the
-SSA block and the nest's liveness, rebuilt in milliseconds, while its
-pickle was most of the artifact's bytes.  :class:`BaseAnalysis` owns
-that stored form (the DS=1 check and the SSA block), and a base read
-back from disk gets its ``dfg``, ``carried`` and ``invariant`` from the
-one builder, :func:`repro.core.squash.front_dfg`, before any caller
-sees it; memory-tier entries are always full.
+A base is stored as the nest's legality preparation
+(:func:`repro.core.legality.prepare_squash`) and its SSA block.  The
+DFG is a pure function of the SSA block and the nest's liveness,
+rebuilt in milliseconds, while its pickle was most of the artifact's
+bytes.  A base read back from disk classifies its DS=1 check again and
+gets its ``dfg``, ``carried`` and ``invariant`` from the one builder,
+:func:`repro.core.squash.front_dfg`, before any caller sees it;
+memory-tier entries are always full.
 
 Jam analyses are derived, not stored: jam(F) for F > 2 renames copy 1
 of the jam(2) analysis once per extra copy and appends the copies to
-the base analysis (:mod:`repro.core.jamdfg`).  Deriving them is cheaper
-than unpickling them, so they live in memory only, for one batch.  A
-factor past the outer trip count fuses the whole loop, so once its own
-legality checks pass it gets the clamped factor's analysis object, and
-with it that design's II-search context.
+the base analysis (:mod:`repro.core.jamdfg`); nests the renames cannot
+cover are jammed whole.  Deriving them is cheaper than unpickling them,
+so they live in memory only, for one batch.  A factor past the outer
+trip count fuses the whole loop, so once its own legality checks pass
+it gets the clamped factor's analysis object, and with it that design's
+II-search context.  jam(J)+squash(DS) squashes the re-located nest of
+the jammed program, whose base is stored like any other.
 
 Squash analyses — the per-DS stage assignment, register chains and
 relaxed edge view layered over the base graph — live in memory only
@@ -49,7 +52,7 @@ every topological placement.  The engine's batches keep each
 meet in one batch, and both memos are per group: the worker drops them
 at each (kernel, variant) boundary inside a batch and when its batch
 lands (:func:`repro.caches.release_batch`), while base analyses,
-preparations and content keys stay for the worker's later batches.
+jammed programs and content keys stay for the worker's later batches.
 
 Set ``REPRO_ANALYSIS_CACHE=0`` to bypass sharing entirely (the reference
 route the parity tests compare against); :func:`repro.clear_caches`
@@ -58,6 +61,7 @@ drops the memory tier (and, unless ``memory_only``, the disk tier).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
@@ -66,10 +70,10 @@ from repro.analysis.loops import LoopNest, all_loops
 from repro.analysis.ssa import SSABlock
 from repro.caches import Memo
 from repro.core.dfg import DFG
-from repro.core.legality import PreparedSquash, SquashCheck, check_squash, \
-    classify_squash, nest_liveness, prepare_squash
+from repro.core.legality import PreparedSquash, SquashCheck, \
+    classify_squash, prepare_squash
 from repro.core.stages import assign_stages, default_delay, register_chains
-from repro.core.squash import analyze_front, analyze_nest, front_dfg
+from repro.core.squash import analyze_front, front_dfg, locate_jammed_nest
 from repro.env import analysis_cache_enabled
 from repro.errors import ReproError
 from repro.hw.mii import squash_distances
@@ -83,20 +87,22 @@ if TYPE_CHECKING:  # loaded when a sweep jams (core.jamdfg imports this)
 
 __all__ = ["AnalysisCache", "BaseAnalysis", "analysis_cache",
            "base_analyzed_dfg", "content_key", "jam_analyzed_dfg",
-           "squash_analyzed_dfg"]
+           "jam_squash_analyzed_dfg", "squash_analyzed_dfg"]
 
 
 @dataclass
 class BaseAnalysis:
     """The DS-independent analysis product of one kernel nest.
 
-    When the ds=1 legality check fails the artifacts are ``None`` and
-    only ``check1`` is populated (the failure is cached too, so repeated
-    variants of an illegal nest fail fast).
+    ``prep`` is the nest's legality preparation and ``check1`` its DS=1
+    classification.  When that check fails the other artifacts are
+    ``None`` (the failure is cached too, so repeated variants of an
+    illegal nest fail fast).  The analysis of a jammed loop has no
+    ``prep`` and is never stored.
 
-    A pickle holds the stored form, ``check1`` and ``ssa``; unpickled,
-    ``dfg``, ``carried`` and ``invariant`` are ``None`` until
-    :meth:`rebuild` derives them again.
+    A pickle holds the stored form, ``prep`` and ``ssa``; unpickled,
+    ``check1`` is classified again, and ``dfg``, ``carried`` and
+    ``invariant`` are ``None`` until :meth:`rebuild` derives them.
     """
 
     check1: SquashCheck
@@ -104,12 +110,14 @@ class BaseAnalysis:
     dfg: Optional[DFG] = None
     carried: Optional[set[str]] = None
     invariant: Optional[set[str]] = None
+    prep: Optional[PreparedSquash] = None
 
     def __getstate__(self) -> dict:
-        return {"check1": self.check1, "ssa": self.ssa}
+        return {"prep": self.prep, "ssa": self.ssa}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, dfg=None, carried=None, invariant=None)
+        self.__dict__.update(state, check1=classify_squash(state["prep"], 1),
+                             dfg=None, carried=None, invariant=None)
 
     def rebuild(self, program: Program, nest: LoopNest) -> "BaseAnalysis":
         """Derive the DFG and live-in split of a stored form in place,
@@ -122,27 +130,16 @@ class BaseAnalysis:
         return self
 
 
-def _build_base(program: Program, nest: LoopNest,
-                prep: Optional[PreparedSquash] = None) -> BaseAnalysis:
-    """analyze_nest's front half, without raising on legality failure.
-
-    With ``prep``, the DS=1 check classifies it but carries the liveness
-    computed from ``program`` (:func:`~repro.core.legality.nest_liveness`):
-    a prep read back from the disk tier holds its own copies of the name
-    strings, which the base's pickle would write a second time, so the
-    stored base would depend on where its prep came from.
-    """
-    if prep is None:
-        check = check_squash(program, nest, 1)
-    else:
-        check = classify_squash(prep, 1)
-        check.liveness = nest_liveness(nest)
+def _build_base(program: Program, nest: LoopNest) -> BaseAnalysis:
+    """analyze_nest's front half, without raising on legality failure."""
+    prep = prepare_squash(program, nest)
+    check = classify_squash(prep, 1)
     if not check.ok:
-        return BaseAnalysis(check1=check)
+        return BaseAnalysis(check1=check, prep=prep)
     live = check.require_liveness()
     _, _, ssa, dfg, carried, invariant = analyze_front(program, nest, live)
     return BaseAnalysis(check1=check, ssa=ssa, dfg=dfg, carried=carried,
-                        invariant=invariant)
+                        invariant=invariant, prep=prep)
 
 
 def content_key(program: Program, nest: LoopNest) -> Optional[str]:
@@ -178,18 +175,16 @@ def content_key(program: Program, nest: LoopNest) -> Optional[str]:
 class AnalysisCache:
     """The front-end memos every variant of a kernel nest shares.
 
-    Base analyses and legality preparations live in two-tier memos keyed
-    by :func:`content_key`, with :func:`repro.store.analysis_store` as
-    their disk tier.  The map from a (program, nest) pair to its content
-    key and the jam and squash analyses are memory-only identity memos
-    pinning their (program, nest) keys; the jam and squash analyses are
-    per batch (:func:`repro.caches.release_batch`).
+    Base analyses live in a two-tier memo keyed by :func:`content_key`,
+    with :func:`repro.store.analysis_store` as its disk tier.  The map
+    from a (program, nest) pair to its content key and the jam and
+    squash analyses are memory-only identity memos pinning their
+    (program, nest) keys; the jam and squash analyses are per batch
+    (:func:`repro.caches.release_batch`).
     """
 
     def __init__(self, maxsize: int = 64):
-        store = analysis_store()
-        self._bases = Memo("analysis", maxsize, store)
-        self._preps = Memo("prep", maxsize, store)
+        self._bases = Memo("analysis", maxsize, analysis_store())
         self._jams = Memo("jam_analysis", maxsize, per_batch=True)
         self._squashes = Memo("squash_analysis", maxsize, per_batch=True)
         self._keys = Memo("content_key", maxsize * 4)
@@ -197,36 +192,19 @@ class AnalysisCache:
     def __len__(self) -> int:
         return len(self._bases)
 
-    def _shared(self, memo: Memo, family: str, program: Program,
-                nest: LoopNest, compute: Callable):
-        """``memo``'s entry for (program, nest) under ``family-<key>``;
-        a nest outside its program has no content key and no entry."""
+    def get_or_build(self, program: Program, nest: LoopNest) -> BaseAnalysis:
+        """The base analysis, through both tiers under ``base-<key>``; one
+        read back from disk is rebuilt in place, so the memory tier keeps
+        it full.  A nest outside its program has no content key and is
+        built afresh."""
         ckey = self._keys.get((id(program), id(nest.outer), id(nest.inner)),
                               lambda: content_key(program, nest),
                               (program, nest))
         if ckey is None:
-            return compute()
-        return memo.get(f"{family}-{ckey}", compute)
-
-    def prep_for(self, program: Program, nest: LoopNest) -> PreparedSquash:
-        """The DS-independent legality analysis, through both tiers."""
-        return self._shared(self._preps, "prep", program, nest,
-                            lambda: prepare_squash(program, nest))
-
-    def get_or_build(self, program: Program, nest: LoopNest) -> BaseAnalysis:
-        """The base analysis, through both tiers; one read back from
-        disk is rebuilt in place, so the memory tier keeps it full."""
-        return self._shared(
-            self._bases, "base", program, nest,
-            lambda: _build_base(program, nest,
-                                self.prep_for(program, nest))
-        ).rebuild(program, nest)
-
-    def check_for(self, program: Program, nest: LoopNest,
-                  ds: int) -> SquashCheck:
-        """The per-DS legality check: cached preparation + cheap
-        classification (identical to a from-scratch ``check_squash``)."""
-        return classify_squash(self.prep_for(program, nest), ds)
+            return _build_base(program, nest)
+        return self._bases.get(f"base-{ckey}",
+                               lambda: _build_base(program, nest)
+                               ).rebuild(program, nest)
 
     def jam_base_for(self, program: Program, nest: LoopNest,
                      factor: int) -> BaseAnalysis:
@@ -336,12 +314,16 @@ def _program_jam(program: Program, nest: LoopNest,
     """jam(``factor``) by the program-level route: unroll-and-jam the whole
     program, re-locate the fused nest, run the base builder over it.
 
-    The jam legality checks must already have passed.
+    The jam legality checks must already have passed.  A jam is never
+    squash-classified or stored, so it drops the legality preparation,
+    whose accesses would pin the jammed program while the entry lives.
     """
     from repro.core.jamdfg import find_jammed_nest
 
     jammed = unroll_and_jam(program, nest, factor, check=False)
-    return _build_base(jammed, find_jammed_nest(jammed, nest, factor))
+    return dataclasses.replace(
+        _build_base(jammed, find_jammed_nest(jammed, nest, factor)),
+        prep=None)
 
 
 def _base(program: Program, nest: LoopNest,
@@ -349,13 +331,6 @@ def _base(program: Program, nest: LoopNest,
     if cache is not None and analysis_cache_enabled():
         return cache.get_or_build(program, nest)
     return _build_base(program, nest)
-
-
-def _check(program: Program, nest: LoopNest, ds: int,
-           cache: Optional[AnalysisCache]) -> SquashCheck:
-    if cache is not None and analysis_cache_enabled():
-        return cache.check_for(program, nest, ds)
-    return check_squash(program, nest, ds)
 
 
 def _analyzed(base: BaseAnalysis, what: str) -> AnalyzedDFG:
@@ -369,7 +344,7 @@ def _analyzed(base: BaseAnalysis, what: str) -> AnalyzedDFG:
 
 def base_analyzed_dfg(program: Program, nest: LoopNest,
                       cache: Optional[AnalysisCache] = None) -> AnalyzedDFG:
-    """The untransformed inner loop's DFG (original/pipelined/jam).
+    """The untransformed inner loop's DFG (original/pipelined).
 
     Raises :class:`~repro.errors.LegalityError` exactly where the old
     per-variant ``analyze_nest(..., ds=1)`` did.
@@ -386,7 +361,7 @@ def jam_analyzed_dfg(program: Program, nest: LoopNest, factor: int,
     (:meth:`AnalysisCache.jam_base_for`).  Without sharing, every factor
     takes the program-level route.  Raises the same
     :class:`~repro.errors.LegalityError`s, with the same messages, as
-    the transform-then-analyze route.
+    the program-level route.
     """
     from repro.core.jamdfg import check_jam
 
@@ -398,16 +373,48 @@ def jam_analyzed_dfg(program: Program, nest: LoopNest, factor: int,
     return _analyzed(jam, "jam analysis")
 
 
+#: unroll_and_jam is pure in (program, nest, factor) and independent of
+#: DS, target, and scheduler, so every jam+squash design of a sweep with
+#: the same J reuses one jammed program, and through its identity one
+#: content key and one squash analysis per DS.  Memory only: re-jamming
+#: costs milliseconds, and a worker gets the jammed nest's base analysis
+#: from the disk tier by content key anyway.
+_JAMMED = Memo("jam_program", 128)
+
+
+def jam_squash_analyzed_dfg(program: Program, nest: LoopNest, jam: int,
+                            ds: int, delay_fn: Optional[Callable] = None,
+                            cache: Optional[AnalysisCache] = None
+                            ) -> AnalyzedDFG:
+    """The DS-staged DFG of jam(``jam``)+squash(``ds``).
+
+    Unroll-and-jams the program by ``jam``, legality checks included,
+    re-locates the fused nest by :func:`repro.core.squash.
+    locate_jammed_nest` — the rule :func:`repro.core.squash.
+    jam_then_squash` applies, so the software emitter and the hardware
+    path pick the same nest — and squashes it by ``ds``.
+    """
+    if analysis_cache_enabled():
+        jammed = _JAMMED.get(
+            (id(program), id(nest.outer), id(nest.inner), jam),
+            lambda: unroll_and_jam(program, nest, jam), (program, nest))
+    else:
+        jammed = unroll_and_jam(program, nest, jam)
+    return squash_analyzed_dfg(jammed, locate_jammed_nest(jammed, nest, jam),
+                               ds, delay_fn=delay_fn, cache=cache)
+
+
 def squash_analyzed_dfg(program: Program, nest: LoopNest, ds: int,
                         delay_fn: Optional[Callable] = None,
                         cache: Optional[AnalysisCache] = None) -> AnalyzedDFG:
     """The DS-staged DFG of a squash design: shared graph + per-DS cut.
 
-    Runs the per-DS legality check first (so DS-specific rejections
-    surface exactly as before), then layers stage assignment, register
-    chains, and the stage-relaxed edge view over the shared base graph.
-    With sharing on, a repeated (program, nest, DS, delay function)
-    returns the first call's object (:meth:`AnalysisCache.squash_for`).
+    Classifies the base's legality preparation at DS first (so
+    DS-specific rejections surface exactly as before), then layers stage
+    assignment, register chains, and the stage-relaxed edge view over
+    the shared base graph.  With sharing on, a repeated (program, nest,
+    DS, delay function) returns the first call's object
+    (:meth:`AnalysisCache.squash_for`).
     """
     if cache is not None and analysis_cache_enabled():
         return cache.squash_for(program, nest, ds, delay_fn)
@@ -417,25 +424,19 @@ def squash_analyzed_dfg(program: Program, nest: LoopNest, ds: int,
 def _squash_analysis(program: Program, nest: LoopNest, ds: int,
                      delay_fn: Optional[Callable],
                      cache: Optional[AnalysisCache]) -> AnalyzedDFG:
-    check = _check(program, nest, ds, cache)
-    check.raise_if_failed()
     base = _base(program, nest, cache)
-    if base.dfg is None:
-        # ds=1 legality failed but ds-specific legality passed: fall back
-        # to the uncached full analysis, exactly as the old path behaved.
-        _, w_nest, ssa, dfg, sa, check = analyze_nest(program, nest, ds,
-                                                      delay_fn=delay_fn)
-        live = check.require_liveness()
-        carried = {x for x in live.carried if x in ssa.entry}
-        invariant = {x for x in ssa.entry
-                     if x not in carried and x != w_nest.inner.var}
-    else:
-        ssa, dfg = base.ssa, base.dfg
-        carried, invariant = base.carried, base.invariant
-        sa = assign_stages(dfg, ds, delay_fn or default_delay)
-    live = check.require_liveness()
-    chains = register_chains(dfg, sa, carried, invariant,
-                             live.live_out, ssa.exit)
-    edges = squash_distances(dfg, sa)
-    return AnalyzedDFG(dfg=dfg, ssa=ssa, check=check, stages=sa,
-                       chains=chains, edges=edges)
+    if base.prep is None:
+        raise ReproError(
+            "squash analysis needs the base's legality preparation, but "
+            "it carries none — stale or hand-built analysis-cache entry")
+    check = classify_squash(base.prep, ds)
+    check.raise_if_failed()
+    # a nest legal at DS is legal at DS=1, so the base has its graph
+    analyzed = _analyzed(base, "base analysis")
+    dfg, ssa = analyzed.dfg, analyzed.ssa
+    sa = assign_stages(dfg, ds, delay_fn or default_delay)
+    chains = register_chains(dfg, sa, base.carried, base.invariant,
+                             check.require_liveness().live_out, ssa.exit)
+    return dataclasses.replace(analyzed, check=check, stages=sa,
+                               chains=chains,
+                               edges=squash_distances(dfg, sa))

@@ -1,13 +1,14 @@
 """Typed stage artifacts flowing through the compilation pipeline.
 
-One variant compilation is a linear flow of four typed hand-offs::
+One variant compilation is a linear flow of typed hand-offs::
 
-    BuiltKernel -> TransformedNest -> AnalyzedDFG -> ScheduledDesign
-                -> DesignPoint
+    BuiltKernel -> AnalyzedDFG -> ScheduledDesign -> DesignPoint
 
 Each artifact carries everything downstream stages need and nothing
 more, so a stage can be swapped (a different scheduler, a different
-transform) without touching its neighbours.  The validate stage only
+analysis view) without touching its neighbours.  The analyze stage
+derives every variant's view, jams included, from the built nest
+(:mod:`repro.pipeline.analysis`).  The validate stage only
 checks a :class:`ScheduledDesign` (:mod:`repro.verify.schedule`) and
 hands it on unchanged.  The final :class:`~repro.hw.report.DesignPoint`
 is the Table 6.2 cell group.
@@ -28,8 +29,7 @@ from repro.hw.mii import EdgeView
 from repro.hw.modulo import ModuloSchedule
 from repro.ir.nodes import Program
 
-__all__ = ["AnalyzedDFG", "BuiltKernel", "ScheduledDesign",
-           "TransformedNest"]
+__all__ = ["AnalyzedDFG", "BuiltKernel", "ScheduledDesign"]
 
 
 @dataclass(frozen=True)
@@ -44,43 +44,9 @@ class BuiltKernel:
         return self.program.name
 
 
-@dataclass(frozen=True)
-class TransformedNest:
-    """Stage 2 output: the nest the hardware layers actually analyze.
-
-    For ``original``/``pipelined``/``squash`` this is the built nest
-    itself (squash transforms *during analysis* — the hardware back-end
-    path needs no emitted software); for the jam variants it is the
-    re-discovered inner loop of the jammed program.  ``outer_trip`` /
-    ``inner_trip`` are measured on the *pre-transform* nest, which is
-    what total-cycle accounting is defined over.
-    """
-
-    variant: str
-    program: Program
-    nest: LoopNest
-    ds: int = 1
-    jam: int = 1
-    outer_trip: int = 0
-    inner_trip: int = 0
-    #: True when the jam variant deferred the transform to the analysis
-    #: stage: ``program``/``nest`` are then the *untransformed* kernel and
-    #: the fused analysis is derived by replication (:mod:`repro.core.jamdfg`)
-    derived_jam: bool = False
-
-    @property
-    def factor(self) -> int:
-        """The DesignPoint unroll factor (DS, or J*DS for jam+squash)."""
-        if self.variant in ("original", "pipelined"):
-            return 1
-        if self.variant == "jam+squash":
-            return self.jam * self.ds
-        return self.ds
-
-
 @dataclass
 class AnalyzedDFG:
-    """Stage 3 output: the staged data-flow graph plus its edge view.
+    """Stage 2 output: the staged data-flow graph plus its edge view.
 
     ``base`` artifacts (``stages is None`` semantics aside, ds == 1 with
     default distances) are shared across every variant of one kernel
@@ -102,7 +68,7 @@ class AnalyzedDFG:
 
 @dataclass
 class ScheduledDesign:
-    """Stage 4 output: one scheduler strategy's answer for the DFG.
+    """Stage 3 output: one scheduler strategy's answer for the DFG.
 
     ``pressure`` is populated only on targets with a finite register
     file (:mod:`repro.vliw`): the accepted schedule's register demand,

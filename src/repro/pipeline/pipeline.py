@@ -2,17 +2,18 @@
 
 One declarative :class:`VariantPlan` per design variant replaces the
 five hand-rolled ``compile_*`` bodies the Nimble driver used to carry.
-Every variant flows through the same six stages::
+Every variant flows through the same five stages::
 
-    build -> transform -> analyze -> schedule -> validate -> report
+    build -> analyze -> schedule -> validate -> report
 
-with the plan choosing only the genuinely variant-specific pieces: how
-the nest is transformed, which analysis view applies (shared base DFG vs
-DS-staged DFG), whether the scheduler is pinned (``original`` is always
-list-scheduled), and which register model prices the result.  The
-scheduler for pipelined variants is resolved by name from
-:mod:`repro.hw.schedulers`, so new strategies plug in without touching
-this module.
+with the plan choosing only the genuinely variant-specific pieces:
+which analysis of the built nest applies (the shared base DFG, a
+DS-staged DFG or a jammed DFG, all derived by
+:mod:`repro.pipeline.analysis`), whether the scheduler is pinned
+(``original`` is always list-scheduled), and which register model
+prices the result.  The scheduler for pipelined variants is resolved
+by name from :mod:`repro.hw.schedulers`, so new strategies plug in
+without touching this module.
 
 The validate stage is the independent schedule re-verifier
 (:func:`repro.verify.schedule.verify_scheduled`): every precedence
@@ -44,9 +45,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.analysis.loops import LoopNest, trip_count
-from repro.caches import Memo
-from repro.core.squash import locate_jammed_nest
-from repro.env import analysis_cache_enabled
 from repro.errors import LegalityError, ScheduleError, VerifyError
 from repro.hw.area import operator_rows, registers_original, \
     registers_pipelined
@@ -58,10 +56,10 @@ from repro.ir.nodes import Program
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.pipeline.analysis import AnalysisCache, analysis_cache, \
-    base_analyzed_dfg, jam_analyzed_dfg, squash_analyzed_dfg
-from repro.pipeline.artifacts import (
-    AnalyzedDFG, BuiltKernel, ScheduledDesign, TransformedNest,
-)
+    base_analyzed_dfg, jam_analyzed_dfg, jam_squash_analyzed_dfg, \
+    squash_analyzed_dfg
+from repro.pipeline.artifacts import AnalyzedDFG, BuiltKernel, \
+    ScheduledDesign
 
 if TYPE_CHECKING:  # pipeline <-> nimble import cycle: Target only for types
     from repro.nimble.target import Target
@@ -132,100 +130,31 @@ def _replay_key(strategy: str, analyzed: AnalyzedDFG, lib) -> str:
 # Stage implementations
 # ---------------------------------------------------------------------------
 
-def _trips(nest: LoopNest) -> tuple[int, int]:
-    return trip_count(nest.outer) or 0, trip_count(nest.inner) or 0
-
-
-#: unroll_and_jam is pure in (program, nest, factor) and independent of
-#: variant, target, and scheduler, so the ``jam`` and ``jam+squash``
-#: variants of a sweep — and every scheduler/target axis crossing them —
-#: reuse one jammed program.  Stable object identity in turn saves the
-#: shared analysis cache re-deriving the jammed nest's content key.
-#: Memory only: re-jamming costs milliseconds, and a worker gets the
-#: jammed nest's analyses from the disk tier by content key anyway.
-_JAMMED = Memo("jam_program", 128)
-
-
-def _memoized_jam(program: Program, nest: LoopNest, factor: int) -> Program:
-    from repro.transforms.unroll_and_jam import unroll_and_jam
-
-    if not analysis_cache_enabled():
-        return unroll_and_jam(program, nest, factor)
-    return _JAMMED.get((id(program), id(nest.outer), id(nest.inner), factor),
-                       lambda: unroll_and_jam(program, nest, factor),
-                       (program, nest))
-
-
-def _identity_transform(built: BuiltKernel, ds: int, jam: int,
-                        variant: str) -> TransformedNest:
-    """original / pipelined / squash: the built nest is analyzed as-is
-    (squash restructures during analysis, not here)."""
-    outer, inner = _trips(built.nest)
-    return TransformedNest(variant=variant, program=built.program,
-                           nest=built.nest, ds=ds, jam=jam,
-                           outer_trip=outer, inner_trip=inner)
-
-
-def _jam_transform(built: BuiltKernel, ds: int, jam: int,
-                   variant: str) -> TransformedNest:
-    """Unroll-and-jam by DS, deferred to the analysis stage.
-
-    The analysis stage derives the fused inner loop's analysis from the
-    untransformed nest by replication
-    (:meth:`~repro.pipeline.analysis.AnalysisCache.jam_base_for`), so
-    the jammed program is never built.  Inputs the renames cannot cover
-    (:func:`repro.core.jamdfg.replicable`: another nest shares the outer
-    induction variable, or a scalar already has a made-up name) take the
-    program-level route here instead: unroll-and-jam the program and
-    re-locate the fused nest.
-    """
-    from repro.core.jamdfg import find_jammed_nest, replicable
-
-    outer_trip, inner_trip = _trips(built.nest)
-    if replicable(built.program, built.nest):
-        return TransformedNest(variant=variant, program=built.program,
-                               nest=built.nest, ds=ds, jam=jam,
-                               outer_trip=outer_trip, inner_trip=inner_trip,
-                               derived_jam=True)
-    jammed = _memoized_jam(built.program, built.nest, ds)
-    return TransformedNest(variant=variant, program=jammed,
-                           nest=find_jammed_nest(jammed, built.nest, ds),
-                           ds=ds, jam=jam, outer_trip=outer_trip,
-                           inner_trip=inner_trip)
-
-
-def _jam_squash_transform(built: BuiltKernel, ds: int, jam: int,
-                          variant: str) -> TransformedNest:
-    """Jam by J (duplicating operators); squash by DS happens in analysis.
-
-    Nest relocation is :func:`repro.core.squash.locate_jammed_nest` —
-    the same rule :func:`repro.core.squash.jam_then_squash` applies, so
-    the software emitter and the hardware path pick the same nest.
-    """
-    outer_trip, inner_trip = _trips(built.nest)
-    jammed = _memoized_jam(built.program, built.nest, jam)
-    target_nest = locate_jammed_nest(jammed, built.nest, jam)
-    return TransformedNest(variant=variant, program=jammed,
-                           nest=target_nest, ds=ds, jam=jam,
-                           outer_trip=outer_trip, inner_trip=inner_trip)
-
-
-def _base_analyze(t: TransformedNest, target: Target,
+def _base_analyze(program: Program, nest: LoopNest, ds: int, jam: int,
+                  target: Target,
                   cache: Optional[AnalysisCache]) -> AnalyzedDFG:
-    return base_analyzed_dfg(t.program, t.nest, cache=cache)
+    return base_analyzed_dfg(program, nest, cache=cache)
 
 
-def _jam_analyze(t: TransformedNest, target: Target,
+def _jam_analyze(program: Program, nest: LoopNest, ds: int, jam: int,
+                 target: Target,
                  cache: Optional[AnalysisCache]) -> AnalyzedDFG:
-    if t.derived_jam:
-        return jam_analyzed_dfg(t.program, t.nest, t.ds, cache=cache)
-    return base_analyzed_dfg(t.program, t.nest, cache=cache)
+    return jam_analyzed_dfg(program, nest, ds, cache=cache)
 
 
-def _squash_analyze(t: TransformedNest, target: Target,
+def _squash_analyze(program: Program, nest: LoopNest, ds: int, jam: int,
+                    target: Target,
                     cache: Optional[AnalysisCache]) -> AnalyzedDFG:
-    return squash_analyzed_dfg(t.program, t.nest, t.ds,
+    return squash_analyzed_dfg(program, nest, ds,
                                delay_fn=target.library.delay, cache=cache)
+
+
+def _jam_squash_analyze(program: Program, nest: LoopNest, ds: int,
+                        jam: int, target: Target,
+                        cache: Optional[AnalysisCache]) -> AnalyzedDFG:
+    return jam_squash_analyzed_dfg(program, nest, jam, ds,
+                                   delay_fn=target.library.delay,
+                                   cache=cache)
 
 
 def _registers_base(a: AnalyzedDFG, target: Target,
@@ -261,25 +190,23 @@ class VariantPlan:
     """What is variant-specific about one flow through the pipeline."""
 
     variant: str
-    transform: Callable[[BuiltKernel, int, int, str], TransformedNest]
-    analyze: Callable[[TransformedNest, Target, Optional[AnalysisCache]],
-                      AnalyzedDFG]
+    #: the built (program, nest, DS, J), the target and the shared
+    #: analysis cache to the design's analysis
+    analyze: Callable[[Program, LoopNest, int, int, Target,
+                       Optional[AnalysisCache]], AnalyzedDFG]
     registers: Callable[[AnalyzedDFG, Target, ScheduledDesign], int]
     #: pinned scheduler name, or None to use the pipeline's strategy
     scheduler: Optional[str] = None
 
 
 VARIANT_PLANS: dict[str, VariantPlan] = {
-    "original": VariantPlan("original", _identity_transform, _base_analyze,
-                            _registers_base, scheduler="list"),
-    "pipelined": VariantPlan("pipelined", _identity_transform, _base_analyze,
-                             _registers_modulo),
-    "squash": VariantPlan("squash", _identity_transform, _squash_analyze,
-                          _registers_chains),
-    "jam": VariantPlan("jam", _jam_transform, _jam_analyze,
-                       _registers_modulo),
-    "jam+squash": VariantPlan("jam+squash", _jam_squash_transform,
-                              _squash_analyze, _registers_chains),
+    "original": VariantPlan("original", _base_analyze, _registers_base,
+                            scheduler="list"),
+    "pipelined": VariantPlan("pipelined", _base_analyze, _registers_modulo),
+    "squash": VariantPlan("squash", _squash_analyze, _registers_chains),
+    "jam": VariantPlan("jam", _jam_analyze, _registers_modulo),
+    "jam+squash": VariantPlan("jam+squash", _jam_squash_analyze,
+                              _registers_chains),
 }
 
 
@@ -288,7 +215,6 @@ class PipelineRun:
     """Every artifact of one flow, for introspection and tests."""
 
     built: BuiltKernel
-    transformed: TransformedNest
     analyzed: AnalyzedDFG
     scheduled: ScheduledDesign
     point: DesignPoint
@@ -466,7 +392,7 @@ class CompilationPipeline:
                                          analyzed.edges)
         return schedule, pressure, floored
 
-    def _report(self, built: BuiltKernel, t: TransformedNest,
+    def _report(self, built: BuiltKernel, variant: str, ds: int, jam: int,
                 scheduled: ScheduledDesign,
                 base_ii: Optional[int]) -> DesignPoint:
         a = scheduled.analyzed
@@ -482,18 +408,22 @@ class CompilationPipeline:
         # the exact scheduler's schedules carry ``certified``
         exact_ii = sched.ii if getattr(sched, "certified", False) \
             and not scheduled.ii_floored else None
-        plan = VARIANT_PLANS[t.variant]
+        plan = VARIANT_PLANS[variant]
+        # the DesignPoint unroll factor: DS, or J*DS for jam+squash
+        factor = 1 if variant in ("original", "pipelined") \
+            else jam * ds if variant == "jam+squash" else ds
         pressure = scheduled.pressure
         return DesignPoint(
             kernel=built.kernel,
-            variant=t.variant, factor=t.factor, ii=ii,
+            variant=variant, factor=factor, ii=ii,
             op_rows=operator_rows(a.dfg, self.target.library),
             registers=plan.registers(a, self.target, scheduled),
             reg_rows=self.target.library.reg_rows,
             rec_mii=rec, res_mii=res,
-            outer_trip=t.outer_trip, inner_trip=t.inner_trip,
+            outer_trip=trip_count(built.nest.outer) or 0,
+            inner_trip=trip_count(built.nest.inner) or 0,
             base_ii=base_ii, schedule_length=sched.length,
-            squash_ds=t.ds if t.variant == "jam+squash" else None,
+            squash_ds=ds if variant == "jam+squash" else None,
             exact_ii=exact_ii,
             max_live=pressure.max_live if pressure is not None else None,
             reg_capacity=pressure.capacity if pressure is not None
@@ -519,14 +449,11 @@ class CompilationPipeline:
         mode = verify_mode()
         strict = mode == "strict"
         built = BuiltKernel(program=program, nest=nest)
-        stage = "transform"
+        stage = "analyze"
         flow_t0 = t0 = perf_counter()
         try:
-            transformed = plan.transform(built, ds, jam, variant)
-            t1 = perf_counter()
-            _record_stage("transform", t1 - t0, t0, t1)
-            stage, t0 = "analyze", t1
-            analyzed = plan.analyze(transformed, self.target, self.cache)
+            analyzed = plan.analyze(program, nest, ds, jam, self.target,
+                                    self.cache)
             t1 = perf_counter()
             _record_stage("analyze", t1 - t0, t0, t1)
             if mode != "off":
@@ -545,7 +472,8 @@ class CompilationPipeline:
             verify_scheduled(scheduled, self.target.library, strict=strict)
             t1 = perf_counter()
             _record_stage("validate", t1 - t0, t0, t1)
-            point = self._report(built, transformed, scheduled, base_ii)
+            point = self._report(built, variant, ds, jam, scheduled,
+                                 base_ii)
             if strict:
                 stage, t0 = "verify", perf_counter()
                 verify_design_point(point, analyzed, self.target.library)
@@ -564,9 +492,8 @@ class CompilationPipeline:
         obs_trace.emit_span("flow", "pipeline", flow_t0, flow_t1,
                             kernel=built.kernel, variant=variant,
                             ds=ds, jam=jam)
-        return PipelineRun(built=built, transformed=transformed,
-                           analyzed=analyzed, scheduled=scheduled,
-                           point=point)
+        return PipelineRun(built=built, analyzed=analyzed,
+                           scheduled=scheduled, point=point)
 
     def compile(self, program: Program, nest: LoopNest, variant: str,
                 ds: int = 1, jam: int = 1,

@@ -1,15 +1,17 @@
 """Persistent, content-addressed artifact store shared across processes.
 
 The disk tier of the :class:`repro.caches.Memo` instances worth sharing
-across processes: the per-kernel front-end analysis and the per-nest
-legality preparation (:mod:`repro.pipeline.analysis`, the ``analysis``
-family).  Each artifact lives as one zlib-compressed pickle per key
-under ``<cache dir>/<family>/<code_version>/``, so ``ProcessPoolExecutor``
+across processes: the per-nest front-end analysis
+(:mod:`repro.pipeline.analysis`, the ``analysis`` family, one
+``base-<key>`` artifact per analyzed nest).  Each artifact lives as one
+zlib-compressed pickle per key under
+``<cache dir>/<family>/<code_version>/``, so ``ProcessPoolExecutor``
 workers and repeated ``repro explore`` / ``repro tables`` runs share one
 computation instead of redoing it per process.  Only what a later
-process cannot cheaply rebuild is stored: a base analysis pickles
-without its DFG (:class:`repro.pipeline.analysis.BaseAnalysis`), and no
-scheduling work reaches the disk at all.
+process cannot cheaply rebuild is stored: a base analysis pickles as
+its legality preparation and SSA block, without its DFG
+(:class:`repro.pipeline.analysis.BaseAnalysis`), and no scheduling work
+reaches the disk at all.
 
 Keys are content hashes (never object ids), and the directory is
 partitioned by :func:`repro.explore.cache.code_version`, so editing any

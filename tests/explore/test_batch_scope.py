@@ -54,16 +54,11 @@ def _live_dfgs() -> dict:
 
 
 def _base_kernels(kernels) -> set:
-    """The ``kernels`` whose base analysis and preparation the
-    per-worker memos hold."""
+    """The ``kernels`` whose base analysis the per-worker memo holds."""
     cache = analysis_cache()
-    out = set()
-    for k in kernels:
-        key = content_key(*_kernel_program(k))
-        if f"base-{key}" in cache._bases._data \
-                and f"prep-{key}" in cache._preps._data:
-            out.add(k)
-    return out
+    return {k for k in kernels
+            if f"base-{content_key(*_kernel_program(k))}"
+            in cache._bases._data}
 
 
 def _batch_state(baseline: dict, built: set) -> dict:

@@ -220,6 +220,23 @@ class TestForeignRecordTolerance:
         assert len(result.points()) == 1
         assert result.cache_stats.misses == 1
 
+    def test_a_foreign_record_does_not_block_its_recompute(self, tmp_path):
+        # the recomputed record is appended next to the foreign one, and
+        # the next run hits it
+        from repro.explore import evaluate
+        q = DesignQuery("iir", "pipelined")
+        cache = ResultCache(tmp_path)
+        cache.put([(q, _point(variant="pipelined", factor=1))])
+        self._tamper(cache, lambda r: r.append(True))
+        first = evaluate([q], jobs=1, cache=ResultCache(tmp_path))
+        assert first.cache_stats.describe() == \
+            "0 hits, 1 misses (0% hit rate), 1 stored"
+        assert len(cache.path.read_text().splitlines()) == 2
+        second = evaluate([q], jobs=1, cache=ResultCache(tmp_path))
+        assert second.cache_stats.describe() == \
+            "1 hits, 0 misses (100% hit rate), 0 stored"
+        assert second.results == first.results
+
 
 class TestCodeVersionClearHook:
     def test_reset_is_registered_with_clear_caches(self):

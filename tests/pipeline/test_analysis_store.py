@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.loops import find_kernel_nests, find_loop_nests
 from repro.caches import Memo
-from repro.core.legality import PreparedSquash
+from repro.core.legality import PreparedSquash, classify_squash
 from repro.pipeline.analysis import (
     AnalysisCache, BaseAnalysis, content_key,
 )
@@ -62,18 +62,17 @@ class TestDiskTier:
         assert base.dfg is not None
 
     def test_prepared_check_round_trips(self, monkeypatch, tmp_path):
+        # the stored base keeps the legality preparation: one read back
+        # from disk classifies every DS as the fresh one does
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         prog = build_fig21()
-        nest = _nest(prog)
-        first = AnalysisCache()
-        prep = first.prep_for(prog, nest)
+        prep = AnalysisCache().get_or_build(prog, _nest(prog)).prep
         assert isinstance(prep, PreparedSquash)
         clone = build_fig21()
-        second = AnalysisCache()
-        loaded = second.prep_for(clone, _nest(clone))
+        loaded = AnalysisCache().get_or_build(clone, _nest(clone)).prep
+        assert loaded is not prep
         for ds in (1, 2, 4):
-            a = first.check_for(prog, nest, ds)
-            b = second.check_for(clone, _nest(clone), ds)
+            a, b = classify_squash(prep, ds), classify_squash(loaded, ds)
             assert (a.ok, a.reasons) == (b.ok, b.reasons)
             assert a.outer_trip == b.outer_trip
         assert loaded.base_failures == prep.base_failures
@@ -114,6 +113,26 @@ class TestCheckEquivalence:
             (split.outer_trip, split.inner_trip)
 
 
+class TestSquashMonotone:
+    def test_a_check_legal_at_ds_is_legal_at_ds_1(self):
+        """Squash legality is monotone in DS: no reason DS=1 fails for
+        is DS-specific, so a squash analysis always finds its base's
+        graph (``squash_case(dist, 1)`` never classifies a hazard)."""
+        from repro.core.legality import prepare_squash
+
+        legal = 0
+        for name, build in _pool_and_suite():
+            prog = build()
+            nest = (find_kernel_nests(prog) or find_loop_nests(prog))[0]
+            prep = prepare_squash(prog, nest)
+            at_one = classify_squash(prep, 1).ok
+            for ds in (2, 4, 8, 16, 32):
+                if classify_squash(prep, ds).ok:
+                    legal += 1
+                    assert at_one, f"{name}: legal at DS={ds} only"
+        assert legal > 100
+
+
 def _pool_and_suite():
     """(name, build) pairs: the ``lang-resume`` benchmark pool (64
     kernels drawn by :mod:`repro.lang.fuzz` from
@@ -134,34 +153,6 @@ def _pool_and_suite():
 
 
 class TestBasePickle:
-    def test_a_prep_read_from_disk_stores_the_same_base(
-            self, monkeypatch, tmp_path):
-        """A base built over a prep read back from ``prep-*.pkl`` pickles
-        like one built over a fresh prep: the same size and the same
-        bytes (one process, one hash seed)."""
-        from repro.store import analysis_store
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        store = analysis_store()
-
-        def nest_of(prog):
-            return (find_kernel_nests(prog) or find_loop_nests(prog))[0]
-
-        for name, build in _pool_and_suite():
-            prog = build()
-            nest = nest_of(prog)
-            key = content_key(prog, nest)
-            fresh = AnalysisCache().get_or_build(prog, nest)
-            path = store._path(f"base-{key}")
-            size = path.stat().st_size
-            path.unlink()   # keep the prep, rebuild the base over it
-            hits = store.stats.hits
-            prog = build()
-            reread = AnalysisCache().get_or_build(prog, nest_of(prog))
-            assert store.stats.hits == hits + 1, name   # the prep
-            assert path.stat().st_size == size, name
-            assert _pickled(reread) == _pickled(fresh), name
-
     def test_two_builds_pickle_to_equal_bytes(self):
         """Two builds of one program's base write the same
         ``base-*.pkl`` bytes, and their DFGs (which the stored form
@@ -177,6 +168,37 @@ class TestBasePickle:
             bases.append(_build_base(prog, find_kernel_nests(prog)[0]))
         assert _pickled(bases[0]) == _pickled(bases[1])
         assert pickle.dumps(bases[0].dfg) == pickle.dumps(bases[1].dfg)
+
+    def test_stored_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Two processes with different string-hash seeds store the same
+        ``base-*.pkl`` bytes: the liveness and scalar-conflict sets
+        pickle as sorted lists."""
+        import os
+        import subprocess
+        import sys
+
+        code = ("from repro.analysis.loops import find_kernel_nests\n"
+                "from repro.pipeline.analysis import AnalysisCache\n"
+                "from repro.workloads import benchmark_by_name\n"
+                "for name in ('iir', 'des-mem'):\n"
+                "    bm = benchmark_by_name(name)\n"
+                "    prog = bm.build(**bm.eval_kwargs)\n"
+                "    AnalysisCache().get_or_build(\n"
+                "        prog, find_kernel_nests(prog)[0])\n")
+        root = os.path.join(os.path.dirname(__file__), "..", "..")
+        stored = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       REPRO_CACHE_DIR=str(tmp_path / seed))
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (os.path.join(root, "src"), root,
+                            env.get("PYTHONPATH")) if p)
+            subprocess.run([sys.executable, "-c", code], env=env,
+                           check=True)
+            stored.append({p.name: p.read_bytes() for p in
+                           (tmp_path / seed).glob("analysis/*/base-*.pkl")})
+        assert len(stored[0]) == 2
+        assert stored[0] == stored[1]
 
     def test_stages_of_a_base_read_back_from_the_store(
             self, monkeypatch, tmp_path):
@@ -207,10 +229,11 @@ class TestBasePickle:
 class TestStoredForm:
     def test_read_back_base_rebuilds_the_fresh_dfg(self, monkeypatch,
                                                    tmp_path):
-        """A ``base-*.pkl`` holds the DS=1 check and the SSA block only
-        (asserted on the decompressed pickle, where a DFG would name its
-        module); a base read back in a fresh process stand-in rebuilds
-        the DFG of a fresh build, and its memory-tier entry stays full."""
+        """A ``base-*.pkl`` holds the legality preparation and the SSA
+        block only (asserted on the decompressed pickle, where a DFG
+        would name its module); a base read back in a fresh process
+        stand-in classifies its DS=1 check again and rebuilds the DFG of
+        a fresh build, and its memory-tier entry stays full."""
         import pickle
         import zlib
 
@@ -228,6 +251,7 @@ class TestStoredForm:
                 store._path(f"base-{content_key(prog, nest)}").read_bytes())
             stored = pickle.loads(blob)
             assert stored.ssa is not None, label
+            assert stored.prep is not None and stored.check1.ok, label
             assert (stored.dfg, stored.carried, stored.invariant) == \
                 (None, None, None), label
             assert b"repro.core.dfg" not in blob, label

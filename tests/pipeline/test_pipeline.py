@@ -16,11 +16,11 @@ from repro.nimble import compile_original, compile_squash, compile_variants
 from repro.obs import metrics as obs_metrics
 from repro.pipeline import (
     VARIANT_PLANS, AnalyzedDFG, BuiltKernel, CompilationPipeline,
-    PipelineRun, ScheduledDesign, TransformedNest, analysis_cache,
-    variant_label,
+    PipelineRun, ScheduledDesign, analysis_cache, variant_label,
 )
 from tests.conftest import ShiftedSink, ShortMakespan, build_fig21, \
     build_fig41, memo_traffic
+from tests.pipeline.test_jamdfg import fingerprint, oracle
 
 
 @pytest.fixture
@@ -56,7 +56,6 @@ class TestStageArtifacts:
         run = CompilationPipeline().run(prog, nest, "squash", ds=4)
         assert isinstance(run, PipelineRun)
         assert isinstance(run.built, BuiltKernel)
-        assert isinstance(run.transformed, TransformedNest)
         assert isinstance(run.analyzed, AnalyzedDFG)
         assert isinstance(run.scheduled, ScheduledDesign)
         assert run.point.variant == "squash" and run.point.factor == 4
@@ -84,18 +83,18 @@ class TestStageArtifacts:
         assert a.chains is not None and a.edges is not None
 
     def test_jam_transform_defers_to_analysis(self, fig41_nest):
-        # the transform stage defers and the fused analysis is derived
-        # from the untransformed nest by replication (repro.core.jamdfg)
+        # the analyze stage derives the fused analysis from the
+        # untransformed nest (repro.pipeline.analysis)
         prog, nest = fig41_nest
-        run = CompilationPipeline().run(prog, nest, "jam", ds=2)
-        assert run.transformed.derived_jam
-        assert run.transformed.program is prog
-        assert run.transformed.outer_trip == 32   # pre-transform trips
-        assert run.transformed.inner_trip == 16
+        pipe = CompilationPipeline()
+        run = pipe.run(prog, nest, "jam", ds=2)
+        assert run.analyzed.dfg is pipe.cache.jam_base_for(prog, nest, 2).dfg
+        assert run.point.outer_trip == 32   # pre-transform trips
+        assert run.point.inner_trip == 16
 
     def test_jam_transform_rewrites_program(self):
         # a second nest shares the outer IV: the renames cannot tell the
-        # nests apart, so the transform stage jams the whole program
+        # nests apart, so the analysis jams the whole program
         b = ProgramBuilder("twonests")
         inp = b.array("in", (32,), U32)
         out = b.array("out", (32,), U32, output=True)
@@ -108,11 +107,13 @@ class TestStageArtifacts:
                 out[i] = b.var("x")
         prog = b.build()
         nest = find_loop_nests(prog)[0]
-        run = CompilationPipeline().run(prog, nest, "jam", ds=2)
-        assert not run.transformed.derived_jam
-        assert run.transformed.program is not prog
-        assert run.transformed.outer_trip == 32   # pre-transform trips
-        assert run.transformed.inner_trip == 16
+        pipe = CompilationPipeline()
+        run = pipe.run(prog, nest, "jam", ds=2)
+        jam = pipe.cache.jam_base_for(prog, nest, 2)
+        assert run.analyzed.dfg is jam.dfg
+        assert fingerprint(jam) == fingerprint(oracle(prog, nest, 2))
+        assert run.point.outer_trip == 32   # pre-transform trips
+        assert run.point.inner_trip == 16
 
     def test_every_variant_has_a_plan(self):
         from repro.explore.space import VARIANTS
@@ -186,6 +187,41 @@ class TestSharedAnalysis:
             with pytest.raises(LegalityError):
                 pipe.compile(prog, nest, "original")
         assert traffic() == (1, 1)
+
+
+class TestJamSquashAnalysis:
+    """jam(J)+squash(DS)'s analysis is the software transformation's:
+    :func:`repro.core.squash.jam_then_squash` jams, re-locates and
+    squashes by the same rules."""
+
+    @staticmethod
+    def _shape(dfg, stages, chains):
+        return ([(n.nid, n.kind, n.op, n.name, n.array, str(n.ty))
+                 for n in dfg.nodes],
+                [(e.src.nid, e.dst.nid, e.dist, e.kind) for e in dfg.edges],
+                (stages.ds, stages.stage, stages.asap, stages.critical_path,
+                 stages.stage_delay),
+                chains.total_registers)
+
+    @pytest.mark.parametrize("kernel", ["skipjack-mem", "skipjack-hw",
+                                        "des-mem", "des-hw", "iir"])
+    def test_matches_jam_then_squash(self, kernel):
+        from repro.core.squash import jam_then_squash
+        from repro.nimble.compiler import _kernel_program
+        from repro.nimble.target import ACEV
+        from repro.pipeline.analysis import jam_squash_analyzed_dfg
+
+        delay = ACEV.library.delay
+        prog, nest = _kernel_program(kernel)
+        for jam in (2, 4):
+            for ds in (2, 4):
+                a = jam_squash_analyzed_dfg(prog, nest, jam, ds,
+                                            delay_fn=delay,
+                                            cache=analysis_cache())
+                want = jam_then_squash(prog, nest, jam, ds, delay)
+                assert self._shape(a.dfg, a.stages, a.chains) == \
+                    self._shape(want.dfg, want.stages, want.chains), \
+                    f"{kernel} jam({jam})+squash({ds})"
 
 
 class TestErrorProvenance:

@@ -185,9 +185,9 @@ class TestExploreCommand:
 
     def test_a_cold_sweep_persists_at_most_20000_bytes(self, tmp_path,
                                                        capsys):
-        # compressed analyses and one compact array per result record:
-        # this sweep's 50 designs and 2 kernels' analyses take 14,839
-        # bytes (56,750 as plain pickles and keyed JSON objects)
+        # compressed analyses, one artifact per analyzed nest and one
+        # compact array per result record: this sweep's 50 designs and 4
+        # nests' analyses take 12,664 bytes
         import repro
         cache = tmp_path / "cache"
         repro.clear_caches(memory_only=True)  # cold memos: the store writes
@@ -197,7 +197,10 @@ class TestExploreCommand:
                      "2", "--jobs", "1", "--cache-dir", str(cache)]) == 0
         capsys.readouterr()
         assert list(cache.glob("results-*.jsonl"))
-        assert list(cache.glob("analysis/*/base-*.pkl"))
+        # one artifact per analyzed nest: each kernel's and each
+        # kernel's jam(2) program (jam+squash), and nothing else
+        assert len(list(cache.glob("analysis/*/base-*.pkl"))) == 4
+        assert not list(cache.glob("analysis/*/prep-*.pkl"))
         written = sum(p.stat().st_size for p in cache.rglob("*")
                       if p.is_file())
         assert written <= 20_000

@@ -15,7 +15,6 @@ from repro.hw.simulate import simulate_modulo
 from repro.nimble.compiler import _kernel_program
 from repro.nimble.target import decode_target
 from repro.pipeline import VARIANT_PLANS, CompilationPipeline
-from repro.pipeline.artifacts import BuiltKernel
 from repro.verify import reverify_modulo
 from repro.vliw.pressure import pressure_floor, register_pressure
 
@@ -132,11 +131,9 @@ class TestIIBump:
 
 def _analyzed(pipe, prog, nest, variant, ds, jam=1):
     """The design's analyzed DFG, or None when legality rejects it."""
-    plan = VARIANT_PLANS[variant]
     try:
-        t = plan.transform(BuiltKernel(program=prog, nest=nest), ds, jam,
-                           variant)
-        return plan.analyze(t, pipe.target, pipe.cache)
+        return VARIANT_PLANS[variant].analyze(prog, nest, ds, jam,
+                                              pipe.target, pipe.cache)
     except LegalityError:
         return None
 
